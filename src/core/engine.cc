@@ -1,0 +1,540 @@
+#include "core/engine.h"
+
+#include <mutex>
+#include <shared_mutex>
+#include <utility>
+
+#include "core/combiner_lateral.h"
+
+namespace chrono::core {
+
+namespace {
+
+obs::LockSite* SiteOrNull(obs::ContentionRegistry* contention,
+                          const char* name) {
+  return contention == nullptr ? nullptr : contention->Site(name);
+}
+
+}  // namespace
+
+Engine::ClientModel::ClientModel(const EngineConfig& config,
+                                 const Options& options,
+                                 obs::LockSite* lock_site)
+    : mutex(lock_site),
+      transitions(config.delta_t),
+      mapper(config.min_validations),
+      manager(DependencyManager::Options{options.enable_subsumption}) {}
+
+Engine::Engine(const EngineConfig& config, Options options,
+               std::function<uint64_t()> now_us,
+               obs::ContentionRegistry* contention)
+    : config_(config),
+      options_(options),
+      now_us_(std::move(now_us)),
+      extractor_(GraphExtractor::Options{
+          config.tau, config.min_occurrences, options.enable_loops,
+          options.enable_loop_constants, /*max_nodes=*/8}),
+      template_mutex_(SiteOrNull(contention, "server.template_cache")),
+      template_cache_(config.template_cache_entries),
+      registry_mutex_(SiteOrNull(contention, "server.registry.write"),
+                      SiteOrNull(contention, "server.registry.read")),
+      versions_mutex_(SiteOrNull(contention, "server.versions")),
+      versions_(options.multi_node),
+      models_mutex_(SiteOrNull(contention, "server.sessions")),
+      model_site_(SiteOrNull(contention, "server.session")),
+      cache_(config.cache_bytes, options.cache_shards,
+             SiteOrNull(contention, "cache.shard")) {}
+
+Engine::~Engine() {
+  if (metrics_registry_ != nullptr) {
+    metrics_registry_->UnregisterCallbacksOwnedBy(this);
+  }
+}
+
+// ---- Query analysis ------------------------------------------------------
+
+Result<sql::ParsedQuery> Engine::Analyze(const std::string& sql) {
+  {
+    std::lock_guard<obs::TimedMutex> lock(template_mutex_);
+    if (const sql::ParsedQuery* hit = template_cache_.Get(sql)) {
+      return *hit;  // copy out while the lock pins the entry
+    }
+  }
+  // AnalyzeQuery is a pure function of the text: run it unlocked. Two
+  // threads racing on the same new text both analyze and both Put — the
+  // second Put replaces an identical value, which is harmless.
+  auto analyzed = sql::AnalyzeQuery(sql);
+  if (!analyzed.ok()) return analyzed.status();
+  sql::ParsedQuery parsed;
+  {
+    std::lock_guard<obs::TimedMutex> lock(template_mutex_);
+    parsed = *template_cache_.Put(sql, std::move(*analyzed));
+  }
+  {
+    std::unique_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+    registry_.Register(parsed.tmpl);
+  }
+  return parsed;
+}
+
+const sql::QueryTemplate* Engine::FindTemplate(TemplateId id) const {
+  std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+  return registry_.Find(id);
+}
+
+// ---- Learned models ------------------------------------------------------
+
+Engine::ClientModel* Engine::ModelFor(ClientId client) {
+  std::lock_guard<obs::TimedMutex> lock(models_mutex_);
+  auto it = models_.find(client);
+  if (it == models_.end()) {
+    it = models_
+             .emplace(client, std::make_unique<ClientModel>(config_, options_,
+                                                            model_site_))
+             .first;
+  }
+  return it->second.get();
+}
+
+std::vector<DependencyGraph> Engine::Observe(ClientId client,
+                                             const sql::ParsedQuery& parsed) {
+  ClientModel* model = ModelFor(client);
+  const TemplateId tmpl = parsed.tmpl->id;
+  // The extractor reads the shared registry while one model is updated.
+  std::shared_lock<obs::TimedSharedMutex> registry_lock(registry_mutex_);
+  std::lock_guard<obs::TimedMutex> model_lock(model->mutex);
+  model->transitions.Observe(tmpl, static_cast<SimTime>(now_us_()));
+  model->mapper.ObserveQuery(tmpl, parsed.params);
+  model->latest_params[tmpl] = parsed.params;
+  if (++model->observations % config_.extract_every == 0) {
+    for (auto& graph :
+         extractor_.Extract(model->transitions, model->mapper, registry_)) {
+      model->manager.AddGraph(std::move(graph));
+    }
+  }
+  std::vector<DependencyGraph> ready;
+  for (const DependencyGraph* graph : model->manager.MarkTextAvail(tmpl)) {
+    ready.push_back(*graph);
+  }
+  return ready;
+}
+
+std::vector<DependencyGraph> Engine::MarkTextAvail(
+    ClientId client, TemplateId tmpl, const std::vector<sql::Value>& params) {
+  ClientModel* model = ModelFor(client);
+  std::lock_guard<obs::TimedMutex> lock(model->mutex);
+  std::vector<DependencyGraph> ready;
+  if (!model->manager.IsRelevant(tmpl)) return ready;
+  model->latest_params[tmpl] = params;
+  for (const DependencyGraph* graph : model->manager.MarkTextAvail(tmpl)) {
+    ready.push_back(*graph);
+  }
+  return ready;
+}
+
+void Engine::ObserveResult(ClientId client, TemplateId tmpl,
+                           const sql::ResultSet& result) {
+  if (!config_.enable_learning) return;
+  ClientModel* model = ModelFor(client);
+  std::lock_guard<obs::TimedMutex> lock(model->mutex);
+  model->mapper.ObserveResult(tmpl, result);
+}
+
+std::optional<std::vector<sql::Value>> Engine::LatestParams(ClientId client,
+                                                            TemplateId tmpl) {
+  ClientModel* model = ModelFor(client);
+  std::lock_guard<obs::TimedMutex> lock(model->mutex);
+  auto it = model->latest_params.find(tmpl);
+  if (it == model->latest_params.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<Engine::Plan> Engine::Combine(ClientId client,
+                                            const DependencyGraph& graph) {
+  ClientModel* model = ModelFor(client);
+  Result<CombinedQuery> combined = Status::OK();
+  {
+    std::shared_lock<obs::TimedSharedMutex> registry_lock(registry_mutex_);
+    std::lock_guard<obs::TimedMutex> model_lock(model->mutex);
+    combined = CombineGraph(
+        CombineInput{&graph, &registry_, &model->latest_params});
+  }
+  if (!combined.ok()) return std::nullopt;
+  Plan plan;
+  plan.query = std::make_shared<const CombinedQuery>(std::move(*combined));
+  plan.id = next_plan_id_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<TemplateId> roots = graph.DependencyQueries();
+  obs::JournalEvent event;
+  event.type = obs::JournalEventType::kPlanMined;
+  event.plan = plan.id;
+  event.tmpl = roots.empty() ? 0 : static_cast<uint64_t>(roots.front());
+  event.a = plan.query->slots.size();
+  Journal(event);
+  return plan;
+}
+
+size_t Engine::TotalGraphs() const {
+  std::vector<ClientModel*> models;
+  {
+    std::lock_guard<obs::TimedMutex> lock(models_mutex_);
+    for (const auto& [client, model] : models_) {
+      (void)client;
+      models.push_back(model.get());
+    }
+  }
+  size_t n = 0;
+  for (ClientModel* model : models) {
+    std::lock_guard<obs::TimedMutex> lock(model->mutex);
+    n += model->manager.graph_count();
+  }
+  return n;
+}
+
+size_t Engine::model_count() const {
+  std::lock_guard<obs::TimedMutex> lock(models_mutex_);
+  return models_.size();
+}
+
+// ---- Combined results ----------------------------------------------------
+
+void Engine::CombinedIssued(ClientId client, uint64_t plan_id) {
+  counters_.remote_combined.fetch_add(1, std::memory_order_relaxed);
+  obs::JournalEvent event;
+  event.type = obs::JournalEventType::kCombinedIssued;
+  event.plan = plan_id;
+  event.client = static_cast<uint32_t>(client);
+  Journal(event);
+}
+
+void Engine::CombinedFetched(ClientId client, uint64_t plan_id,
+                             const sql::ResultSet* rows, uint64_t fetch_us) {
+  obs::JournalEvent event;
+  event.type = obs::JournalEventType::kCombinedFetched;
+  event.plan = plan_id;
+  event.client = static_cast<uint32_t>(client);
+  event.flags = rows != nullptr ? obs::kJournalFlagOk : 0;
+  if (rows != nullptr) {
+    event.a = rows->row_count();
+    event.b = rows->ByteSize();
+  }
+  event.c = fetch_us;
+  Journal(event);
+}
+
+Result<std::vector<SplitEntry>> Engine::InstallCombined(
+    ClientId client, int security_group, const CombinedQuery& plan,
+    uint64_t plan_id, const sql::ResultSet& rows, bool feed_model) {
+  Result<std::vector<SplitEntry>> split = Status::OK();
+  {
+    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+    split = SplitResult(plan, rows, registry_);
+  }
+  if (!split.ok()) return split;
+
+  // Hit attribution: the transition-graph edge that prefetched a slot is
+  // (first parent slot's template -> slot template); roots keep src 0.
+  std::map<TemplateId, TemplateId> src_of;
+  for (const DecodeSlot& slot : plan.slots) {
+    TemplateId src = 0;
+    if (!slot.parents.empty()) {
+      int parent = slot.parents.front();
+      if (parent >= 0 && static_cast<size_t>(parent) < plan.slots.size()) {
+        src = plan.slots[static_cast<size_t>(parent)].tmpl;
+      }
+    }
+    src_of.emplace(slot.tmpl, src);
+  }
+  for (const SplitEntry& entry : *split) {
+    auto it = src_of.find(entry.tmpl);
+    CachePut(client, security_group, entry.tmpl, entry.key, entry.result,
+             plan_id,
+             it == src_of.end() ? 0 : static_cast<uint64_t>(it->second));
+    counters_.predictions_cached.fetch_add(1, std::memory_order_relaxed);
+  }
+  // The triggering client observed fresh database state.
+  SyncClientToDb(client);
+  if (feed_model) {
+    ClientModel* model = ModelFor(client);
+    std::lock_guard<obs::TimedMutex> lock(model->mutex);
+    for (const SplitEntry& entry : *split) {
+      model->mapper.ObserveResult(entry.tmpl, *entry.result);
+      model->latest_params[entry.tmpl] = entry.params;
+    }
+  }
+  return split;
+}
+
+// ---- Result cache --------------------------------------------------------
+
+std::string Engine::CacheKey(ClientId client,
+                             const std::string& bound_text) const {
+  std::string key;
+  if (!config_.share_across_clients) {
+    key.append("c").append(std::to_string(client)).append("#");
+  }
+  if (options_.multi_node) {
+    key.append("n").append(std::to_string(options_.node_id)).append("#");
+  }
+  key += bound_text;
+  return key;
+}
+
+void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
+                      const std::string& bound_text,
+                      std::shared_ptr<const sql::ResultSet> result,
+                      uint64_t prefetch_plan, uint64_t prefetch_src) {
+  cache::CachedResult entry;
+  entry.SetResult(std::move(result));
+  entry.version = SnapshotReads(tmpl);
+  entry.security_group = security_group;
+  entry.node_id = options_.node_id;
+  entry.prefetch_plan = prefetch_plan;
+  entry.prefetch_src = prefetch_src;
+  entry.tmpl = static_cast<uint64_t>(tmpl);
+  entry.install_us = now_us_();
+  std::string key = CacheKey(client, bound_text);
+  if (prefetch_plan != 0 && journal_ != nullptr) {
+    obs::JournalEvent event;
+    event.type = obs::JournalEventType::kEntryInstalled;
+    event.plan = prefetch_plan;
+    event.src = prefetch_src;
+    event.tmpl = entry.tmpl;
+    event.a = cache::LruCache::EntryBytes(key, entry);
+    event.client = static_cast<uint32_t>(client);
+    Journal(event);
+  }
+  cache_.Put(key, std::move(entry));
+}
+
+std::optional<cache::CachedResult> Engine::CacheGet(
+    ClientId client, int security_group, const std::string& bound_text,
+    std::optional<cache::CachedResult>* stale_candidate, bool keep_rejected) {
+  const std::string key = CacheKey(client, bound_text);
+  std::optional<cache::CachedResult> entry = cache_.Get(key);
+  if (!entry.has_value()) return std::nullopt;
+  if (entry->security_group != security_group) {
+    counters_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  if (!TryAbsorb(client, entry->version)) {
+    counters_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
+    if (stale_candidate != nullptr) *stale_candidate = *entry;
+    // A version-rejected prefetched entry can never become usable again
+    // (database versions are monotonic): erase it now so the eviction
+    // hook journals it as invalidated rather than letting it age out as
+    // an ordinary capacity eviction.
+    if (entry->prefetch_plan != 0 && !keep_rejected) cache_.Invalidate(key);
+    return std::nullopt;
+  }
+  // First demand hit on a prefetched entry: the cache just bumped
+  // use_count, so our copy reading 1 means this very lookup was the first.
+  if (entry->prefetch_plan != 0 && entry->use_count == 1 &&
+      journal_ != nullptr) {
+    obs::JournalEvent event;
+    event.type = obs::JournalEventType::kEntryUsed;
+    event.plan = entry->prefetch_plan;
+    event.src = entry->prefetch_src;
+    event.tmpl = entry->tmpl;
+    event.a = cache::LruCache::EntryBytes(key, *entry);
+    const uint64_t now = now_us_();
+    event.b = now > entry->install_us ? now - entry->install_us : 0;
+    event.client = static_cast<uint32_t>(client);
+    Journal(event);
+  }
+  return entry;
+}
+
+// ---- Session version vectors ---------------------------------------------
+
+void Engine::OnClientWrite(ClientId client,
+                           const std::vector<std::string>& tables) {
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  versions_.OnClientWrite(client, tables);
+}
+
+void Engine::OnRemoteAccess() {
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  versions_.OnRemoteAccess();
+}
+
+void Engine::SyncClientToDb(ClientId client) {
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  versions_.SyncClientToDb(client);
+}
+
+cache::VersionVector Engine::SnapshotReads(TemplateId tmpl) {
+  std::vector<std::string> reads;
+  {
+    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+    if (const sql::QueryTemplate* qt = registry_.Find(tmpl)) {
+      reads = sql::CollectTableAccess(*qt->ast).reads;
+    }
+  }
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  return versions_.SnapshotFor(reads);
+}
+
+bool Engine::CanUse(ClientId client, const cache::VersionVector& version) {
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  return versions_.CanUse(client, version);
+}
+
+bool Engine::TryAbsorb(ClientId client, const cache::VersionVector& version) {
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  if (!versions_.CanUse(client, version)) return false;
+  versions_.AbsorbResult(client, version);
+  return true;
+}
+
+// ---- Journal and metrics -------------------------------------------------
+
+void Engine::AttachJournal(obs::EventJournal* journal, bool stamp_events) {
+  journal_ = journal;
+  stamp_events_ = stamp_events;
+  // Runs under the owning shard's mutex (a leaf lock); journal Record is
+  // the only side effect. Only prefetch-attributed entries are journaled.
+  // kErased is the staleness invalidation in CacheGet — the one explicit
+  // erase on the result cache — and it always follows a Get that bumped
+  // use_count, so "served a real hit" is use_count > 1 there and
+  // use_count > 0 everywhere else.
+  cache_.SetEvictionCallback([this](const std::string& key,
+                                    const cache::CachedResult& value,
+                                    size_t bytes, cache::EvictReason reason) {
+    (void)key;
+    if (value.prefetch_plan == 0 || reason == cache::EvictReason::kCleared) {
+      return;
+    }
+    obs::JournalEvent event;
+    event.plan = value.prefetch_plan;
+    event.src = value.prefetch_src;
+    event.tmpl = value.tmpl;
+    event.a = bytes;
+    const uint64_t now = now_us_();
+    event.b = now > value.install_us ? now - value.install_us : 0;
+    if (reason == cache::EvictReason::kErased) {
+      event.type = obs::JournalEventType::kEntryInvalidated;
+      event.flags = value.use_count > 1 ? obs::kJournalFlagUsed : 0;
+    } else {
+      event.type = obs::JournalEventType::kEntryEvicted;
+      event.flags = (value.use_count > 0 ? obs::kJournalFlagUsed : 0) |
+                    (reason == cache::EvictReason::kReplaced
+                         ? obs::kJournalEvictReplaced
+                         : obs::kJournalEvictCapacity);
+    }
+    Journal(event);
+  });
+}
+
+void Engine::Journal(obs::JournalEvent event) {
+  if (journal_ == nullptr) return;
+  if (stamp_events_ && event.ts_us == 0) {
+    // ts 0 would make the journal substitute its wall clock.
+    const uint64_t now = now_us_();
+    event.ts_us = now == 0 ? 1 : now;
+  }
+  journal_->Record(event);
+}
+
+void Engine::RegisterCacheFamily(obs::MetricsRegistry* registry,
+                                 const char* which,
+                                 std::function<double()> hits,
+                                 std::function<double()> misses,
+                                 std::function<double()> evictions,
+                                 std::function<double()> entries,
+                                 const void* owner) {
+  obs::Labels labels = {{"cache", which}};
+  registry->RegisterCallbackCounter("chrono_cache_hits_total",
+                                    "Cache lookup hits by cache", labels,
+                                    std::move(hits), owner);
+  registry->RegisterCallbackCounter("chrono_cache_misses_total",
+                                    "Cache lookup misses by cache", labels,
+                                    std::move(misses), owner);
+  registry->RegisterCallbackCounter("chrono_cache_evictions_total",
+                                    "Cache evictions by cache", labels,
+                                    std::move(evictions), owner);
+  registry->RegisterCallbackGauge("chrono_cache_entries",
+                                  "Entries resident by cache", labels,
+                                  std::move(entries), owner);
+}
+
+void Engine::RegisterMetrics(obs::MetricsRegistry* registry) {
+  metrics_registry_ = registry;
+  const void* owner = this;
+  auto counter = [&](const char* name, const char* help,
+                     const std::atomic<uint64_t>* field,
+                     obs::Labels labels = {}) {
+    registry->RegisterCallbackCounter(
+        name, help, std::move(labels),
+        [field] {
+          return static_cast<double>(field->load(std::memory_order_relaxed));
+        },
+        owner);
+  };
+  counter("chrono_requests_total", "Client statements served",
+          &counters_.reads, {{"op", "read"}});
+  counter("chrono_requests_total", "Client statements served",
+          &counters_.writes, {{"op", "write"}});
+  counter("chrono_cache_rejects_total",
+          "Cached results rejected by session/security checks",
+          &counters_.cache_rejects);
+  counter("chrono_remote_plain_total", "Plain (uncombined) remote reads",
+          &counters_.remote_plain);
+  counter("chrono_remote_combined_total",
+          "Combined queries sent to the database", &counters_.remote_combined);
+  counter("chrono_predictions_cached_total",
+          "Result sets cached ahead of demand", &counters_.predictions_cached);
+  counter("chrono_prediction_fallbacks_total",
+          "Combined queries that missed the asked-for result",
+          &counters_.prediction_fallbacks);
+
+  RegisterCacheFamily(
+      registry, "template",
+      [this] {
+        return static_cast<double>(
+            template_cache_.counters().hits.load(std::memory_order_relaxed));
+      },
+      [this] {
+        return static_cast<double>(
+            template_cache_.counters().misses.load(std::memory_order_relaxed));
+      },
+      [this] {
+        std::lock_guard<obs::TimedMutex> lock(template_mutex_);
+        return static_cast<double>(template_cache_.evictions());
+      },
+      [this] {
+        std::lock_guard<obs::TimedMutex> lock(template_mutex_);
+        return static_cast<double>(template_cache_.size());
+      },
+      owner);
+  RegisterCacheFamily(
+      registry, "result", [this] { return static_cast<double>(cache_.hits()); },
+      [this] { return static_cast<double>(cache_.misses()); },
+      [this] { return static_cast<double>(cache_.evictions()); },
+      [this] { return static_cast<double>(cache_.entry_count()); }, owner);
+  registry->RegisterCallbackGauge(
+      "chrono_result_cache_bytes", "Bytes resident in the result cache", {},
+      [this] { return static_cast<double>(cache_.used_bytes()); }, owner);
+  registry->RegisterCallbackGauge(
+      "chrono_result_cache_capacity_bytes", "Result cache byte budget", {},
+      [this] { return static_cast<double>(cache_.capacity_bytes()); }, owner);
+  // Per-shard occupancy (shard mutexes are leaves, so pulling them from a
+  // snapshot callback cannot invert the lock order).
+  for (size_t i = 0; i < cache_.shard_count(); ++i) {
+    obs::Labels labels = {{"shard", std::to_string(i)}};
+    registry->RegisterCallbackGauge(
+        "chrono_result_cache_shard_entries", "Entries resident per shard",
+        labels,
+        [this, i] { return static_cast<double>(cache_.ShardEntryCount(i)); },
+        owner);
+    registry->RegisterCallbackGauge(
+        "chrono_result_cache_shard_bytes", "Bytes resident per shard", labels,
+        [this, i] { return static_cast<double>(cache_.ShardUsedBytes(i)); },
+        owner);
+    registry->RegisterCallbackGauge(
+        "chrono_result_cache_shard_evictions", "Evictions per shard", labels,
+        [this, i] { return static_cast<double>(cache_.ShardEvictions(i)); },
+        owner);
+  }
+}
+
+}  // namespace chrono::core

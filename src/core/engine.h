@@ -1,0 +1,270 @@
+#ifndef CHRONOCACHE_CORE_ENGINE_H_
+#define CHRONOCACHE_CORE_ENGINE_H_
+
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "cache/lru_map.h"
+#include "common/result.h"
+#include "core/dependency_manager.h"
+#include "core/loop_detector.h"
+#include "core/param_mapper.h"
+#include "core/result_splitter.h"
+#include "core/session.h"
+#include "core/template_registry.h"
+#include "core/transition_graph.h"
+#include "obs/contention.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
+#include "runtime/sharded_cache.h"
+#include "sql/template.h"
+
+namespace chrono::core {
+
+/// \brief The knobs every ChronoCache node has, whichever clock drives
+/// it. The simulator's MiddlewareConfig and the wall-clock
+/// runtime::ServerConfig both derive from this struct.
+struct EngineConfig {
+  double tau = 0.8;                         // temporal correlation threshold
+  SimTime delta_t = 200 * kMicrosPerMilli;  // Δt correlation window (µs)
+  size_t cache_bytes = 64ull << 20;         // result-cache budget
+  size_t template_cache_entries = 512;      // memoized AnalyzeQuery results
+  uint64_t min_occurrences = 3;             // extraction threshold
+  int min_validations = 2;                  // mapping confirmation threshold
+  size_t extract_every = 4;                 // model-mining cadence
+  bool enable_learning = true;              // learn the query patterns
+  bool enable_combining = true;             // fire combined prefetches
+  bool share_across_clients = true;         // shared vs. per-client keys
+};
+
+/// \brief Counters both drivers keep (relaxed atomics). The engine bumps
+/// the ones it owns the decision for (rejects, combined calls, predictions
+/// cached); drivers bump the rest where their policy decides.
+struct EngineCounters {
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> writes{0};
+  std::atomic<uint64_t> cache_hits{0};
+  std::atomic<uint64_t> cache_rejects{0};
+  std::atomic<uint64_t> remote_plain{0};
+  std::atomic<uint64_t> remote_combined{0};
+  std::atomic<uint64_t> predictions_cached{0};
+  std::atomic<uint64_t> prediction_fallbacks{0};
+  std::atomic<uint64_t> backend_retries{0};
+};
+
+/// \brief The ChronoCache pipeline state and decisions, independent of any
+/// clock (DESIGN.md "One engine, two drivers"): memoized query analysis,
+/// the template registry, the per-client learned models, combining a
+/// ready graph into a plan, the result cache under the §5.2 session and
+/// §5.2.1 security rules, installing split combined results, the
+/// prefetch-lifecycle journal events and the shared counters.
+///
+/// Two drivers call it: core::Middleware executes its decisions in
+/// virtual time, runtime::ChronoServer on real threads. Time comes from
+/// the `now_us` clock the driver passes in; every method is thread-safe.
+///
+/// Lock order: `registry → client model`, everything else a leaf. The
+/// template cache, the client table, the version vectors and each cache
+/// shard are taken one at a time and never while another engine lock is
+/// held; the only nesting is the registry's reader side held while one
+/// client's model lock is taken inside it (Observe, Combine).
+class Engine {
+ public:
+  /// What a driver fixes beyond EngineConfig.
+  struct Options {
+    size_t cache_shards = 1;            // result-cache lock stripes
+    int node_id = 0;                    // tags entries; keys in multi-node
+    bool multi_node = false;            // §5.2 multi-node session rule
+    bool enable_subsumption = true;     // §3 redundancy elimination
+    bool enable_loops = true;           // §2.2 loop graphs
+    bool enable_loop_constants = true;  // per-loop constants
+  };
+
+  /// One client's learned model (§2–§3): transition graph, parameter
+  /// mapper, dependency table and the latest parameters per template.
+  struct ClientModel {
+    obs::TimedMutex mutex;
+    TransitionGraph transitions;
+    ParamMapper mapper;
+    DependencyManager manager;
+    std::map<TemplateId, std::vector<sql::Value>> latest_params;
+    uint64_t observations = 0;
+
+    ClientModel(const EngineConfig& config, const Options& options,
+                obs::LockSite* lock_site);
+  };
+
+  /// A combined query mined from a ready graph, with the plan id its
+  /// installs and hits are attributed to.
+  struct Plan {
+    std::shared_ptr<const CombinedQuery> query;
+    uint64_t id = 0;
+  };
+
+  /// `now_us` is the driver's clock. `contention` (nullable) attributes
+  /// the engine's locks to the runtime's lock sites.
+  Engine(const EngineConfig& config, Options options,
+         std::function<uint64_t()> now_us,
+         obs::ContentionRegistry* contention = nullptr);
+  ~Engine();
+
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  // --- Query analysis ---------------------------------------------------
+
+  /// AnalyzeQuery memoized by text; a new template joins the registry.
+  Result<sql::ParsedQuery> Analyze(const std::string& sql);
+  /// Registered template or nullptr. Templates are never removed, so the
+  /// pointer stays valid for the engine's lifetime.
+  const sql::QueryTemplate* FindTemplate(TemplateId id) const;
+
+  // --- Learned models ---------------------------------------------------
+
+  /// One read arrival: transition, parameter and latest-parameter
+  /// updates, extraction every `extract_every` observations, then
+  /// Algorithm 1's mark_text_avail. Returns copies of the graphs it made
+  /// ready.
+  std::vector<DependencyGraph> Observe(ClientId client,
+                                       const sql::ParsedQuery& parsed);
+  /// Algorithm 1 line 7: a prefetched text arrived. Records its
+  /// parameters and returns the graphs it made ready (none when the
+  /// template is in no graph).
+  std::vector<DependencyGraph> MarkTextAvail(
+      ClientId client, TemplateId tmpl, const std::vector<sql::Value>& params);
+  /// Feeds a result the client received into its mapper (no-op with
+  /// learning off).
+  void ObserveResult(ClientId client, TemplateId tmpl,
+                     const sql::ResultSet& result);
+  std::optional<std::vector<sql::Value>> LatestParams(ClientId client,
+                                                      TemplateId tmpl);
+  /// Runs `fn(const ClientModel&)` under the model lock. `fn` must not
+  /// call back into the engine.
+  template <typename Fn>
+  auto WithModel(ClientId client, Fn&& fn) {
+    ClientModel* model = ModelFor(client);
+    std::lock_guard<obs::TimedMutex> lock(model->mutex);
+    return fn(static_cast<const ClientModel&>(*model));
+  }
+  /// Combines a ready graph over the client's latest parameters, assigns
+  /// a plan id and journals kPlanMined with the graph's root template.
+  std::optional<Plan> Combine(ClientId client, const DependencyGraph& graph);
+  size_t TotalGraphs() const;
+  size_t model_count() const;
+
+  // --- Combined results -------------------------------------------------
+
+  /// A plan is sent to the database: counts and journals it.
+  void CombinedIssued(ClientId client, uint64_t plan_id);
+  /// Its response arrived: `rows` is null when the call failed.
+  void CombinedFetched(ClientId client, uint64_t plan_id,
+                       const sql::ResultSet* rows, uint64_t fetch_us);
+  /// Splits a combined result and installs one entry per slot, attributed
+  /// to the plan and the edge that predicted it, then syncs the client to
+  /// the database (Vc = Vd). With `feed_model` the pieces also train the
+  /// client's mapper and latest parameters. Returns the split entries.
+  Result<std::vector<SplitEntry>> InstallCombined(
+      ClientId client, int security_group, const CombinedQuery& plan,
+      uint64_t plan_id, const sql::ResultSet& rows, bool feed_model);
+
+  // --- Result cache -----------------------------------------------------
+
+  std::string CacheKey(ClientId client, const std::string& bound_text) const;
+  /// Installs `result`, tagged with the Vd snapshot of the relations the
+  /// template reads. `prefetch_plan`/`prefetch_src` attribute predictive
+  /// installs (zero for demand fills), which are journaled.
+  void CachePut(ClientId client, int security_group, TemplateId tmpl,
+                const std::string& bound_text,
+                std::shared_ptr<const sql::ResultSet> result,
+                uint64_t prefetch_plan = 0, uint64_t prefetch_src = 0);
+  /// Lookup under the §5.2.1 security-group and §5.2 session checks.
+  /// A version-rejected entry is copied to `stale_candidate` (when given)
+  /// and, if it was prefetched, invalidated unless `keep_rejected`.
+  std::optional<cache::CachedResult> CacheGet(
+      ClientId client, int security_group, const std::string& bound_text,
+      std::optional<cache::CachedResult>* stale_candidate = nullptr,
+      bool keep_rejected = false);
+
+  // --- Session version vectors (§5.2) -----------------------------------
+
+  void OnClientWrite(ClientId client, const std::vector<std::string>& tables);
+  void OnRemoteAccess();
+  void SyncClientToDb(ClientId client);
+  /// Vd restricted to the relations `tmpl` reads.
+  cache::VersionVector SnapshotReads(TemplateId tmpl);
+  bool CanUse(ClientId client, const cache::VersionVector& version);
+  /// CanUse, and on success Vc absorbs `version` — one atomic step.
+  bool TryAbsorb(ClientId client, const cache::VersionVector& version);
+
+  // --- Journal and metrics ----------------------------------------------
+
+  /// Attaches the lifecycle journal and the cache-eviction hook that
+  /// journals evicted and invalidated prefetches. With `stamp_events`,
+  /// events carry the driver clock as their timestamp (virtual time);
+  /// otherwise the journal stamps its own wall clock. Attach before the
+  /// first request: the pointer is not synchronised with serving threads.
+  void AttachJournal(obs::EventJournal* journal, bool stamp_events);
+  /// Records one event; no-op without a journal.
+  void Journal(obs::JournalEvent event);
+  /// Registers the shared counter families and the template and result
+  /// cache families. The registry must outlive the engine.
+  void RegisterMetrics(obs::MetricsRegistry* registry);
+  /// One `chrono_cache_*{cache="which"}` family set.
+  static void RegisterCacheFamily(obs::MetricsRegistry* registry,
+                                  const char* which,
+                                  std::function<double()> hits,
+                                  std::function<double()> misses,
+                                  std::function<double()> evictions,
+                                  std::function<double()> entries,
+                                  const void* owner);
+
+  EngineCounters& counters() { return counters_; }
+  const EngineCounters& counters() const { return counters_; }
+  const runtime::ShardedCache& cache() const { return cache_; }
+  const CacheCounters& template_cache_counters() const {
+    return template_cache_.counters();
+  }
+
+ private:
+  ClientModel* ModelFor(ClientId client);
+
+  const EngineConfig config_;
+  const Options options_;
+  std::function<uint64_t()> now_us_;
+  GraphExtractor extractor_;  // stateless after construction
+
+  mutable obs::TimedMutex template_mutex_;
+  cache::LruMap<std::string, sql::ParsedQuery> template_cache_;
+
+  mutable obs::TimedSharedMutex registry_mutex_;
+  TemplateRegistry registry_;
+
+  mutable obs::TimedMutex versions_mutex_;
+  SessionManager versions_;
+
+  mutable obs::TimedMutex models_mutex_;
+  // Resolved once here: ModelFor creates models under models_mutex_, and
+  // resolving a site there would nest the contention registry's mutex
+  // inside it.
+  obs::LockSite* model_site_ = nullptr;
+  std::unordered_map<ClientId, std::unique_ptr<ClientModel>> models_;
+
+  runtime::ShardedCache cache_;
+  EngineCounters counters_;
+  std::atomic<uint64_t> next_plan_id_{1};
+
+  obs::EventJournal* journal_ = nullptr;  // non-owning; null = off
+  bool stamp_events_ = false;
+  obs::MetricsRegistry* metrics_registry_ = nullptr;  // null until set
+};
+
+}  // namespace chrono::core
+
+#endif  // CHRONOCACHE_CORE_ENGINE_H_

@@ -1,10 +1,6 @@
 #include "core/middleware.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdlib>
-#include <cstdio>
-#include <chrono>
 #include <map>
 
 #include "common/rng.h"
@@ -111,25 +107,11 @@ void RemoteDbServer::TryDispatch() {
     ++busy_;
     // Execute at dispatch time so statements apply in virtual order; the
     // result is held until the service time elapses.
-    static const bool debug_slow = std::getenv("CHRONO_DEBUG_SLOW") != nullptr;
-    auto wall_start = debug_slow ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
     // Zero-reparse path: execute a handed-off parse tree directly.
     const bool handoff = job.request.ast != nullptr && !text_roundtrip_;
     if (handoff) ++ast_handoffs_;
     auto outcome = handoff ? database_->Execute(*job.request.ast)
                            : database_->ExecuteText(job.request.sql);
-    if (debug_slow) {
-      double ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
-      if (ms > 2.0) {
-        std::fprintf(stderr, "SLOW %.1fms rows=%llu: %.300s\n", ms,
-                     static_cast<unsigned long long>(
-                         outcome.ok() ? outcome->stats.rows_scanned : 0),
-                     job.request.sql.c_str());
-      }
-    }
     uint64_t rows = outcome.ok() ? outcome->stats.rows_scanned : 0;
     if (outcome.ok()) rows_scanned_ += rows;
     SimTime service = latency_.DbServiceTime(rows);
@@ -155,10 +137,13 @@ void RemoteDbServer::TryDispatch() {
 
 // ---- Middleware ----------------------------------------------------------
 
-Middleware::ClientState::ClientState(const MiddlewareConfig& config)
-    : transitions(std::make_unique<TransitionGraph>(config.delta_t)),
-      mapper(config.min_validations),
-      manager(DependencyManager::Options{config.enable_subsumption}) {}
+namespace {
+
+// The simulator is single-threaded: one shard keeps the result cache's LRU
+// order global, exactly the paper's Memcached model.
+constexpr size_t kSimCacheShards = 1;
+
+}  // namespace
 
 Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
                        const net::LatencyModel& latency,
@@ -167,13 +152,16 @@ Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
       remote_(remote),
       latency_(latency),
       config_(config),
-      template_cache_(config.template_cache_entries),
-      cache_(std::make_unique<cache::LruCache>(config.cache_bytes)),
+      engine_(config,
+              Engine::Options{
+                  .cache_shards = kSimCacheShards,
+                  .node_id = config.node_id,
+                  .multi_node = config.multi_node,
+                  .enable_subsumption = config.enable_subsumption,
+                  .enable_loops = config.enable_loops,
+                  .enable_loop_constants = config.enable_loop_constants},
+              [events] { return static_cast<uint64_t>(events->now()); }),
       mw_pool_(events, config.workers),
-      sessions_(config.multi_node),
-      extractor_(GraphExtractor::Options{
-          config.tau, config.min_occurrences, config.enable_loops,
-          config.enable_loop_constants, /*max_nodes=*/8}),
       retry_(config.retry) {}
 
 Middleware::~Middleware() {
@@ -182,139 +170,68 @@ Middleware::~Middleware() {
   }
 }
 
+MiddlewareMetrics Middleware::metrics() const {
+  const EngineCounters& c = engine_.counters();
+  MiddlewareMetrics m;
+  m.reads = c.reads.load(std::memory_order_relaxed);
+  m.writes = c.writes.load(std::memory_order_relaxed);
+  m.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
+  m.cache_rejects = c.cache_rejects.load(std::memory_order_relaxed);
+  m.remote_plain = c.remote_plain.load(std::memory_order_relaxed);
+  m.remote_combined = c.remote_combined.load(std::memory_order_relaxed);
+  m.predictions_cached = c.predictions_cached.load(std::memory_order_relaxed);
+  m.prediction_fallbacks =
+      c.prediction_fallbacks.load(std::memory_order_relaxed);
+  m.redundant_skips = redundant_skips_;
+  m.inflight_joins = inflight_joins_;
+  m.sequential_prefetches = sequential_prefetches_;
+  m.cascaded_fires = cascaded_fires_;
+  m.backend_retries = c.backend_retries.load(std::memory_order_relaxed);
+  return m;
+}
+
 void Middleware::RegisterMetrics(obs::MetricsRegistry* registry) {
   metrics_registry_ = registry;
+  engine_.RegisterMetrics(registry);
+  // The simulator-only counters, under the names dashboards already use.
   const void* owner = this;
-  // Counters mirroring MiddlewareMetrics, under the same names the
-  // wall-clock ChronoServer exports so dashboards work on either.
   auto mirror = [&](const char* name, const char* help,
-                    const uint64_t* field, obs::Labels labels = {}) {
+                    const uint64_t* field) {
     registry->RegisterCallbackCounter(
-        name, help, std::move(labels),
-        [field] { return static_cast<double>(*field); }, owner);
+        name, help, {}, [field] { return static_cast<double>(*field); },
+        owner);
   };
-  mirror("chrono_requests_total", "Client statements served",
-         &metrics_.reads, {{"op", "read"}});
-  mirror("chrono_requests_total", "Client statements served",
-         &metrics_.writes, {{"op", "write"}});
-  mirror("chrono_cache_rejects_total",
-         "Cached results rejected by session/security checks",
-         &metrics_.cache_rejects);
-  mirror("chrono_remote_plain_total", "Plain (uncombined) remote reads",
-         &metrics_.remote_plain);
-  mirror("chrono_remote_combined_total",
-         "Combined queries sent to the database", &metrics_.remote_combined);
-  mirror("chrono_predictions_cached_total",
-         "Result sets cached ahead of demand", &metrics_.predictions_cached);
-  mirror("chrono_prediction_fallbacks_total",
-         "Combined queries that missed the asked-for result",
-         &metrics_.prediction_fallbacks);
   mirror("chrono_redundant_skips_total",
          "Combinations suppressed as redundant (sim only, paper 5.1)",
-         &metrics_.redundant_skips);
+         &redundant_skips_);
   mirror("chrono_inflight_joins_total",
          "Duplicate requests coalesced onto in-flight queries (sim only)",
-         &metrics_.inflight_joins);
+         &inflight_joins_);
   mirror("chrono_sequential_prefetches_total",
          "Apollo-style sequential predictions fired (sim only)",
-         &metrics_.sequential_prefetches);
+         &sequential_prefetches_);
   mirror("chrono_cascaded_fires_total",
          "Graphs fired by text-availability cascades (sim only)",
-         &metrics_.cascaded_fires);
-  mirror("chrono_backend_retries_total",
-         "Demand-read retries after backend transport failures",
-         &metrics_.backend_retries);
-
-  // The two query-path caches, uniform family shared with the runtime.
-  auto cache_family = [&](const char* which, std::function<double()> hits,
-                          std::function<double()> misses,
-                          std::function<double()> evictions,
-                          std::function<double()> entries) {
-    obs::Labels labels = {{"cache", which}};
-    registry->RegisterCallbackCounter("chrono_cache_hits_total",
-                                      "Cache lookup hits by cache", labels,
-                                      std::move(hits), owner);
-    registry->RegisterCallbackCounter("chrono_cache_misses_total",
-                                      "Cache lookup misses by cache", labels,
-                                      std::move(misses), owner);
-    registry->RegisterCallbackCounter("chrono_cache_evictions_total",
-                                      "Cache evictions by cache", labels,
-                                      std::move(evictions), owner);
-    registry->RegisterCallbackGauge("chrono_cache_entries",
-                                    "Entries resident by cache", labels,
-                                    std::move(entries), owner);
-  };
-  cache_family(
-      "template",
+         &cascaded_fires_);
+  // The runtime exports this family from its journal audit instead.
+  registry->RegisterCallbackCounter(
+      "chrono_backend_retries_total",
+      "Demand-read retries after backend transport failures", {},
       [this] {
-        return static_cast<double>(
-            template_cache_.counters().hits.load(std::memory_order_relaxed));
+        return static_cast<double>(engine_.counters().backend_retries.load(
+            std::memory_order_relaxed));
       },
-      [this] {
-        return static_cast<double>(
-            template_cache_.counters().misses.load(std::memory_order_relaxed));
-      },
-      [this] { return static_cast<double>(template_cache_.evictions()); },
-      [this] { return static_cast<double>(template_cache_.size()); });
-  cache_family(
-      "result", [this] { return static_cast<double>(cache_->hits()); },
-      [this] { return static_cast<double>(cache_->misses()); },
-      [this] { return static_cast<double>(cache_->evictions()); },
-      [this] { return static_cast<double>(cache_->entry_count()); });
-  registry->RegisterCallbackGauge(
-      "chrono_result_cache_bytes", "Bytes resident in the result cache", {},
-      [this] { return static_cast<double>(cache_->used_bytes()); }, owner);
+      owner);
 }
 
 void Middleware::AttachJournal(obs::EventJournal* journal) {
-  journal_ = journal;
-  // Mirror the runtime server's eviction journaling: only
-  // prefetch-attributed entries, kErased = staleness invalidation (which
-  // always follows a Get that bumped use_count, hence use_count > 1).
-  cache_->SetEvictionCallback([this](const std::string& key,
-                                     const cache::CachedResult& value,
-                                     size_t bytes,
-                                     cache::EvictReason reason) {
-    (void)key;
-    if (journal_ == nullptr || value.prefetch_plan == 0 ||
-        reason == cache::EvictReason::kCleared) {
-      return;
-    }
-    obs::JournalEvent event;
-    event.plan = value.prefetch_plan;
-    event.src = value.prefetch_src;
-    event.tmpl = value.tmpl;
-    event.a = bytes;
-    uint64_t now = static_cast<uint64_t>(events_->now());
-    event.b = now > value.install_us ? now - value.install_us : 0;
-    if (reason == cache::EvictReason::kErased) {
-      event.type = obs::JournalEventType::kEntryInvalidated;
-      event.flags = value.use_count > 1 ? obs::kJournalFlagUsed : 0;
-    } else {
-      event.type = obs::JournalEventType::kEntryEvicted;
-      event.flags = (value.use_count > 0 ? obs::kJournalFlagUsed : 0) |
-                    (reason == cache::EvictReason::kReplaced
-                         ? obs::kJournalEvictReplaced
-                         : obs::kJournalEvictCapacity);
-    }
-    Journal(event);
-  });
-}
-
-void Middleware::Journal(obs::JournalEvent event) {
-  if (journal_ == nullptr) return;
-  if (event.ts_us == 0) {
-    SimTime now = events_->now();
-    event.ts_us = now == 0 ? 1 : static_cast<uint64_t>(now);
-  }
-  journal_->Record(event);
+  engine_.AttachJournal(journal, /*stamp_events=*/true);
 }
 
 void Middleware::JournalRequest(ClientId client, TemplateId tmpl,
                                 obs::TraceOutcome outcome,
                                 uint64_t prefetch_plan,
                                 uint64_t prefetch_src) {
-  if (journal_ == nullptr) return;
   obs::JournalEvent event;
   event.type = obs::JournalEventType::kRequest;
   event.client = static_cast<uint32_t>(client);
@@ -323,48 +240,23 @@ void Middleware::JournalRequest(ClientId client, TemplateId tmpl,
   event.src = prefetch_src;
   event.flags =
       static_cast<uint8_t>(outcome) | obs::kJournalFlagNoLatency;
-  Journal(event);
+  engine_.Journal(event);
 }
 
-Middleware::ClientState* Middleware::StateFor(ClientId client) {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) {
-    it = clients_.emplace(client, std::make_unique<ClientState>(config_)).first;
-  }
-  return it->second.get();
-}
-
-std::string Middleware::CacheKey(ClientId client,
-                                 const std::string& bound_text) const {
-  std::string key;
-  if (!config_.share_across_clients) {
-    key += "c" + std::to_string(client) + "#";
-  }
-  if (config_.multi_node) {
-    key += "n" + std::to_string(config_.node_id) + "#";
-  }
-  key += bound_text;
-  return key;
-}
-
-size_t Middleware::TotalGraphs() const {
-  size_t n = 0;
-  for (const auto& [id, state] : clients_) {
-    (void)id;
-    n += state->manager.graph_count();
-  }
-  return n;
-}
-
-std::vector<std::string> Middleware::DumpDependencyGraphs(
-    ClientId client) const {
+std::vector<std::string> Middleware::DumpDependencyGraphs(ClientId client) {
+  std::vector<DependencyGraph> graphs =
+      engine_.WithModel(client, [](const Engine::ClientModel& model) {
+        std::vector<DependencyGraph> out;
+        for (const DependencyGraph* graph : model.manager.Graphs()) {
+          out.push_back(*graph);
+        }
+        return out;
+      });
   std::vector<std::string> out;
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return out;
-  for (const DependencyGraph* graph : it->second->manager.Graphs()) {
+  for (const DependencyGraph& graph : graphs) {
     std::map<TemplateId, std::string> labels;
-    for (TemplateId node : graph->nodes) {
-      const sql::QueryTemplate* tmpl = registry_.Find(node);
+    for (TemplateId node : graph.nodes) {
+      const sql::QueryTemplate* tmpl = engine_.FindTemplate(node);
       if (tmpl == nullptr) continue;
       std::string text = tmpl->canonical_text.substr(0, 48);
       // Escape for DOT string literals.
@@ -375,9 +267,15 @@ std::vector<std::string> Middleware::DumpDependencyGraphs(
       }
       labels[node] = escaped;
     }
-    out.push_back(graph->ToDot(labels));
+    out.push_back(graph.ToDot(labels));
   }
   return out;
+}
+
+std::string Middleware::FlightKey(ClientId client, int security_group,
+                                  const std::string& bound_text) const {
+  return engine_.CacheKey(client, bound_text) + "#g" +
+         std::to_string(security_group);
 }
 
 void Middleware::SubmitQuery(ClientId client, int security_group,
@@ -389,43 +287,31 @@ void Middleware::SubmitQuery(ClientId client, int security_group,
        done = std::move(done)](SimTime) mutable {
         mw_pool_.Submit(latency_.mw_base_service,
                         [this, client, security_group, sql = std::move(sql),
-                         done = std::move(done)](SimTime now2) mutable {
-                          Process(now2, client, security_group, std::move(sql),
+                         done = std::move(done)](SimTime) mutable {
+                          Process(client, security_group, std::move(sql),
                                   std::move(done));
                         });
       });
 }
 
-void Middleware::Process(SimTime now, ClientId client, int security_group,
+void Middleware::Process(ClientId client, int security_group,
                          std::string sql_text, ResponseCallback done) {
-  // Memoized AnalyzeQuery: clients resubmit the same texts constantly
-  // (point lookups in loops, pattern repetitions), so the analysis —
-  // lex + parse + literal extraction + canonical render — is cached
-  // keyed on the raw text. Entries are immutable (template + params are
-  // derived from the text alone), so no invalidation is ever needed.
-  sql::ParsedQuery parsed;
-  if (const sql::ParsedQuery* hit = template_cache_.Get(sql_text)) {
-    parsed = *hit;
-  } else {
-    auto analyzed = sql::AnalyzeQuery(sql_text);
-    if (!analyzed.ok()) {
-      JournalRequest(client, /*tmpl=*/0, obs::TraceOutcome::kError);
-      events_->ScheduleAfter(latency_.edge_rtt / 2,
-                             [done, st = analyzed.status()](SimTime now2) {
-                               done(now2, st);
-                             });
-      return;
-    }
-    parsed = *template_cache_.Put(std::move(sql_text), std::move(*analyzed));
-  }
-  registry_.Register(parsed.tmpl);
-  if (!parsed.tmpl->read_only) {
-    ++metrics_.writes;
-    HandleWrite(client, std::move(parsed), std::move(done));
+  Result<sql::ParsedQuery> parsed = engine_.Analyze(sql_text);
+  if (!parsed.ok()) {
+    JournalRequest(client, /*tmpl=*/0, obs::TraceOutcome::kError);
+    events_->ScheduleAfter(latency_.edge_rtt / 2,
+                           [done, st = parsed.status()](SimTime now2) {
+                             done(now2, st);
+                           });
     return;
   }
-  ++metrics_.reads;
-  HandleRead(now, client, security_group, std::move(parsed), std::move(done));
+  if (!parsed->tmpl->read_only) {
+    ++engine_.counters().writes;
+    HandleWrite(client, std::move(*parsed), std::move(done));
+    return;
+  }
+  ++engine_.counters().reads;
+  HandleRead(client, security_group, std::move(*parsed), std::move(done));
 }
 
 void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
@@ -437,8 +323,8 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
       parsed.bound_text,
       [this, client, tmpl = parsed.tmpl->id, writes = access.writes,
        done = std::move(done)](SimTime, Result<db::ExecOutcome> outcome) {
-        sessions_.OnRemoteAccess();
-        if (outcome.ok()) sessions_.OnClientWrite(client, writes);
+        engine_.OnRemoteAccess();
+        if (outcome.ok()) engine_.OnClientWrite(client, writes);
         JournalRequest(client, tmpl,
                        outcome.ok() ? obs::TraceOutcome::kWrite
                                     : obs::TraceOutcome::kError);
@@ -454,52 +340,30 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
       });
 }
 
-void Middleware::Learn(SimTime now, ClientId client,
-                       const sql::ParsedQuery& parsed) {
-  ClientState* state = StateFor(client);
-  TemplateId tmpl = parsed.tmpl->id;
-  state->transitions->Observe(tmpl, now);
-  state->mapper.ObserveQuery(tmpl, parsed.params);
-  state->latest_params[tmpl] = parsed.params;
-  ++state->observations;
-  if (state->observations % config_.extract_every == 0) {
-    for (auto& graph :
-         extractor_.Extract(*state->transitions, state->mapper, registry_)) {
-      state->manager.AddGraph(std::move(graph));
-    }
-  }
-}
-
-void Middleware::HandleRead(SimTime now, ClientId client, int security_group,
+void Middleware::HandleRead(ClientId client, int security_group,
                             sql::ParsedQuery parsed, ResponseCallback done) {
   TemplateId tmpl = parsed.tmpl->id;
-  ClientState* state = StateFor(client);
-
-  std::vector<const DependencyGraph*> ready;
-  if (config_.enable_learning) {
-    Learn(now, client, parsed);
-    ready = state->manager.MarkTextAvail(tmpl);
-  }
+  std::vector<DependencyGraph> ready;
+  if (config_.enable_learning) ready = engine_.Observe(client, parsed);
 
   // §5.1: suppress graphs whose predictions are already fully cached.
   std::vector<const DependencyGraph*> to_fire;
-  for (const DependencyGraph* g : ready) {
+  for (const DependencyGraph& g : ready) {
     if (config_.enable_redundancy_check &&
-        PredictionsCached(client, security_group, *g)) {
-      ++metrics_.redundant_skips;
+        PredictionsCached(client, security_group, g)) {
+      ++redundant_skips_;
       continue;
     }
-    to_fire.push_back(g);
+    to_fire.push_back(&g);
   }
 
-  const std::string key = CacheKey(client, parsed.bound_text);
-  const cache::CachedResult* hit = CacheGet(client, security_group,
-                                            parsed.bound_text);
-  if (hit != nullptr) {
-    ++metrics_.cache_hits;
+  const std::string key = FlightKey(client, security_group, parsed.bound_text);
+  std::optional<cache::CachedResult> hit =
+      engine_.CacheGet(client, security_group, parsed.bound_text);
+  if (hit.has_value()) {
+    ++engine_.counters().cache_hits;
     JournalRequest(client, tmpl, obs::TraceOutcome::kCacheHit,
                    hit->prefetch_plan, hit->prefetch_src);
-    // Share the immutable payload (safe across any later cache mutation).
     // Answer from the edge cache first (Respond records the fresh result
     // into the mapper), then fire background predictions off it.
     Respond(client, tmpl, hit->result, done);
@@ -516,7 +380,7 @@ void Middleware::HandleRead(SimTime now, ClientId client, int security_group,
   // Duplicate-request coalescing (§5.1).
   auto inflight_it = inflight_.find(key);
   if (inflight_it != inflight_.end()) {
-    ++metrics_.inflight_joins;
+    ++inflight_joins_;
     inflight_it->second.push_back(PendingRequest{client, std::move(done)});
     for (const DependencyGraph* g : to_fire) {
       if (config_.enable_combining) {
@@ -568,16 +432,16 @@ void Middleware::HandleRead(SimTime now, ClientId client, int security_group,
 void Middleware::RemotePlain(ClientId client, int security_group,
                              TemplateId tmpl, std::string bound_text,
                              ResponseCallback done) {
-  const std::string key = CacheKey(client, bound_text);
+  const std::string key = FlightKey(client, security_group, bound_text);
   auto it = inflight_.find(key);
   if (it != inflight_.end()) {
-    ++metrics_.inflight_joins;
+    ++inflight_joins_;
     it->second.push_back(PendingRequest{client, std::move(done)});
     return;
   }
   inflight_[key].push_back(PendingRequest{client, std::move(done)});
   inflight_tmpl_[key] = {tmpl, bound_text, security_group};
-  ++metrics_.remote_plain;
+  ++engine_.counters().remote_plain;
   IssuePlainFetch(client, security_group, tmpl, std::move(bound_text), key,
                   /*attempts=*/1);
 }
@@ -589,7 +453,7 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
       bound_text,
       [this, client, security_group, tmpl, key, bound_text, attempts](
           SimTime, Result<db::ExecOutcome> outcome) {
-        sessions_.OnRemoteAccess();
+        engine_.OnRemoteAccess();
         if (!outcome.ok()) {
           // Idempotent demand read: reschedule after a full-jitter backoff
           // while the waiters (and any late joiners) stay parked under the
@@ -597,7 +461,7 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
           if (config_.enable_retries &&
               net::RetryPolicy::IsRetryable(outcome.status()) &&
               retry_.ShouldRetry(attempts)) {
-            ++metrics_.backend_retries;
+            ++engine_.counters().backend_retries;
             double u =
                 HashToUnit(SplitMix64(config_.retry_seed ^ retry_ordinal_++));
             SimTime backoff =
@@ -609,7 +473,7 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
             event.a = static_cast<uint64_t>(attempts);
             event.b = static_cast<uint64_t>(backoff);
             event.c = 0;  // no per-request deadline in virtual time
-            Journal(event);
+            engine_.Journal(event);
             events_->ScheduleAfter(
                 backoff, [this, client, security_group, tmpl, bound_text, key,
                           attempts](SimTime) {
@@ -638,10 +502,10 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
         // share the same immutable payload.
         auto payload = std::make_shared<const sql::ResultSet>(
             std::move(outcome->result));
-        CachePut(client, security_group, tmpl, bound_text, payload);
+        engine_.CachePut(client, security_group, tmpl, bound_text, payload);
         for (auto& w : waiters) {
           // Fresh database read: Vc = Vd (§5.2).
-          sessions_.SyncClientToDb(w.client);
+          engine_.SyncClientToDb(w.client);
           JournalRequest(w.client, tmpl, obs::TraceOutcome::kRemotePlain);
           Respond(w.client, tmpl, payload, w.done);
         }
@@ -661,86 +525,30 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
 bool Middleware::FireGraph(ClientId client, int security_group,
                            const DependencyGraph& graph,
                            const std::string& wait_key, int cascade_depth) {
-  ClientState* state = StateFor(client);
-  CombineInput input{&graph, &registry_, &state->latest_params};
-  auto combined = CombineGraph(input);
-  if (!combined.ok()) return false;
-
-  ++metrics_.remote_combined;
+  std::optional<Engine::Plan> plan = engine_.Combine(client, graph);
+  if (!plan.has_value()) return false;
+  engine_.CombinedIssued(client, plan->id);
   // Charge the combination + split work to this node's worker pool.
-  auto plan = std::make_shared<CombinedQuery>(std::move(*combined));
   mw_pool_.Submit(latency_.mw_combine_service, [](SimTime) {});
-
-  const uint64_t plan_id = next_plan_id_++;
   const SimTime issued_at = events_->now();
-  if (journal_ != nullptr) {
-    std::vector<TemplateId> roots = graph.DependencyQueries();
-    obs::JournalEvent mined;
-    mined.type = obs::JournalEventType::kPlanMined;
-    mined.plan = plan_id;
-    mined.tmpl =
-        roots.empty() ? 0 : static_cast<uint64_t>(roots.front());
-    mined.a = plan->slots.size();
-    Journal(mined);
-    obs::JournalEvent issued;
-    issued.type = obs::JournalEventType::kCombinedIssued;
-    issued.plan = plan_id;
-    issued.client = static_cast<uint32_t>(client);
-    Journal(issued);
-  }
 
   // Hand the combiner-built AST to the server alongside the text: the
   // combined query executes without ever being re-parsed.
   remote_->Submit(
-      RemoteDbServer::DbRequest{plan->sql, plan->ast},
-      [this, client, security_group, plan, plan_id, issued_at, wait_key,
+      RemoteDbServer::DbRequest{plan->query->sql, plan->query->ast},
+      [this, client, security_group, plan = *plan, issued_at, wait_key,
        cascade_depth](SimTime landed, Result<db::ExecOutcome> outcome) {
-        sessions_.OnRemoteAccess();
-        if (!outcome.ok() && getenv("CHRONO_DEBUG")) std::fprintf(stderr, "COMBINED FAIL: %s\nSQL: %s\n", outcome.status().ToString().c_str(), plan->sql.c_str());
-        if (journal_ != nullptr) {
-          obs::JournalEvent fetched;
-          fetched.type = obs::JournalEventType::kCombinedFetched;
-          fetched.plan = plan_id;
-          fetched.client = static_cast<uint32_t>(client);
-          fetched.flags = outcome.ok() ? obs::kJournalFlagOk : 0;
-          if (outcome.ok()) {
-            fetched.a = outcome->result.row_count();
-            fetched.b = outcome->result.ByteSize();
-          }
-          fetched.c = landed > issued_at
-                          ? static_cast<uint64_t>(landed - issued_at)
-                          : 0;
-          Journal(fetched);
-        }
+        engine_.OnRemoteAccess();
+        engine_.CombinedFetched(
+            client, plan.id, outcome.ok() ? &outcome->result : nullptr,
+            landed > issued_at ? static_cast<uint64_t>(landed - issued_at)
+                               : 0);
         if (outcome.ok()) {
-          auto split = SplitResult(*plan, outcome->result, registry_);
-          if (!split.ok() && getenv("CHRONO_DEBUG")) std::fprintf(stderr, "SPLIT FAIL: %s\n", split.status().ToString().c_str());
+          auto split = engine_.InstallCombined(client, security_group,
+                                               *plan.query, plan.id,
+                                               outcome->result,
+                                               /*feed_model=*/false);
           if (split.ok()) {
-            // Edge attribution: first parent slot's template -> slot
-            // template; roots keep src 0 (same rule as the runtime).
-            std::map<TemplateId, TemplateId> src_of;
-            for (const DecodeSlot& slot : plan->slots) {
-              TemplateId src = 0;
-              if (!slot.parents.empty()) {
-                int parent = slot.parents.front();
-                if (parent >= 0 &&
-                    static_cast<size_t>(parent) < plan->slots.size()) {
-                  src = plan->slots[static_cast<size_t>(parent)].tmpl;
-                }
-              }
-              src_of.emplace(slot.tmpl, src);
-            }
-            for (const auto& entry : *split) {
-              auto src_it = src_of.find(entry.tmpl);
-              CachePut(client, security_group, entry.tmpl, entry.key,
-                       entry.result, plan_id,
-                       src_it == src_of.end()
-                           ? 0
-                           : static_cast<uint64_t>(src_it->second));
-              ++metrics_.predictions_cached;
-            }
-            // The triggering client observed fresh database state.
-            sessions_.SyncClientToDb(client);
             // Algorithm 1 line 7: the prefetched texts may make further
             // dependency graphs ready; fire them in the background.
             for (const auto& entry : *split) {
@@ -763,17 +571,15 @@ void Middleware::SplitMarkTextAvail(ClientId client, int security_group,
   // disabled.
   constexpr int kMaxCascadeDepth = 3;
   if (cascade_depth > kMaxCascadeDepth) return;
-  ClientState* state = StateFor(client);
-  if (!state->manager.IsRelevant(tmpl)) return;
-  state->latest_params[tmpl] = params;
-  for (const DependencyGraph* graph : state->manager.MarkTextAvail(tmpl)) {
+  for (const DependencyGraph& graph :
+       engine_.MarkTextAvail(client, tmpl, params)) {
     if (config_.enable_redundancy_check &&
-        PredictionsCached(client, security_group, *graph)) {
-      ++metrics_.redundant_skips;
+        PredictionsCached(client, security_group, graph)) {
+      ++redundant_skips_;
       continue;
     }
-    if (FireGraph(client, security_group, *graph, "", cascade_depth)) {
-      ++metrics_.cascaded_fires;
+    if (FireGraph(client, security_group, graph, "", cascade_depth)) {
+      ++cascaded_fires_;
     }
   }
 }
@@ -790,9 +596,9 @@ void Middleware::ResolveInflight(const std::string& key) {
 
   std::vector<PendingRequest> unresolved;
   for (auto& w : waiters) {
-    const cache::CachedResult* hit =
-        CacheGet(w.client, info.security_group, info.bound_text);
-    if (hit != nullptr) {
+    std::optional<cache::CachedResult> hit =
+        engine_.CacheGet(w.client, info.security_group, info.bound_text);
+    if (hit.has_value()) {
       JournalRequest(w.client, info.tmpl, obs::TraceOutcome::kPredictionHit,
                      hit->prefetch_plan, hit->prefetch_src);
       Respond(w.client, info.tmpl, hit->result, w.done);
@@ -803,7 +609,7 @@ void Middleware::ResolveInflight(const std::string& key) {
   if (!unresolved.empty()) {
     // Misprediction: the combined result did not cover this query. Fall
     // back to plain remote execution; RemotePlain coalesces duplicates.
-    ++metrics_.prediction_fallbacks;
+    ++engine_.counters().prediction_fallbacks;
     for (auto& w : unresolved) {
       RemotePlain(w.client, info.security_group, info.tmpl, info.bound_text,
                   std::move(w.done));
@@ -816,77 +622,77 @@ void Middleware::FireSequential(ClientId client, int security_group,
   // Apollo-style prediction (§6 "Systems"): predicted queries are issued
   // to the database sequentially and uncombined. Without loop support only
   // the first iteration's bindings (row 0 of the source result) are used.
-  ClientState* state = StateFor(client);
-  std::vector<TemplateId> topo = graph.TopologicalOrder();
-  if (topo.empty()) return;
-
-  for (TemplateId node : topo) {
+  for (TemplateId node : graph.TopologicalOrder()) {
     if (graph.RoleOf(node) != NodeRole::kPredicted) continue;
-    const sql::QueryTemplate* tmpl = registry_.Find(node);
+    const sql::QueryTemplate* tmpl = engine_.FindTemplate(node);
     if (tmpl == nullptr) continue;
     // Bind parameters from the sources' last observed result sets.
     std::vector<sql::Value> params(static_cast<size_t>(tmpl->param_count),
                                    sql::Value::Null());
-    bool ok = true;
-    for (const auto& e : graph.edges) {
-      if (e.dst != node) continue;
-      const sql::ResultSet* src_rs = state->mapper.LastResult(e.src);
-      if (src_rs == nullptr || src_rs->empty()) {
-        ok = false;
-        break;
-      }
-      for (const auto& b : e.bindings) {
-        int col = src_rs->ColumnIndex(b.src_column);
-        if (col < 0) {
-          ok = false;
-          break;
+    bool ok = engine_.WithModel(client, [&](const Engine::ClientModel& model) {
+      for (const auto& e : graph.edges) {
+        if (e.dst != node) continue;
+        const sql::ResultSet* src_rs = model.mapper.LastResult(e.src);
+        if (src_rs == nullptr || src_rs->empty()) return false;
+        for (const auto& b : e.bindings) {
+          int col = src_rs->ColumnIndex(b.src_column);
+          if (col < 0) return false;
+          params[static_cast<size_t>(b.dst_param)] =
+              src_rs->row(0)[static_cast<size_t>(col)];
         }
-        params[static_cast<size_t>(b.dst_param)] =
-            src_rs->row(0)[static_cast<size_t>(col)];
       }
-    }
+      return true;
+    });
     if (!ok) continue;
     std::string bound = sql::RenderBoundText(*tmpl, params);
-    const std::string key = CacheKey(client, bound);
-    if (cache_->Contains(key)) continue;
-    if (inflight_.count(key) > 0) continue;
-    ++metrics_.sequential_prefetches;
+    if (engine_.cache().Contains(engine_.CacheKey(client, bound))) continue;
+    if (inflight_.count(FlightKey(client, security_group, bound)) > 0) {
+      continue;
+    }
+    ++sequential_prefetches_;
     remote_->Submit(bound, [this, client, security_group, node, bound](
                                SimTime, Result<db::ExecOutcome> outcome) {
-      sessions_.OnRemoteAccess();
+      engine_.OnRemoteAccess();
       if (!outcome.ok()) return;
       auto payload = std::make_shared<const sql::ResultSet>(
           std::move(outcome->result));
-      CachePut(client, security_group, node, bound, payload);
+      engine_.CachePut(client, security_group, node, bound, payload);
       // Feed the model so deeper predictions can bind next time.
-      StateFor(client)->mapper.ObserveResult(node, *payload);
+      engine_.ObserveResult(client, node, *payload);
     });
   }
 }
 
+std::optional<cache::CachedResult> Middleware::PeekUsable(
+    ClientId client, int security_group, const std::string& bound_text) {
+  std::optional<cache::CachedResult> entry =
+      engine_.cache().Peek(engine_.CacheKey(client, bound_text));
+  if (!entry.has_value() || entry->security_group != security_group ||
+      !engine_.CanUse(client, entry->version)) {
+    return std::nullopt;
+  }
+  return entry;
+}
+
 bool Middleware::PredictionsCached(ClientId client, int security_group,
                                    const DependencyGraph& graph) {
-  ClientState* state = StateFor(client);
   std::vector<TemplateId> roots = graph.DependencyQueries();
   if (roots.size() != 1) return false;
   TemplateId root = roots[0];
-  const sql::QueryTemplate* root_tmpl = registry_.Find(root);
+  const sql::QueryTemplate* root_tmpl = engine_.FindTemplate(root);
   if (root_tmpl == nullptr) return false;
-  auto lp_it = state->latest_params.find(root);
-  if (lp_it == state->latest_params.end()) return false;
-  std::string root_key =
-      CacheKey(client, sql::RenderBoundText(*root_tmpl, lp_it->second));
-  const cache::CachedResult* root_hit = cache_->Peek(root_key);
-  if (root_hit == nullptr || root_hit->security_group != security_group ||
-      !sessions_.CanUse(client, root_hit->version)) {
-    return false;
-  }
+  std::optional<std::vector<sql::Value>> root_params =
+      engine_.LatestParams(client, root);
+  if (!root_params.has_value()) return false;
+  std::optional<cache::CachedResult> root_hit = PeekUsable(
+      client, security_group, sql::RenderBoundText(*root_tmpl, *root_params));
+  if (!root_hit.has_value()) return false;
 
   for (TemplateId node : graph.nodes) {
     if (node == root) continue;
     NodeRole role = graph.RoleOf(node);
     if (role == NodeRole::kDependency) return false;
-    const sql::QueryTemplate* tmpl = registry_.Find(node);
+    const sql::QueryTemplate* tmpl = engine_.FindTemplate(node);
     if (tmpl == nullptr) return false;
     // Only direct children of the root can be checked without executing;
     // deeper hierarchies are conservatively treated as not cached.
@@ -900,36 +706,27 @@ bool Middleware::PredictionsCached(ClientId client, int security_group,
     // Constants for unmapped positions.
     std::vector<sql::Value> base(static_cast<size_t>(tmpl->param_count),
                                  sql::Value::Null());
-    auto node_lp = state->latest_params.find(node);
-    if (node_lp != state->latest_params.end()) {
-      for (size_t p = 0; p < base.size() && p < node_lp->second.size(); ++p) {
-        base[p] = node_lp->second[p];
+    if (auto node_lp = engine_.LatestParams(client, node)) {
+      for (size_t p = 0; p < base.size() && p < node_lp->size(); ++p) {
+        base[p] = (*node_lp)[p];
       }
     }
-    for (size_t r = 0; r < root_hit->result->row_count(); ++r) {
+    const sql::ResultSet& rows = *root_hit->result;
+    for (size_t r = 0; r < rows.row_count(); ++r) {
       std::vector<sql::Value> params = base;
-      bool bindable = true;
       for (const auto* e : incoming) {
         for (const auto& b : e->bindings) {
-          int col = root_hit->result->ColumnIndex(b.src_column);
-          if (col < 0) {
-            bindable = false;
-            break;
-          }
+          int col = rows.ColumnIndex(b.src_column);
+          if (col < 0) return false;
           params[static_cast<size_t>(b.dst_param)] =
-              root_hit->result->row(r)[static_cast<size_t>(col)];
+              rows.row(r)[static_cast<size_t>(col)];
         }
       }
-      if (!bindable) return false;
       for (const auto& v : params) {
         if (v.is_null()) return false;  // unknown constant: cannot verify
       }
-      std::string child_key =
-          CacheKey(client, sql::RenderBoundText(*tmpl, params));
-      const cache::CachedResult* child_hit = cache_->Peek(child_key);
-      if (child_hit == nullptr ||
-          child_hit->security_group != security_group ||
-          !sessions_.CanUse(client, child_hit->version)) {
+      if (!PeekUsable(client, security_group,
+                      sql::RenderBoundText(*tmpl, params))) {
         return false;
       }
     }
@@ -940,81 +737,13 @@ bool Middleware::PredictionsCached(ClientId client, int security_group,
 void Middleware::Respond(ClientId client, TemplateId tmpl,
                          std::shared_ptr<const sql::ResultSet> result,
                          const ResponseCallback& done) {
-  if (config_.enable_learning) {
-    StateFor(client)->mapper.ObserveResult(tmpl, *result);
-  }
+  engine_.ObserveResult(client, tmpl, *result);
   // The scheduled delivery carries only the shared_ptr; the single copy
   // into the client's Result<ResultSet> happens at the LAN edge.
   events_->ScheduleAfter(latency_.edge_rtt / 2,
                          [done, result = std::move(result)](SimTime now2) {
                            done(now2, *result);
                          });
-}
-
-void Middleware::CachePut(ClientId client, int security_group, TemplateId tmpl,
-                          const std::string& bound_text,
-                          std::shared_ptr<const sql::ResultSet> result,
-                          uint64_t prefetch_plan, uint64_t prefetch_src) {
-  const sql::QueryTemplate* qt = registry_.Find(tmpl);
-  std::vector<std::string> reads;
-  if (qt != nullptr) reads = sql::CollectTableAccess(*qt->ast).reads;
-  cache::CachedResult entry;
-  entry.SetResult(std::move(result));
-  entry.version = sessions_.SnapshotFor(reads);
-  entry.security_group = security_group;
-  entry.node_id = config_.node_id;
-  entry.prefetch_plan = prefetch_plan;
-  entry.prefetch_src = prefetch_src;
-  entry.tmpl = static_cast<uint64_t>(tmpl);
-  entry.install_us = static_cast<uint64_t>(events_->now());
-  std::string key = CacheKey(client, bound_text);
-  if (journal_ != nullptr && prefetch_plan != 0) {
-    obs::JournalEvent installed;
-    installed.type = obs::JournalEventType::kEntryInstalled;
-    installed.plan = prefetch_plan;
-    installed.src = prefetch_src;
-    installed.tmpl = static_cast<uint64_t>(tmpl);
-    installed.a = cache::LruCache::EntryBytes(key, entry);
-    installed.client = static_cast<uint32_t>(client);
-    Journal(installed);
-  }
-  cache_->Put(key, std::move(entry));
-}
-
-const cache::CachedResult* Middleware::CacheGet(ClientId client,
-                                                int security_group,
-                                                const std::string& bound_text) {
-  const std::string key = CacheKey(client, bound_text);
-  const cache::CachedResult* entry = cache_->Get(key);
-  if (entry == nullptr) return nullptr;
-  if (entry->security_group != security_group) {
-    ++metrics_.cache_rejects;
-    return nullptr;
-  }
-  if (!sessions_.CanUse(client, entry->version)) {
-    ++metrics_.cache_rejects;
-    // A version-rejected prefetched entry can never become usable again
-    // (database versions are monotonic), so erase it now: the eviction
-    // callback journals it as invalidated instead of letting it age out
-    // as an ordinary capacity eviction.
-    if (entry->prefetch_plan != 0) cache_->Erase(key);
-    return nullptr;
-  }
-  sessions_.AbsorbResult(client, entry->version);
-  if (journal_ != nullptr && entry->prefetch_plan != 0 &&
-      entry->use_count == 1) {
-    obs::JournalEvent used;
-    used.type = obs::JournalEventType::kEntryUsed;
-    used.plan = entry->prefetch_plan;
-    used.src = entry->prefetch_src;
-    used.tmpl = entry->tmpl;
-    used.a = cache::LruCache::EntryBytes(key, *entry);
-    const uint64_t now = static_cast<uint64_t>(events_->now());
-    used.b = now > entry->install_us ? now - entry->install_us : 0;
-    used.client = static_cast<uint32_t>(client);
-    Journal(used);
-  }
-  return entry;
 }
 
 }  // namespace chrono::core

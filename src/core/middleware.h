@@ -3,22 +3,13 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cache/lru_cache.h"
-#include "cache/lru_map.h"
-#include "core/combiner_lateral.h"
-#include "core/dependency_manager.h"
-#include "core/loop_detector.h"
-#include "core/param_mapper.h"
-#include "core/result_splitter.h"
-#include "core/session.h"
-#include "core/template_registry.h"
-#include "core/transition_graph.h"
+#include "core/engine.h"
 #include "db/database.h"
 #include "net/fault_injector.h"
 #include "net/latency_model.h"
@@ -44,19 +35,13 @@ enum class SystemMode {
 
 const char* SystemModeName(SystemMode mode);
 
-/// \brief Tuning and ablation knobs for one middleware node.
-struct MiddlewareConfig {
+/// \brief Tuning and ablation knobs for one middleware node. The knobs
+/// shared with the wall-clock server live in EngineConfig.
+struct MiddlewareConfig : EngineConfig {
   SystemMode mode = SystemMode::kChrono;
-  double tau = 0.8;                           // temporal correlation threshold
-  SimTime delta_t = 200 * kMicrosPerMilli;    // Δt correlation window
-  size_t cache_bytes = 64ull << 20;
-  size_t template_cache_entries = 512;        // memoized AnalyzeQuery results
   int node_id = 0;
   bool multi_node = false;                    // §5.2 multi-node session rule
   int workers = 8;                            // middleware worker pool
-  uint64_t min_occurrences = 3;               // extraction threshold
-  int min_validations = 2;                    // mapping confirmation threshold
-  size_t extract_every = 4;                   // model-mining cadence
   bool enable_subsumption = true;             // §3 redundancy elimination
   bool enable_redundancy_check = true;        // §5.1 cached-prediction skip
 
@@ -69,12 +54,10 @@ struct MiddlewareConfig {
   uint64_t retry_seed = 42;
 
   // Capability switches derived from `mode` by Finalize(); individual
-  // flags can be overridden afterwards for ablation studies.
-  bool enable_learning = true;
+  // flags can be overridden afterwards for ablation studies. The learning,
+  // combining and sharing switches are inherited from EngineConfig.
   bool enable_loops = true;
   bool enable_loop_constants = true;
-  bool enable_combining = true;
-  bool share_across_clients = true;
 
   /// Applies the capability profile of `mode` to the switches.
   void Finalize();
@@ -171,7 +154,10 @@ struct MiddlewareMetrics {
 /// text, learns the client's query patterns online, predictively combines
 /// and prefetches query results, and serves results from the edge cache
 /// under session semantics. Runs entirely in virtual time on the shared
-/// EventQueue.
+/// EventQueue: the pipeline state and decisions live in the core::Engine
+/// it drives; this class owns the simulator's scheduling policy — worker
+/// pool and WAN hops, in-flight parking, the §5.1 redundancy skip,
+/// cascaded firing and Apollo-style sequential prediction.
 class Middleware {
  public:
   using ResponseCallback =
@@ -186,14 +172,13 @@ class Middleware {
   void SubmitQuery(ClientId client, int security_group, std::string sql_text,
                    ResponseCallback done);
 
-  const MiddlewareMetrics& metrics() const { return metrics_; }
-  const cache::LruCache& cache() const { return *cache_; }
+  MiddlewareMetrics metrics() const;
+  const runtime::ShardedCache& cache() const { return engine_.cache(); }
   const MiddlewareConfig& config() const { return config_; }
-  SessionManager* sessions() { return &sessions_; }
 
   /// Template (AnalyzeQuery memoization) cache hit/miss counters.
   const CacheCounters& template_cache_counters() const {
-    return template_cache_.counters();
+    return engine_.template_cache_counters();
   }
 
   /// Registers pull-mode counters/gauges mirroring MiddlewareMetrics and
@@ -205,54 +190,48 @@ class Middleware {
   /// the destructor).
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
-  /// Mirrors the runtime server's prefetch-lifecycle journal events —
-  /// plan mined, combined issued/fetched, entries installed / used /
-  /// evicted / invalidated, request outcomes — with *virtual* timestamps,
-  /// so chrono_audit reads simulator journals exactly like serve_bench
-  /// ones. Request events carry kJournalFlagNoLatency (virtual stage
-  /// times are not wall-clock). The journal must outlive the middleware;
-  /// the simulator is single-threaded, so a drain_interval_ms of 0 with
-  /// manual Drain() between steps is the natural configuration.
+  /// Journals the prefetch lifecycle — plan mined, combined issued/fetched,
+  /// entries installed / used / evicted / invalidated, request outcomes —
+  /// with *virtual* timestamps, so chrono_audit reads simulator journals
+  /// exactly like serve_bench ones. Request events carry
+  /// kJournalFlagNoLatency (virtual stage times are not wall-clock). The
+  /// journal must outlive the middleware; the simulator is
+  /// single-threaded, so a drain_interval_ms of 0 with manual Drain()
+  /// between steps is the natural configuration.
   void AttachJournal(obs::EventJournal* journal);
 
   /// Dependency-graph count across clients (learning progress probe).
-  size_t TotalGraphs() const;
+  size_t TotalGraphs() const { return engine_.TotalGraphs(); }
 
   /// Graphviz renderings of one client's learned dependency graphs, with
   /// nodes labelled by their template text (inspection/debugging surface).
-  std::vector<std::string> DumpDependencyGraphs(ClientId client) const;
+  std::vector<std::string> DumpDependencyGraphs(ClientId client);
 
  private:
-  struct ClientState {
-    std::unique_ptr<TransitionGraph> transitions;
-    ParamMapper mapper;
-    DependencyManager manager;
-    std::map<TemplateId, std::vector<sql::Value>> latest_params;
-    uint64_t observations = 0;
-
-    ClientState(const MiddlewareConfig& config);
-  };
-
   struct PendingRequest {
     ClientId client;
     ResponseCallback done;
   };
 
   /// Bookkeeping for an in-flight request key: what query it stands for.
+  /// The security group is part of the key, so every waiter shares it.
   struct InflightInfo {
     TemplateId tmpl = 0;
     std::string bound_text;
     int security_group = 0;
   };
 
-  ClientState* StateFor(ClientId client);
-  std::string CacheKey(ClientId client, const std::string& bound_text) const;
+  /// In-flight key for a demand read: the cache key plus the security
+  /// group, so coalescing never hands one group's fetch to another
+  /// (§5.2.1) — the runtime's single-flight key has the same shape.
+  std::string FlightKey(ClientId client, int security_group,
+                        const std::string& bound_text) const;
 
-  void Process(SimTime now, ClientId client, int security_group,
-               std::string sql_text, ResponseCallback done);
+  void Process(ClientId client, int security_group, std::string sql_text,
+               ResponseCallback done);
   void HandleWrite(ClientId client, sql::ParsedQuery parsed,
                    ResponseCallback done);
-  void HandleRead(SimTime now, ClientId client, int security_group,
+  void HandleRead(ClientId client, int security_group,
                   sql::ParsedQuery parsed, ResponseCallback done);
 
   /// Fires one ready dependency graph (combined strategy). Returns true if
@@ -280,6 +259,12 @@ class Middleware {
   bool PredictionsCached(ClientId client, int security_group,
                          const DependencyGraph& graph);
 
+  /// The cached entry under `bound_text` if `client` may use it in
+  /// `security_group`; side-effect free (no recency, no accounting).
+  std::optional<cache::CachedResult> PeekUsable(ClientId client,
+                                                int security_group,
+                                                const std::string& bound_text);
+
   /// Answers (or re-issues) the waiters parked under an in-flight key
   /// after a combined query completes.
   void ResolveInflight(const std::string& key);
@@ -301,27 +286,6 @@ class Middleware {
                std::shared_ptr<const sql::ResultSet> result,
                const ResponseCallback& done);
 
-  /// Cache write with session/security tagging. `prefetch_plan`/
-  /// `prefetch_src` tag predictively installed entries (zero for demand
-  /// fills) for hit attribution and the lifecycle journal. The payload is
-  /// adopted as-is: the caller's shared_ptr and the cached entry alias
-  /// one immutable ResultSet.
-  void CachePut(ClientId client, int security_group, TemplateId tmpl,
-                const std::string& bound_text,
-                std::shared_ptr<const sql::ResultSet> result,
-                uint64_t prefetch_plan = 0, uint64_t prefetch_src = 0);
-
-  /// Cache read honouring session semantics + security groups. Returns
-  /// nullptr on miss or rejection.
-  const cache::CachedResult* CacheGet(ClientId client, int security_group,
-                                      const std::string& bound_text);
-
-  void Learn(SimTime now, ClientId client, const sql::ParsedQuery& parsed);
-
-  /// Records one journal event stamped with the current virtual time (no
-  /// journal attached: no-op). ts 0 would make the journal substitute its
-  /// wall clock, so virtual time 0 is nudged to 1.
-  void Journal(obs::JournalEvent event);
   /// kRequest emission helper shared by the response sites.
   void JournalRequest(ClientId client, TemplateId tmpl,
                       obs::TraceOutcome outcome, uint64_t prefetch_plan = 0,
@@ -331,26 +295,21 @@ class Middleware {
   RemoteDbServer* remote_;
   net::LatencyModel latency_;
   MiddlewareConfig config_;
-  // Memoized AnalyzeQuery: repeated query texts skip lexing, parsing, and
-  // template extraction entirely (the per-query middleware hot path).
-  cache::LruMap<std::string, sql::ParsedQuery> template_cache_;
-  std::unique_ptr<cache::LruCache> cache_;
+  Engine engine_;
   Resource mw_pool_;
-  SessionManager sessions_;
-  TemplateRegistry registry_;
-  GraphExtractor extractor_;
-  std::unordered_map<ClientId, std::unique_ptr<ClientState>> clients_;
-  // §5.1 duplicate-request coalescing: cache key -> waiters.
+  // §5.1 duplicate-request coalescing: flight key -> waiters.
   std::unordered_map<std::string, std::vector<PendingRequest>> inflight_;
   std::unordered_map<std::string, InflightInfo> inflight_tmpl_;
   // Sequential (Apollo-style) predictions deferred until the in-flight
-  // query they bind from completes: cache key -> (security group, graph).
+  // query they bind from completes: flight key -> (security group, graph).
   std::unordered_map<std::string, std::vector<std::pair<int, DependencyGraph>>>
       deferred_seq_;
-  MiddlewareMetrics metrics_;
+  // Simulator-only counters (the shared ones live in the engine).
+  uint64_t redundant_skips_ = 0;
+  uint64_t inflight_joins_ = 0;
+  uint64_t sequential_prefetches_ = 0;
+  uint64_t cascaded_fires_ = 0;
   obs::MetricsRegistry* metrics_registry_ = nullptr;  // null until attached
-  obs::EventJournal* journal_ = nullptr;              // null until attached
-  uint64_t next_plan_id_ = 1;
   net::RetryPolicy retry_;        // schedule for idempotent demand reads
   uint64_t retry_ordinal_ = 0;    // deterministic backoff-jitter counter
 };

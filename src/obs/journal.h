@@ -24,7 +24,7 @@ namespace chrono::obs {
 /// evicted-unused / invalidated-by-write — alongside request outcomes, so
 /// the PrefetchAudit can reconstruct per-plan cost/benefit offline.
 enum class JournalEventType : uint8_t {
-  kPlanMined = 1,     // a combined plan became ready (tmpl = trigger)
+  kPlanMined = 1,     // a combined plan became ready (tmpl = root)
   kCombinedIssued,    // combined query sent to the database
   kCombinedFetched,   // combined response arrived (flags bit0 = ok)
   kEntryInstalled,    // one split slice installed in the result cache

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/combiner_lateral.h"
 #include "obs/build_info.h"
 
 namespace chrono::runtime {
@@ -77,20 +76,10 @@ class ChronoServer::StageTimer {
   std::chrono::steady_clock::time_point begin_;
 };
 
-ChronoServer::SessionState::SessionState(const ServerConfig& config,
-                                         obs::LockSite* lock_site)
-    : mutex(lock_site),
-      transitions(static_cast<SimTime>(config.delta_t_us)),
-      mapper(config.min_validations),
-      manager(core::DependencyManager::Options{/*enable_subsumption=*/true}) {}
-
 ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
     : db_(db),
       config_(config),
       start_(std::chrono::steady_clock::now()),
-      extractor_(core::GraphExtractor::Options{
-          config.tau, config.min_occurrences, /*enable_loops=*/true,
-          /*enable_loop_constants=*/true, /*max_nodes=*/8}),
       owned_registry_(config.registry != nullptr
                           ? nullptr
                           : std::make_unique<obs::MetricsRegistry>()),
@@ -100,16 +89,9 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
           metrics_registry_)),
       db_mutex_(contention_->Site("server.db.write"),
                 contention_->Site("server.db.read")),
-      template_mutex_(contention_->Site("server.template_cache")),
-      template_cache_(config.template_cache_entries),
-      registry_mutex_(contention_->Site("server.registry.write"),
-                      contention_->Site("server.registry.read")),
-      versions_mutex_(contention_->Site("server.versions")),
-      versions_(/*multi_node=*/false),
-      sessions_mutex_(contention_->Site("server.sessions")),
-      session_site_(contention_->Site("server.session")),
-      cache_(config.cache_bytes, config.cache_shards,
-             contention_->Site("cache.shard")),
+      engine_(config,
+              core::Engine::Options{.cache_shards = config.cache_shards},
+              [this] { return NowMicros(); }, contention_.get()),
       inflight_mutex_(contention_->Site("server.inflight")),
       fault_(config.fault),
       retry_(config.retry),
@@ -144,7 +126,7 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
     journal_options.drain_interval_ms = config_.journal_drain_ms;
     journal_ = std::make_unique<obs::EventJournal>(journal_options);
     journal_->AddSink(audit_.get());
-    InstallEvictionJournal();
+    engine_.AttachJournal(journal_.get(), /*stamp_events=*/false);
   }
   // Breaker transitions flow into the journal (the listener runs under
   // the breaker mutex; journal Record is a leaf, so this cannot invert
@@ -319,7 +301,10 @@ void ChronoServer::RegisterMetrics() {
       },
       owner);
 
-  // ServerMetrics mirrored as counters so dashboards see live values.
+  // The shared counter families and the template/result cache families
+  // come from the engine; ServerMetrics' runtime-only fields are mirrored
+  // here so dashboards see live values.
+  engine_.RegisterMetrics(r);
   auto server_counter = [&](const char* name, const char* help,
                             const std::atomic<uint64_t>* field) {
     r->RegisterCallbackCounter(
@@ -330,37 +315,9 @@ void ChronoServer::RegisterMetrics() {
         },
         owner);
   };
-  r->RegisterCallbackCounter(
-      "chrono_requests_total", "Client statements served", {{"op", "read"}},
-      [this] {
-        return static_cast<double>(
-            metrics_.reads.load(std::memory_order_relaxed));
-      },
-      owner);
-  r->RegisterCallbackCounter(
-      "chrono_requests_total", "Client statements served", {{"op", "write"}},
-      [this] {
-        return static_cast<double>(
-            metrics_.writes.load(std::memory_order_relaxed));
-      },
-      owner);
-  server_counter("chrono_cache_rejects_total",
-                 "Cached results rejected by session/security checks",
-                 &metrics_.cache_rejects);
-  server_counter("chrono_remote_plain_total",
-                 "Plain (uncombined) remote reads", &metrics_.remote_plain);
-  server_counter("chrono_remote_combined_total",
-                 "Combined queries sent to the database",
-                 &metrics_.remote_combined);
-  server_counter("chrono_predictions_cached_total",
-                 "Result sets cached ahead of demand",
-                 &metrics_.predictions_cached);
   server_counter("chrono_prediction_inline_hits_total",
                  "Misses rescued by an inline covering combined query",
                  &metrics_.prediction_hits);
-  server_counter("chrono_prediction_fallbacks_total",
-                 "Inline combined queries that missed the asked-for result",
-                 &metrics_.prediction_fallbacks);
   server_counter("chrono_prefetched_hits_total",
                  "Cache hits served from predictively prefetched entries",
                  &metrics_.prefetched_hits);
@@ -398,44 +355,10 @@ void ChronoServer::RegisterMetrics() {
       "Best-effort tasks rejected by TrySubmit queue headroom", {},
       [this] { return static_cast<double>(pool_.tasks_shed()); }, owner);
 
-  // The three query-path caches under uniform names (satellite task):
-  // hits/misses/evictions/entries per cache, one label to tell them apart.
-  auto cache_family = [&](const char* which, std::function<double()> hits,
-                          std::function<double()> misses,
-                          std::function<double()> evictions,
-                          std::function<double()> entries) {
-    obs::Labels labels = {{"cache", which}};
-    r->RegisterCallbackCounter("chrono_cache_hits_total",
-                               "Cache lookup hits by cache", labels, hits,
-                               owner);
-    r->RegisterCallbackCounter("chrono_cache_misses_total",
-                               "Cache lookup misses by cache", labels, misses,
-                               owner);
-    r->RegisterCallbackCounter("chrono_cache_evictions_total",
-                               "Cache evictions by cache", labels, evictions,
-                               owner);
-    r->RegisterCallbackGauge("chrono_cache_entries",
-                             "Entries resident by cache", labels, entries,
-                             owner);
-  };
-  cache_family(
-      "template",
-      [this] { return static_cast<double>(template_cache_.counters().hits.load(
-                   std::memory_order_relaxed)); },
-      [this] {
-        return static_cast<double>(template_cache_.counters().misses.load(
-            std::memory_order_relaxed));
-      },
-      [this] {
-        std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-        return static_cast<double>(template_cache_.evictions());
-      },
-      [this] {
-        std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-        return static_cast<double>(template_cache_.size());
-      });
-  cache_family(
-      "statement",
+  // The statement cache joins the engine's template and result caches
+  // under the same uniform family.
+  core::Engine::RegisterCacheFamily(
+      r, "statement",
       [this] {
         return static_cast<double>(db_->statement_cache_counters().hits.load(
             std::memory_order_relaxed));
@@ -448,37 +371,8 @@ void ChronoServer::RegisterMetrics() {
       [this] {
         std::shared_lock<obs::TimedSharedMutex> lock(db_mutex_);
         return static_cast<double>(db_->statement_cache_size());
-      });
-  cache_family(
-      "result", [this] { return static_cast<double>(cache_.hits()); },
-      [this] { return static_cast<double>(cache_.misses()); },
-      [this] { return static_cast<double>(cache_.evictions()); },
-      [this] { return static_cast<double>(cache_.entry_count()); });
-  r->RegisterCallbackGauge(
-      "chrono_result_cache_bytes", "Bytes resident in the result cache", {},
-      [this] { return static_cast<double>(cache_.used_bytes()); }, owner);
-  r->RegisterCallbackGauge(
-      "chrono_result_cache_capacity_bytes", "Result cache byte budget", {},
-      [this] { return static_cast<double>(cache_.capacity_bytes()); }, owner);
-
-  // Per-shard occupancy/eviction gauges (shard mutexes are leaf locks, so
-  // pulling them from a snapshot callback cannot invert the lock order).
-  for (size_t i = 0; i < cache_.shard_count(); ++i) {
-    obs::Labels labels = {{"shard", std::to_string(i)}};
-    r->RegisterCallbackGauge(
-        "chrono_result_cache_shard_entries", "Entries resident per shard",
-        labels,
-        [this, i] { return static_cast<double>(cache_.ShardEntryCount(i)); },
-        owner);
-    r->RegisterCallbackGauge(
-        "chrono_result_cache_shard_bytes", "Bytes resident per shard", labels,
-        [this, i] { return static_cast<double>(cache_.ShardUsedBytes(i)); },
-        owner);
-    r->RegisterCallbackGauge(
-        "chrono_result_cache_shard_evictions", "Evictions per shard", labels,
-        [this, i] { return static_cast<double>(cache_.ShardEvictions(i)); },
-        owner);
-  }
+      },
+      owner);
 
   // Database-side statement accounting + per-kind latency histograms.
   db_->AttachMetrics(r);
@@ -494,42 +388,6 @@ void ChronoServer::RegisterMetrics() {
         [this] { return static_cast<double>(traces_->total_pushed()); },
         owner);
   }
-}
-
-void ChronoServer::InstallEvictionJournal() {
-  // Runs under the owning shard's mutex (a leaf lock); journal Record is
-  // the only side effect. Only prefetch-attributed entries are journaled.
-  // kErased here means the server's staleness invalidation — the one
-  // explicit Erase on the result cache — and that erase always follows a
-  // Get that bumped use_count, so "served a real hit" is use_count > 1
-  // there and use_count > 0 everywhere else.
-  cache_.SetEvictionCallback([this](const std::string& key,
-                                    const cache::CachedResult& value,
-                                    size_t bytes,
-                                    cache::EvictReason reason) {
-    (void)key;
-    if (value.prefetch_plan == 0 || reason == cache::EvictReason::kCleared) {
-      return;
-    }
-    obs::JournalEvent event;
-    event.plan = value.prefetch_plan;
-    event.src = value.prefetch_src;
-    event.tmpl = value.tmpl;
-    event.a = bytes;
-    uint64_t now_us = NowMicros();
-    event.b = now_us > value.install_us ? now_us - value.install_us : 0;
-    if (reason == cache::EvictReason::kErased) {
-      event.type = obs::JournalEventType::kEntryInvalidated;
-      event.flags = value.use_count > 1 ? obs::kJournalFlagUsed : 0;
-    } else {
-      event.type = obs::JournalEventType::kEntryEvicted;
-      event.flags = (value.use_count > 0 ? obs::kJournalFlagUsed : 0) |
-                    (reason == cache::EvictReason::kReplaced
-                         ? obs::kJournalEvictReplaced
-                         : obs::kJournalEvictCapacity);
-    }
-    Journal(event);
-  });
 }
 
 void ChronoServer::RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl) {
@@ -813,7 +671,8 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
         jitter_ordinal_.fetch_add(1, std::memory_order_relaxed)));
     uint64_t backoff = retry_.BackoffUs(attempts, u);
     if (left != UINT64_MAX && backoff >= left) backoff = left / 2;
-    metrics_.backend_retries.fetch_add(1, std::memory_order_relaxed);
+    engine_.counters().backend_retries.fetch_add(1,
+                                                 std::memory_order_relaxed);
     if (call.ctx != nullptr) {
       call.ctx->Note(obs::AnnotationKind::kRetry,
                      static_cast<uint64_t>(attempts));
@@ -870,32 +729,29 @@ SharedResult ChronoServer::TryServeStale(
   return candidate->result;
 }
 
-size_t ChronoServer::session_count() const {
-  std::lock_guard<obs::TimedMutex> lock(sessions_mutex_);
-  return sessions_.size();
-}
+size_t ChronoServer::session_count() const { return engine_.model_count(); }
 
 ServerMetrics ChronoServer::metrics() const {
+  const core::EngineCounters& c = engine_.counters();
   ServerMetrics m;
-  m.reads = metrics_.reads.load(std::memory_order_relaxed);
-  m.writes = metrics_.writes.load(std::memory_order_relaxed);
-  m.cache_hits = metrics_.cache_hits.load(std::memory_order_relaxed);
-  m.cache_rejects = metrics_.cache_rejects.load(std::memory_order_relaxed);
-  m.remote_plain = metrics_.remote_plain.load(std::memory_order_relaxed);
+  m.reads = c.reads.load(std::memory_order_relaxed);
+  m.writes = c.writes.load(std::memory_order_relaxed);
+  m.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
+  m.cache_rejects = c.cache_rejects.load(std::memory_order_relaxed);
+  m.remote_plain = c.remote_plain.load(std::memory_order_relaxed);
   m.backend_coalesced =
       metrics_.backend_coalesced.load(std::memory_order_relaxed);
-  m.remote_combined = metrics_.remote_combined.load(std::memory_order_relaxed);
-  m.predictions_cached =
-      metrics_.predictions_cached.load(std::memory_order_relaxed);
+  m.remote_combined = c.remote_combined.load(std::memory_order_relaxed);
+  m.predictions_cached = c.predictions_cached.load(std::memory_order_relaxed);
   m.prediction_hits = metrics_.prediction_hits.load(std::memory_order_relaxed);
   m.prediction_fallbacks =
-      metrics_.prediction_fallbacks.load(std::memory_order_relaxed);
+      c.prediction_fallbacks.load(std::memory_order_relaxed);
   m.prefetched_hits =
       metrics_.prefetched_hits.load(std::memory_order_relaxed);
   m.prefetches_dropped =
       metrics_.prefetches_dropped.load(std::memory_order_relaxed);
   m.errors = metrics_.errors.load(std::memory_order_relaxed);
-  m.backend_retries = metrics_.backend_retries.load(std::memory_order_relaxed);
+  m.backend_retries = c.backend_retries.load(std::memory_order_relaxed);
   m.backend_timeouts =
       metrics_.backend_timeouts.load(std::memory_order_relaxed);
   m.stale_serves = metrics_.stale_serves.load(std::memory_order_relaxed);
@@ -907,24 +763,6 @@ ServerMetrics ChronoServer::metrics() const {
       metrics_.deadline_expired.load(std::memory_order_relaxed);
   m.brownout_sheds = metrics_.brownout_sheds.load(std::memory_order_relaxed);
   return m;
-}
-
-ChronoServer::SessionState* ChronoServer::SessionFor(ClientId client) {
-  std::lock_guard<obs::TimedMutex> lock(sessions_mutex_);
-  auto it = sessions_.find(client);
-  if (it == sessions_.end()) {
-    it = sessions_
-             .emplace(client,
-                      std::make_unique<SessionState>(config_, session_site_))
-             .first;
-  }
-  return it->second.get();
-}
-
-std::string ChronoServer::CacheKey(ClientId client,
-                                   const std::string& bound_text) const {
-  if (config_.share_across_clients) return bound_text;
-  return "c" + std::to_string(client) + "#" + bound_text;
 }
 
 std::future<Result<SharedResult>> ChronoServer::Submit(ClientId client,
@@ -1037,7 +875,7 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
   Result<sql::ParsedQuery> parsed = Status::OK();
   {
     StageTimer timer(this, &ctx, obs::Stage::kAnalyze);
-    parsed = Analyze(sql);
+    parsed = engine_.Analyze(sql);
   }
   if (!parsed.ok()) {
     metrics_.errors.fetch_add(1, std::memory_order_relaxed);
@@ -1051,41 +889,17 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
 
   Result<SharedResult> result = Status::OK();
   if (!read_only) {
-    metrics_.writes.fetch_add(1, std::memory_order_relaxed);
+    engine_.counters().writes.fetch_add(1, std::memory_order_relaxed);
     ctx.outcome = obs::TraceOutcome::kWrite;
     result = DoWrite(client, *parsed, &ctx);
   } else {
-    metrics_.reads.fetch_add(1, std::memory_order_relaxed);
+    engine_.counters().reads.fetch_add(1, std::memory_order_relaxed);
     result = DoRead(client, security_group, *parsed, &ctx);
   }
   if (!result.ok()) ctx.outcome = obs::TraceOutcome::kError;
   FinishRequest(&ctx, client, read_only, parsed->bound_text);
   if (pending != nullptr) *pending = std::move(ctx.pending);
   return result;
-}
-
-Result<sql::ParsedQuery> ChronoServer::Analyze(const std::string& sql) {
-  {
-    std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-    if (const sql::ParsedQuery* hit = template_cache_.Get(sql)) {
-      return *hit;  // copy out while the lock pins the entry
-    }
-  }
-  // AnalyzeQuery is a pure function of the text: run it unlocked. Two
-  // threads racing on the same new text both analyze and both Put — the
-  // second Put replaces an identical value, which is harmless.
-  auto analyzed = sql::AnalyzeQuery(sql);
-  if (!analyzed.ok()) return analyzed.status();
-  sql::ParsedQuery parsed;
-  {
-    std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-    parsed = *template_cache_.Put(sql, std::move(*analyzed));
-  }
-  {
-    std::unique_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    registry_.Register(parsed.tmpl);
-  }
-  return parsed;
 }
 
 Result<SharedResult> ChronoServer::DoWrite(ClientId client,
@@ -1113,57 +927,20 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
     metrics_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    versions_.OnClientWrite(client, outcome->tables_written);
-  }
+  engine_.OnClientWrite(client, outcome->tables_written);
   return std::make_shared<const sql::ResultSet>(std::move(outcome->result));
 }
 
 std::vector<ChronoServer::PreparedPlan> ChronoServer::LearnAndCombine(
-    SessionState* session, ClientId client, const sql::ParsedQuery& parsed) {
-  (void)client;
+    ClientId client, const sql::ParsedQuery& parsed) {
   std::vector<PreparedPlan> plans;
   if (!config_.enable_learning) return plans;
-  const core::TemplateId tmpl = parsed.tmpl->id;
-
-  // Lock order: registry reader (server level) before the session lock.
-  // The extractor and the combiners both read the shared registry while
-  // the session's models are being updated.
-  std::shared_lock<obs::TimedSharedMutex> registry_lock(registry_mutex_);
-  std::lock_guard<obs::TimedMutex> session_lock(session->mutex);
-
-  session->transitions.Observe(tmpl, static_cast<SimTime>(NowMicros()));
-  session->mapper.ObserveQuery(tmpl, parsed.params);
-  session->latest_params[tmpl] = parsed.params;
-  ++session->observations;
-  if (session->observations % config_.extract_every == 0) {
-    for (auto& graph : extractor_.Extract(session->transitions,
-                                          session->mapper, registry_)) {
-      session->manager.AddGraph(std::move(graph));
-    }
-  }
-
+  std::vector<core::DependencyGraph> ready = engine_.Observe(client, parsed);
   if (!config_.enable_combining) return plans;
-  for (const core::DependencyGraph* graph :
-       session->manager.MarkTextAvail(tmpl)) {
-    core::CombineInput input{graph, &registry_, &session->latest_params};
-    auto combined = core::CombineGraph(input);
-    if (!combined.ok()) continue;
-    PreparedPlan prepared;
-    prepared.plan =
-        std::make_shared<core::CombinedQuery>(std::move(*combined));
-    prepared.plan_id = next_plan_id_.fetch_add(1, std::memory_order_relaxed);
-    prepared.contains_current = graph->ContainsNode(tmpl);
-    if (journal_ != nullptr) {
-      obs::JournalEvent event;
-      event.type = obs::JournalEventType::kPlanMined;
-      event.plan = prepared.plan_id;
-      event.tmpl = static_cast<uint64_t>(tmpl);  // the trigger template
-      event.a = prepared.plan->slots.size();
-      journal_->Record(event);
-    }
-    plans.push_back(std::move(prepared));
+  for (const core::DependencyGraph& graph : ready) {
+    std::optional<core::Engine::Plan> plan = engine_.Combine(client, graph);
+    if (!plan.has_value()) continue;
+    plans.push_back({std::move(*plan), graph.ContainsNode(parsed.tmpl->id)});
   }
   return plans;
 }
@@ -1172,22 +949,18 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
                                           int security_group,
                                           const sql::ParsedQuery& parsed,
                                           ReqCtx* ctx) {
-  SessionState* session = SessionFor(client);
   const core::TemplateId tmpl = parsed.tmpl->id;
 
   std::vector<PreparedPlan> plans;
   {
     StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
-    plans = LearnAndCombine(session, client, parsed);
+    plans = LearnAndCombine(client, parsed);
   }
 
   // Ships the shared payload to the caller: a ref-count bump, never a row
   // copy. The mapper reads through the pointer (the payload is immutable).
   auto respond = [&](const SharedResult& result) {
-    if (config_.enable_learning) {
-      std::lock_guard<obs::TimedMutex> lock(session->mutex);
-      session->mapper.ObserveResult(tmpl, *result);
-    }
+    engine_.ObserveResult(client, tmpl, *result);
     return result;
   };
 
@@ -1209,13 +982,11 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
     bool queued = pool_.TrySubmit(
         ThreadPool::Lane::kPrefetch,
-        [this, client, security_group, session, plan = p.plan,
-         plan_id = p.plan_id]() {
-          ExecuteCombined(client, security_group, session, *plan, plan_id,
-                          /*ctx=*/nullptr);
+        [this, client, security_group, plan = p.plan]() {
+          ExecuteCombined(client, security_group, plan, /*ctx=*/nullptr);
         });
     if (!queued) {
-      ShedPrefetch(obs::kShedQueueFull, p.plan_id, client);
+      ShedPrefetch(obs::kShedQueueFull, p.plan.id, client);
     }
   }
 
@@ -1230,7 +1001,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
                      &stale_candidate);
     }
     if (hit.has_value()) {
-      metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      engine_.counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kCacheHit;
       if (hit->prefetch_plan != 0) {
         ctx->prefetch_plan = hit->prefetch_plan;
@@ -1244,8 +1015,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   // Miss with a covering combined plan: execute it inline — the wall-clock
   // analogue of the simulator's "wait on the in-flight combined query".
   if (primary != nullptr &&
-      ExecuteCombined(client, security_group, session, *primary->plan,
-                      primary->plan_id, ctx)) {
+      ExecuteCombined(client, security_group, primary->plan, ctx)) {
     std::optional<cache::CachedResult> hit;
     {
       StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
@@ -1253,7 +1023,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
     if (hit.has_value()) {
       metrics_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
-      metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      engine_.counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kPredictionHit;
       if (hit->prefetch_plan != 0) {
         ctx->prefetch_plan = hit->prefetch_plan;
@@ -1262,7 +1032,8 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       }
       return respond(hit->result);
     }
-    metrics_.prediction_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    engine_.counters().prediction_fallbacks.fetch_add(
+        1, std::memory_order_relaxed);
   }
 
   // Plain remote execution, single-flighted per {cache key, security
@@ -1273,7 +1044,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   // The group suffix keeps cross-group misses on separate flights — the
   // coalescing path must honour the same access-control model CacheGet
   // enforces (§5.2.1).
-  const std::string flight_key = CacheKey(client, parsed.bound_text) +
+  const std::string flight_key = engine_.CacheKey(client, parsed.bound_text) +
                                  "#g" + std::to_string(security_group);
 
   // A follower validates the inherited payload against its own session
@@ -1292,17 +1063,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // write committing after this point advances Vd past the snapshot,
     // so the writer's own follower fails CanUse below and refetches
     // rather than treating possibly pre-write rows as fresh (§5.2).
-    {
-      std::vector<std::string> reads;
-      {
-        std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-        if (const sql::QueryTemplate* qt = registry_.Find(tmpl)) {
-          reads = sql::CollectTableAccess(*qt->ast).reads;
-        }
-      }
-      std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-      flight_version = versions_.SnapshotFor(reads);
-    }
+    flight_version = engine_.SnapshotReads(tmpl);
 
     std::shared_ptr<InflightFetch> flight;
     uint64_t parked_before = 0;
@@ -1332,12 +1093,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // The flight's snapshot proves freshness only up to the point the
     // leader issued its read: absorb it — never SyncClientToDb — and
     // only if this client's session has not moved past it since.
-    bool version_ok = false;
-    if (shared.ok()) {
-      std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-      version_ok = versions_.CanUse(client, shared->version);
-      if (version_ok) versions_.AbsorbResult(client, shared->version);
-    }
+    bool version_ok = shared.ok() && engine_.TryAbsorb(client, shared->version);
     {
       obs::JournalEvent event;
       event.type = obs::JournalEventType::kBackendCoalesced;
@@ -1373,7 +1129,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
 
   // Leader: bind the template's AST (no re-parse) and run it under reader
   // access.
-  metrics_.remote_plain.fetch_add(1, std::memory_order_relaxed);
+  engine_.counters().remote_plain.fetch_add(1, std::memory_order_relaxed);
   ctx->outcome = obs::TraceOutcome::kRemotePlain;
 
   // Resolves the registered flight exactly once: the map entry goes first
@@ -1441,33 +1197,22 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     metrics_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
-  CachePut(client, security_group, tmpl, parsed.bound_text, payload);
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    versions_.SyncClientToDb(client);  // fresh read: Vc = Vd (§5.2)
-  }
+  engine_.CachePut(client, security_group, tmpl, parsed.bound_text, payload);
+  engine_.SyncClientToDb(client);  // fresh read: Vc = Vd (§5.2)
   return respond(payload);
 }
 
 bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
-                                   SessionState* session,
-                                   const core::CombinedQuery& plan,
-                                   uint64_t plan_id, ReqCtx* ctx) {
+                                   const core::Engine::Plan& plan,
+                                   ReqCtx* ctx) {
   // Combined queries are predictive work, inline or not: while the breaker
   // is unhealthy they are shed before touching the backend, so prefetch
   // never consumes capacity (or probe slots) demand traffic needs.
   if (!breaker_.AdmitPrefetch()) {
-    ShedPrefetch(obs::kShedBreakerUnhealthy, plan_id, client);
+    ShedPrefetch(obs::kShedBreakerUnhealthy, plan.id, client);
     return false;
   }
-  metrics_.remote_combined.fetch_add(1, std::memory_order_relaxed);
-  {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kCombinedIssued;
-    event.plan = plan_id;
-    event.client = static_cast<uint32_t>(client);
-    Journal(event);
-  }
+  engine_.CombinedIssued(client, plan.id);
   auto db_begin = std::chrono::steady_clock::now();
   BackendCall call;
   call.is_prefetch = true;
@@ -1478,157 +1223,34 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
     StageTimer timer(this, ctx, obs::Stage::kDbExecute);
     outcome = CallBackend(call, [&] {
       std::shared_lock<obs::TimedSharedMutex> lock(db_mutex_);
-      return db_->Execute(*plan.ast);
+      return db_->Execute(*plan.query->ast);
     });
   }
-  {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kCombinedFetched;
-    event.plan = plan_id;
-    event.client = static_cast<uint32_t>(client);
-    event.flags = outcome.ok() ? obs::kJournalFlagOk : 0;
-    if (outcome.ok()) {
-      event.a = outcome->result.row_count();
-      event.b = outcome->result.ByteSize();
-    }
-    event.c =
-        NsBetween(db_begin, std::chrono::steady_clock::now()) / 1000;
-    Journal(event);
-  }
+  engine_.CombinedFetched(
+      client, plan.id, outcome.ok() ? &outcome->result : nullptr,
+      NsBetween(db_begin, std::chrono::steady_clock::now()) / 1000);
   if (!outcome.ok()) return false;
 
   StageTimer split_timer(this, ctx, obs::Stage::kSplitDecode);
-  Result<std::vector<core::SplitEntry>> split = Status::OK();
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    split = core::SplitResult(plan, outcome->result, registry_);
-  }
-  if (!split.ok()) return false;
-
-  // Hit attribution: the transition-graph edge that prefetched a slot is
-  // (first parent slot's template -> slot template); roots keep src 0.
-  std::map<core::TemplateId, core::TemplateId> src_of;
-  for (const core::DecodeSlot& slot : plan.slots) {
-    core::TemplateId src = 0;
-    if (!slot.parents.empty()) {
-      int parent = slot.parents.front();
-      if (parent >= 0 && static_cast<size_t>(parent) < plan.slots.size()) {
-        src = plan.slots[static_cast<size_t>(parent)].tmpl;
-      }
-    }
-    src_of.emplace(slot.tmpl, src);
-  }
-
-  for (const core::SplitEntry& entry : *split) {
-    auto it = src_of.find(entry.tmpl);
-    CachePut(client, security_group, entry.tmpl, entry.key, entry.result,
-             plan_id, it == src_of.end() ? 0 : it->second);
-    metrics_.predictions_cached.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    versions_.SyncClientToDb(client);
-  }
-  if (config_.enable_learning) {
-    std::lock_guard<obs::TimedMutex> lock(session->mutex);
-    for (const core::SplitEntry& entry : *split) {
-      session->mapper.ObserveResult(entry.tmpl, *entry.result);
-      session->latest_params[entry.tmpl] = entry.params;
-    }
-  }
-  return true;
+  return engine_
+      .InstallCombined(client, security_group, *plan.query, plan.id,
+                       outcome->result,
+                       /*feed_model=*/config_.enable_learning)
+      .ok();
 }
 
 std::optional<cache::CachedResult> ChronoServer::CacheGet(
     ClientId client, int security_group, const std::string& bound_text,
     std::optional<cache::CachedResult>* stale_candidate) {
-  std::string key = CacheKey(client, bound_text);
-  std::optional<cache::CachedResult> entry = cache_.Get(key);
-  if (!entry.has_value()) return std::nullopt;
-  if (entry->security_group != security_group) {
-    metrics_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  bool version_ok;
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    version_ok = versions_.CanUse(client, entry->version);
-    if (version_ok) versions_.AbsorbResult(client, entry->version);
-  }
-  if (!version_ok) {
-    metrics_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
-    // A security-cleared entry that merely failed the version check is
-    // exactly what stale-serving may fall back to; hand the caller a copy
-    // before any invalidation below.
-    if (stale_candidate != nullptr && config_.stale_serve_us > 0) {
-      *stale_candidate = *entry;
-    }
-    // A prefetched entry that fails the version check is stale for every
-    // client that has seen the write (database versions are monotonic) —
-    // drop it now so the audit sees invalidated-by-write instead of a
-    // misleading evicted-unused later. The eviction callback turns this
-    // Erase into the kEntryInvalidated journal event. While the breaker
-    // is unhealthy and stale-serving is on, keep the entry resident: it
-    // may be the only answer this node can still give.
-    bool keep_for_stale =
-        config_.stale_serve_us > 0 &&
-        breaker_.state() != net::CircuitBreaker::State::kClosed;
-    if (entry->prefetch_plan != 0 && !keep_for_stale) cache_.Invalidate(key);
-    return std::nullopt;
-  }
-  // First demand hit on a prefetched entry: the cache just bumped
-  // use_count, so our copy reading 1 means this very lookup was the first.
-  if (entry->prefetch_plan != 0 && entry->use_count == 1) {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kEntryUsed;
-    event.plan = entry->prefetch_plan;
-    event.src = entry->prefetch_src;
-    event.tmpl = entry->tmpl;
-    event.a = cache::LruCache::EntryBytes(key, *entry);
-    uint64_t now_us = NowMicros();
-    event.b = now_us > entry->install_us ? now_us - entry->install_us : 0;
-    event.client = static_cast<uint32_t>(client);
-    Journal(event);
-  }
-  return entry;
-}
-
-void ChronoServer::CachePut(ClientId client, int security_group,
-                            core::TemplateId tmpl,
-                            const std::string& bound_text,
-                            SharedResult result,
-                            uint64_t prefetch_plan, uint64_t prefetch_src) {
-  std::vector<std::string> reads;
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    if (const sql::QueryTemplate* qt = registry_.Find(tmpl)) {
-      reads = sql::CollectTableAccess(*qt->ast).reads;
-    }
-  }
-  cache::CachedResult entry;
-  entry.SetResult(std::move(result));
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    entry.version = versions_.SnapshotFor(reads);
-  }
-  entry.security_group = security_group;
-  entry.node_id = 0;
-  entry.prefetch_plan = prefetch_plan;
-  entry.prefetch_src = static_cast<uint64_t>(prefetch_src);
-  entry.tmpl = static_cast<uint64_t>(tmpl);
-  entry.install_us = NowMicros();
-  std::string key = CacheKey(client, bound_text);
-  if (prefetch_plan != 0) {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kEntryInstalled;
-    event.plan = prefetch_plan;
-    event.src = entry.prefetch_src;
-    event.tmpl = entry.tmpl;
-    event.a = cache::LruCache::EntryBytes(key, entry);
-    event.client = static_cast<uint32_t>(client);
-    Journal(event);
-  }
-  cache_.Put(std::move(key), std::move(entry));
+  const bool stale_on = config_.stale_serve_us > 0;
+  // While the breaker is unhealthy a version-rejected prefetched entry is
+  // kept resident instead of invalidated: with stale serving on it may be
+  // the only answer this node can still give.
+  const bool keep_rejected =
+      stale_on && breaker_.state() != net::CircuitBreaker::State::kClosed;
+  return engine_.CacheGet(client, security_group, bound_text,
+                          stale_on ? stale_candidate : nullptr,
+                          keep_rejected);
 }
 
 }  // namespace chrono::runtime

@@ -3,12 +3,16 @@
 // split combined result, or plain remote read — must be byte-identical to
 // executing the same statement stream directly against a mirror database.
 // This exercises the full stack (templates, learning, combining, splitting,
-// session semantics) against ground truth on every workload.
+// session semantics) against ground truth on every workload, through both
+// drivers of the engine: the simulator's Middleware in virtual time and
+// the wall-clock ChronoServer with its background prefetch running on
+// worker threads.
 
 #include <gtest/gtest.h>
 
 #include "core/middleware.h"
 #include "db/database.h"
+#include "runtime/server.h"
 #include "workloads/auctionmark.h"
 #include "workloads/seats.h"
 #include "workloads/tpce.h"
@@ -19,11 +23,7 @@ namespace {
 
 using core::SystemMode;
 
-class ConsistencyProperty
-    : public ::testing::TestWithParam<std::tuple<const char*, SystemMode>> {
- protected:
-  std::unique_ptr<workloads::Workload> MakeWorkload() {
-    std::string name = std::get<0>(GetParam());
+std::unique_ptr<workloads::Workload> MakeWorkload(const std::string& name) {
     if (name == "tpce") {
       workloads::TpceWorkload::Config c;
       c.customers = 30;
@@ -51,32 +51,13 @@ class ConsistencyProperty
     c.items = 300;
     c.end_dates = 10;
     return std::make_unique<workloads::AuctionMarkWorkload>(c);
-  }
-};
+}
 
-TEST_P(ConsistencyProperty, MiddlewareMatchesDirectExecution) {
-  // Two identically populated databases: one behind the middleware, one
-  // as the ground-truth mirror.
-  EventQueue events;
-  db::Database behind;
-  db::Database mirror;
-  {
-    auto workload = MakeWorkload();
-    workload->Populate(&behind);
-  }
-  {
-    auto workload = MakeWorkload();
-    workload->Populate(&mirror);
-  }
-  auto workload = MakeWorkload();
-
-  net::LatencyModel latency;
-  core::RemoteDbServer remote(&events, &behind, latency, 8);
-  core::MiddlewareConfig config;
-  config.mode = std::get<1>(GetParam());
-  config.Finalize();
-  core::Middleware node(&events, &remote, latency, config);
-
+/// Drives 50 transactions of `workload` through `execute`, comparing every
+/// answer with direct execution on `mirror`.
+void CheckAgainstMirror(
+    workloads::Workload* workload, db::Database* mirror,
+    const std::function<Result<sql::ResultSet>(const std::string&)>& execute) {
   Rng rng(1234);
   int mismatches = 0;
   int statements = 0;
@@ -85,38 +66,106 @@ TEST_P(ConsistencyProperty, MiddlewareMatchesDirectExecution) {
     const sql::ResultSet* prev = nullptr;
     sql::ResultSet last;
     while (auto sql_text = tx->Next(prev)) {
-      // Through the middleware (run the event loop to completion so all
-      // background prefetching lands too).
-      sql::ResultSet via_mw;
-      bool ok = false;
-      node.SubmitQuery(0, 0, *sql_text,
-                       [&](SimTime, const Result<sql::ResultSet>& result) {
-                         ok = result.ok();
-                         if (result.ok()) via_mw = *result;
-                       });
-      events.RunAll();
-      ASSERT_TRUE(ok) << *sql_text;
+      Result<sql::ResultSet> via_node = execute(*sql_text);
+      ASSERT_TRUE(via_node.ok()) << *sql_text << ": "
+                                 << via_node.status().ToString();
 
       // Ground truth.
-      auto direct = mirror.ExecuteText(*sql_text);
+      auto direct = mirror->ExecuteText(*sql_text);
       ASSERT_TRUE(direct.ok()) << *sql_text;
 
       ++statements;
-      if (direct->result.column_count() > 0 || via_mw.column_count() > 0) {
-        if (!(via_mw == direct->result)) {
+      if (direct->result.column_count() > 0 || via_node->column_count() > 0) {
+        if (!(*via_node == direct->result)) {
           ++mismatches;
-          ADD_FAILURE() << "mismatch for: " << *sql_text << "\nvia middleware:\n"
-                        << via_mw.ToString() << "\ndirect:\n"
+          ADD_FAILURE() << "mismatch for: " << *sql_text << "\nvia node:\n"
+                        << via_node->ToString() << "\ndirect:\n"
                         << direct->result.ToString();
         }
       }
-      last = via_mw;
+      last = std::move(*via_node);
       prev = &last;
     }
   }
   EXPECT_GT(statements, 100);
   EXPECT_EQ(mismatches, 0);
 }
+
+class ConsistencyProperty
+    : public ::testing::TestWithParam<std::tuple<const char*, SystemMode>> {};
+
+TEST_P(ConsistencyProperty, MiddlewareMatchesDirectExecution) {
+  // Two identically populated databases: one behind the middleware, one
+  // as the ground-truth mirror.
+  const std::string name = std::get<0>(GetParam());
+  EventQueue events;
+  db::Database behind;
+  db::Database mirror;
+  MakeWorkload(name)->Populate(&behind);
+  MakeWorkload(name)->Populate(&mirror);
+  auto workload = MakeWorkload(name);
+
+  net::LatencyModel latency;
+  core::RemoteDbServer remote(&events, &behind, latency, 8);
+  core::MiddlewareConfig config;
+  config.mode = std::get<1>(GetParam());
+  config.Finalize();
+  core::Middleware node(&events, &remote, latency, config);
+
+  CheckAgainstMirror(workload.get(), &mirror, [&](const std::string& sql) {
+    // Run the event loop to completion so all background prefetching
+    // lands too.
+    Result<sql::ResultSet> out = Status::Internal("no response");
+    node.SubmitQuery(0, 0, sql,
+                     [&](SimTime, const Result<sql::ResultSet>& result) {
+                       out = result;
+                     });
+    events.RunAll();
+    return out;
+  });
+}
+
+// The wall-clock driver: the single client goes through Execute while
+// combined prefetches run in the background on the worker pool.
+class RuntimeConsistencyProperty
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RuntimeConsistencyProperty, ServerMatchesDirectExecution) {
+  const std::string name = GetParam();
+  db::Database behind;
+  db::Database mirror;
+  MakeWorkload(name)->Populate(&behind);
+  MakeWorkload(name)->Populate(&mirror);
+  auto workload = MakeWorkload(name);
+
+  runtime::ServerConfig config;
+  config.workers = 2;
+  config.db_latency_us = 0;
+  config.enable_learning = true;
+  config.enable_combining = true;
+  runtime::ChronoServer server(&behind, config);
+
+  CheckAgainstMirror(workload.get(), &mirror, [&](const std::string& sql) {
+    Result<sql::ResultSet> out = Status::Internal("no response");
+    Result<runtime::SharedResult> result = server.Execute(0, sql);
+    if (result.ok()) {
+      out = **result;
+    } else {
+      out = result.status();
+    }
+    return out;
+  });
+  server.Shutdown();
+  EXPECT_GT(server.metrics().remote_combined, 0u)
+      << "background prefetch never ran";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, RuntimeConsistencyProperty,
+    ::testing::Values("tpce", "wikipedia", "seats", "auctionmark"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloadsAllModes, ConsistencyProperty,

@@ -335,6 +335,29 @@ TEST_F(MiddlewareTest, HitLatencyAvoidsWan) {
   EXPECT_LT(end - start, latency_.wan_rtt / 2);
 }
 
+// §5.2.1 on the coalescing path: a demand miss never joins another
+// security group's in-flight fetch — the in-flight key carries the group,
+// as the runtime's single-flight key does — so two groups reading the same
+// text at the same virtual instant each pay their own remote read.
+TEST_F(MiddlewareTest, InflightCoalescingNeverCrossesSecurityGroups) {
+  auto mw = MakeMiddleware(SystemMode::kLru);
+  const std::string q = "SELECT s_num_out FROM security WHERE s_symb = 'S0_2'";
+  int answered = 0;
+  for (auto [client, group] : {std::pair{0, 1}, std::pair{1, 2}}) {
+    mw->SubmitQuery(client, group, q,
+                    [&](SimTime, const Result<ResultSet>& result) {
+                      ASSERT_TRUE(result.ok()) << result.status().ToString();
+                      ASSERT_EQ(result->row_count(), 1u);
+                      EXPECT_EQ(result->row(0)[0], Value::Int(102));
+                      ++answered;
+                    });
+  }
+  events_.RunAll();
+  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(mw->metrics().remote_plain, 2u);
+  EXPECT_EQ(mw->metrics().inflight_joins, 0u);
+}
+
 // The sim middleware exports the same metric shapes as the wall-clock
 // server (DESIGN.md §9): counters mirror MiddlewareMetrics through
 // pull-mode callbacks, and destruction unregisters them so a later

@@ -5,6 +5,7 @@
 // snapshot — the same guarantee tools/chrono_audit relies on.
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/server.h"
+#include "sql/template.h"
 
 namespace chrono::obs {
 namespace {
@@ -286,6 +288,96 @@ TEST(PrefetchAuditE2E, ServerCountersReconcileWithAuditSnapshot) {
     EXPECT_EQ(SumCounters(registry, "chrono_prefetch_wasted_bytes_total", dim),
               snap.TotalWastedBytes())
         << dim;
+  }
+}
+
+/// Keeps every drained journal event for post-run assertions.
+class CollectSink : public JournalSink {
+ public:
+  void OnEvents(const JournalEvent* events, size_t count) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.insert(events_.end(), events, events + count);
+  }
+  std::vector<JournalEvent> Take() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return events_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<JournalEvent> events_;
+};
+
+// End-to-end: a plan whose trigger is not its root. The in-loop query
+// carries a per-loop constant (§2.2), so the graph has two text
+// dependencies — the root that supplies the loop's rows and the in-loop
+// query whose first iteration supplies the constant — and it is that
+// first iteration, not the root, that makes the graph ready. kPlanMined
+// must carry the root template (DESIGN.md §10), and the audit's per-plan
+// boards must be keyed by it.
+TEST(PrefetchAuditE2E, PlanMinedCarriesRootNotTrigger) {
+  db::Database db;
+  ASSERT_TRUE(db.ExecuteText("CREATE TABLE t (grp INT, id INT)").ok());
+  ASSERT_TRUE(db.ExecuteText("CREATE TABLE p (id INT, tag TEXT, x TEXT)").ok());
+  for (int id = 0; id < 32; ++id) {
+    const std::string i = std::to_string(id);
+    ASSERT_TRUE(db.ExecuteText("INSERT INTO t (grp, id) VALUES (" +
+                               std::to_string(id % 4) + ", " + i + ")")
+                    .ok());
+    ASSERT_TRUE(db.ExecuteText("INSERT INTO p (id, tag, x) VALUES (" + i +
+                               ", 'c', 'x" + i + "')")
+                    .ok());
+  }
+  const std::string root_sql = "SELECT id FROM t WHERE grp = 0";
+  const std::string loop_sql = "SELECT x FROM p WHERE id = 0 AND tag = 'c'";
+  auto tmpl_of = [](const std::string& sql) {
+    auto parsed = sql::AnalyzeQuery(sql);
+    EXPECT_TRUE(parsed.ok()) << sql;
+    return parsed.ok() ? static_cast<uint64_t>(parsed->tmpl->id) : 0;
+  };
+  const uint64_t root = tmpl_of(root_sql);
+  const uint64_t trigger = tmpl_of(loop_sql);
+  ASSERT_NE(root, trigger);
+
+  runtime::ServerConfig config;
+  config.workers = 2;
+  config.extract_every = 2;
+  runtime::ChronoServer server(&db, config);
+  ASSERT_NE(server.journal(), nullptr);
+  CollectSink collect;
+  server.journal()->AddSink(&collect);
+
+  // Market-Watch shape: a group's ids, then one lookup per id, each with
+  // the same unmapped tag constant.
+  for (int round = 0; round < 12; ++round) {
+    auto ids = server
+                   .Submit(1, "SELECT id FROM t WHERE grp = " +
+                                  std::to_string(round % 4))
+                   .get();
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    for (size_t r = 0; r < (*ids)->row_count(); ++r) {
+      const std::string sql = "SELECT x FROM p WHERE id = " +
+                              std::to_string((*ids)->row(r)[0].AsInt()) +
+                              " AND tag = 'c'";
+      ASSERT_TRUE(server.Submit(1, sql).get().ok()) << sql;
+    }
+  }
+  server.Shutdown();
+  server.journal()->Stop();
+
+  std::vector<JournalEvent> mined;
+  for (const JournalEvent& event : collect.Take()) {
+    if (event.type == JournalEventType::kPlanMined) mined.push_back(event);
+  }
+  ASSERT_FALSE(mined.empty()) << "the loop graph was never mined";
+  for (const JournalEvent& event : mined) {
+    EXPECT_EQ(event.tmpl, root) << "plan " << event.plan;
+    EXPECT_NE(event.tmpl, trigger) << "plan " << event.plan;
+  }
+  PrefetchAudit::Snapshot snap = server.audit()->snapshot();
+  ASSERT_FALSE(snap.plans.empty());
+  for (const auto& board : snap.plans) {
+    EXPECT_EQ(board.key, std::to_string(root));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -81,7 +82,7 @@ class TimeSeriesTest : public ::testing::Test {
     TimeSeriesRing::Options opts;
     opts.capacity = capacity;
     opts.interval_ms = 1000;
-    return TimeSeriesRing(&registry_, opts, [this] { return now_us_; });
+    return TimeSeriesRing(&registry_, opts, [this] { return now_us_.load(); });
   }
 
   MetricsRegistry registry_;
@@ -89,7 +90,8 @@ class TimeSeriesTest : public ::testing::Test {
   Counter* hits_ = nullptr;
   Counter* misses_ = nullptr;
   Histogram* latency_ = nullptr;
-  uint64_t now_us_ = 0;
+  // Atomic: the sampler-thread test reads it from the sampler thread.
+  std::atomic<uint64_t> now_us_{0};
 };
 
 TEST_F(TimeSeriesTest, SamplesDeriveRatesFromCounterDeltas) {
@@ -160,7 +162,7 @@ TEST_F(TimeSeriesTest, SamplerThreadStartStopIsIdempotent) {
   TimeSeriesRing::Options opts;
   opts.capacity = 4;
   opts.interval_ms = 5;  // fast enough to take real samples in the test
-  TimeSeriesRing ring(&registry_, opts, [this] { return now_us_; });
+  TimeSeriesRing ring(&registry_, opts, [this] { return now_us_.load(); });
   ring.Start();
   ring.Start();  // second Start is a no-op
   // The sampler thread only records when the clock advances.

@@ -31,8 +31,7 @@ namespace chrono::runtime {
 struct SingleFlightTestPeer {
   static void BumpClientWrite(ChronoServer& server, ClientId client,
                               const std::vector<std::string>& tables) {
-    std::lock_guard<obs::TimedMutex> lock(server.versions_mutex_);
-    server.versions_.OnClientWrite(client, tables);
+    server.engine_.OnClientWrite(client, tables);
   }
 };
 
