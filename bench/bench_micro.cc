@@ -9,9 +9,11 @@
 
 #include "cache/lru_cache.h"
 #include "core/combiner_lateral.h"
+#include "core/engine.h"
 #include "core/middleware.h"
 #include "db/database.h"
 #include "runtime/sharded_cache.h"
+#include "sql/footprint.h"
 #include "sql/parser.h"
 #include "sql/result_set.h"
 #include "sql/template.h"
@@ -189,6 +191,42 @@ void BM_ShardedCacheGetShared(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardedCacheGetShared)->Arg(1)->Arg(64)->Arg(1024);
+
+// ---- Row-level session check (DESIGN.md §19) -----------------------------
+//
+// BM_CacheGetVersionGap/N: Engine::CacheGet on an entry N writes behind the
+// client's session, every write in the gap a point UPDATE of another row.
+// /0 is the current-tag baseline. A served lookup re-stamps the entry, so
+// every iteration first re-installs it with its old tag: all arms pay the
+// same CachePut, and the difference to /0 is the gap check.
+void BM_CacheGetVersionGap(benchmark::State& state) {
+  core::Engine engine(core::EngineConfig{}, core::Engine::Options{},
+                      [] { return uint64_t{0}; });
+  auto read = engine.Analyze("SELECT v FROM t WHERE id = 1");
+  sql::ResultSet rs({"v"});
+  rs.AddRow({sql::Value::String("v1")});
+  auto payload = std::make_shared<const sql::ResultSet>(std::move(rs));
+  const cache::VersionVector tag = engine.SnapshotReads(read->tmpl->id);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    auto write = sql::AnalyzeQuery("UPDATE t SET v = 'w' WHERE id = " +
+                                   std::to_string(i + 2));
+    engine.OnClientWrite(1, {"t"},
+                         std::make_shared<const sql::WriteFootprint>(
+                             sql::ExtractWriteFootprint(*write->tmpl->ast,
+                                                        write->params)));
+  }
+  engine.SyncClientToDb(1);
+  for (auto _ : state) {
+    engine.CachePut(1, 0, read->tmpl->id, read->bound_text, payload, tag);
+    auto hit = engine.CacheGet(1, 0, *read);
+    benchmark::DoNotOptimize(hit);
+  }
+  if (engine.counters().cache_rejects() != 0) {
+    state.SkipWithError("a disjoint gap was rejected");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheGetVersionGap)->Arg(0)->Arg(8)->Arg(64)->Arg(1024);
 
 void BM_TransitionGraphObserve(benchmark::State& state) {
   core::TransitionGraph graph(200 * kMicrosPerMilli);

@@ -1,5 +1,6 @@
 #include "cache/lru_cache.h"
 
+#include <algorithm>
 #include <iterator>
 
 namespace chrono::cache {
@@ -22,6 +23,24 @@ const CachedResult* LruCache::Peek(const std::string& key) const {
   auto it = map_.find(key);
   if (it == map_.end()) return nullptr;
   return &it->second->value;
+}
+
+bool LruCache::Restamp(const std::string& key, const sql::ResultSet* payload,
+                       const VersionVector& version) {
+  auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  CachedResult& value = it->second->value;
+  if (value.result.get() != payload || value.version.size() != version.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < version.size(); ++i) {
+    if (value.version[i].first != version[i].first) return false;
+  }
+  for (size_t i = 0; i < version.size(); ++i) {
+    value.version[i].second =
+        std::max(value.version[i].second, version[i].second);
+  }
+  return true;
 }
 
 void LruCache::RemoveEntry(EntryList::iterator it, EvictReason reason) {

@@ -114,6 +114,13 @@ class LruCache {
   /// Removes an entry if present; returns whether it existed.
   bool Erase(const std::string& key);
 
+  /// Raises the version tag of the entry under `key` to `version`
+  /// (pairwise max, same relations) if it still holds `payload`: a
+  /// row-level session check proved it current that far. No recency or
+  /// accounting change; returns whether the entry was re-stamped.
+  bool Restamp(const std::string& key, const sql::ResultSet* payload,
+               const VersionVector& version);
+
   void Clear();
 
   size_t entry_count() const { return map_.size(); }

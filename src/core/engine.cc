@@ -223,7 +223,8 @@ void Engine::CombinedFetched(ClientId client, uint64_t plan_id,
 
 Result<std::vector<SplitEntry>> Engine::InstallCombined(
     ClientId client, int security_group, const CombinedQuery& plan,
-    uint64_t plan_id, const sql::ResultSet& rows, bool feed_model) {
+    uint64_t plan_id, const sql::ResultSet& rows,
+    const std::vector<uint64_t>& pre_read, bool feed_model) {
   Result<std::vector<SplitEntry>> split = Status::OK();
   {
     std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
@@ -246,8 +247,14 @@ Result<std::vector<SplitEntry>> Engine::InstallCombined(
   }
   for (const SplitEntry& entry : *split) {
     auto it = src_of.find(entry.tmpl);
+    cache::VersionVector version;
+    {
+      std::vector<std::string> reads = ReadsOf(entry.tmpl);
+      std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+      version = versions_.SnapshotFor(reads, pre_read);
+    }
     CachePut(client, security_group, entry.tmpl, entry.key, entry.result,
-             plan_id,
+             std::move(version), plan_id,
              it == src_of.end() ? 0 : static_cast<uint64_t>(it->second));
     counters_.predictions_cached.fetch_add(1, std::memory_order_relaxed);
   }
@@ -282,10 +289,15 @@ std::string Engine::CacheKey(ClientId client,
 void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
                       const std::string& bound_text,
                       std::shared_ptr<const sql::ResultSet> result,
-                      uint64_t prefetch_plan, uint64_t prefetch_src) {
+                      cache::VersionVector version, uint64_t prefetch_plan,
+                      uint64_t prefetch_src) {
   cache::CachedResult entry;
   entry.SetResult(std::move(result));
-  entry.version = SnapshotReads(tmpl);
+  {
+    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+    versions_.SkipRemoteAccesses(&version);
+  }
+  entry.version = std::move(version);
   entry.security_group = security_group;
   entry.node_id = options_.node_id;
   entry.prefetch_plan = prefetch_plan;
@@ -306,25 +318,63 @@ void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
   cache_.Put(key, std::move(entry));
 }
 
+Engine::Admission Engine::Admit(ClientId client, cache::CachedResult* entry,
+                                const sql::QueryTemplate& tmpl,
+                                const std::vector<sql::Value>& params,
+                                bool absorb) {
+  {
+    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+    if (versions_.CanUse(client, entry->version)) {
+      if (absorb) versions_.AbsorbResult(client, entry->version);
+      return Admission::kCurrent;
+    }
+  }
+  // Behind the session: derive the query side from the template and its
+  // parameters (outside the lock; nothing is stored per entry), then scan
+  // the write log. The session may have moved in between; CoverGap reads
+  // it afresh under the lock.
+  if (entry->tmpl != tmpl.id || entry->version.size() != 1) {
+    return Admission::kRejected;
+  }
+  std::optional<sql::ReadFootprint> read =
+      sql::ExtractReadFootprint(*tmpl.ast, params);
+  if (!read.has_value()) return Admission::kRejected;
+  std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
+  std::optional<cache::VersionVector> covered =
+      versions_.CoverGap(client, entry->version, *read, *entry->result);
+  if (!covered.has_value()) return Admission::kRejected;
+  if (absorb) versions_.AbsorbResult(client, *covered);
+  entry->version = std::move(*covered);
+  return Admission::kAcrossGap;
+}
+
 std::optional<cache::CachedResult> Engine::CacheGet(
-    ClientId client, int security_group, const std::string& bound_text,
+    ClientId client, int security_group, const sql::ParsedQuery& query,
     std::optional<cache::CachedResult>* stale_candidate, bool keep_rejected) {
-  const std::string key = CacheKey(client, bound_text);
+  const std::string key = CacheKey(client, query.bound_text);
   std::optional<cache::CachedResult> entry = cache_.Get(key);
   if (!entry.has_value()) return std::nullopt;
   if (entry->security_group != security_group) {
-    counters_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
+    counters_.cache_rejects_security.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (!TryAbsorb(client, entry->version)) {
-    counters_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
+  const Admission admission =
+      Admit(client, &*entry, *query.tmpl, query.params, /*absorb=*/true);
+  if (admission == Admission::kRejected) {
+    counters_.cache_rejects_version.fetch_add(1, std::memory_order_relaxed);
     if (stale_candidate != nullptr) *stale_candidate = *entry;
     // A version-rejected prefetched entry can never become usable again
-    // (database versions are monotonic): erase it now so the eviction
-    // hook journals it as invalidated rather than letting it age out as
-    // an ordinary capacity eviction.
+    // (database versions are monotonic, so the write that sank it stays in
+    // every later gap): erase it now so the eviction hook journals it as
+    // invalidated rather than letting it age out as an ordinary capacity
+    // eviction.
     if (entry->prefetch_plan != 0 && !keep_rejected) cache_.Invalidate(key);
     return std::nullopt;
+  }
+  if (admission == Admission::kAcrossGap) {
+    // Later checks only scan the writes after the session's version.
+    counters_.version_gap_serves.fetch_add(1, std::memory_order_relaxed);
+    cache_.Restamp(key, entry->result.get(), entry->version);
   }
   // First demand hit on a prefetched entry: the cache just bumped
   // use_count, so our copy reading 1 means this very lookup was the first.
@@ -344,12 +394,26 @@ std::optional<cache::CachedResult> Engine::CacheGet(
   return entry;
 }
 
+std::optional<cache::CachedResult> Engine::CachePeek(
+    ClientId client, int security_group, const sql::QueryTemplate& tmpl,
+    const std::vector<sql::Value>& params) {
+  std::optional<cache::CachedResult> entry =
+      cache_.Peek(CacheKey(client, sql::RenderBoundText(tmpl, params)));
+  if (!entry.has_value() || entry->security_group != security_group ||
+      Admit(client, &*entry, tmpl, params, /*absorb=*/false) ==
+          Admission::kRejected) {
+    return std::nullopt;
+  }
+  return entry;
+}
+
 // ---- Session version vectors ---------------------------------------------
 
-void Engine::OnClientWrite(ClientId client,
-                           const std::vector<std::string>& tables) {
+void Engine::OnClientWrite(
+    ClientId client, const std::vector<std::string>& tables,
+    std::shared_ptr<const sql::WriteFootprint> footprint) {
   std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-  versions_.OnClientWrite(client, tables);
+  versions_.OnClientWrite(client, tables, std::move(footprint));
 }
 
 void Engine::OnRemoteAccess() {
@@ -362,21 +426,22 @@ void Engine::SyncClientToDb(ClientId client) {
   versions_.SyncClientToDb(client);
 }
 
+std::vector<std::string> Engine::ReadsOf(TemplateId tmpl) const {
+  std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+  const sql::QueryTemplate* qt = registry_.Find(tmpl);
+  return qt == nullptr ? std::vector<std::string>{}
+                       : sql::CollectTableAccess(*qt->ast).reads;
+}
+
 cache::VersionVector Engine::SnapshotReads(TemplateId tmpl) {
-  std::vector<std::string> reads;
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    if (const sql::QueryTemplate* qt = registry_.Find(tmpl)) {
-      reads = sql::CollectTableAccess(*qt->ast).reads;
-    }
-  }
+  std::vector<std::string> reads = ReadsOf(tmpl);
   std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
   return versions_.SnapshotFor(reads);
 }
 
-bool Engine::CanUse(ClientId client, const cache::VersionVector& version) {
+std::vector<uint64_t> Engine::SnapshotDb() {
   std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-  return versions_.CanUse(client, version);
+  return versions_.Versions();
 }
 
 bool Engine::TryAbsorb(ClientId client, const cache::VersionVector& version) {
@@ -476,7 +541,14 @@ void Engine::RegisterMetrics(obs::MetricsRegistry* registry) {
           &counters_.writes, {{"op", "write"}});
   counter("chrono_cache_rejects_total",
           "Cached results rejected by session/security checks",
-          &counters_.cache_rejects);
+          &counters_.cache_rejects_security, {{"reason", "security_group"}});
+  counter("chrono_cache_rejects_total",
+          "Cached results rejected by session/security checks",
+          &counters_.cache_rejects_version, {{"reason", "version"}});
+  counter("chrono_cache_version_gap_serves_total",
+          "Cached results behind the session served because every write "
+          "in the gap was disjoint from their query",
+          &counters_.version_gap_serves);
   counter("chrono_remote_plain_total", "Plain (uncombined) remote reads",
           &counters_.remote_plain);
   counter("chrono_remote_combined_total",

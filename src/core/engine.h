@@ -24,6 +24,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "runtime/sharded_cache.h"
+#include "sql/footprint.h"
 #include "sql/template.h"
 
 namespace chrono::core {
@@ -51,12 +52,24 @@ struct EngineCounters {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> writes{0};
   std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_rejects{0};
+  // Present entries turned down: another security group's (§5.2.1), or
+  // behind the session with a write in the gap not provably disjoint
+  // (§5.2, DESIGN.md §19).
+  std::atomic<uint64_t> cache_rejects_security{0};
+  std::atomic<uint64_t> cache_rejects_version{0};
+  // Entries behind the session served because every write in the gap was
+  // provably disjoint from their query.
+  std::atomic<uint64_t> version_gap_serves{0};
   std::atomic<uint64_t> remote_plain{0};
   std::atomic<uint64_t> remote_combined{0};
   std::atomic<uint64_t> predictions_cached{0};
   std::atomic<uint64_t> prediction_fallbacks{0};
   std::atomic<uint64_t> backend_retries{0};
+
+  uint64_t cache_rejects() const {
+    return cache_rejects_security.load(std::memory_order_relaxed) +
+           cache_rejects_version.load(std::memory_order_relaxed);
+  }
 };
 
 /// \brief The ChronoCache pipeline state and decisions, independent of any
@@ -168,38 +181,58 @@ class Engine {
                        const sql::ResultSet* rows, uint64_t fetch_us);
   /// Splits a combined result and installs one entry per slot, attributed
   /// to the plan and the edge that predicted it, then syncs the client to
-  /// the database (Vc = Vd). With `feed_model` the pieces also train the
-  /// client's mapper and latest parameters. Returns the split entries.
+  /// the database (Vc = Vd). Each entry is tagged from `pre_read`, the
+  /// SnapshotDb() taken before the plan was sent. With `feed_model` the
+  /// pieces also train the client's mapper and latest parameters. Returns
+  /// the split entries.
   Result<std::vector<SplitEntry>> InstallCombined(
       ClientId client, int security_group, const CombinedQuery& plan,
-      uint64_t plan_id, const sql::ResultSet& rows, bool feed_model);
+      uint64_t plan_id, const sql::ResultSet& rows,
+      const std::vector<uint64_t>& pre_read, bool feed_model);
 
   // --- Result cache -----------------------------------------------------
 
   std::string CacheKey(ClientId client, const std::string& bound_text) const;
-  /// Installs `result`, tagged with the Vd snapshot of the relations the
-  /// template reads. `prefetch_plan`/`prefetch_src` attribute predictive
-  /// installs (zero for demand fills), which are journaled.
+  /// Installs `result` tagged with `version`: SnapshotReads(tmpl) taken
+  /// *before* the backend read, so a write committing while the read is in
+  /// flight is never claimed as seen. `prefetch_plan`/`prefetch_src`
+  /// attribute predictive installs (zero for demand fills), which are
+  /// journaled.
   void CachePut(ClientId client, int security_group, TemplateId tmpl,
                 const std::string& bound_text,
                 std::shared_ptr<const sql::ResultSet> result,
-                uint64_t prefetch_plan = 0, uint64_t prefetch_src = 0);
-  /// Lookup under the §5.2.1 security-group and §5.2 session checks.
-  /// A version-rejected entry is copied to `stale_candidate` (when given)
-  /// and, if it was prefetched, invalidated unless `keep_rejected`.
+                cache::VersionVector version, uint64_t prefetch_plan = 0,
+                uint64_t prefetch_src = 0);
+  /// Lookup of `query` under the §5.2.1 security-group and §5.2 session
+  /// checks. An entry behind the session is served when every write in the
+  /// gap is provably disjoint from the query (its tag is then re-stamped
+  /// in place, DESIGN.md §19). A version-rejected entry is copied to
+  /// `stale_candidate` (when given) and, if it was prefetched, invalidated
+  /// unless `keep_rejected`.
   std::optional<cache::CachedResult> CacheGet(
-      ClientId client, int security_group, const std::string& bound_text,
+      ClientId client, int security_group, const sql::ParsedQuery& query,
       std::optional<cache::CachedResult>* stale_candidate = nullptr,
       bool keep_rejected = false);
+  /// The entry `tmpl` bound with `params` would be served to `client`, by
+  /// the same checks as CacheGet but without side effects (no recency, no
+  /// counters, no session or tag change): the §5.1 redundancy check.
+  std::optional<cache::CachedResult> CachePeek(
+      ClientId client, int security_group, const sql::QueryTemplate& tmpl,
+      const std::vector<sql::Value>& params);
 
   // --- Session version vectors (§5.2) -----------------------------------
 
-  void OnClientWrite(ClientId client, const std::vector<std::string>& tables);
+  /// A client's write committed. `footprint` (null: a wildcard) is logged
+  /// for the row-level check (DESIGN.md §19).
+  void OnClientWrite(
+      ClientId client, const std::vector<std::string>& tables,
+      std::shared_ptr<const sql::WriteFootprint> footprint = nullptr);
   void OnRemoteAccess();
   void SyncClientToDb(ClientId client);
   /// Vd restricted to the relations `tmpl` reads.
   cache::VersionVector SnapshotReads(TemplateId tmpl);
-  bool CanUse(ClientId client, const cache::VersionVector& version);
+  /// All of Vd, for tagging the pieces of a combined read (InstallCombined).
+  std::vector<uint64_t> SnapshotDb();
   /// CanUse, and on success Vc absorbs `version` — one atomic step.
   bool TryAbsorb(ClientId client, const cache::VersionVector& version);
 
@@ -234,6 +267,17 @@ class Engine {
 
  private:
   ClientModel* ModelFor(ClientId client);
+  /// Reads relations of a registered template (empty when unknown).
+  std::vector<std::string> ReadsOf(TemplateId tmpl) const;
+
+  enum class Admission { kCurrent, kAcrossGap, kRejected };
+  /// The §5.2 session check for `entry`, answering `tmpl` bound with
+  /// `params`: current, served across a gap of disjoint writes (`entry`'s
+  /// tag is then raised to the session's), or rejected. With `absorb` an
+  /// admitted entry's tag is absorbed into Vc in the same step.
+  Admission Admit(ClientId client, cache::CachedResult* entry,
+                  const sql::QueryTemplate& tmpl,
+                  const std::vector<sql::Value>& params, bool absorb);
 
   const EngineConfig config_;
   const Options options_;

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/rng.h"
+#include "sql/footprint.h"
 
 namespace chrono::core {
 
@@ -176,7 +177,7 @@ MiddlewareMetrics Middleware::metrics() const {
   m.reads = c.reads.load(std::memory_order_relaxed);
   m.writes = c.writes.load(std::memory_order_relaxed);
   m.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-  m.cache_rejects = c.cache_rejects.load(std::memory_order_relaxed);
+  m.cache_rejects = c.cache_rejects();
   m.remote_plain = c.remote_plain.load(std::memory_order_relaxed);
   m.remote_combined = c.remote_combined.load(std::memory_order_relaxed);
   m.predictions_cached = c.predictions_cached.load(std::memory_order_relaxed);
@@ -319,12 +320,15 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
   // Writes bypass the cache entirely; ChronoCache never predicts updates
   // (§5, "focuses on predictively caching read queries").
   auto access = sql::CollectTableAccess(*parsed.tmpl->ast);
+  auto footprint = std::make_shared<const sql::WriteFootprint>(
+      sql::ExtractWriteFootprint(*parsed.tmpl->ast, parsed.params));
   remote_->Submit(
       parsed.bound_text,
       [this, client, tmpl = parsed.tmpl->id, writes = access.writes,
+       footprint = std::move(footprint),
        done = std::move(done)](SimTime, Result<db::ExecOutcome> outcome) {
         engine_.OnRemoteAccess();
-        if (outcome.ok()) engine_.OnClientWrite(client, writes);
+        if (outcome.ok()) engine_.OnClientWrite(client, writes, footprint);
         JournalRequest(client, tmpl,
                        outcome.ok() ? obs::TraceOutcome::kWrite
                                     : obs::TraceOutcome::kError);
@@ -359,7 +363,7 @@ void Middleware::HandleRead(ClientId client, int security_group,
 
   const std::string key = FlightKey(client, security_group, parsed.bound_text);
   std::optional<cache::CachedResult> hit =
-      engine_.CacheGet(client, security_group, parsed.bound_text);
+      engine_.CacheGet(client, security_group, parsed);
   if (hit.has_value()) {
     ++engine_.counters().cache_hits;
     JournalRequest(client, tmpl, obs::TraceOutcome::kCacheHit,
@@ -411,7 +415,7 @@ void Middleware::HandleRead(ClientId client, int security_group,
       if (FireGraph(client, security_group, *g, wait_here ? key : "")) {
         if (wait_here) {
           inflight_[key].push_back(PendingRequest{client, done});
-          inflight_tmpl_[key] = {tmpl, parsed.bound_text, security_group};
+          inflight_tmpl_[key] = {parsed, security_group};
           waiting = true;
         }
       } else if (wait_here) {
@@ -425,14 +429,12 @@ void Middleware::HandleRead(ClientId client, int security_group,
   }
   if (waiting) return;
 
-  RemotePlain(client, security_group, tmpl, parsed.bound_text,
-              std::move(done));
+  RemotePlain(client, security_group, std::move(parsed), std::move(done));
 }
 
 void Middleware::RemotePlain(ClientId client, int security_group,
-                             TemplateId tmpl, std::string bound_text,
-                             ResponseCallback done) {
-  const std::string key = FlightKey(client, security_group, bound_text);
+                             sql::ParsedQuery query, ResponseCallback done) {
+  const std::string key = FlightKey(client, security_group, query.bound_text);
   auto it = inflight_.find(key);
   if (it != inflight_.end()) {
     ++inflight_joins_;
@@ -440,7 +442,9 @@ void Middleware::RemotePlain(ClientId client, int security_group,
     return;
   }
   inflight_[key].push_back(PendingRequest{client, std::move(done)});
-  inflight_tmpl_[key] = {tmpl, bound_text, security_group};
+  const TemplateId tmpl = query.tmpl->id;
+  std::string bound_text = query.bound_text;
+  inflight_tmpl_[key] = {std::move(query), security_group};
   ++engine_.counters().remote_plain;
   IssuePlainFetch(client, security_group, tmpl, std::move(bound_text), key,
                   /*attempts=*/1);
@@ -449,10 +453,14 @@ void Middleware::RemotePlain(ClientId client, int security_group,
 void Middleware::IssuePlainFetch(ClientId client, int security_group,
                                  TemplateId tmpl, std::string bound_text,
                                  std::string key, int attempts) {
+  // Tag from before the read: a write landing while it is in flight is
+  // not claimed as seen (§5.2).
+  cache::VersionVector pre_read = engine_.SnapshotReads(tmpl);
   remote_->Submit(
       bound_text,
-      [this, client, security_group, tmpl, key, bound_text, attempts](
-          SimTime, Result<db::ExecOutcome> outcome) {
+      [this, client, security_group, tmpl, key, bound_text, attempts,
+       pre_read = std::move(pre_read)](SimTime,
+                                       Result<db::ExecOutcome> outcome) {
         engine_.OnRemoteAccess();
         if (!outcome.ok()) {
           // Idempotent demand read: reschedule after a full-jitter backoff
@@ -502,7 +510,8 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
         // share the same immutable payload.
         auto payload = std::make_shared<const sql::ResultSet>(
             std::move(outcome->result));
-        engine_.CachePut(client, security_group, tmpl, bound_text, payload);
+        engine_.CachePut(client, security_group, tmpl, bound_text, payload,
+                         pre_read);
         for (auto& w : waiters) {
           // Fresh database read: Vc = Vd (§5.2).
           engine_.SyncClientToDb(w.client);
@@ -531,13 +540,15 @@ bool Middleware::FireGraph(ClientId client, int security_group,
   // Charge the combination + split work to this node's worker pool.
   mw_pool_.Submit(latency_.mw_combine_service, [](SimTime) {});
   const SimTime issued_at = events_->now();
+  std::vector<uint64_t> pre_read = engine_.SnapshotDb();
 
   // Hand the combiner-built AST to the server alongside the text: the
   // combined query executes without ever being re-parsed.
   remote_->Submit(
       RemoteDbServer::DbRequest{plan->query->sql, plan->query->ast},
       [this, client, security_group, plan = *plan, issued_at, wait_key,
-       cascade_depth](SimTime landed, Result<db::ExecOutcome> outcome) {
+       cascade_depth, pre_read = std::move(pre_read)](
+          SimTime landed, Result<db::ExecOutcome> outcome) {
         engine_.OnRemoteAccess();
         engine_.CombinedFetched(
             client, plan.id, outcome.ok() ? &outcome->result : nullptr,
@@ -546,7 +557,7 @@ bool Middleware::FireGraph(ClientId client, int security_group,
         if (outcome.ok()) {
           auto split = engine_.InstallCombined(client, security_group,
                                                *plan.query, plan.id,
-                                               outcome->result,
+                                               outcome->result, pre_read,
                                                /*feed_model=*/false);
           if (split.ok()) {
             // Algorithm 1 line 7: the prefetched texts may make further
@@ -595,13 +606,14 @@ void Middleware::ResolveInflight(const std::string& key) {
   inflight_tmpl_.erase(info_it);
 
   std::vector<PendingRequest> unresolved;
+  const TemplateId tmpl = info.query.tmpl->id;
   for (auto& w : waiters) {
     std::optional<cache::CachedResult> hit =
-        engine_.CacheGet(w.client, info.security_group, info.bound_text);
+        engine_.CacheGet(w.client, info.security_group, info.query);
     if (hit.has_value()) {
-      JournalRequest(w.client, info.tmpl, obs::TraceOutcome::kPredictionHit,
+      JournalRequest(w.client, tmpl, obs::TraceOutcome::kPredictionHit,
                      hit->prefetch_plan, hit->prefetch_src);
-      Respond(w.client, info.tmpl, hit->result, w.done);
+      Respond(w.client, tmpl, hit->result, w.done);
     } else {
       unresolved.push_back(std::move(w));
     }
@@ -611,7 +623,7 @@ void Middleware::ResolveInflight(const std::string& key) {
     // back to plain remote execution; RemotePlain coalesces duplicates.
     ++engine_.counters().prediction_fallbacks;
     for (auto& w : unresolved) {
-      RemotePlain(w.client, info.security_group, info.tmpl, info.bound_text,
+      RemotePlain(w.client, info.security_group, info.query,
                   std::move(w.done));
     }
   }
@@ -650,28 +662,19 @@ void Middleware::FireSequential(ClientId client, int security_group,
       continue;
     }
     ++sequential_prefetches_;
-    remote_->Submit(bound, [this, client, security_group, node, bound](
+    remote_->Submit(bound, [this, client, security_group, node, bound,
+                            pre_read = engine_.SnapshotReads(node)](
                                SimTime, Result<db::ExecOutcome> outcome) {
       engine_.OnRemoteAccess();
       if (!outcome.ok()) return;
       auto payload = std::make_shared<const sql::ResultSet>(
           std::move(outcome->result));
-      engine_.CachePut(client, security_group, node, bound, payload);
+      engine_.CachePut(client, security_group, node, bound, payload,
+                       pre_read);
       // Feed the model so deeper predictions can bind next time.
       engine_.ObserveResult(client, node, *payload);
     });
   }
-}
-
-std::optional<cache::CachedResult> Middleware::PeekUsable(
-    ClientId client, int security_group, const std::string& bound_text) {
-  std::optional<cache::CachedResult> entry =
-      engine_.cache().Peek(engine_.CacheKey(client, bound_text));
-  if (!entry.has_value() || entry->security_group != security_group ||
-      !engine_.CanUse(client, entry->version)) {
-    return std::nullopt;
-  }
-  return entry;
 }
 
 bool Middleware::PredictionsCached(ClientId client, int security_group,
@@ -684,8 +687,8 @@ bool Middleware::PredictionsCached(ClientId client, int security_group,
   std::optional<std::vector<sql::Value>> root_params =
       engine_.LatestParams(client, root);
   if (!root_params.has_value()) return false;
-  std::optional<cache::CachedResult> root_hit = PeekUsable(
-      client, security_group, sql::RenderBoundText(*root_tmpl, *root_params));
+  std::optional<cache::CachedResult> root_hit =
+      engine_.CachePeek(client, security_group, *root_tmpl, *root_params);
   if (!root_hit.has_value()) return false;
 
   for (TemplateId node : graph.nodes) {
@@ -725,8 +728,7 @@ bool Middleware::PredictionsCached(ClientId client, int security_group,
       for (const auto& v : params) {
         if (v.is_null()) return false;  // unknown constant: cannot verify
       }
-      if (!PeekUsable(client, security_group,
-                      sql::RenderBoundText(*tmpl, params))) {
+      if (!engine_.CachePeek(client, security_group, *tmpl, params)) {
         return false;
       }
     }

@@ -216,8 +216,7 @@ class Middleware {
   /// Bookkeeping for an in-flight request key: what query it stands for.
   /// The security group is part of the key, so every waiter shares it.
   struct InflightInfo {
-    TemplateId tmpl = 0;
-    std::string bound_text;
+    sql::ParsedQuery query;
     int security_group = 0;
   };
 
@@ -259,19 +258,13 @@ class Middleware {
   bool PredictionsCached(ClientId client, int security_group,
                          const DependencyGraph& graph);
 
-  /// The cached entry under `bound_text` if `client` may use it in
-  /// `security_group`; side-effect free (no recency, no accounting).
-  std::optional<cache::CachedResult> PeekUsable(ClientId client,
-                                                int security_group,
-                                                const std::string& bound_text);
-
   /// Answers (or re-issues) the waiters parked under an in-flight key
   /// after a combined query completes.
   void ResolveInflight(const std::string& key);
 
   /// Executes `sql` remotely and caches it under `key` for the client.
-  void RemotePlain(ClientId client, int security_group, TemplateId tmpl,
-                   std::string bound_text, ResponseCallback done);
+  void RemotePlain(ClientId client, int security_group,
+                   sql::ParsedQuery query, ResponseCallback done);
 
   /// One attempt (1-based) of the plain demand fetch for `key`. Transport
   /// failures of this idempotent read reschedule the fetch after a

@@ -105,4 +105,10 @@ void CircuitBreaker::OnResult(Admission admission, bool ok) {
   }
 }
 
+void CircuitBreaker::OnAbandoned(Admission admission) {
+  if (admission != Admission::kProbe) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (probes_inflight_ > 0) --probes_inflight_;
+}
+
 }  // namespace chrono::net

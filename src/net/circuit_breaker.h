@@ -63,6 +63,10 @@ class CircuitBreaker {
   /// only — an application error from a healthy backend is a success here.
   /// Calls admitted as kRejected must not be reported.
   void OnResult(Admission admission, bool ok);
+  /// Reports an admitted call the caller gave up on before the backend
+  /// could answer (its own deadline ran out): no verdict on backend
+  /// health. Only releases a half-open probe slot.
+  void OnAbandoned(Admission admission);
 
   State state() const {
     return state_relaxed_.load(std::memory_order_relaxed);

@@ -230,8 +230,15 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
     case JournalEventType::kBackendTimeout: {
       ++availability_.backend_timeouts;
       if (event.flags & kJournalFlagWrite) ++availability_.write_timeouts;
-      BumpPlain("chrono_backend_timeouts_total",
-                "Remote calls abandoned at their deadline budget.");
+      if (registry_ != nullptr) {
+        CounterFor("chrono_backend_timeouts_total",
+                   "Remote calls abandoned at their deadline budget, by "
+                   "whose budget ran out.",
+                   "reason",
+                   event.b == kTimeoutClientDeadline ? "client_deadline"
+                                                     : "backend")
+            ->Increment(1);
+      }
       break;
     }
     case JournalEventType::kBreakerTransition: {

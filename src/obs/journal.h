@@ -59,6 +59,13 @@ inline constexpr uint8_t kJournalFlagNoLatency = 1u << 6;
 /// kBackendTimeout: set when the abandoned call was a write.
 inline constexpr uint8_t kJournalFlagWrite = 1u << 1;
 
+/// kBackendTimeout payload `b`: whose budget ran out. kTimeoutBackend: the
+/// node's own deadline or attempt timeout (the backend was slow or down);
+/// kTimeoutClientDeadline: only the client's propagated wire deadline,
+/// shorter than a healthy backend's latency (local budget exhaustion).
+inline constexpr uint64_t kTimeoutBackend = 0;
+inline constexpr uint64_t kTimeoutClientDeadline = 1;
+
 /// kShed payload `a`: why best-effort work was dropped.
 inline constexpr uint64_t kShedQueueFull = 0;       // pool queue saturated
 inline constexpr uint64_t kShedBreakerUnhealthy = 1; // breaker not closed
@@ -91,7 +98,9 @@ inline constexpr uint8_t kJournalFlagLate = 1u << 5;
 ///                    c = split/decode µs | total µs << 32
 ///   kBackendRetry    a = attempts made so far, b = backoff µs,
 ///                    c = deadline remaining µs (0 = unlimited)
-///   kBackendTimeout  a = attempt budget µs (flags bit1 = write)
+///   kBackendTimeout  a = attempt budget µs, b = reason
+///                    (kTimeoutBackend / kTimeoutClientDeadline;
+///                    flags bit1 = write)
 ///   kBreakerTransition a = new state, b = old state
 ///                      (net::CircuitBreaker::State numeric values)
 ///   kStaleServe      a = entry age µs, b = allowed bound µs

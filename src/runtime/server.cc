@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "obs/build_info.h"
+#include "sql/footprint.h"
 
 namespace chrono::runtime {
 
@@ -551,6 +552,9 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
   // client no longer has. An already-expired deadline degrades to a 1 µs
   // budget — the first attempt fails fast rather than sleeping.
   uint64_t budget_us = config_.request_deadline_us;
+  // The node's own budget, before any client clamp: a timeout this budget
+  // alone would not have hit is the client's, not the backend's.
+  net::Deadline own_deadline(budget_us, [this] { return NowMicros(); });
   if (call.ctx != nullptr && call.ctx->wire != nullptr &&
       call.ctx->wire->deadline_us != 0) {
     uint64_t now = NowMicros();
@@ -606,6 +610,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
 
     Result<db::ExecOutcome> outcome = Status::OK();
     bool timed_out = false;
+    bool client_deadline = false;  // timed out on the client's budget only
     if (fd.fail) {
       // The request dies in the WAN. A blackout behaves like a hang that
       // the attempt budget cuts off (without a deadline it degenerates to
@@ -622,6 +627,12 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
       }
     } else if (attempt_cap != UINT64_MAX && latency > attempt_cap) {
       // Healthy but (spike-)slow: give up at the budget, not after it.
+      uint64_t own_cap = own_deadline.remaining_us();
+      if (config_.attempt_timeout_us > 0 &&
+          config_.attempt_timeout_us < own_cap) {
+        own_cap = config_.attempt_timeout_us;
+      }
+      client_deadline = latency <= own_cap;
       SleepMicros(attempt_cap);
       timed_out = true;
       outcome =
@@ -643,8 +654,17 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
       event.tmpl = call.tmpl;
       event.client = static_cast<uint32_t>(call.client);
       event.a = attempt_cap;
+      event.b = client_deadline ? obs::kTimeoutClientDeadline
+                                : obs::kTimeoutBackend;
       if (call.is_write) event.flags = obs::kJournalFlagWrite;
       Journal(event);
+    }
+    if (client_deadline) {
+      // Local budget exhaustion (the client's wire deadline shrank the
+      // budget below a healthy backend's latency): no verdict on backend
+      // health, and no retry — the client's time is gone.
+      breaker_.OnAbandoned(admission);
+      return outcome;
     }
     if (!transport_failed) {
       breaker_.OnResult(admission, true);
@@ -737,7 +757,8 @@ ServerMetrics ChronoServer::metrics() const {
   m.reads = c.reads.load(std::memory_order_relaxed);
   m.writes = c.writes.load(std::memory_order_relaxed);
   m.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-  m.cache_rejects = c.cache_rejects.load(std::memory_order_relaxed);
+  m.cache_rejects = c.cache_rejects();
+  m.version_gap_serves = c.version_gap_serves.load(std::memory_order_relaxed);
   m.remote_plain = c.remote_plain.load(std::memory_order_relaxed);
   m.backend_coalesced =
       metrics_.backend_coalesced.load(std::memory_order_relaxed);
@@ -927,7 +948,10 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
     metrics_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
-  engine_.OnClientWrite(client, outcome->tables_written);
+  engine_.OnClientWrite(client, outcome->tables_written,
+                        std::make_shared<const sql::WriteFootprint>(
+                            sql::ExtractWriteFootprint(*parsed.tmpl->ast,
+                                                       parsed.params)));
   return std::make_shared<const sql::ResultSet>(std::move(outcome->result));
 }
 
@@ -997,8 +1021,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     std::optional<cache::CachedResult> hit;
     {
       StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
-      hit = CacheGet(client, security_group, parsed.bound_text,
-                     &stale_candidate);
+      hit = CacheGet(client, security_group, parsed, &stale_candidate);
     }
     if (hit.has_value()) {
       engine_.counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -1019,7 +1042,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     std::optional<cache::CachedResult> hit;
     {
       StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
-      hit = CacheGet(client, security_group, parsed.bound_text);
+      hit = CacheGet(client, security_group, parsed);
     }
     if (hit.has_value()) {
       metrics_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
@@ -1170,6 +1193,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       return db_->Execute(*stmt);
     });
   }
+  if (after_read_hook_) after_read_hook_();
 
   // Freeze the rows into the shared immutable payload exactly once, then
   // retire the flight and wake every parked follower.
@@ -1177,7 +1201,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   if (outcome.ok()) {
     payload = std::make_shared<const sql::ResultSet>(
         std::move(outcome->result));
-    resolver.Resolve(FlightPayload{payload, std::move(flight_version)});
+    resolver.Resolve(FlightPayload{payload, flight_version});
   } else {
     resolver.Resolve(outcome.status());
   }
@@ -1197,7 +1221,10 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     metrics_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
-  engine_.CachePut(client, security_group, tmpl, parsed.bound_text, payload);
+  // Tagged with the pre-read snapshot, like the followers' payload: a
+  // write that committed while the read was in flight is not claimed.
+  engine_.CachePut(client, security_group, tmpl, parsed.bound_text, payload,
+                   std::move(flight_version));
   engine_.SyncClientToDb(client);  // fresh read: Vc = Vd (§5.2)
   return respond(payload);
 }
@@ -1213,6 +1240,7 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
     return false;
   }
   engine_.CombinedIssued(client, plan.id);
+  const std::vector<uint64_t> pre_read = engine_.SnapshotDb();
   auto db_begin = std::chrono::steady_clock::now();
   BackendCall call;
   call.is_prefetch = true;
@@ -1234,13 +1262,13 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
   StageTimer split_timer(this, ctx, obs::Stage::kSplitDecode);
   return engine_
       .InstallCombined(client, security_group, *plan.query, plan.id,
-                       outcome->result,
+                       outcome->result, pre_read,
                        /*feed_model=*/config_.enable_learning)
       .ok();
 }
 
 std::optional<cache::CachedResult> ChronoServer::CacheGet(
-    ClientId client, int security_group, const std::string& bound_text,
+    ClientId client, int security_group, const sql::ParsedQuery& query,
     std::optional<cache::CachedResult>* stale_candidate) {
   const bool stale_on = config_.stale_serve_us > 0;
   // While the breaker is unhealthy a version-rejected prefetched entry is
@@ -1248,7 +1276,7 @@ std::optional<cache::CachedResult> ChronoServer::CacheGet(
   // the only answer this node can still give.
   const bool keep_rejected =
       stale_on && breaker_.state() != net::CircuitBreaker::State::kClosed;
-  return engine_.CacheGet(client, security_group, bound_text,
+  return engine_.CacheGet(client, security_group, query,
                           stale_on ? stale_candidate : nullptr,
                           keep_rejected);
 }

@@ -141,6 +141,7 @@ struct ServerMetrics {
   uint64_t writes = 0;
   uint64_t cache_hits = 0;          // client reads answered from the cache
   uint64_t cache_rejects = 0;       // present but failed session/security
+  uint64_t version_gap_serves = 0;  // behind the session, gap disjoint
   uint64_t remote_plain = 0;        // uncombined remote reads
   uint64_t backend_coalesced = 0;   // misses that joined an in-flight fetch
   uint64_t remote_combined = 0;     // combined queries executed
@@ -402,7 +403,7 @@ class ChronoServer {
   /// given), and stays resident while the breaker is unhealthy — it may be
   /// the only answer this node can still give.
   std::optional<cache::CachedResult> CacheGet(
-      ClientId client, int security_group, const std::string& bound_text,
+      ClientId client, int security_group, const sql::ParsedQuery& query,
       std::optional<cache::CachedResult>* stale_candidate = nullptr);
 
   /// Registers every pull-mode metric (counters mirroring ServerMetrics,
@@ -477,8 +478,12 @@ class ChronoServer {
 
   /// Test-only back door (runtime_singleflight_test.cc): advances session
   /// version state at a deterministic point inside a coalescing race that
-  /// cannot be scheduled reliably through the public API.
+  /// cannot be scheduled reliably through the public API, and sets
+  /// `after_read_hook_`.
   friend struct SingleFlightTestPeer;
+  /// Test-only: runs on a plain-read leader's thread between its backend
+  /// read and its cache install (no lock held). Set before traffic.
+  std::function<void()> after_read_hook_;
 
   // Runtime-only counters (the shared ones live in engine_.counters()).
   struct {

@@ -64,6 +64,14 @@ std::optional<cache::CachedResult> ShardedCache::Peek(
   return *hit;
 }
 
+bool ShardedCache::Restamp(const std::string& key,
+                           const sql::ResultSet* payload,
+                           const cache::VersionVector& version) {
+  Shard& shard = *shards_[ShardIndex(key)];
+  std::lock_guard<obs::TimedMutex> lock(shard.mutex);
+  return shard.cache.Restamp(key, payload, version);
+}
+
 bool ShardedCache::Contains(const std::string& key) const {
   const Shard& shard = *shards_[ShardIndex(key)];
   std::lock_guard<obs::TimedMutex> lock(shard.mutex);

@@ -70,6 +70,10 @@ class ShardedCache {
   /// Inserts or replaces; evicts within the owning shard to fit.
   void Put(const std::string& key, cache::CachedResult value);
 
+  /// LruCache::Restamp in the owning shard.
+  bool Restamp(const std::string& key, const sql::ResultSet* payload,
+               const cache::VersionVector& version);
+
   /// Removes an entry if present; returns whether it existed.
   bool Invalidate(const std::string& key);
   bool Erase(const std::string& key) { return Invalidate(key); }

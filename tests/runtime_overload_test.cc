@@ -368,6 +368,45 @@ TEST_F(OverloadServerTest, GenerousDeadlineExecutesNormally) {
   server.Shutdown();
 }
 
+TEST_F(OverloadServerTest, ClientDeadlineTimeoutsNeverTripTheBreaker) {
+  // Zero injected faults and a healthy backend, but every client deadline
+  // is shorter than the WAN: each call times out on the client's budget.
+  // That is local budget exhaustion, not backend failure, so the breaker
+  // (5 consecutive failures open it) must never leave closed.
+  ServerConfig config;
+  config.workers = 2;
+  config.registry = &registry_;
+  config.db_latency_us = 20'000;
+  config.enable_learning = false;
+  config.enable_combining = false;
+  ChronoServer server(&db_, config);
+
+  constexpr int kRequests = 10;
+  for (int i = 0; i < kRequests; ++i) {
+    ChronoServer::WireTiming timing;
+    timing.decode_start_us = server.NowMicros();
+    timing.dispatch_us = timing.decode_start_us;
+    timing.deadline_us = timing.decode_start_us + 5'000;  // 5 ms < 20 ms
+    std::promise<Status> done;
+    server.SubmitAsync(
+        /*client=*/1, "SELECT v FROM t WHERE id = " + std::to_string(i),
+        /*security_group=*/0, timing,
+        [&done](Result<runtime::SharedResult> result,
+                std::shared_ptr<obs::RequestTrace>) {
+          done.set_value(result.status());
+        });
+    EXPECT_EQ(done.get_future().get().code(),
+              Status::Code::kDeadlineExceeded);
+  }
+  EXPECT_EQ(server.breaker().state(), net::CircuitBreaker::State::kClosed);
+  EXPECT_EQ(server.breaker().transitions(), 0u);
+  ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.breaker_rejects, 0u);
+  EXPECT_EQ(m.backend_timeouts, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(m.backend_retries, 0u);  // the client's time is gone
+  server.Shutdown();
+}
+
 TEST_F(OverloadServerTest, BrownoutTransitionsAreJournaled) {
   ServerConfig config;
   config.workers = 1;

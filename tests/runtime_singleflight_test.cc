@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -24,14 +25,20 @@
 namespace chrono::runtime {
 
 /// Befriended by ChronoServer: lets a test advance a client's session
-/// vector at a deterministic point inside a coalescing race (a real write
-/// shares the WAN latency with the in-flight read, so its commit cannot be
-/// scheduled between the leader's snapshot and the follower's park through
-/// the public API alone).
+/// vector, or commit a write, at a deterministic point inside a race (a
+/// real write shares the WAN latency with the in-flight read, so its commit
+/// cannot be scheduled between the leader's snapshot and the follower's
+/// park, or between a read and its install, through the public API alone).
 struct SingleFlightTestPeer {
   static void BumpClientWrite(ChronoServer& server, ClientId client,
                               const std::vector<std::string>& tables) {
     server.engine_.OnClientWrite(client, tables);
+  }
+  /// Runs `hook` on every plain-read leader between its backend read and
+  /// its cache install.
+  static void SetAfterReadHook(ChronoServer& server,
+                               std::function<void()> hook) {
+    server.after_read_hook_ = std::move(hook);
   }
 };
 
@@ -258,6 +265,38 @@ TEST_F(SingleFlightTest, FollowerWithNewerSessionRefetchesInsteadOfInheriting) {
     ++rejected_parks;
   }
   EXPECT_EQ(rejected_parks, 1);
+}
+
+TEST_F(SingleFlightTest, WriteCommittingMidReadIsNotClaimedByTheInstall) {
+  ServerConfig config = SlowBackendConfig();
+  config.db_latency_us = 0;
+  ChronoServer server(&db_, config);
+  const std::string kSql = "SELECT v FROM t WHERE id = 3";
+
+  // The reader's own write to the row commits after the backend read
+  // returned the pre-write rows and before those rows are installed.
+  bool wrote = false;
+  SingleFlightTestPeer::SetAfterReadHook(server, [&] {
+    if (wrote) return;
+    wrote = true;
+    Result<SharedResult> update =
+        server.Execute(1, "UPDATE t SET v = 'new' WHERE id = 3");
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+  });
+  Result<SharedResult> first = server.Execute(1, kSql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ((*first)->rows()[0][0].AsString(), "v3");  // read before it
+
+  // Tagged with the pre-read snapshot, the entry is behind the writer's
+  // session by a write to its own row: read-your-writes (§5.2) rejects it.
+  Result<SharedResult> second = server.Execute(1, kSql);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ((*second)->row_count(), 1u);
+  EXPECT_EQ((*second)->rows()[0][0].AsString(), "new");
+  ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.cache_hits, 0u);
+  EXPECT_EQ(m.cache_rejects, 1u);
+  EXPECT_EQ(m.remote_plain, 2u);
 }
 
 TEST_F(SingleFlightTest, LateArrivalAfterCompletionHitsTheCache) {

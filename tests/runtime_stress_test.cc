@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -172,26 +173,43 @@ TEST(RuntimeStress, ServerConcurrentMixedWorkload) {
   constexpr int kClients = 8;
   constexpr int kOpsPerClient = 300;
   std::atomic<uint64_t> ok_ops{0};
+  // §5.2 per session: counters only grow, so a client's reads of one row
+  // never go backwards, and a read after its own increment sees it.
+  std::atomic<uint64_t> session_violations{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(static_cast<uint64_t>(c) + 99);
+      std::vector<int64_t> floor(16, 0);  // least value a read may return
       for (int i = 0; i < kOpsPerClient; ++i) {
         int64_t id = static_cast<int64_t>(rng.NextBounded(16));  // overlap
+        const bool write = rng.NextBounded(10) == 0;
         std::string sql;
-        if (rng.NextBounded(10) == 0) {
+        if (write) {
           sql = "UPDATE kv SET n = n + 1 WHERE id = " + std::to_string(id);
         } else {
           sql = "SELECT n FROM kv WHERE id = " + std::to_string(id);
         }
         auto result = server.Submit(c, sql).get();
-        if (result.ok()) ok_ops.fetch_add(1, std::memory_order_relaxed);
+        if (!result.ok()) continue;
+        ok_ops.fetch_add(1, std::memory_order_relaxed);
+        if (write) {
+          ++floor[static_cast<size_t>(id)];
+          continue;
+        }
+        const int64_t n = (*result)->rows()[0][0].AsInt();
+        if (n < floor[static_cast<size_t>(id)]) {
+          session_violations.fetch_add(1, std::memory_order_relaxed);
+        }
+        floor[static_cast<size_t>(id)] =
+            std::max(floor[static_cast<size_t>(id)], n);
       }
     });
   }
   for (auto& t : clients) t.join();
 
   EXPECT_EQ(ok_ops.load(), static_cast<uint64_t>(kClients * kOpsPerClient));
+  EXPECT_EQ(session_violations.load(), 0u);
   auto m = server.metrics();
   EXPECT_EQ(m.reads + m.writes, ok_ops.load());
   EXPECT_GT(m.cache_hits, 0u);

@@ -271,6 +271,31 @@ TEST_F(ChronoServerTest, WritesInvalidateViaSessionVersions) {
   EXPECT_GE(server.metrics().cache_rejects, 1u);
 }
 
+TEST_F(ChronoServerTest, WriteToAnotherRowKeepsTheCachedEntry) {
+  ServerConfig config;
+  config.workers = 2;
+  ChronoServer server(&db_, config);
+  std::string read = "SELECT v FROM t WHERE id = 3";
+  ASSERT_TRUE(server.Submit(1, read).get().ok());
+  ASSERT_TRUE(
+      server.Submit(1, "UPDATE t SET v = 'changed' WHERE id = 4").get().ok());
+
+  // Behind the writer's session at table level, but the only write in the
+  // gap targeted another row (DESIGN.md §19): served from the cache.
+  auto after = server.Submit(1, read).get();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->At(0, "v").AsString(), "v3");
+  ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.cache_hits, 1u);
+  EXPECT_EQ(m.cache_rejects, 0u);
+  EXPECT_EQ(m.version_gap_serves, 1u);
+
+  // The serve re-stamped the entry: the next lookup is current.
+  ASSERT_TRUE(server.Submit(1, read).get().ok());
+  EXPECT_EQ(server.metrics().cache_hits, 2u);
+  EXPECT_EQ(server.metrics().version_gap_serves, 1u);
+}
+
 TEST_F(ChronoServerTest, SecurityGroupsDoNotShareResults) {
   ServerConfig config;
   config.workers = 2;
