@@ -221,7 +221,7 @@ void BM_CacheGetVersionGap(benchmark::State& state) {
     auto hit = engine.CacheGet(1, 0, *read);
     benchmark::DoNotOptimize(hit);
   }
-  if (engine.counters().cache_rejects() != 0) {
+  if (engine.Metrics().cache_rejects != 0) {
     state.SkipWithError("a disjoint gap was rejected");
   }
   state.SetItemsProcessed(state.iterations());

@@ -15,6 +15,140 @@ obs::LockSite* SiteOrNull(obs::ContentionRegistry* contention,
   return contention == nullptr ? nullptr : contention->Site(name);
 }
 
+/// One node counter: read from an atomic (`count`) or a bound reader
+/// (`source`), exported as one `family` series with at most one label
+/// (null family: snapshot only), and added into one NodeMetrics `field`
+/// (null: another row already adds this fact).
+struct CounterRow {
+  const char* family;
+  const char* help;
+  const char* label_key;
+  const char* label_value;
+  std::atomic<uint64_t> EngineCounters::*count;
+  std::function<uint64_t()> EngineCounters::*source;
+  uint64_t NodeMetrics::*field;
+};
+
+using C = EngineCounters;
+using M = NodeMetrics;
+
+// Every node counter family, for both drivers: the one place a fact gets
+// its exported names. A fact with several families (the pool's shed count
+// is also chrono_shed_total{kind="prefetch_queue"}) has one row per family.
+constexpr CounterRow kCounterRows[] = {
+    {"chrono_requests_total", "Client statements served", "op", "read",
+     &C::reads, nullptr, &M::reads},
+    {"chrono_requests_total", "Client statements served", "op", "write",
+     &C::writes, nullptr, &M::writes},
+    {nullptr, nullptr, nullptr, nullptr, &C::cache_hits, nullptr,
+     &M::cache_hits},
+    {"chrono_cache_rejects_total",
+     "Cached results rejected by session/security checks", "reason",
+     "security_group", &C::cache_rejects_security, nullptr, &M::cache_rejects},
+    {"chrono_cache_rejects_total",
+     "Cached results rejected by session/security checks", "reason",
+     "version", &C::cache_rejects_version, nullptr, &M::cache_rejects},
+    {"chrono_cache_version_gap_serves_total",
+     "Cached results behind the session served because every write in the "
+     "gap was disjoint from their query",
+     nullptr, nullptr, &C::version_gap_serves, nullptr,
+     &M::version_gap_serves},
+    {"chrono_remote_plain_total", "Plain (uncombined) remote reads", nullptr,
+     nullptr, &C::remote_plain, nullptr, &M::remote_plain},
+    {"chrono_remote_combined_total", "Combined queries sent to the database",
+     nullptr, nullptr, &C::remote_combined, nullptr, &M::remote_combined},
+    {"chrono_predictions_cached_total", "Result sets cached ahead of demand",
+     nullptr, nullptr, &C::predictions_cached, nullptr,
+     &M::predictions_cached},
+    {"chrono_prediction_fallbacks_total",
+     "Combined queries that missed the asked-for result", nullptr, nullptr,
+     &C::prediction_fallbacks, nullptr, &M::prediction_fallbacks},
+    {"chrono_backend_retries_total",
+     "Demand-read retries after transport failures.", nullptr, nullptr,
+     &C::backend_retries, nullptr, &M::backend_retries},
+    // Runtime only.
+    {"chrono_backend_coalesced_total",
+     "Demand misses that joined another thread's in-flight backend fetch "
+     "instead of issuing their own.",
+     nullptr, nullptr, &C::backend_coalesced, nullptr, &M::backend_coalesced},
+    {"chrono_prediction_inline_hits_total",
+     "Misses rescued by an inline covering combined query", nullptr, nullptr,
+     &C::prediction_hits, nullptr, &M::prediction_hits},
+    {"chrono_prefetched_hits_total",
+     "Cache hits served from predictively prefetched entries", nullptr,
+     nullptr, &C::prefetched_hits, nullptr, &M::prefetched_hits},
+    {"chrono_prefetches_dropped_total",
+     "Background prefetches rejected by a full queue", nullptr, nullptr,
+     nullptr, &C::prefetches_dropped, &M::prefetches_dropped},
+    {"chrono_pool_tasks_shed_total",
+     "Best-effort tasks rejected by TrySubmit queue headroom", nullptr,
+     nullptr, nullptr, &C::prefetches_dropped, nullptr},
+    {"chrono_shed_total", "Best-effort work shed instead of queued or retried.",
+     "kind", "prefetch_queue", nullptr, &C::prefetches_dropped, nullptr},
+    {"chrono_shed_total", "Best-effort work shed instead of queued or retried.",
+     "kind", "prefetch_breaker", &C::prefetches_shed_breaker, nullptr,
+     &M::prefetches_shed_breaker},
+    {"chrono_errors_total", "Statements that returned a status", nullptr,
+     nullptr, &C::errors, nullptr, &M::errors},
+    {"chrono_backend_timeouts_total",
+     "Remote calls abandoned at their deadline budget, by whose budget ran "
+     "out.",
+     "reason", "backend", &C::backend_timeouts_backend, nullptr,
+     &M::backend_timeouts},
+    {"chrono_backend_timeouts_total",
+     "Remote calls abandoned at their deadline budget, by whose budget ran "
+     "out.",
+     "reason", "client_deadline", &C::backend_timeouts_client, nullptr,
+     &M::backend_timeouts},
+    {"chrono_stale_serves_total",
+     "Demand reads answered from stale cache entries after a backend "
+     "failure.",
+     nullptr, nullptr, &C::stale_serves, nullptr, &M::stale_serves},
+    {"chrono_breaker_rejects_total",
+     "Demand calls rejected fast while the breaker was open", nullptr,
+     nullptr, &C::breaker_rejects, nullptr, &M::breaker_rejects},
+    {"chrono_faults_injected_total",
+     "Transport faults injected by the scripted fault schedule", nullptr,
+     nullptr, nullptr, &C::faults_injected, &M::faults_injected},
+    {"chrono_overload_deadline_expired_total",
+     "Requests whose client deadline expired while queued; rejected at "
+     "dequeue without executing.",
+     nullptr, nullptr, nullptr, &C::deadline_expired, &M::deadline_expired},
+    {"chrono_pool_tasks_expired_total",
+     "Tasks rejected unexecuted at dequeue: deadline already passed", nullptr,
+     nullptr, nullptr, &C::deadline_expired, nullptr},
+    {"chrono_overload_shed_total",
+     "Work refused by the brownout ladder, by shed reason.", "reason",
+     "prefetch", &C::overload_shed_prefetch, nullptr, &M::brownout_sheds},
+    {"chrono_overload_shed_total",
+     "Work refused by the brownout ladder, by shed reason.", "reason",
+     "pipeline", &C::overload_shed_pipeline, nullptr, &M::brownout_sheds},
+    {"chrono_overload_shed_total",
+     "Work refused by the brownout ladder, by shed reason.", "reason",
+     "admission", &C::overload_shed_admission, nullptr, &M::brownout_sheds},
+    // Simulator only.
+    {"chrono_redundant_skips_total",
+     "Combinations suppressed as redundant (sim only, paper 5.1)", nullptr,
+     nullptr, &C::redundant_skips, nullptr, &M::redundant_skips},
+    {"chrono_inflight_joins_total",
+     "Duplicate requests coalesced onto in-flight queries (sim only)",
+     nullptr, nullptr, &C::inflight_joins, nullptr, &M::inflight_joins},
+    {"chrono_sequential_prefetches_total",
+     "Apollo-style sequential predictions fired (sim only)", nullptr, nullptr,
+     &C::sequential_prefetches, nullptr, &M::sequential_prefetches},
+    {"chrono_cascaded_fires_total",
+     "Graphs fired by text-availability cascades (sim only)", nullptr,
+     nullptr, &C::cascaded_fires, nullptr, &M::cascaded_fires},
+};
+
+uint64_t Read(const EngineCounters& counters, const CounterRow& row) {
+  if (row.count != nullptr) {
+    return (counters.*row.count).load(std::memory_order_relaxed);
+  }
+  const std::function<uint64_t()>& source = counters.*row.source;
+  return source ? source() : 0;
+}
+
 }  // namespace
 
 Engine::ClientModel::ClientModel(const EngineConfig& config,
@@ -525,39 +659,15 @@ void Engine::RegisterCacheFamily(obs::MetricsRegistry* registry,
 void Engine::RegisterMetrics(obs::MetricsRegistry* registry) {
   metrics_registry_ = registry;
   const void* owner = this;
-  auto counter = [&](const char* name, const char* help,
-                     const std::atomic<uint64_t>* field,
-                     obs::Labels labels = {}) {
+  for (const CounterRow& row : kCounterRows) {
+    if (row.family == nullptr) continue;
+    obs::Labels labels;
+    if (row.label_key != nullptr) labels = {{row.label_key, row.label_value}};
     registry->RegisterCallbackCounter(
-        name, help, std::move(labels),
-        [field] {
-          return static_cast<double>(field->load(std::memory_order_relaxed));
-        },
+        row.family, row.help, std::move(labels),
+        [this, &row] { return static_cast<double>(Read(counters_, row)); },
         owner);
-  };
-  counter("chrono_requests_total", "Client statements served",
-          &counters_.reads, {{"op", "read"}});
-  counter("chrono_requests_total", "Client statements served",
-          &counters_.writes, {{"op", "write"}});
-  counter("chrono_cache_rejects_total",
-          "Cached results rejected by session/security checks",
-          &counters_.cache_rejects_security, {{"reason", "security_group"}});
-  counter("chrono_cache_rejects_total",
-          "Cached results rejected by session/security checks",
-          &counters_.cache_rejects_version, {{"reason", "version"}});
-  counter("chrono_cache_version_gap_serves_total",
-          "Cached results behind the session served because every write "
-          "in the gap was disjoint from their query",
-          &counters_.version_gap_serves);
-  counter("chrono_remote_plain_total", "Plain (uncombined) remote reads",
-          &counters_.remote_plain);
-  counter("chrono_remote_combined_total",
-          "Combined queries sent to the database", &counters_.remote_combined);
-  counter("chrono_predictions_cached_total",
-          "Result sets cached ahead of demand", &counters_.predictions_cached);
-  counter("chrono_prediction_fallbacks_total",
-          "Combined queries that missed the asked-for result",
-          &counters_.prediction_fallbacks);
+  }
 
   RegisterCacheFamily(
       registry, "template",
@@ -606,6 +716,12 @@ void Engine::RegisterMetrics(obs::MetricsRegistry* registry) {
         "chrono_result_cache_shard_evictions", "Evictions per shard", labels,
         [this, i] { return static_cast<double>(cache_.ShardEvictions(i)); },
         owner);
+  }
+}
+
+void Engine::AddMetricsTo(NodeMetrics* sum) const {
+  for (const CounterRow& row : kCounterRows) {
+    if (row.field != nullptr) sum->*row.field += Read(counters_, row);
   }
 }
 

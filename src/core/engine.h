@@ -45,9 +45,50 @@ struct EngineConfig {
   bool share_across_clients = true;         // shared vs. per-client keys
 };
 
-/// \brief Counters both drivers keep (relaxed atomics). The engine bumps
-/// the ones it owns the decision for (rejects, combined calls, predictions
-/// cached); drivers bump the rest where their policy decides.
+/// \brief A snapshot of every node counter, filled by Engine::Metrics.
+/// runtime::ServerMetrics and MiddlewareMetrics name this struct; a fact
+/// one driver never records reads 0 there.
+struct NodeMetrics {
+  uint64_t reads = 0;
+  uint64_t writes = 0;
+  uint64_t cache_hits = 0;          // client reads answered from the cache
+  uint64_t cache_rejects = 0;       // present but failed session/security
+  uint64_t version_gap_serves = 0;  // behind the session, gap disjoint
+  uint64_t remote_plain = 0;        // uncombined remote reads
+  uint64_t remote_combined = 0;     // combined queries executed
+  uint64_t predictions_cached = 0;  // result sets cached ahead of time
+  uint64_t prediction_fallbacks = 0;  // combined result missed our query
+  uint64_t backend_retries = 0;     // demand-read retries after failures
+  // Runtime only.
+  uint64_t backend_coalesced = 0;   // misses that joined an in-flight fetch
+  uint64_t prediction_hits = 0;     // misses answered by an inline combine
+  uint64_t prefetched_hits = 0;     // cache hits on predictively cached rows
+  uint64_t prefetches_dropped = 0;  // prefetch tasks the pool shed
+  uint64_t prefetches_shed_breaker = 0;  // prefetch shed: breaker unhealthy
+  uint64_t errors = 0;              // statements that returned a status
+  uint64_t backend_timeouts = 0;    // remote calls abandoned at deadline
+  uint64_t stale_serves = 0;        // demand reads answered from stale data
+  uint64_t breaker_rejects = 0;     // demand rejected while breaker open
+  uint64_t faults_injected = 0;     // injected transport failures
+  uint64_t deadline_expired = 0;    // rejected unexecuted at dequeue (§17)
+  uint64_t brownout_sheds = 0;      // work dropped by the brownout ladder
+  // Simulator only.
+  uint64_t redundant_skips = 0;     // §5.1 suppressed combinations
+  uint64_t inflight_joins = 0;      // §5.1 duplicate-request coalescing
+  uint64_t sequential_prefetches = 0;  // Apollo-style predictions
+  uint64_t cascaded_fires = 0;      // graphs fired by split_mark_text_avail
+
+  double CacheHitRate() const {
+    return reads == 0 ? 0 : static_cast<double>(cache_hits) /
+                                static_cast<double>(reads);
+  }
+};
+
+/// \brief The node's counters, one per fact (relaxed atomics). The engine
+/// bumps the ones it owns the decision for (rejects, combined calls,
+/// predictions cached); each driver bumps the rest at the one site its
+/// policy decides. Engine::RegisterMetrics exports them and
+/// Engine::Metrics snapshots them from one table (DESIGN.md §9).
 struct EngineCounters {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> writes{0};
@@ -65,11 +106,33 @@ struct EngineCounters {
   std::atomic<uint64_t> predictions_cached{0};
   std::atomic<uint64_t> prediction_fallbacks{0};
   std::atomic<uint64_t> backend_retries{0};
+  // Runtime only.
+  std::atomic<uint64_t> backend_coalesced{0};
+  std::atomic<uint64_t> prediction_hits{0};
+  std::atomic<uint64_t> prefetched_hits{0};
+  std::atomic<uint64_t> prefetches_shed_breaker{0};
+  std::atomic<uint64_t> errors{0};
+  // Timeouts by whose budget ran out: the node's own, or only the
+  // client's propagated wire deadline.
+  std::atomic<uint64_t> backend_timeouts_backend{0};
+  std::atomic<uint64_t> backend_timeouts_client{0};
+  std::atomic<uint64_t> stale_serves{0};
+  std::atomic<uint64_t> breaker_rejects{0};
+  // Brownout-ladder sheds by rung (§17).
+  std::atomic<uint64_t> overload_shed_prefetch{0};
+  std::atomic<uint64_t> overload_shed_pipeline{0};
+  std::atomic<uint64_t> overload_shed_admission{0};
+  // Simulator only.
+  std::atomic<uint64_t> redundant_skips{0};
+  std::atomic<uint64_t> inflight_joins{0};
+  std::atomic<uint64_t> sequential_prefetches{0};
+  std::atomic<uint64_t> cascaded_fires{0};
 
-  uint64_t cache_rejects() const {
-    return cache_rejects_security.load(std::memory_order_relaxed) +
-           cache_rejects_version.load(std::memory_order_relaxed);
-  }
+  // Facts the component that decides them already counts; the runtime
+  // binds a reader before registering metrics (unbound reads 0).
+  std::function<uint64_t()> prefetches_dropped;  // the pool's shed tasks
+  std::function<uint64_t()> deadline_expired;    // the pool's expired tasks
+  std::function<uint64_t()> faults_injected;     // the fault injector's
 };
 
 /// \brief The ChronoCache pipeline state and decisions, independent of any
@@ -246,9 +309,17 @@ class Engine {
   void AttachJournal(obs::EventJournal* journal, bool stamp_events);
   /// Records one event; no-op without a journal.
   void Journal(obs::JournalEvent event);
-  /// Registers the shared counter families and the template and result
-  /// cache families. The registry must outlive the engine.
+  /// Registers every node counter family (one table, both drivers) and
+  /// the template and result cache families. The registry must outlive the
+  /// engine.
   void RegisterMetrics(obs::MetricsRegistry* registry);
+  /// Adds every counter to `sum` (several nodes sum into one struct).
+  void AddMetricsTo(NodeMetrics* sum) const;
+  NodeMetrics Metrics() const {
+    NodeMetrics m;
+    AddMetricsTo(&m);
+    return m;
+  }
   /// One `chrono_cache_*{cache="which"}` family set.
   static void RegisterCacheFamily(obs::MetricsRegistry* registry,
                                   const char* which,

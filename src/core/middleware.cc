@@ -165,66 +165,6 @@ Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
       mw_pool_(events, config.workers),
       retry_(config.retry) {}
 
-Middleware::~Middleware() {
-  if (metrics_registry_ != nullptr) {
-    metrics_registry_->UnregisterCallbacksOwnedBy(this);
-  }
-}
-
-MiddlewareMetrics Middleware::metrics() const {
-  const EngineCounters& c = engine_.counters();
-  MiddlewareMetrics m;
-  m.reads = c.reads.load(std::memory_order_relaxed);
-  m.writes = c.writes.load(std::memory_order_relaxed);
-  m.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-  m.cache_rejects = c.cache_rejects();
-  m.remote_plain = c.remote_plain.load(std::memory_order_relaxed);
-  m.remote_combined = c.remote_combined.load(std::memory_order_relaxed);
-  m.predictions_cached = c.predictions_cached.load(std::memory_order_relaxed);
-  m.prediction_fallbacks =
-      c.prediction_fallbacks.load(std::memory_order_relaxed);
-  m.redundant_skips = redundant_skips_;
-  m.inflight_joins = inflight_joins_;
-  m.sequential_prefetches = sequential_prefetches_;
-  m.cascaded_fires = cascaded_fires_;
-  m.backend_retries = c.backend_retries.load(std::memory_order_relaxed);
-  return m;
-}
-
-void Middleware::RegisterMetrics(obs::MetricsRegistry* registry) {
-  metrics_registry_ = registry;
-  engine_.RegisterMetrics(registry);
-  // The simulator-only counters, under the names dashboards already use.
-  const void* owner = this;
-  auto mirror = [&](const char* name, const char* help,
-                    const uint64_t* field) {
-    registry->RegisterCallbackCounter(
-        name, help, {}, [field] { return static_cast<double>(*field); },
-        owner);
-  };
-  mirror("chrono_redundant_skips_total",
-         "Combinations suppressed as redundant (sim only, paper 5.1)",
-         &redundant_skips_);
-  mirror("chrono_inflight_joins_total",
-         "Duplicate requests coalesced onto in-flight queries (sim only)",
-         &inflight_joins_);
-  mirror("chrono_sequential_prefetches_total",
-         "Apollo-style sequential predictions fired (sim only)",
-         &sequential_prefetches_);
-  mirror("chrono_cascaded_fires_total",
-         "Graphs fired by text-availability cascades (sim only)",
-         &cascaded_fires_);
-  // The runtime exports this family from its journal audit instead.
-  registry->RegisterCallbackCounter(
-      "chrono_backend_retries_total",
-      "Demand-read retries after backend transport failures", {},
-      [this] {
-        return static_cast<double>(engine_.counters().backend_retries.load(
-            std::memory_order_relaxed));
-      },
-      owner);
-}
-
 void Middleware::AttachJournal(obs::EventJournal* journal) {
   engine_.AttachJournal(journal, /*stamp_events=*/true);
 }
@@ -355,7 +295,7 @@ void Middleware::HandleRead(ClientId client, int security_group,
   for (const DependencyGraph& g : ready) {
     if (config_.enable_redundancy_check &&
         PredictionsCached(client, security_group, g)) {
-      ++redundant_skips_;
+      ++engine_.counters().redundant_skips;
       continue;
     }
     to_fire.push_back(&g);
@@ -384,7 +324,7 @@ void Middleware::HandleRead(ClientId client, int security_group,
   // Duplicate-request coalescing (§5.1).
   auto inflight_it = inflight_.find(key);
   if (inflight_it != inflight_.end()) {
-    ++inflight_joins_;
+    ++engine_.counters().inflight_joins;
     inflight_it->second.push_back(PendingRequest{client, std::move(done)});
     for (const DependencyGraph* g : to_fire) {
       if (config_.enable_combining) {
@@ -437,7 +377,7 @@ void Middleware::RemotePlain(ClientId client, int security_group,
   const std::string key = FlightKey(client, security_group, query.bound_text);
   auto it = inflight_.find(key);
   if (it != inflight_.end()) {
-    ++inflight_joins_;
+    ++engine_.counters().inflight_joins;
     it->second.push_back(PendingRequest{client, std::move(done)});
     return;
   }
@@ -586,11 +526,11 @@ void Middleware::SplitMarkTextAvail(ClientId client, int security_group,
        engine_.MarkTextAvail(client, tmpl, params)) {
     if (config_.enable_redundancy_check &&
         PredictionsCached(client, security_group, graph)) {
-      ++redundant_skips_;
+      ++engine_.counters().redundant_skips;
       continue;
     }
     if (FireGraph(client, security_group, graph, "", cascade_depth)) {
-      ++cascaded_fires_;
+      ++engine_.counters().cascaded_fires;
     }
   }
 }
@@ -661,7 +601,7 @@ void Middleware::FireSequential(ClientId client, int security_group,
     if (inflight_.count(FlightKey(client, security_group, bound)) > 0) {
       continue;
     }
-    ++sequential_prefetches_;
+    ++engine_.counters().sequential_prefetches;
     remote_->Submit(bound, [this, client, security_group, node, bound,
                             pre_read = engine_.SnapshotReads(node)](
                                SimTime, Result<db::ExecOutcome> outcome) {

@@ -128,27 +128,8 @@ class RemoteDbServer {
   SimTime busy_time_ = 0;
 };
 
-/// \brief Per-node middleware metrics surfaced to the experiment harness.
-struct MiddlewareMetrics {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t cache_hits = 0;          // client reads answered from the cache
-  uint64_t cache_rejects = 0;       // present but failed session/security
-  uint64_t remote_plain = 0;        // uncombined remote reads
-  uint64_t remote_combined = 0;     // combined queries submitted
-  uint64_t predictions_cached = 0;  // result sets cached ahead of time
-  uint64_t prediction_fallbacks = 0;  // combined result missed our query
-  uint64_t redundant_skips = 0;     // §5.1 suppressed combinations
-  uint64_t inflight_joins = 0;      // §5.1 duplicate-request coalescing
-  uint64_t sequential_prefetches = 0;  // Apollo-style predictions
-  uint64_t cascaded_fires = 0;      // graphs fired by split_mark_text_avail
-  uint64_t backend_retries = 0;     // demand-read retries after failures
-
-  double CacheHitRate() const {
-    return reads == 0 ? 0 : static_cast<double>(cache_hits) /
-                                static_cast<double>(reads);
-  }
-};
+/// Per-node middleware metrics surfaced to the experiment harness.
+using MiddlewareMetrics = NodeMetrics;
 
 /// \brief One ChronoCache middleware node (Fig. 2): accepts client query
 /// text, learns the client's query patterns online, predictively combines
@@ -165,14 +146,17 @@ class Middleware {
 
   Middleware(EventQueue* events, RemoteDbServer* remote,
              const net::LatencyModel& latency, MiddlewareConfig config);
-  ~Middleware();
 
   /// Client entry point: submit one SQL statement. `done` fires when the
   /// response reaches the client (includes all edge/WAN latency).
   void SubmitQuery(ClientId client, int security_group, std::string sql_text,
                    ResponseCallback done);
 
-  MiddlewareMetrics metrics() const;
+  MiddlewareMetrics metrics() const { return engine_.Metrics(); }
+  /// Adds this node's counters to `sum` (the harness sums its nodes).
+  void AddMetricsTo(MiddlewareMetrics* sum) const {
+    engine_.AddMetricsTo(sum);
+  }
   const runtime::ShardedCache& cache() const { return engine_.cache(); }
   const MiddlewareConfig& config() const { return config_; }
 
@@ -181,14 +165,15 @@ class Middleware {
     return engine_.template_cache_counters();
   }
 
-  /// Registers pull-mode counters/gauges mirroring MiddlewareMetrics and
-  /// the template/result caches under the same metric names the runtime
-  /// ChronoServer uses, so the simulator and the wall-clock node export
-  /// the same shapes. The simulator is single-threaded: snapshot the
-  /// registry between simulation steps, not concurrently with them. The
-  /// registry must outlive this middleware (callbacks are unregistered in
-  /// the destructor).
-  void RegisterMetrics(obs::MetricsRegistry* registry);
+  /// Registers the engine's counter families and the template/result
+  /// caches — the same table the runtime ChronoServer registers, so the
+  /// simulator and the wall-clock node export the same shapes. The
+  /// simulator is single-threaded: snapshot the registry between
+  /// simulation steps, not concurrently with them. The registry must
+  /// outlive this middleware.
+  void RegisterMetrics(obs::MetricsRegistry* registry) {
+    engine_.RegisterMetrics(registry);
+  }
 
   /// Journals the prefetch lifecycle — plan mined, combined issued/fetched,
   /// entries installed / used / evicted / invalidated, request outcomes —
@@ -196,8 +181,7 @@ class Middleware {
   /// exactly like serve_bench ones. Request events carry
   /// kJournalFlagNoLatency (virtual stage times are not wall-clock). The
   /// journal must outlive the middleware; the simulator is
-  /// single-threaded, so a drain_interval_ms of 0 with manual Drain()
-  /// between steps is the natural configuration.
+  /// single-threaded, so its owner calls Drain() between steps.
   void AttachJournal(obs::EventJournal* journal);
 
   /// Dependency-graph count across clients (learning progress probe).
@@ -297,12 +281,6 @@ class Middleware {
   // query they bind from completes: flight key -> (security group, graph).
   std::unordered_map<std::string, std::vector<std::pair<int, DependencyGraph>>>
       deferred_seq_;
-  // Simulator-only counters (the shared ones live in the engine).
-  uint64_t redundant_skips_ = 0;
-  uint64_t inflight_joins_ = 0;
-  uint64_t sequential_prefetches_ = 0;
-  uint64_t cascaded_fires_ = 0;
-  obs::MetricsRegistry* metrics_registry_ = nullptr;  // null until attached
   net::RetryPolicy retry_;        // schedule for idempotent demand reads
   uint64_t retry_ordinal_ = 0;    // deterministic backoff-jitter counter
 };

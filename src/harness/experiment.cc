@@ -131,9 +131,8 @@ ExperimentResult RunExperiment(
 
   // Optional prefetch-efficacy journal: the sim mirrors the runtime's
   // lifecycle events with virtual timestamps. The whole simulation runs on
-  // this thread, so manual draining (drain_interval_ms = 0) keeps the
-  // journal entirely deterministic; the buffer is drained to the file sink
-  // once at the end.
+  // this thread and the journal owns no thread, so the buffer is drained to
+  // the file sink once at the end: entirely deterministic.
   std::unique_ptr<obs::JournalFileSink> journal_sink;
   std::unique_ptr<obs::EventJournal> journal;
   if (!config.journal_out.empty()) {
@@ -144,7 +143,6 @@ ExperimentResult RunExperiment(
     } else {
       obs::EventJournal::Options options;
       options.buffer_events = 1 << 20;  // sized to hold a full run
-      options.drain_interval_ms = 0;    // manual drain, deterministic
       journal = std::make_unique<obs::EventJournal>(options);
       journal->AddSink(journal_sink.get());
       for (auto& node : nodes) node->AttachJournal(journal.get());
@@ -176,7 +174,7 @@ ExperimentResult RunExperiment(
 
   ExperimentResult result;
   if (journal != nullptr) {
-    journal->Stop();  // final drain into the file sink
+    journal->Drain();  // into the file sink
     journal_sink->Flush();
     result.journal_events = journal_sink->events_written();
     if (journal->events_dropped() > 0) {
@@ -192,22 +190,7 @@ ExperimentResult RunExperiment(
   result.errors = errors;
   result.first_error = first_error;
   result.db_requests = remote.requests();
-  for (const auto& node : nodes) {
-    const auto& m = node->metrics();
-    result.metrics.reads += m.reads;
-    result.metrics.writes += m.writes;
-    result.metrics.cache_hits += m.cache_hits;
-    result.metrics.cache_rejects += m.cache_rejects;
-    result.metrics.remote_plain += m.remote_plain;
-    result.metrics.remote_combined += m.remote_combined;
-    result.metrics.predictions_cached += m.predictions_cached;
-    result.metrics.prediction_fallbacks += m.prediction_fallbacks;
-    result.metrics.redundant_skips += m.redundant_skips;
-    result.metrics.inflight_joins += m.inflight_joins;
-    result.metrics.sequential_prefetches += m.sequential_prefetches;
-    result.metrics.cascaded_fires += m.cascaded_fires;
-    result.metrics.backend_retries += m.backend_retries;
-  }
+  for (const auto& node : nodes) node->AddMetricsTo(&result.metrics);
   result.faults_injected = fault.faults_injected();
   result.cache_hit_rate = result.metrics.CacheHitRate();
   for (const auto& [name, stats] : by_transaction) {

@@ -104,23 +104,6 @@ Counter* PrefetchAudit::CounterFor(const char* family, const char* help,
   return counter;
 }
 
-void PrefetchAudit::BumpPlain(const char* family, const char* help,
-                              uint64_t delta) {
-  if (registry_ == nullptr || delta == 0) return;
-  std::string key;
-  key.reserve(48);
-  key.append(family).push_back('\0');
-  auto it = counters_.find(key);
-  Counter* counter;
-  if (it != counters_.end()) {
-    counter = it->second;
-  } else {
-    counter = registry_->GetCounter(family, help, {});
-    counters_.emplace(std::move(key), counter);
-  }
-  counter->Increment(delta);
-}
-
 void PrefetchAudit::BumpFamilies(const char* family, const char* help,
                                  const std::string& plan_key,
                                  const std::string& edge_key, uint64_t delta) {
@@ -223,22 +206,11 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
     case JournalEventType::kBackendRetry: {
       ++availability_.backend_retries;
       availability_.backoff_us += event.b;
-      BumpPlain("chrono_backend_retries_total",
-                "Demand-read retries after transport failures.");
       break;
     }
     case JournalEventType::kBackendTimeout: {
       ++availability_.backend_timeouts;
       if (event.flags & kJournalFlagWrite) ++availability_.write_timeouts;
-      if (registry_ != nullptr) {
-        CounterFor("chrono_backend_timeouts_total",
-                   "Remote calls abandoned at their deadline budget, by "
-                   "whose budget ran out.",
-                   "reason",
-                   event.b == kTimeoutClientDeadline ? "client_deadline"
-                                                     : "backend")
-            ->Increment(1);
-      }
       break;
     }
     case JournalEventType::kBreakerTransition: {
@@ -268,56 +240,35 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
     case JournalEventType::kStaleServe: {
       ++availability_.stale_serves;
       availability_.stale_age_us += event.a;
-      BumpPlain("chrono_stale_serves_total",
-                "Demand reads answered from stale cache entries after a "
-                "backend failure.");
       break;
     }
     case JournalEventType::kShed: {
-      const char* kind;
       if (event.a == kShedQueueFull) {
         ++availability_.shed_queue;
-        kind = "prefetch_queue";
       } else {
         ++availability_.shed_breaker;
-        kind = "prefetch_breaker";
-      }
-      if (registry_ != nullptr) {
-        CounterFor("chrono_shed_total",
-                   "Best-effort work shed instead of queued or retried.",
-                   "kind", kind)
-            ->Increment(1);
       }
       break;
     }
     case JournalEventType::kBackendCoalesced: {
-      ++availability_.backend_coalesced;
-      BumpPlain("chrono_backend_coalesced_total",
-                "Demand misses that joined another thread's in-flight "
-                "backend fetch instead of issuing their own.");
+      // A park whose payload the follower's session rejected saved
+      // nothing (it refetched), so it is not a coalesced fetch.
+      if (!((event.flags & kJournalFlagOk) && event.b == 1)) {
+        ++availability_.backend_coalesced;
+      }
       break;
     }
     case JournalEventType::kShedQueue: {
-      const char* reason;
       switch (event.a) {
         case kOverloadShedPipeline:
           ++overload_.shed_pipeline;
-          reason = "pipeline";
           break;
         case kOverloadShedAdmission:
           ++overload_.shed_admission;
-          reason = "admission";
           break;
         default:
           ++overload_.shed_prefetch;
-          reason = "prefetch";
           break;
-      }
-      if (registry_ != nullptr) {
-        CounterFor("chrono_overload_shed_total",
-                   "Work refused by the brownout ladder, by shed reason.",
-                   "reason", reason)
-            ->Increment(1);
       }
       break;
     }
@@ -325,9 +276,6 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       ++overload_.deadline_expired;
       overload_.expired_lateness_us += event.a;
       if (event.flags & kJournalFlagDrain) ++overload_.expired_in_drain;
-      BumpPlain("chrono_overload_deadline_expired_total",
-                "Requests whose client deadline expired while queued; "
-                "rejected at dequeue without executing.");
       break;
     }
     case JournalEventType::kBrownoutTransition: {
@@ -359,9 +307,14 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       ++outcome_counts_[outcome];
       if (event.flags & kJournalFlagLate) {
         ++overload_.late_executions;
-        BumpPlain("chrono_overload_late_executions_total",
-                  "Requests executed after their client deadline had "
-                  "already expired (SS17 violation; must stay zero).");
+        if (registry_ != nullptr) {
+          registry_
+              ->GetCounter("chrono_overload_late_executions_total",
+                           "Requests executed after their client deadline "
+                           "had already expired (SS17 violation; must stay "
+                           "zero).")
+              ->Increment();
+        }
       }
       bool has_latency = (event.flags & kJournalFlagNoLatency) == 0;
       uint64_t total_us = UnpackHi(event.c);

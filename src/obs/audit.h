@@ -28,17 +28,22 @@ namespace chrono::obs {
 /// text-dependency root of the plan), matching
 /// chrono_prediction_hits_total{edge}.
 ///
-/// Thread safety: OnEvents arrives single-threaded from the journal
-/// drainer; snapshot() may be called concurrently (StatsServer /prefetch,
-/// the bench progress line), so one internal mutex guards all state. When
-/// constructed with a registry, folding also drives the
-/// chrono_prefetch_{installed,used,wasted_bytes,invalidated}_total counter
-/// families, so scraped counters and offline chrono_audit numbers are two
-/// views of the same fold and always reconcile.
+/// Thread safety: OnEvents arrives single-threaded from Drain(); snapshot()
+/// may be called concurrently (StatsServer /prefetch, the bench progress
+/// line), so one internal mutex guards all state. When constructed with a
+/// registry, folding also drives the counter families of the facts that
+/// exist only as events — chrono_prefetch_{installed,used,wasted_bytes,
+/// invalidated}_total, chrono_breaker_transitions_total{to},
+/// chrono_overload_brownout_transitions_total{to} and
+/// chrono_overload_late_executions_total — so scraped counters and offline
+/// chrono_audit numbers are two views of the same fold. Facts a hot-path
+/// counter already counts (retries, timeouts, stale serves, sheds,
+/// coalesced fetches, expired deadlines) fold into the boards only; their
+/// families belong to core::Engine (DESIGN.md §9).
 class PrefetchAudit : public JournalSink {
  public:
-  /// `registry` (nullable) receives the chrono_prefetch_*_total counters;
-  /// it must outlive the audit.
+  /// `registry` (nullable) receives the event-only counter families; it
+  /// must outlive the audit.
   explicit PrefetchAudit(MetricsRegistry* registry = nullptr);
 
   void OnEvents(const JournalEvent* events, size_t count) override;
@@ -86,12 +91,8 @@ class PrefetchAudit : public JournalSink {
 
   /// Availability/degradation board folded from the fault-tolerance
   /// events (retries, timeouts, breaker transitions, stale serves, shed
-  /// work, coalesced fetches). The same fold drives
-  /// chrono_backend_retries_total, chrono_backend_timeouts_total,
-  /// chrono_stale_serves_total, chrono_shed_total{kind},
-  /// chrono_breaker_transitions_total{to} and
-  /// chrono_backend_coalesced_total, so scraped counters reconcile with
-  /// the journal by construction.
+  /// work, coalesced fetches). Of these only the breaker transitions drive
+  /// a family here (chrono_breaker_transitions_total{to}).
   struct Availability {
     uint64_t backend_retries = 0;
     uint64_t backoff_us = 0;        // summed backoff waits
@@ -104,7 +105,7 @@ class PrefetchAudit : public JournalSink {
     uint64_t breaker_open = 0;      // transitions into each state
     uint64_t breaker_half_open = 0;
     uint64_t breaker_closed = 0;    // re-closes only (not the initial state)
-    uint64_t backend_coalesced = 0; // misses joined an in-flight demand fetch
+    uint64_t backend_coalesced = 0; // misses served by an in-flight fetch
 
     bool Any() const {
       return backend_retries | backend_timeouts | stale_serves | shed_queue |
@@ -115,11 +116,10 @@ class PrefetchAudit : public JournalSink {
 
   /// Overload-control board folded from the §17 events (kShedQueue,
   /// kDeadlineExpired, kBrownoutTransition, and the kJournalFlagLate bit
-  /// on kRequest). The same fold drives
-  /// chrono_overload_shed_total{reason}, chrono_overload_deadline_expired_total,
-  /// chrono_overload_brownout_transitions_total{to} and
-  /// chrono_overload_late_executions_total, so the scraped counters and
-  /// an offline chrono_audit run reconcile event-for-event.
+  /// on kRequest). Of these only the brownout transitions and late
+  /// executions drive families here
+  /// (chrono_overload_brownout_transitions_total{to},
+  /// chrono_overload_late_executions_total).
   struct Overload {
     uint64_t shed_prefetch = 0;    // brownout level >= 1 dropped prefetches
     uint64_t shed_pipeline = 0;    // level >= 2 refused pipelined Querys
@@ -222,11 +222,9 @@ class PrefetchAudit : public JournalSink {
   void Fold(const JournalEvent& event);
   std::string PlanKey(uint64_t plan_instance) const;
   static std::string EdgeKey(uint64_t src, uint64_t tmpl);
-  /// Cached get-or-create of one chrono_prefetch_* counter instance.
+  /// Cached get-or-create of one labelled counter instance.
   Counter* CounterFor(const char* family, const char* help,
                       const char* label_key, const std::string& label_value);
-  /// Cached get-or-create of an unlabelled availability counter.
-  void BumpPlain(const char* family, const char* help, uint64_t delta = 1);
   void BumpFamilies(const char* family, const char* help,
                     const std::string& plan_key, const std::string& edge_key,
                     uint64_t delta);

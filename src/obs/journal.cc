@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/threads.h"
-
 namespace chrono::obs {
 
 namespace {
@@ -57,17 +55,10 @@ EventJournal::EventJournal() : EventJournal(Options{}) {}
 
 EventJournal::EventJournal(Options options)
     : capacity_(RoundUpPow2(std::max<size_t>(options.buffer_events, 2))),
-      drain_interval_ms_(options.drain_interval_ms),
       generation_(g_journal_generation.fetch_add(1,
                                                  std::memory_order_relaxed) +
                   1),
-      epoch_(std::chrono::steady_clock::now()) {
-  if (drain_interval_ms_ > 0) {
-    drainer_ = std::thread([this] { DrainLoop(); });
-  } else {
-    stopped_ = true;  // no thread to join; Stop() still runs a final drain
-  }
-}
+      epoch_(std::chrono::steady_clock::now()) {}
 
 EventJournal::~EventJournal() { Stop(); }
 
@@ -153,31 +144,6 @@ size_t EventJournal::Drain() {
   }
   drained_.fetch_add(scratch_.size(), std::memory_order_relaxed);
   return scratch_.size();
-}
-
-void EventJournal::DrainLoop() {
-  ThreadLease lease(ThreadRole::kDrainer, "chrono-journal");
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  while (!stop_requested_) {
-    stop_cv_.wait_for(lock, std::chrono::milliseconds(drain_interval_ms_));
-    if (stop_requested_) break;
-    lock.unlock();
-    Drain();
-    lock.lock();
-  }
-}
-
-void EventJournal::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    if (stop_requested_ && stopped_ && !drainer_.joinable()) return;
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (drainer_.joinable()) drainer_.join();
-  Drain();  // final flush: makes recorded == drained exact
-  std::lock_guard<std::mutex> lock(stop_mutex_);
-  stopped_ = true;
 }
 
 uint64_t EventJournal::events_recorded() const {

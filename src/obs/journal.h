@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -151,9 +150,9 @@ inline uint32_t UnpackHi(uint64_t packed) {
 }
 
 /// \brief Consumer of drained journal events. OnEvents is only ever called
-/// from one thread at a time (the drainer, or whoever calls Drain(), under
-/// the journal's drain mutex), so sinks need no internal synchronisation
-/// against each other — only against their own readers.
+/// from one thread at a time (whoever calls Drain(), under the journal's
+/// drain mutex), so sinks need no internal synchronisation against each
+/// other — only against their own readers.
 class JournalSink {
  public:
   virtual ~JournalSink() = default;
@@ -161,14 +160,16 @@ class JournalSink {
 };
 
 /// \brief Always-on, lock-free binary event journal. Each recording thread
-/// owns a fixed-size SPSC ring buffer; a background drainer thread flushes
-/// the rings into the attached sinks every few milliseconds. The hot path
-/// (Record) is a handful of relaxed/release atomics and one 64-byte copy —
-/// it never blocks, never allocates after the thread's first event, and
-/// when a ring is full the event is *dropped and counted*, not waited on.
+/// owns a fixed-size SPSC ring buffer; the owner flushes the rings into the
+/// attached sinks by calling Drain() every few milliseconds (ChronoServer's
+/// housekeeping thread does, DESIGN.md §10). The journal owns no thread.
+/// The hot path (Record) is a handful of relaxed/release atomics and one
+/// 64-byte copy — it never blocks, never allocates after the thread's
+/// first event, and when a ring is full the event is *dropped and
+/// counted*, not waited on.
 ///
-/// Accounting invariant (asserted by the contention tests): once Stop()
-/// (or the destructor) has run the final drain,
+/// Accounting invariant (asserted by the contention tests): once the last
+/// Record() is followed by a Drain() (Stop() and the destructor drain),
 ///   events_recorded() == events_drained()   and
 ///   Record() attempts == events_recorded() + events_dropped()
 /// hold exactly — a drop never consumes a ring slot.
@@ -176,15 +177,12 @@ class JournalSink {
 /// Lock order: the registration mutex (first event of a new thread) and
 /// the drain mutex are leaf locks below everything in the server — Record
 /// may be called while a cache-shard mutex is held (eviction callbacks),
-/// and the drainer calls sinks with no journal-external lock held.
+/// and Drain() calls sinks with no journal-external lock held.
 class EventJournal {
  public:
   struct Options {
     /// Per-thread ring capacity in events (rounded up to a power of two).
     size_t buffer_events = 8192;
-    /// Drainer wake-up cadence. 0 disables the background thread; the
-    /// owner must then call Drain() itself (tests do).
-    uint64_t drain_interval_ms = 5;
   };
 
   EventJournal();
@@ -209,10 +207,10 @@ class EventJournal {
   /// used by tests and for a final flush before reading results.
   size_t Drain();
 
-  /// Stops the drainer thread after a final drain. Idempotent; the
+  /// The final drain at the end of a run: the same as Drain(). The
   /// destructor calls it. Record() after Stop() still works (events wait
-  /// for a manual Drain()).
-  void Stop();
+  /// for the next Drain()).
+  void Stop() { Drain(); }
 
   uint64_t events_recorded() const;  // accepted into a ring
   uint64_t events_dropped() const;   // rejected: ring full
@@ -222,23 +220,21 @@ class EventJournal {
   size_t buffer_count() const;
 
  private:
-  /// One thread's SPSC ring: the owning thread writes head, the drainer
-  /// writes tail. Writer and drainer fields sit on separate cache lines.
+  /// One thread's SPSC ring: the owning thread writes head, Drain()
+  /// writes tail. Writer and drain fields sit on separate cache lines.
   struct alignas(64) Buffer {
     explicit Buffer(size_t capacity)
         : mask(capacity - 1), slots(capacity) {}
     const uint64_t mask;
     std::atomic<uint64_t> head{0};     // writer-owned
     std::atomic<uint64_t> dropped{0};  // writer-owned
-    alignas(64) std::atomic<uint64_t> tail{0};  // drainer-owned
+    alignas(64) std::atomic<uint64_t> tail{0};  // Drain()-owned
     std::vector<JournalEvent> slots;
   };
 
   Buffer* BufferForThisThread();
-  void DrainLoop();
 
   const size_t capacity_;  // power of two
-  const uint64_t drain_interval_ms_;
   const uint64_t generation_;  // distinguishes journals for the TLS cache
   const std::chrono::steady_clock::time_point epoch_;
 
@@ -252,12 +248,6 @@ class EventJournal {
   std::mutex drain_mutex_;  // serialises Drain() bodies
   std::vector<JournalEvent> scratch_;  // guarded by drain_mutex_
   std::atomic<uint64_t> drained_{0};
-
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-  bool stopped_ = false;
-  std::thread drainer_;
 };
 
 // ---------------------------------------------------------------------------
@@ -272,7 +262,7 @@ struct JournalFileHeader {
 };
 
 /// \brief Sink appending drained events to a binary journal file. Writes
-/// happen on the drainer thread; Flush()/the destructor make the file
+/// happen on the draining thread; Flush()/the destructor make the file
 /// complete for offline analysis.
 class JournalFileSink : public JournalSink {
  public:

@@ -41,10 +41,8 @@ const char* ThreadRoleName(ThreadRole role) {
       return "worker";
     case ThreadRole::kIo:
       return "io";
-    case ThreadRole::kSampler:
-      return "sampler";
-    case ThreadRole::kDrainer:
-      return "drainer";
+    case ThreadRole::kHousekeeping:
+      return "housekeeping";
     case ThreadRole::kClient:
       return "client";
     case ThreadRole::kStats:
@@ -79,8 +77,8 @@ ThreadRegistry::Entry* ThreadRegistry::RegisterCurrent(
   CurrentStackBounds(&entry->stack_lo, &entry->stack_hi);
 
   // Kernel-side name: pthread_setname_np caps names at 15 chars + NUL;
-  // the full name stays in the registry ("chrono-ts-sampler" shows as
-  // "chrono-ts-sampl" in top -H but intact in /threads and profiles).
+  // the full name stays in the registry ("chrono-housekeeping" shows as
+  // "chrono-housekee" in top -H but intact in /threads and profiles).
   char short_name[16];
   std::strncpy(short_name, name.c_str(), sizeof(short_name) - 1);
   short_name[sizeof(short_name) - 1] = '\0';

@@ -19,8 +19,7 @@ enum class ThreadRole : uint8_t {
   kMain = 0,
   kWorker,    // ThreadPool serving workers
   kIo,        // wire epoll loop
-  kSampler,   // time-series sampler
-  kDrainer,   // journal drainer
+  kHousekeeping,  // ChronoServer's periodic jobs (DESIGN.md §9)
   kClient,    // bench client threads
   kStats,     // StatsServer accept loop
   kProfiler,  // CPU-profile drainer
@@ -40,7 +39,7 @@ class ThreadRegistry {
  public:
   struct Entry {
     uint32_t index = 0;
-    std::string name;               // full logical name ("chrono-ts-sampler")
+    std::string name;               // full logical name ("chrono-worker-3")
     ThreadRole role = ThreadRole::kOther;
     uint64_t tid = 0;               // kernel thread id (gettid)
     uintptr_t stack_lo = 0;         // pthread stack bounds: the frame

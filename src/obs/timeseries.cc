@@ -1,11 +1,7 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-
-#include "obs/threads.h"
 
 namespace chrono::obs {
 
@@ -85,52 +81,6 @@ TimeSeriesRing::TimeSeriesRing(const MetricsRegistry* registry,
       registry_(registry),
       clock_(std::move(clock)) {
   ring_.resize(options_.capacity);
-}
-
-TimeSeriesRing::~TimeSeriesRing() { Stop(); }
-
-void TimeSeriesRing::Start() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    if (running_) return;
-    running_ = true;
-    stop_requested_ = false;
-  }
-  // Prime the cumulative baseline so the first periodic sample measures
-  // one interval, not everything since process start.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    prev_ = Collect();
-  }
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void TimeSeriesRing::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  wake_.notify_all();
-  thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    running_ = false;
-  }
-}
-
-void TimeSeriesRing::Loop() {
-  ThreadLease lease(ThreadRole::kSampler, "chrono-ts-sampler");
-  std::unique_lock<std::mutex> lock(wake_mutex_);
-  while (!stop_requested_) {
-    if (wake_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
-                       [this] { return stop_requested_; })) {
-      break;
-    }
-    lock.unlock();
-    SampleNow();
-    lock.lock();
-  }
 }
 
 TimeSeriesRing::Cumulative TimeSeriesRing::Collect() const {

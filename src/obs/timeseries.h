@@ -2,13 +2,11 @@
 #define CHRONOCACHE_OBS_TIMESERIES_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -24,13 +22,15 @@ namespace chrono::obs {
 /// A sample is the *difference* between two registry snapshots: counter
 /// deltas divided by the interval, and percentiles of the latency
 /// histogram restricted to observations recorded inside the interval
-/// (cumulative-bucket subtraction). The sampler thread takes one registry
-/// snapshot per interval; the instrumented hot path is never touched.
+/// (cumulative-bucket subtraction). The owner calls SampleNow() once per
+/// interval (ChronoServer's housekeeping thread does); each call takes one
+/// registry snapshot and the instrumented hot path is never touched. The
+/// ring owns no thread.
 class TimeSeriesRing {
  public:
   struct Options {
     size_t capacity = 300;       // samples retained (5 min at 1 s)
-    uint64_t interval_ms = 1000; // sampling period
+    uint64_t interval_ms = 1000; // the owner's sampling period
   };
 
   struct Sample {
@@ -49,18 +49,13 @@ class TimeSeriesRing {
   /// monotonic NowMicros so samples and request traces share a timeline.
   TimeSeriesRing(const MetricsRegistry* registry, const Options& options,
                  std::function<uint64_t()> clock);
-  ~TimeSeriesRing();
 
   TimeSeriesRing(const TimeSeriesRing&) = delete;
   TimeSeriesRing& operator=(const TimeSeriesRing&) = delete;
 
-  /// Starts/stops the sampler thread. Stop() is idempotent and must be
-  /// called before anything the registry callbacks read is destroyed.
-  void Start();
-  void Stop();
-
-  /// Takes one sample immediately (also the sampler thread's body; public
-  /// so tests can drive the ring without waiting out real intervals).
+  /// Takes one sample: the delta since the previous call (the first call
+  /// only records the baseline). Thread-safe; calls must stop before
+  /// anything the registry callbacks read is destroyed.
   void SampleNow();
 
   /// Oldest-first copy of the retained samples.
@@ -89,7 +84,6 @@ class TimeSeriesRing {
     HistogramSnapshot latency;  // op=read + op=write merged
   };
 
-  void Loop();
   Cumulative Collect() const;
 
   const Options options_;
@@ -102,11 +96,6 @@ class TimeSeriesRing {
   Cumulative prev_;
 
   std::atomic<uint64_t> samples_taken_{0};
-  std::thread thread_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  bool stop_requested_ = false;
-  bool running_ = false;
 };
 
 /// Sums two cumulative-bucket histograms (e.g. the op=read and op=write

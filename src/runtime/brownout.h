@@ -27,8 +27,8 @@ namespace chrono::runtime {
 /// saturation; they compose because both only ever *remove* work.
 ///
 /// The controller is a pure sample-driven state machine: OnSample() is
-/// called at a fixed cadence by the owner's sampler thread (or directly
-/// by tests, which makes every transition deterministic without real
+/// called at a fixed cadence by the owner's housekeeping thread (or
+/// directly by tests, which makes every transition deterministic without real
 /// time). level() is an atomic read, safe from any thread on the serving
 /// hot path.
 class BrownoutController {
@@ -45,8 +45,6 @@ class BrownoutController {
     /// Demand queue-wait p99 the node tries to hold (0 disables the
     /// controller entirely: level is pinned at kNormal).
     uint64_t queue_target_us = 0;
-    /// Sampler cadence, consumed by the owning server's sampler thread.
-    uint64_t sample_interval_ms = 100;
     /// Consecutive over-target samples required per upward step.
     int up_samples = 2;
     /// Consecutive clear samples required per downward step.
@@ -61,7 +59,7 @@ class BrownoutController {
   BrownoutController& operator=(const BrownoutController&) = delete;
 
   /// Feeds one windowed queue-wait p99 observation and returns the level
-  /// after applying the ladder rules. Single-threaded (sampler only).
+  /// after applying the ladder rules. Single-threaded (one caller).
   Level OnSample(uint64_t p99_us);
 
   /// Current level; lock-free, callable from the serving hot path.
@@ -93,8 +91,8 @@ class BrownoutController {
   Options options_;
   Listener listener_;
   std::atomic<int> level_{0};
-  int over_streak_ = 0;   // sampler-thread only
-  int clear_streak_ = 0;  // sampler-thread only
+  int over_streak_ = 0;   // OnSample caller only
+  int clear_streak_ = 0;  // OnSample caller only
 };
 
 /// Windowed percentile between two snapshots of the *same* histogram:

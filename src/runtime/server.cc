@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "obs/build_info.h"
+#include "obs/threads.h"
 #include "sql/footprint.h"
 
 namespace chrono::runtime {
@@ -17,6 +18,13 @@ uint64_t NsBetween(std::chrono::steady_clock::time_point from,
   auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(to - from);
   return d.count() < 0 ? 0 : static_cast<uint64_t>(d.count());
 }
+
+// Fixed sizes and cadences of the serving node.
+constexpr size_t kQueueCapacity = 4096;  // demand lane: backpressure
+// Speculation queues separately and only runs on an empty demand lane.
+constexpr size_t kPrefetchQueueCapacity = kQueueCapacity / 8;
+constexpr std::chrono::milliseconds kJournalDrainEvery{5};
+constexpr std::chrono::milliseconds kTimeSeriesEvery{1000};
 
 }  // namespace
 
@@ -93,39 +101,26 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
       engine_(config,
               core::Engine::Options{.cache_shards = config.cache_shards},
               [this] { return NowMicros(); }, contention_.get()),
+      counters_(engine_.counters()),
       inflight_mutex_(contention_->Site("server.inflight")),
       fault_(config.fault),
       retry_(config.retry),
       breaker_(config.breaker, [this] { return NowMicros(); }),
       brownout_(BrownoutController::Options{
-          config.queue_target_us, config.brownout_sample_ms,
-          config.brownout_up_samples, config.brownout_down_samples,
-          /*clear_ratio=*/0.5}),
-      pool_(config.workers, config.queue_capacity,
-            config.prefetch_queue_capacity == SIZE_MAX
-                ? std::max<size_t>(config.queue_capacity / 8, 1)
-                : config.prefetch_queue_capacity,
+          .queue_target_us = config.queue_target_us,
+          .up_samples = config.brownout_up_samples}),
+      pool_(config.workers, kQueueCapacity, kPrefetchQueueCapacity,
             contention_->Site("pool.queue")) {
   // Reader-locked execution must never trigger a lazy index build.
   db_->WarmIndexes();
   contention_->SetArmed(config_.lock_telemetry);
   if (config_.trace_capacity > 0) {
     traces_ = std::make_unique<obs::TraceRing>(config_.trace_capacity);
-    if (config_.tail_top_k > 0) {
-      obs::TailReservoir::Options tail_options;
-      tail_options.top_k = config_.tail_top_k;
-      tail_options.threshold_us = config_.tail_threshold_us;
-      tail_options.window_us = config_.tail_window_us;
-      tail_options.forced_capacity = config_.tail_forced_capacity;
-      tail_ = std::make_unique<obs::TailReservoir>(tail_options);
-    }
+    tail_ = std::make_unique<obs::TailReservoir>(obs::TailReservoir::Options{});
   }
   if (config_.enable_journal) {
     audit_ = std::make_unique<obs::PrefetchAudit>(metrics_registry_);
-    obs::EventJournal::Options journal_options;
-    journal_options.buffer_events = config_.journal_buffer_events;
-    journal_options.drain_interval_ms = config_.journal_drain_ms;
-    journal_ = std::make_unique<obs::EventJournal>(journal_options);
+    journal_ = std::make_unique<obs::EventJournal>();
     journal_->AddSink(audit_.get());
     engine_.AttachJournal(journal_.get(), /*stamp_events=*/false);
   }
@@ -142,7 +137,7 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
         Journal(event);
       });
   // Brownout ladder steps flow into the journal the same way (the listener
-  // runs on the sampler thread; journal Record is a leaf). The audit fold
+  // runs on the housekeeping thread; journal Record is a leaf). The audit fold
   // turns these into chrono_overload_brownout_transitions_total.
   brownout_.SetTransitionListener(
       [this](BrownoutController::Level to, BrownoutController::Level from,
@@ -154,63 +149,101 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
         event.c = p99_us;
         Journal(event);
       });
+  // The pool and the fault injector already count these facts.
+  counters_.prefetches_dropped = [this] { return pool_.tasks_shed(); };
+  counters_.deadline_expired = [this] { return pool_.tasks_expired(); };
+  counters_.faults_injected = [this] { return fault_.faults_injected(); };
   RegisterMetrics();
-  // The sampler diffs the demand-lane wait histogram RegisterMetrics just
-  // attached; start it only once that signal exists.
-  if (brownout_.enabled()) {
-    brownout_thread_ = std::thread([this] { BrownoutLoop(); });
-  }
-  // The sampler reads the registry whose callbacks capture `this`; start
-  // it last (everything it observes exists) and stop it first in Shutdown.
   if (config_.timeseries_capacity > 0) {
     obs::TimeSeriesRing::Options ts_options;
     ts_options.capacity = config_.timeseries_capacity;
-    ts_options.interval_ms = config_.timeseries_interval_ms;
+    ts_options.interval_ms = static_cast<uint64_t>(kTimeSeriesEvery.count());
     timeseries_ = std::make_unique<obs::TimeSeriesRing>(
         metrics_registry_, ts_options, [this] { return NowMicros(); });
-    timeseries_->Start();
+    timeseries_->SampleNow();  // the baseline the first sample diffs
+  }
+  // Last: every job reads state built above (the brownout step diffs the
+  // demand-lane wait histogram RegisterMetrics attached).
+  if (journal_ != nullptr || brownout_.enabled() || timeseries_ != nullptr) {
+    housekeeping_ = std::thread([this] { Housekeeping(); });
   }
 }
 
 ChronoServer::~ChronoServer() {
   Shutdown();
   // An external registry may outlive us; drop every callback that
-  // captured this server's state.
+  // captured this server's state (the engine's bound readers read the
+  // pool, which is destroyed before the engine).
   metrics_registry_->UnregisterCallbacksOwnedBy(this);
+  metrics_registry_->UnregisterCallbacksOwnedBy(&engine_);
 }
 
 void ChronoServer::Shutdown() {
-  if (timeseries_ != nullptr) timeseries_->Stop();  // idempotent
-  {
-    std::lock_guard<std::mutex> lock(brownout_stop_mutex_);
-    brownout_stop_ = true;
-  }
-  brownout_stop_cv_.notify_all();
-  if (brownout_thread_.joinable()) brownout_thread_.join();
   pool_.Shutdown();
+  {
+    std::lock_guard<std::mutex> lock(housekeeping_mutex_);
+    housekeeping_stop_ = true;
+  }
+  housekeeping_cv_.notify_all();
+  if (housekeeping_.joinable()) housekeeping_.join();
+  // What the drained pool journaled: recorded == drained from here on.
+  if (journal_ != nullptr) journal_->Drain();
 }
 
-void ChronoServer::BrownoutLoop() {
-  obs::HistogramSnapshot prev = pool_wait_hist_[0]->Snapshot();
-  std::unique_lock<std::mutex> lock(brownout_stop_mutex_);
-  while (!brownout_stop_) {
-    if (brownout_stop_cv_.wait_for(
-            lock, std::chrono::milliseconds(config_.brownout_sample_ms),
-            [this] { return brownout_stop_; })) {
+void ChronoServer::Housekeeping() {
+  obs::ThreadLease lease(obs::ThreadRole::kHousekeeping,
+                         "chrono-housekeeping");
+  using Clock = std::chrono::steady_clock;
+  struct Job {
+    std::chrono::milliseconds every;
+    std::function<void()> run;
+    Clock::time_point due;
+  };
+  std::vector<Job> jobs;
+  auto every = [&jobs](std::chrono::milliseconds period,
+                       std::function<void()> run) {
+    jobs.push_back({period, std::move(run), Clock::now() + period});
+  };
+  if (journal_ != nullptr) {
+    every(kJournalDrainEvery, [this] { journal_->Drain(); });
+  }
+  if (brownout_.enabled()) {
+    every(std::chrono::milliseconds(config_.brownout_sample_ms),
+          [this, prev = pool_wait_hist_[0]->Snapshot()]() mutable {
+            obs::HistogramSnapshot cur = pool_wait_hist_[0]->Snapshot();
+            // The wait histograms record ns; the ladder thinks in µs.
+            brownout_.OnSample(WindowedPercentile(prev, cur, 0.99) / 1000);
+            prev = std::move(cur);
+          });
+  }
+  if (timeseries_ != nullptr) {
+    every(kTimeSeriesEvery, [this] { timeseries_->SampleNow(); });
+  }
+
+  std::unique_lock<std::mutex> lock(housekeeping_mutex_);
+  while (!housekeeping_stop_) {
+    Clock::time_point next = jobs.front().due;
+    for (const Job& job : jobs) next = std::min(next, job.due);
+    if (housekeeping_cv_.wait_until(lock, next,
+                                    [this] { return housekeeping_stop_; })) {
       break;
     }
     lock.unlock();
-    obs::HistogramSnapshot cur = pool_wait_hist_[0]->Snapshot();
-    // The wait histograms record nanoseconds; the ladder thinks in µs.
-    brownout_.OnSample(WindowedPercentile(prev, cur, 0.99) / 1000);
-    prev = std::move(cur);
+    for (Job& job : jobs) {
+      if (job.due > Clock::now()) continue;
+      job.run();
+      job.due = Clock::now() + job.every;
+    }
     lock.lock();
   }
 }
 
 void ChronoServer::RecordOverloadShed(uint64_t reason, ClientId client,
                                       uint32_t retry_after_ms) {
-  metrics_.brownout_sheds.fetch_add(1, std::memory_order_relaxed);
+  (reason == obs::kOverloadShedPipeline    ? counters_.overload_shed_pipeline
+   : reason == obs::kOverloadShedAdmission ? counters_.overload_shed_admission
+                                           : counters_.overload_shed_prefetch)
+      .fetch_add(1, std::memory_order_relaxed);
   obs::JournalEvent event;
   event.type = obs::JournalEventType::kShedQueue;
   event.a = reason;
@@ -288,10 +321,6 @@ void ChronoServer::RegisterMetrics() {
       "chrono_pool_tasks_failed_total",
       "Tasks that exited via an exception", {},
       [this] { return static_cast<double>(pool_.tasks_failed()); }, owner);
-  r->RegisterCallbackCounter(
-      "chrono_pool_tasks_expired_total",
-      "Tasks rejected unexecuted at dequeue: deadline already passed", {},
-      [this] { return static_cast<double>(pool_.tasks_expired()); }, owner);
   r->RegisterCallbackGauge(
       "chrono_overload_brownout_level",
       "Brownout ladder level (0=normal 1=shed-prefetch 2=shed-pipeline "
@@ -302,40 +331,13 @@ void ChronoServer::RegisterMetrics() {
       },
       owner);
 
-  // The shared counter families and the template/result cache families
-  // come from the engine; ServerMetrics' runtime-only fields are mirrored
-  // here so dashboards see live values.
+  // Every node counter family (the table in core::Engine, which also
+  // reads the pool's shed/expired counts and the injected faults) and the
+  // template/result cache families.
   engine_.RegisterMetrics(r);
-  auto server_counter = [&](const char* name, const char* help,
-                            const std::atomic<uint64_t>* field) {
-    r->RegisterCallbackCounter(
-        name, help, {},
-        [field] {
-          return static_cast<double>(
-              field->load(std::memory_order_relaxed));
-        },
-        owner);
-  };
-  server_counter("chrono_prediction_inline_hits_total",
-                 "Misses rescued by an inline covering combined query",
-                 &metrics_.prediction_hits);
-  server_counter("chrono_prefetched_hits_total",
-                 "Cache hits served from predictively prefetched entries",
-                 &metrics_.prefetched_hits);
-  server_counter("chrono_prefetches_dropped_total",
-                 "Background prefetches rejected by a full queue",
-                 &metrics_.prefetches_dropped);
-  server_counter("chrono_errors_total", "Statements that returned a status",
-                 &metrics_.errors);
   r->RegisterCallbackGauge(
       "chrono_sessions", "Live client sessions", {},
       [this] { return static_cast<double>(session_count()); }, owner);
-
-  // Fault-tolerance surface. The journal-fed audit owns the canonical
-  // chrono_backend_retries_total / chrono_backend_timeouts_total /
-  // chrono_stale_serves_total / chrono_shed_total families — they reconcile
-  // with journaled events by construction — so what is registered here is
-  // only state that never flows through the journal.
   r->RegisterCallbackGauge(
       "chrono_breaker_state",
       "Remote-DB circuit breaker state (0=closed, 1=open, 2=half-open)", {},
@@ -343,18 +345,6 @@ void ChronoServer::RegisterMetrics() {
         return static_cast<double>(static_cast<int>(breaker_.state()));
       },
       owner);
-  server_counter("chrono_breaker_rejects_total",
-                 "Demand calls rejected fast while the breaker was open",
-                 &metrics_.breaker_rejects);
-  r->RegisterCallbackCounter(
-      "chrono_faults_injected_total",
-      "Transport faults injected by the scripted fault schedule", {},
-      [this] { return static_cast<double>(fault_.faults_injected()); },
-      owner);
-  r->RegisterCallbackCounter(
-      "chrono_pool_tasks_shed_total",
-      "Best-effort tasks rejected by TrySubmit queue headroom", {},
-      [this] { return static_cast<double>(pool_.tasks_shed()); }, owner);
 
   // The statement cache joins the engine's template and result caches
   // under the same uniform family.
@@ -392,7 +382,7 @@ void ChronoServer::RegisterMetrics() {
 }
 
 void ChronoServer::RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl) {
-  metrics_.prefetched_hits.fetch_add(1, std::memory_order_relaxed);
+  counters_.prefetched_hits.fetch_add(1, std::memory_order_relaxed);
   std::string edge = (src_tmpl == 0 ? std::string("root")
                                     : std::to_string(src_tmpl)) +
                      "->" + std::to_string(dst_tmpl);
@@ -578,7 +568,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
   if (!call.is_prefetch) {
     admission = breaker_.AdmitDemand();
     if (admission == net::CircuitBreaker::Admission::kRejected) {
-      metrics_.breaker_rejects.fetch_add(1, std::memory_order_relaxed);
+      counters_.breaker_rejects.fetch_add(1, std::memory_order_relaxed);
       if (call.ctx != nullptr) {
         call.ctx->Note(obs::AnnotationKind::kBreakerReject,
                        static_cast<uint64_t>(breaker_.state()));
@@ -645,7 +635,9 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
     bool transport_failed =
         !outcome.ok() && IsBackendFailure(outcome.status());
     if (timed_out) {
-      metrics_.backend_timeouts.fetch_add(1, std::memory_order_relaxed);
+      (client_deadline ? counters_.backend_timeouts_client
+                       : counters_.backend_timeouts_backend)
+          .fetch_add(1, std::memory_order_relaxed);
       if (call.ctx != nullptr) {
         call.ctx->Note(obs::AnnotationKind::kAttemptTimeout, attempt_cap);
       }
@@ -691,8 +683,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
         jitter_ordinal_.fetch_add(1, std::memory_order_relaxed)));
     uint64_t backoff = retry_.BackoffUs(attempts, u);
     if (left != UINT64_MAX && backoff >= left) backoff = left / 2;
-    engine_.counters().backend_retries.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    counters_.backend_retries.fetch_add(1, std::memory_order_relaxed);
     if (call.ctx != nullptr) {
       call.ctx->Note(obs::AnnotationKind::kRetry,
                      static_cast<uint64_t>(attempts));
@@ -711,10 +702,9 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
 
 void ChronoServer::ShedPrefetch(uint64_t kind, uint64_t plan_id,
                                 ClientId client) {
-  if (kind == obs::kShedQueueFull) {
-    metrics_.prefetches_dropped.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    metrics_.prefetches_shed_breaker.fetch_add(1, std::memory_order_relaxed);
+  // A full queue is counted by the pool itself (tasks_shed).
+  if (kind == obs::kShedBreakerUnhealthy) {
+    counters_.prefetches_shed_breaker.fetch_add(1, std::memory_order_relaxed);
   }
   obs::JournalEvent event;
   event.type = obs::JournalEventType::kShed;
@@ -733,7 +723,7 @@ SharedResult ChronoServer::TryServeStale(
   uint64_t now = NowMicros();
   uint64_t age = now > candidate->install_us ? now - candidate->install_us : 0;
   if (age > config_.stale_serve_us) return nullptr;
-  metrics_.stale_serves.fetch_add(1, std::memory_order_relaxed);
+  counters_.stale_serves.fetch_add(1, std::memory_order_relaxed);
   last_stale_us_.store(now, std::memory_order_relaxed);
   if (ctx != nullptr) {
     ctx->outcome = obs::TraceOutcome::kStaleHit;
@@ -750,41 +740,6 @@ SharedResult ChronoServer::TryServeStale(
 }
 
 size_t ChronoServer::session_count() const { return engine_.model_count(); }
-
-ServerMetrics ChronoServer::metrics() const {
-  const core::EngineCounters& c = engine_.counters();
-  ServerMetrics m;
-  m.reads = c.reads.load(std::memory_order_relaxed);
-  m.writes = c.writes.load(std::memory_order_relaxed);
-  m.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-  m.cache_rejects = c.cache_rejects();
-  m.version_gap_serves = c.version_gap_serves.load(std::memory_order_relaxed);
-  m.remote_plain = c.remote_plain.load(std::memory_order_relaxed);
-  m.backend_coalesced =
-      metrics_.backend_coalesced.load(std::memory_order_relaxed);
-  m.remote_combined = c.remote_combined.load(std::memory_order_relaxed);
-  m.predictions_cached = c.predictions_cached.load(std::memory_order_relaxed);
-  m.prediction_hits = metrics_.prediction_hits.load(std::memory_order_relaxed);
-  m.prediction_fallbacks =
-      c.prediction_fallbacks.load(std::memory_order_relaxed);
-  m.prefetched_hits =
-      metrics_.prefetched_hits.load(std::memory_order_relaxed);
-  m.prefetches_dropped =
-      metrics_.prefetches_dropped.load(std::memory_order_relaxed);
-  m.errors = metrics_.errors.load(std::memory_order_relaxed);
-  m.backend_retries = c.backend_retries.load(std::memory_order_relaxed);
-  m.backend_timeouts =
-      metrics_.backend_timeouts.load(std::memory_order_relaxed);
-  m.stale_serves = metrics_.stale_serves.load(std::memory_order_relaxed);
-  m.prefetches_shed_breaker =
-      metrics_.prefetches_shed_breaker.load(std::memory_order_relaxed);
-  m.breaker_rejects = metrics_.breaker_rejects.load(std::memory_order_relaxed);
-  m.faults_injected = fault_.faults_injected();
-  m.deadline_expired =
-      metrics_.deadline_expired.load(std::memory_order_relaxed);
-  m.brownout_sheds = metrics_.brownout_sheds.load(std::memory_order_relaxed);
-  return m;
-}
 
 std::future<Result<SharedResult>> ChronoServer::Submit(ClientId client,
                                                        std::string sql,
@@ -851,7 +806,6 @@ void ChronoServer::SubmitAsync(
         std::move(work),
         start_ + std::chrono::microseconds(deadline_us),
         [this, callback, client, deadline_us, budget_ms]() {
-          metrics_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
           uint64_t now = NowMicros();
           obs::JournalEvent event;
           event.type = obs::JournalEventType::kDeadlineExpired;
@@ -899,7 +853,7 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
     parsed = engine_.Analyze(sql);
   }
   if (!parsed.ok()) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.errors.fetch_add(1, std::memory_order_relaxed);
     ctx.outcome = obs::TraceOutcome::kError;
     FinishRequest(&ctx, client, /*read_only=*/true, sql);
     if (pending != nullptr) *pending = std::move(ctx.pending);
@@ -910,11 +864,11 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
 
   Result<SharedResult> result = Status::OK();
   if (!read_only) {
-    engine_.counters().writes.fetch_add(1, std::memory_order_relaxed);
+    counters_.writes.fetch_add(1, std::memory_order_relaxed);
     ctx.outcome = obs::TraceOutcome::kWrite;
     result = DoWrite(client, *parsed, &ctx);
   } else {
-    engine_.counters().reads.fetch_add(1, std::memory_order_relaxed);
+    counters_.reads.fetch_add(1, std::memory_order_relaxed);
     result = DoRead(client, security_group, *parsed, &ctx);
   }
   if (!result.ok()) ctx.outcome = obs::TraceOutcome::kError;
@@ -945,7 +899,7 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
     });
   }
   if (!outcome.ok()) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
   engine_.OnClientWrite(client, outcome->tables_written,
@@ -1024,7 +978,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed, &stale_candidate);
     }
     if (hit.has_value()) {
-      engine_.counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
+      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kCacheHit;
       if (hit->prefetch_plan != 0) {
         ctx->prefetch_plan = hit->prefetch_plan;
@@ -1045,8 +999,8 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed);
     }
     if (hit.has_value()) {
-      metrics_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
-      engine_.counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
+      counters_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
+      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kPredictionHit;
       if (hit->prefetch_plan != 0) {
         ctx->prefetch_plan = hit->prefetch_plan;
@@ -1055,8 +1009,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       }
       return respond(hit->result);
     }
-    engine_.counters().prediction_fallbacks.fetch_add(
-        1, std::memory_order_relaxed);
+    counters_.prediction_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Plain remote execution, single-flighted per {cache key, security
@@ -1128,7 +1081,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       Journal(event);
     }
     if (!shared.ok()) {
-      metrics_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
+      counters_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kCoalescedHit;
       if (IsBackendFailure(shared.status())) {
         if (auto stale = TryServeStale(stale_candidate,
@@ -1137,11 +1090,11 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
           return stale;
         }
       }
-      metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+      counters_.errors.fetch_add(1, std::memory_order_relaxed);
       return shared.status();
     }
     if (version_ok) {
-      metrics_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
+      counters_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kCoalescedHit;
       return respond(shared->result);
     }
@@ -1152,7 +1105,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
 
   // Leader: bind the template's AST (no re-parse) and run it under reader
   // access.
-  engine_.counters().remote_plain.fetch_add(1, std::memory_order_relaxed);
+  counters_.remote_plain.fetch_add(1, std::memory_order_relaxed);
   ctx->outcome = obs::TraceOutcome::kRemotePlain;
 
   // Resolves the registered flight exactly once: the map entry goes first
@@ -1218,7 +1171,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
         return stale;
       }
     }
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
   // Tagged with the pre-read snapshot, like the followers' payload: a

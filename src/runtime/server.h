@@ -47,7 +47,6 @@ using SharedResult = std::shared_ptr<const sql::ResultSet>;
 /// switches) live in core::EngineConfig; on this node Δt is wall-clock µs.
 struct ServerConfig : core::EngineConfig {
   int workers = 4;                     // serving thread-pool size
-  size_t queue_capacity = 4096;        // bounded task queue (backpressure)
   size_t cache_shards = 16;            // result-cache lock stripes
   /// Simulated one-way-pair WAN round trip to the remote database, slept
   /// (outside every lock) once per database round trip. 0 disables. This
@@ -60,37 +59,21 @@ struct ServerConfig : core::EngineConfig {
   /// stages, the pool, the shards and the database report through this
   /// one registry (DESIGN.md §9).
   obs::MetricsRegistry* registry = nullptr;
-  /// Recent-request trace ring size; 0 disables per-request tracing.
+  /// Recent-request trace ring size; 0 disables per-request tracing and
+  /// the tail reservoir (DESIGN.md §15).
   size_t trace_capacity = 256;
   /// Bound SQL text retained per trace (truncated beyond this).
   size_t trace_sql_bytes = 120;
 
-  /// Tail reservoir (DESIGN.md §15): slowest traces retained per sliding
-  /// window so p99 outliers survive ring wrap. Disabled with tracing
-  /// (trace_capacity == 0) or when tail_top_k == 0.
-  size_t tail_top_k = 16;
-  /// Absolute retention threshold: any trace at least this slow lands in
-  /// the forced ring regardless of the window top-K. 0 = no threshold.
-  uint64_t tail_threshold_us = 0;
-  /// Tail sliding-window width.
-  uint64_t tail_window_us = 60'000'000;
-  /// Forced-retention ring size (kFlagTraced + over-threshold traces).
-  size_t tail_forced_capacity = 32;
-
-  /// Time-series telemetry ring (/timeseries): samples retained and the
-  /// sampling period. timeseries_capacity == 0 disables the sampler.
+  /// Time-series telemetry ring (/timeseries): samples retained, one per
+  /// second. 0 disables the ring.
   size_t timeseries_capacity = 300;
-  uint64_t timeseries_interval_ms = 1000;
 
   /// Prefetch-efficacy journal (DESIGN.md §10): always on by default —
   /// the full prefetch lifecycle plus request outcomes flow into an
   /// EventJournal and fold into a PrefetchAudit. `false` exists only for
   /// the A/B overhead harness (serve_bench --no-journal).
   bool enable_journal = true;
-  /// Per-thread journal ring capacity in events.
-  size_t journal_buffer_events = 8192;
-  /// Journal drainer cadence; 0 = no drainer thread (manual Drain()).
-  uint64_t journal_drain_ms = 5;
 
   // --- Fault tolerance (DESIGN.md §11) ---
 
@@ -115,18 +98,13 @@ struct ServerConfig : core::EngineConfig {
 
   // --- Overload control (DESIGN.md §17) ---
 
-  /// Prefetch-lane capacity of the worker pool (the demand lane uses
-  /// queue_capacity). Strict demand priority replaces the old headroom
-  /// heuristic: speculation queues separately and only runs on an empty
-  /// demand lane. SIZE_MAX = default (queue_capacity / 8, minimum 1).
-  size_t prefetch_queue_capacity = SIZE_MAX;
   /// Demand queue-wait p99 target the brownout controller holds
   /// (--queue-target-ms); 0 disables adaptive brownout entirely.
   uint64_t queue_target_us = 0;
-  /// Brownout sampler cadence and hysteresis (see BrownoutController).
+  /// Brownout step cadence and upward hysteresis (see
+  /// BrownoutController).
   uint64_t brownout_sample_ms = 100;
   int brownout_up_samples = 2;
-  int brownout_down_samples = 5;
 
   /// Arms per-site lock telemetry (DESIGN.md §16): wait/hold histograms
   /// on the hot locks, exported at /metrics and ranked at /contention.
@@ -135,36 +113,8 @@ struct ServerConfig : core::EngineConfig {
   bool lock_telemetry = true;
 };
 
-/// \brief Wall-clock serving metrics (relaxed atomics; Snapshot() copies).
-struct ServerMetrics {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t cache_hits = 0;          // client reads answered from the cache
-  uint64_t cache_rejects = 0;       // present but failed session/security
-  uint64_t version_gap_serves = 0;  // behind the session, gap disjoint
-  uint64_t remote_plain = 0;        // uncombined remote reads
-  uint64_t backend_coalesced = 0;   // misses that joined an in-flight fetch
-  uint64_t remote_combined = 0;     // combined queries executed
-  uint64_t predictions_cached = 0;  // result sets cached ahead of time
-  uint64_t prediction_hits = 0;     // misses answered by an inline combine
-  uint64_t prediction_fallbacks = 0;  // combined result missed our query
-  uint64_t prefetched_hits = 0;     // cache hits on predictively cached rows
-  uint64_t prefetches_dropped = 0;  // background tasks rejected (queue full)
-  uint64_t errors = 0;              // statements that returned a status
-  uint64_t backend_retries = 0;     // demand-read retries after failures
-  uint64_t backend_timeouts = 0;    // remote calls abandoned at deadline
-  uint64_t stale_serves = 0;        // demand reads answered from stale data
-  uint64_t prefetches_shed_breaker = 0;  // prefetch shed: breaker unhealthy
-  uint64_t breaker_rejects = 0;     // demand rejected while breaker open
-  uint64_t faults_injected = 0;     // injected transport failures
-  uint64_t deadline_expired = 0;    // rejected unexecuted at dequeue (§17)
-  uint64_t brownout_sheds = 0;      // work dropped by the brownout ladder
-
-  double CacheHitRate() const {
-    return reads == 0 ? 0 : static_cast<double>(cache_hits) /
-                                static_cast<double>(reads);
-  }
-};
+/// Wall-clock serving metrics: the engine's counter snapshot.
+using ServerMetrics = core::NodeMetrics;
 
 /// \brief The concurrent serving runtime: a ChronoCache middleware node
 /// that serves real threads under wall-clock time, alongside the
@@ -261,7 +211,7 @@ class ChronoServer {
   /// Stops accepting work, drains the queue, joins the workers.
   void Shutdown();
 
-  ServerMetrics metrics() const;
+  ServerMetrics metrics() const { return engine_.Metrics(); }
 
   /// Node health for /healthz: degraded while the circuit breaker is not
   /// closed or a stale result was served within the last 2 s.
@@ -317,10 +267,10 @@ class ChronoServer {
   /// The prefetch-lifecycle journal (attach file sinks here); null when
   /// enable_journal was false.
   obs::EventJournal* journal() const { return journal_.get(); }
-  /// Live prefetch cost/benefit scoreboards fed by the journal drainer;
+  /// Live prefetch cost/benefit scoreboards fed by the journal drain;
   /// null when enable_journal was false.
   const obs::PrefetchAudit* audit() const { return audit_.get(); }
-  /// Tail-latency reservoir; null when tracing or tail_top_k is disabled.
+  /// Tail-latency reservoir; null when tracing is disabled.
   const obs::TailReservoir* tail() const { return tail_.get(); }
   /// 1 s telemetry samples; null when timeseries_capacity was 0. Non-const
   /// so tests can drive SampleNow() without waiting out real intervals.
@@ -406,8 +356,8 @@ class ChronoServer {
       ClientId client, int security_group, const sql::ParsedQuery& query,
       std::optional<cache::CachedResult>* stale_candidate = nullptr);
 
-  /// Registers every pull-mode metric (counters mirroring ServerMetrics,
-  /// cache/pool/shard gauges) and creates the stage histograms.
+  /// Registers the engine's counter families and this node's pool, breaker,
+  /// database and trace metrics, and creates the stage histograms.
   void RegisterMetrics();
   /// Records one journal event if the journal is enabled (lock-free; safe
   /// under any server lock — the journal's own locks are leaves).
@@ -442,8 +392,9 @@ class ChronoServer {
   mutable obs::TimedSharedMutex db_mutex_;
 
   // Template cache and registry, session models and version vectors, the
-  // result cache and the shared counters; its locks report to contention_.
+  // result cache and every node counter; its locks report to contention_.
   core::Engine engine_;
+  core::EngineCounters& counters_;  // engine_.counters()
 
   /// What a resolved single-flight fetch hands each parked follower: the
   /// immutable payload plus a Vd snapshot of the query's read relations
@@ -485,14 +436,6 @@ class ChronoServer {
   /// read and its cache install (no lock held). Set before traffic.
   std::function<void()> after_read_hook_;
 
-  // Runtime-only counters (the shared ones live in engine_.counters()).
-  struct {
-    std::atomic<uint64_t> backend_coalesced{0}, prediction_hits{0},
-        prefetched_hits{0}, prefetches_dropped{0}, errors{0},
-        backend_timeouts{0}, stale_serves{0}, prefetches_shed_breaker{0},
-        breaker_rejects{0}, deadline_expired{0}, brownout_sheds{0};
-  } metrics_;
-
   // Fault-tolerance layer (DESIGN.md §11). The breaker mutex and the
   // injector's atomics sit outside the server lock order: backend call
   // sites hold no other lock when touching them, and the breaker's
@@ -524,17 +467,21 @@ class ChronoServer {
   std::unique_ptr<obs::EventJournal> journal_;
 
   // Overload control (§17). The controller's level is read lock-free on
-  // the hot path; the sampler thread diffing the demand-lane wait
-  // histogram is started only when queue_target_us > 0 and joined in
-  // Shutdown before the pool drains.
+  // the hot path; the housekeeping thread steps it from the demand-lane
+  // wait histogram when queue_target_us > 0.
   BrownoutController brownout_;
   obs::Histogram* pool_wait_hist_[ThreadPool::kLaneCount] = {};
   obs::Histogram* pool_run_hist_ = nullptr;
-  std::mutex brownout_stop_mutex_;
-  std::condition_variable brownout_stop_cv_;
-  bool brownout_stop_ = false;
-  std::thread brownout_thread_;
-  void BrownoutLoop();
+
+  // One thread runs every periodic job (DESIGN.md §9): the journal drain,
+  // the brownout step and the time-series sample. Started last in the
+  // constructor; joined in Shutdown once the pool has drained. Not
+  // started when none of the three is enabled.
+  std::mutex housekeeping_mutex_;
+  std::condition_variable housekeeping_cv_;
+  bool housekeeping_stop_ = false;
+  std::thread housekeeping_;
+  void Housekeeping();
 
   // Declared last: destroyed first, so worker threads are joined before
   // any state they touch goes away.

@@ -4,6 +4,7 @@
 // asserting the scraped counters reconcile exactly with the offline
 // snapshot — the same guarantee tools/chrono_audit relies on.
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -220,6 +221,84 @@ TEST(PrefetchAudit, DrivesCounterFamiliesThatReconcileWithSnapshot) {
   EXPECT_EQ(snap.TotalUsed(), 1u);
   EXPECT_EQ(snap.TotalInvalidated(), 1u);
   EXPECT_EQ(snap.TotalWastedBytes(), 400u);  // 300 evicted + 100 invalidated
+}
+
+// Facts a hot-path counter already counts (core::Engine owns their
+// families) fold into the Availability and Overload boards only: the audit
+// must not register a second family for them. Event-only facts (breaker
+// and brownout transitions, late executions) keep their audit families.
+TEST(PrefetchAudit, CountedFactsFoldIntoBoardsWithoutFamilies) {
+  MetricsRegistry registry;
+  PrefetchAudit audit(&registry);
+  JournalEvent late = Ev(JournalEventType::kRequest);
+  late.flags = kJournalFlagLate;
+  Feed(&audit,
+       {
+           Ev(JournalEventType::kBackendRetry, 0, 0, 3, 1, 200),
+           Ev(JournalEventType::kBackendRetry, 0, 0, 3, 2, 400),
+           Ev(JournalEventType::kBackendTimeout, 0, 0, 3, 10,
+              kTimeoutBackend),
+           Ev(JournalEventType::kBackendTimeout, 0, 0, 3, 10,
+              kTimeoutClientDeadline, 0, kJournalFlagWrite),
+           Ev(JournalEventType::kStaleServe, 0, 0, 3, 700, 5000),
+           Ev(JournalEventType::kShed, 9, 0, 0, kShedQueueFull),
+           Ev(JournalEventType::kShed, 9, 0, 0, kShedBreakerUnhealthy),
+           Ev(JournalEventType::kBackendCoalesced, 0, 0, 3, 0, 0, 0,
+              kJournalFlagOk),
+           // Session-rejected park: the follower refetched, nothing saved.
+           Ev(JournalEventType::kBackendCoalesced, 0, 0, 3, 1, 1, 0,
+              kJournalFlagOk),
+           Ev(JournalEventType::kShedQueue, 0, 0, 0, kOverloadShedPrefetch),
+           Ev(JournalEventType::kShedQueue, 0, 0, 0, kOverloadShedPipeline),
+           Ev(JournalEventType::kShedQueue, 0, 0, 0, kOverloadShedAdmission),
+           Ev(JournalEventType::kDeadlineExpired, 0, 0, 0, 30, 50, 0,
+              kJournalFlagDrain),
+           Ev(JournalEventType::kBreakerTransition, 0, 0, 0, 1, 0),
+           Ev(JournalEventType::kBrownoutTransition, 0, 0, 0, 1, 0, 900),
+           late,
+       });
+
+  PrefetchAudit::Snapshot snap = audit.snapshot();
+  const PrefetchAudit::Availability& av = snap.availability;
+  EXPECT_EQ(av.backend_retries, 2u);
+  EXPECT_EQ(av.backoff_us, 600u);
+  EXPECT_EQ(av.backend_timeouts, 2u);
+  EXPECT_EQ(av.write_timeouts, 1u);
+  EXPECT_EQ(av.stale_serves, 1u);
+  EXPECT_EQ(av.stale_age_us, 700u);
+  EXPECT_EQ(av.shed_queue, 1u);
+  EXPECT_EQ(av.shed_breaker, 1u);
+  EXPECT_EQ(av.backend_coalesced, 1u);
+  EXPECT_EQ(av.breaker_open, 1u);
+  const PrefetchAudit::Overload& ov = snap.overload;
+  EXPECT_EQ(ov.shed_prefetch, 1u);
+  EXPECT_EQ(ov.shed_pipeline, 1u);
+  EXPECT_EQ(ov.shed_admission, 1u);
+  EXPECT_EQ(ov.deadline_expired, 1u);
+  EXPECT_EQ(ov.expired_in_drain, 1u);
+  EXPECT_EQ(ov.brownout_transitions, 1u);
+  EXPECT_EQ(ov.late_executions, 1u);
+
+  std::vector<std::string> families;
+  for (const MetricSnapshot& m : registry.Snapshot().metrics) {
+    families.push_back(m.name);
+  }
+  for (const char* owned_by_engine :
+       {"chrono_backend_retries_total", "chrono_backend_timeouts_total",
+        "chrono_backend_coalesced_total", "chrono_stale_serves_total",
+        "chrono_shed_total", "chrono_overload_shed_total",
+        "chrono_overload_deadline_expired_total"}) {
+    EXPECT_EQ(std::count(families.begin(), families.end(), owned_by_engine),
+              0)
+        << owned_by_engine;
+  }
+  for (const char* event_only :
+       {"chrono_breaker_transitions_total",
+        "chrono_overload_brownout_transitions_total",
+        "chrono_overload_late_executions_total"}) {
+    EXPECT_EQ(std::count(families.begin(), families.end(), event_only), 1)
+        << event_only;
+  }
 }
 
 // End-to-end: a real ChronoServer run whose scraped chrono_prefetch_*

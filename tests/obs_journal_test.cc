@@ -4,6 +4,7 @@
 // file sink framing. The storm test is part of the TSan CI suite.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -42,7 +43,6 @@ class CollectSink : public JournalSink {
 EventJournal::Options ManualDrain(size_t buffer_events) {
   EventJournal::Options options;
   options.buffer_events = buffer_events;
-  options.drain_interval_ms = 0;  // tests drain explicitly
   return options;
 }
 
@@ -151,7 +151,7 @@ TEST(EventJournal, StopIsIdempotentAndRecordAfterStopStillDrains) {
   JournalEvent event;
   event.ts_us = 1;
   journal.Record(event);
-  journal.Stop();  // runs the final drain even in manual mode
+  journal.Stop();  // the final drain
   EXPECT_EQ(journal.events_drained(), 1u);
   journal.Stop();  // idempotent
   EXPECT_EQ(journal.events_drained(), 1u);
@@ -161,9 +161,10 @@ TEST(EventJournal, StopIsIdempotentAndRecordAfterStopStillDrains) {
   EXPECT_EQ(sink.Snapshot().size(), 2u);
 }
 
-// The satellite contention test: many writer threads, a ring small enough
-// to wrap thousands of times under the background drainer, and payloads
-// that make any torn (half-written) or duplicated event detectable.
+// The contention test: many writer threads, a ring small enough to wrap
+// thousands of times under a concurrent drainer (a thread looping Drain(),
+// as a serving node's housekeeping thread does), and payloads that make any
+// torn (half-written) or duplicated event detectable.
 TEST(EventJournal, ContentionStormNoTornEventsExactAccounting) {
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 30000;
@@ -171,10 +172,17 @@ TEST(EventJournal, ContentionStormNoTornEventsExactAccounting) {
 
   EventJournal::Options options;
   options.buffer_events = 128;  // tiny: forces wrap + drops under load
-  options.drain_interval_ms = 1;
   EventJournal journal(options);
   CollectSink sink;
   journal.AddSink(&sink);
+
+  std::atomic<bool> writing{true};
+  std::thread drainer([&journal, &writing] {
+    while (writing.load()) {
+      journal.Drain();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
@@ -195,7 +203,9 @@ TEST(EventJournal, ContentionStormNoTornEventsExactAccounting) {
     });
   }
   for (std::thread& w : writers) w.join();
-  journal.Stop();  // joins the drainer and runs the final drain
+  writing = false;
+  drainer.join();
+  journal.Stop();  // the final drain
 
   const uint64_t attempts = static_cast<uint64_t>(kThreads) * kPerThread;
   const uint64_t recorded = journal.events_recorded();

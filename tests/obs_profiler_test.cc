@@ -174,11 +174,11 @@ TEST(ThreadRegistry, NamesThreadAndTruncatesKernelName) {
 
 TEST(ThreadRegistry, ThreadsJsonListsRegisteredThreads) {
   {
-    ThreadLease lease(ThreadRole::kSampler, "chrono-json-probe");
+    ThreadLease lease(ThreadRole::kHousekeeping, "chrono-json-probe");
     std::string json = ThreadRegistry::Instance().ThreadsJson();
     ASSERT_TRUE(ValidateJson(json).ok()) << json;
     EXPECT_NE(json.find("\"chrono-json-probe\""), std::string::npos);
-    EXPECT_NE(json.find("\"sampler\""), std::string::npos);
+    EXPECT_NE(json.find("\"housekeeping\""), std::string::npos);
   }
   // After the lease: still listed, no longer alive. Probe entries are
   // find-by-name since other tests contribute entries too.

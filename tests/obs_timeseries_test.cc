@@ -4,11 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -82,7 +79,7 @@ class TimeSeriesTest : public ::testing::Test {
     TimeSeriesRing::Options opts;
     opts.capacity = capacity;
     opts.interval_ms = 1000;
-    return TimeSeriesRing(&registry_, opts, [this] { return now_us_.load(); });
+    return TimeSeriesRing(&registry_, opts, [this] { return now_us_; });
   }
 
   MetricsRegistry registry_;
@@ -90,8 +87,7 @@ class TimeSeriesTest : public ::testing::Test {
   Counter* hits_ = nullptr;
   Counter* misses_ = nullptr;
   Histogram* latency_ = nullptr;
-  // Atomic: the sampler-thread test reads it from the sampler thread.
-  std::atomic<uint64_t> now_us_{0};
+  uint64_t now_us_ = 0;
 };
 
 TEST_F(TimeSeriesTest, SamplesDeriveRatesFromCounterDeltas) {
@@ -156,24 +152,6 @@ TEST_F(TimeSeriesTest, ToJsonIsWellFormedAndCarriesTheInterval) {
   EXPECT_NE(json.find("\"samples\":[{"), std::string::npos) << json;
   EXPECT_NE(json.find("\"qps\":10.0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"requests_total\":10"), std::string::npos) << json;
-}
-
-TEST_F(TimeSeriesTest, SamplerThreadStartStopIsIdempotent) {
-  TimeSeriesRing::Options opts;
-  opts.capacity = 4;
-  opts.interval_ms = 5;  // fast enough to take real samples in the test
-  TimeSeriesRing ring(&registry_, opts, [this] { return now_us_.load(); });
-  ring.Start();
-  ring.Start();  // second Start is a no-op
-  // The sampler thread only records when the clock advances.
-  for (int i = 0; i < 40 && ring.samples_taken() == 0; ++i) {
-    requests_->Increment(1);
-    now_us_ += 1'000'000;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ring.Stop();
-  ring.Stop();  // idempotent
-  EXPECT_GT(ring.samples_taken(), 0u);
 }
 
 }  // namespace

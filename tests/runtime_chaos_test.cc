@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -18,6 +19,7 @@
 #include "net/circuit_breaker.h"
 #include "obs/audit.h"
 #include "obs/journal.h"
+#include "obs/timeseries.h"
 #include "runtime/server.h"
 #include "sql/result_set.h"
 
@@ -68,7 +70,6 @@ class ChaosTest : public ::testing::Test {
     config.retry.max_attempts = 3;
     config.retry.initial_backoff_us = 200;
     config.retry.max_backoff_us = 2'000;
-    config.journal_drain_ms = 0;  // manual Drain(): deterministic reads
     return config;
   }
 
@@ -250,6 +251,35 @@ TEST_F(ChaosTest, ChaosRunCompletesAndJournalReconciles) {
   EXPECT_EQ(snap.availability.backend_retries, m.backend_retries);
   EXPECT_EQ(snap.availability.backend_timeouts, m.backend_timeouts);
   EXPECT_EQ(snap.availability.stale_serves, m.stale_serves);
+}
+
+// /timeseries reads the retry and stale-serve families. They are engine
+// counters registered at startup, so the rates are live with the journal
+// off too (serve_bench --no-journal), not only when the audit folds them.
+TEST_F(ChaosTest, TimeSeriesReportsRetriesWithTheJournalOff) {
+  ServerConfig config = ChaosConfig();
+  config.enable_journal = false;
+  config.fault.error_pct = 20;
+  config.fault.seed = 11;
+  ChronoServer server(&db_, config);
+  ASSERT_EQ(server.journal(), nullptr);
+  ASSERT_NE(server.timeseries(), nullptr);
+
+  for (int i = 0; i < 100; ++i) {
+    (void)server.Submit(1, "SELECT v FROM t WHERE id = " +
+                               std::to_string(i % 40))
+        .get();
+  }
+  ASSERT_GT(server.metrics().backend_retries, 0u);
+  server.timeseries()->SampleNow();
+  std::vector<obs::TimeSeriesRing::Sample> samples =
+      server.timeseries()->Snapshot();
+  ASSERT_FALSE(samples.empty());
+  // The housekeeping thread may have sampled part of the run already.
+  EXPECT_TRUE(std::any_of(samples.begin(), samples.end(),
+                          [](const obs::TimeSeriesRing::Sample& s) {
+                            return s.retries_ps > 0;
+                          }));
 }
 
 }  // namespace

@@ -86,7 +86,6 @@ class SingleFlightTest : public ::testing::Test {
     config.enable_learning = false;
     config.enable_combining = false;
     config.db_latency_us = 50'000;
-    config.journal_drain_ms = 0;  // manual Drain(): deterministic reads
     return config;
   }
 
@@ -220,7 +219,6 @@ TEST_F(SingleFlightTest, CrossSecurityGroupMissesDoNotCoalesce) {
 TEST_F(SingleFlightTest, FollowerWithNewerSessionRefetchesInsteadOfInheriting) {
   ServerConfig config = SlowBackendConfig();
   config.db_latency_us = 200'000;
-  config.journal_drain_ms = 0;
   ChronoServer server(&db_, config);
   CollectSink sink;
   ASSERT_NE(server.journal(), nullptr);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "obs/threads.h"
 #include "runtime/server.h"
 #include "runtime/sharded_cache.h"
 #include "runtime/thread_pool.h"
@@ -351,6 +352,53 @@ TEST_F(ChronoServerTest, LearnsAndPrefetchesDependentQueries) {
   EXPECT_GT(m.remote_combined + m.predictions_cached, 0u)
       << "combined=" << m.remote_combined
       << " predicted=" << m.predictions_cached;
+}
+
+// One housekeeping thread runs every periodic job of a node (DESIGN.md
+// §9): it drains the journal, steps the brownout controller and samples
+// the time series, and it is the only such thread — the journal and the
+// time-series ring own none.
+TEST_F(ChronoServerTest, OneHousekeepingThreadRunsEveryPeriodicJob) {
+  ServerConfig config;
+  config.workers = 2;
+  config.queue_target_us = 1'000'000;  // brownout on: all three jobs run
+  ChronoServer server(&db_, config);
+  ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 1").get().ok());
+
+  auto count_alive = [](const auto& match) {
+    int n = 0;
+    obs::ThreadRegistry::Instance().ForEach(
+        [&](obs::ThreadRegistry::Entry* entry) {
+          if (entry->alive.load() && match(*entry)) ++n;
+        });
+    return n;
+  };
+  auto is_housekeeping = [](const obs::ThreadRegistry::Entry& entry) {
+    return entry.role == obs::ThreadRole::kHousekeeping;
+  };
+  // No manual Drain() and no SampleNow(): only the housekeeping thread can
+  // make these move. The time series samples once a second.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((count_alive(is_housekeeping) == 0 ||
+          server.journal()->events_drained() == 0 ||
+          server.timeseries()->samples_taken() == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(count_alive(is_housekeeping), 1);
+  EXPECT_EQ(count_alive([](const obs::ThreadRegistry::Entry& entry) {
+              return entry.name == "chrono-journal" ||
+                     entry.name == "chrono-ts-sampler";
+            }),
+            0);
+  EXPECT_GT(server.journal()->events_drained(), 0u);
+  EXPECT_GT(server.timeseries()->samples_taken(), 0u);
+
+  server.Shutdown();
+  EXPECT_EQ(count_alive(is_housekeeping), 0);
+  // Shutdown's final drain leaves nothing in the rings.
+  EXPECT_EQ(server.journal()->events_drained(),
+            server.journal()->events_recorded());
 }
 
 }  // namespace
