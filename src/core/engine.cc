@@ -10,6 +10,9 @@ namespace chrono::core {
 
 namespace {
 
+constexpr size_t kTemplateCacheEntries = 512;  // memoized AnalyzeQuery results
+constexpr uint64_t kMinOccurrences = 3;        // graph-extraction threshold
+
 obs::LockSite* SiteOrNull(obs::ContentionRegistry* contention,
                           const char* name) {
   return contention == nullptr ? nullptr : contention->Site(name);
@@ -166,10 +169,10 @@ Engine::Engine(const EngineConfig& config, Options options,
       options_(options),
       now_us_(std::move(now_us)),
       extractor_(GraphExtractor::Options{
-          config.tau, config.min_occurrences, options.enable_loops,
+          config.tau, kMinOccurrences, options.enable_loops,
           options.enable_loop_constants, /*max_nodes=*/8}),
       template_mutex_(SiteOrNull(contention, "server.template_cache")),
-      template_cache_(config.template_cache_entries),
+      template_cache_(kTemplateCacheEntries),
       registry_mutex_(SiteOrNull(contention, "server.registry.write"),
                       SiteOrNull(contention, "server.registry.read")),
       versions_mutex_(SiteOrNull(contention, "server.versions")),

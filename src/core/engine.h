@@ -36,8 +36,6 @@ struct EngineConfig {
   double tau = 0.8;                         // temporal correlation threshold
   SimTime delta_t = 200 * kMicrosPerMilli;  // Δt correlation window (µs)
   size_t cache_bytes = 64ull << 20;         // result-cache budget
-  size_t template_cache_entries = 512;      // memoized AnalyzeQuery results
-  uint64_t min_occurrences = 3;             // extraction threshold
   int min_validations = 2;                  // mapping confirmation threshold
   size_t extract_every = 4;                 // model-mining cadence
   bool enable_learning = true;              // learn the query patterns

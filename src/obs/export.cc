@@ -28,39 +28,6 @@ std::string EscapeLabelValue(const std::string& v) {
   return out;
 }
 
-std::string EscapeJson(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Integral values print without a fraction so counter output is exact;
 /// everything else uses shortest-round-trip-ish %g.
 std::string FormatValue(double v) {
@@ -108,6 +75,39 @@ const char* TypeName(MetricType t) {
 }
 
 }  // namespace
+
+std::string EscapeJson(const std::string& v) {
+  std::string out;
+  out.reserve(v.size());
+  for (char c : v) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 std::string ToPrometheusText(const RegistrySnapshot& snapshot) {
   std::string out;

@@ -11,6 +11,10 @@
 
 namespace chrono::obs {
 
+/// `v` escaped for use inside a JSON string literal (quotes, backslashes
+/// and control characters).
+std::string EscapeJson(const std::string& v);
+
 /// Renders a registry snapshot in the Prometheus text exposition format
 /// (version 0.0.4): `# HELP` / `# TYPE` per metric family, histograms as
 /// cumulative `_bucket{le=...}` series with an `le="+Inf"` terminal bucket

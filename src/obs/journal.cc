@@ -89,10 +89,12 @@ EventJournal::Buffer* EventJournal::BufferForThisThread() {
 
 void EventJournal::Record(JournalEvent event) {
   if (event.ts_us == 0) {
-    event.ts_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
+    // At least 1: an event recorded within the journal's first µs must
+    // still read as stamped.
+    event.ts_us = std::max<uint64_t>(
+        1, std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - epoch_)
+               .count());
   }
   Buffer* buffer = BufferForThisThread();
   uint64_t head = buffer->head.load(std::memory_order_relaxed);

@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/export.h"
+
 namespace chrono::obs {
 
 namespace {
@@ -74,36 +76,6 @@ size_t CaptureStack(void* ucontext_ptr, uintptr_t stack_lo,
     pcs[depth++] = 0;
   }
   return depth;
-}
-
-std::string EscapeJsonString(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Collapsed-stack frames must not contain the two characters the format
@@ -511,7 +483,7 @@ std::string CpuProfiler::ProfileJson() const {
   for (const auto& [entry, count] : folded_by_entry_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + EscapeJsonString(entry->name) + "\"";
+    out += "{\"name\":\"" + EscapeJson(entry->name) + "\"";
     out += ",\"role\":\"" + std::string(ThreadRoleName(entry->role)) + "\"";
     out += ",\"samples\":" + std::to_string(count) + "}";
   }
@@ -533,7 +505,7 @@ std::string CpuProfiler::ProfileJson() const {
                  .first;
       }
       if (i > 0) out += ",";
-      out += "\"" + EscapeJsonString(it->second) + "\"";
+      out += "\"" + EscapeJson(it->second) + "\"";
     }
     out += "],\"count\":" + std::to_string(count) + "}";
   });

@@ -98,18 +98,6 @@ class TimeSeriesRing {
   std::atomic<uint64_t> samples_taken_{0};
 };
 
-/// Sums two cumulative-bucket histograms (e.g. the op=read and op=write
-/// latency families) into one, carrying forward sparse buckets.
-HistogramSnapshot MergeHistograms(const HistogramSnapshot& a,
-                                  const HistogramSnapshot& b);
-
-/// The observations recorded between `prev` and `cur` (cur − prev by
-/// cumulative-bucket subtraction, clamped at zero so a racing writer can
-/// never produce a negative bucket). Percentiles of the result describe
-/// only that interval.
-HistogramSnapshot DeltaHistogram(const HistogramSnapshot& cur,
-                                 const HistogramSnapshot& prev);
-
 }  // namespace chrono::obs
 
 #endif  // CHRONOCACHE_OBS_TIMESERIES_H_

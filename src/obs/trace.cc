@@ -40,8 +40,6 @@ const char* AnnotationKindName(AnnotationKind kind) {
       return "attempt_timeout";
     case AnnotationKind::kBreakerReject:
       return "breaker_reject";
-    case AnnotationKind::kBreakerState:
-      return "breaker_state";
     case AnnotationKind::kCoalesced:
       return "coalesced";
     case AnnotationKind::kStaleServe:

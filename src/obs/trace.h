@@ -72,7 +72,6 @@ enum class AnnotationKind {
   kRetry = 0,        // demand-fetch attempt failed and was retried
   kAttemptTimeout,   // one backend attempt hit the per-attempt cap
   kBreakerReject,    // admission denied by the circuit breaker
-  kBreakerState,     // breaker transitioned while this request ran
   kCoalesced,        // parked behind another thread's in-flight fetch
   kStaleServe,       // answered from a version-stale cache entry
   kFault,            // injected fault fired on a backend attempt

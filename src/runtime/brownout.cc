@@ -65,30 +65,4 @@ BrownoutController::Level BrownoutController::OnSample(uint64_t p99_us) {
   return static_cast<Level>(next);
 }
 
-uint64_t WindowedPercentile(const obs::HistogramSnapshot& prev,
-                            const obs::HistogramSnapshot& cur, double q) {
-  if (cur.count <= prev.count) return 0;
-  obs::HistogramSnapshot window;
-  window.count = cur.count - prev.count;
-  window.sum = cur.sum >= prev.sum ? cur.sum - prev.sum : 0;
-  window.buckets.reserve(cur.buckets.size());
-  // Cumulative counts are monotone in time and prev's bucket list is a
-  // subset of cur's (a bucket appears once its count advances), so the
-  // prev cumulative at any bound is that of its last bucket at or below
-  // the bound.
-  size_t pi = 0;
-  uint64_t prev_cum = 0;
-  for (const obs::HistogramSnapshot::Bucket& b : cur.buckets) {
-    while (pi < prev.buckets.size() &&
-           prev.buckets[pi].upper_bound <= b.upper_bound) {
-      prev_cum = prev.buckets[pi].cumulative;
-      ++pi;
-    }
-    uint64_t cum =
-        b.cumulative >= prev_cum ? b.cumulative - prev_cum : 0;
-    window.buckets.push_back({b.upper_bound, cum});
-  }
-  return static_cast<uint64_t>(window.Percentile(q));
-}
-
 }  // namespace chrono::runtime

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "obs/metrics.h"
-
 namespace chrono::runtime {
 
 /// \brief Adaptive overload controller (§17): watches the demand lane's
@@ -94,13 +92,6 @@ class BrownoutController {
   int over_streak_ = 0;   // OnSample caller only
   int clear_streak_ = 0;  // OnSample caller only
 };
-
-/// Windowed percentile between two snapshots of the *same* histogram:
-/// diffs the cumulative buckets (prev is always a subset of cur) and
-/// interpolates inside the diffed distribution. Returns 0 for an empty
-/// window — an idle server reads as fully clear.
-uint64_t WindowedPercentile(const obs::HistogramSnapshot& prev,
-                            const obs::HistogramSnapshot& cur, double q);
 
 }  // namespace chrono::runtime
 

@@ -28,10 +28,17 @@ constexpr std::chrono::milliseconds kTimeSeriesEvery{1000};
 
 }  // namespace
 
-/// Per-request observability context. `t0` anchors every span; spans are
-/// appended in completion order (pipeline order, since stages nest only
-/// sequentially within one request).
+/// Per-request observability context. `t0` (steady clock) and `start_us`
+/// (server clock) both mark the pipeline start and anchor every span;
+/// spans are appended in completion order (pipeline order, since stages
+/// nest only sequentially within one request).
 struct ChronoServer::ReqCtx {
+  ReqCtx(const Arrival& request_arrival, uint64_t now_us)
+      : arrival(request_arrival),
+        t0(std::chrono::steady_clock::now()),
+        start_us(now_us) {}
+
+  const Arrival& arrival;
   std::chrono::steady_clock::time_point t0;
   uint64_t start_us = 0;
   core::TemplateId tmpl = 0;
@@ -41,15 +48,9 @@ struct ChronoServer::ReqCtx {
   std::vector<obs::TraceSpan> spans;
   std::vector<obs::TraceAnnotation> annotations;
 
-  // Wire-path deferral (ExecuteInternal): timing from the IO thread, and
-  // the unpublished trace FinishRequest leaves behind for the frontend to
-  // finish (completion-wait / flush spans) and publish.
-  const WireTiming* wire = nullptr;
-  std::shared_ptr<obs::RequestTrace> pending;
-
   /// Stamps a backend event onto this request's timeline, relative to the
-  /// pipeline start (FinishRequest rebases wire-path annotations onto the
-  /// decode-start origin together with the spans).
+  /// pipeline start (BuildTrace rebases annotations onto the arrival
+  /// together with the spans).
   void Note(obs::AnnotationKind kind, uint64_t value) {
     annotations.push_back(
         {kind, NsBetween(t0, std::chrono::steady_clock::now()) / 1000,
@@ -212,7 +213,8 @@ void ChronoServer::Housekeeping() {
           [this, prev = pool_wait_hist_[0]->Snapshot()]() mutable {
             obs::HistogramSnapshot cur = pool_wait_hist_[0]->Snapshot();
             // The wait histograms record ns; the ladder thinks in µs.
-            brownout_.OnSample(WindowedPercentile(prev, cur, 0.99) / 1000);
+            brownout_.OnSample(static_cast<uint64_t>(
+                obs::DeltaHistogram(cur, prev).Percentile(0.99) / 1000));
             prev = std::move(cur);
           });
   }
@@ -394,8 +396,8 @@ void ChronoServer::RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl) {
       ->Increment();
 }
 
-void ChronoServer::FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
-                                 const std::string& sql) {
+std::shared_ptr<obs::RequestTrace> ChronoServer::FinishRequest(
+    ReqCtx* ctx, ClientId client, bool read_only, const std::string& sql) {
   uint64_t total_ns = NsBetween(ctx->t0, std::chrono::steady_clock::now());
   (read_only ? request_read_hist_ : request_write_hist_)->Record(total_ns);
   if (journal_ != nullptr) {
@@ -410,8 +412,8 @@ void ChronoServer::FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
     // already passed when the pipeline started should have been rejected
     // at dequeue, never executed. The audit counts these; the count must
     // stay zero.
-    if (ctx->wire != nullptr && ctx->wire->deadline_us != 0 &&
-        ctx->start_us > ctx->wire->deadline_us) {
+    if (ctx->arrival.deadline_us != 0 &&
+        ctx->start_us > ctx->arrival.deadline_us) {
       event.flags |= obs::kJournalFlagLate;
     }
     uint64_t stage_us[static_cast<int>(obs::Stage::kCount)] = {};
@@ -429,79 +431,77 @@ void ChronoServer::FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
         total_ns / 1000);
     journal_->Record(event);
   }
-  if (traces_ == nullptr) return;
+  return BuildTrace(*ctx, client, sql, total_ns / 1000);
+}
+
+std::shared_ptr<obs::RequestTrace> ChronoServer::BuildTrace(
+    const ReqCtx& ctx, ClientId client, const std::string& sql,
+    uint64_t execute_us) {
+  const Arrival& arrival = ctx.arrival;
+  auto since_arrival = [&arrival](uint64_t us) {
+    return us > arrival.arrived_us ? us - arrival.arrived_us : 0;
+  };
+  const uint64_t enqueued = since_arrival(arrival.enqueued_us);
+  const uint64_t exec_start = std::max(enqueued, since_arrival(ctx.start_us));
+
   auto trace = std::make_shared<obs::RequestTrace>();
   trace->id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   trace->client = static_cast<uint64_t>(client);
-  trace->tmpl = static_cast<uint64_t>(ctx->tmpl);
-  trace->sql = sql.substr(0, config_.trace_sql_bytes);
-  trace->outcome = ctx->outcome;
-  trace->prefetch_plan = ctx->prefetch_plan;
-  trace->prefetch_src = ctx->prefetch_src;
-  if (ctx->wire != nullptr) {
-    // Wire path: rebase the timeline onto the IO thread's decode start and
-    // tile the frontend stages in front of the worker's pipeline spans.
-    // The trace stays unpublished (ctx->pending): the frontend appends its
-    // completion-wait / response-flush spans at flush time, then hands it
-    // back through PublishTrace.
-    const WireTiming& w = *ctx->wire;
-    uint64_t dispatch = w.dispatch_us > w.decode_start_us
-                            ? w.dispatch_us - w.decode_start_us
-                            : 0;
-    uint64_t exec_start =
-        ctx->start_us > w.decode_start_us ? ctx->start_us - w.decode_start_us
-                                          : dispatch;
-    if (exec_start < dispatch) exec_start = dispatch;
-    trace->start_us = w.decode_start_us;
-    trace->forced = w.traced;
-    trace->spans.push_back({obs::Stage::kWireDecode, 0, dispatch});
-    trace->spans.push_back(
-        {obs::Stage::kQueueWait, dispatch, exec_start - dispatch});
-    trace->spans.push_back(
-        {obs::Stage::kExecute, exec_start, total_ns / 1000});
-    for (obs::TraceSpan span : ctx->spans) {
-      span.start_us += exec_start;
-      trace->spans.push_back(span);
-    }
-    for (obs::TraceAnnotation note : ctx->annotations) {
-      note.at_us += exec_start;
-      trace->annotations.push_back(note);
-    }
-    // Provisional: PublishTrace sees the final value once the frontend has
-    // appended the completion-wait and flush spans.
-    trace->total_us = exec_start + total_ns / 1000;
-    ctx->pending = std::move(trace);
-    return;
+  trace->tmpl = static_cast<uint64_t>(ctx.tmpl);
+  if (traces_ != nullptr) trace->sql = sql.substr(0, kTraceSqlBytes);
+  trace->outcome = ctx.outcome;
+  trace->prefetch_plan = ctx.prefetch_plan;
+  trace->prefetch_src = ctx.prefetch_src;
+  trace->forced = arrival.traced;
+  trace->start_us = arrival.arrived_us;
+  // The arrival stages tile [0, exec_start); the pipeline spans ride
+  // inside the execute span.
+  trace->spans.reserve(ctx.spans.size() + 5);
+  if (arrival.via == Arrival::Via::kWire) {
+    trace->spans.push_back({obs::Stage::kWireDecode, 0, enqueued});
   }
-  trace->start_us = ctx->start_us;
-  trace->total_us = total_ns / 1000;
-  trace->spans = std::move(ctx->spans);
-  trace->annotations = std::move(ctx->annotations);
-  std::shared_ptr<const obs::RequestTrace> published = std::move(trace);
-  traces_->Push(published);
-  OfferTail(published);
+  if (arrival.via != Arrival::Via::kCall) {
+    trace->spans.push_back(
+        {obs::Stage::kQueueWait, enqueued, exec_start - enqueued});
+  }
+  trace->spans.push_back({obs::Stage::kExecute, exec_start, execute_us});
+  for (obs::TraceSpan span : ctx.spans) {
+    span.start_us += exec_start;
+    trace->spans.push_back(span);
+  }
+  trace->annotations.reserve(ctx.annotations.size());
+  for (obs::TraceAnnotation note : ctx.annotations) {
+    note.at_us += exec_start;
+    trace->annotations.push_back(note);
+  }
+  // The wire frontend extends this with its completion-wait and
+  // response-flush spans before publishing.
+  trace->total_us = exec_start + execute_us;
+  return trace;
+}
+
+std::shared_ptr<obs::RequestTrace> ChronoServer::UnservedTrace(
+    const Arrival& arrival, ClientId client) {
+  ReqCtx ctx(arrival, NowMicros());
+  ctx.outcome = obs::TraceOutcome::kError;
+  return BuildTrace(ctx, client, /*sql=*/{}, /*execute_us=*/0);
 }
 
 void ChronoServer::PublishTrace(std::shared_ptr<obs::RequestTrace> trace) {
-  if (trace == nullptr || traces_ == nullptr) return;
-  // The frontend-side stages never pass through a StageTimer; feed their
-  // histograms here so chrono_stage_latency_ns covers the full round trip.
+  // The arrival stages never pass through a StageTimer; their histograms
+  // are fed here so chrono_stage_latency_ns covers the full round trip.
   for (const obs::TraceSpan& span : trace->spans) {
-    if (span.stage >= obs::Stage::kWireDecode &&
-        span.stage < obs::Stage::kCount) {
+    if (span.stage >= obs::Stage::kWireDecode) {
       stage_hist_[static_cast<int>(span.stage)]->Record(span.dur_us * 1000);
     }
   }
+  if (traces_ == nullptr) return;
   std::shared_ptr<const obs::RequestTrace> published = std::move(trace);
   traces_->Push(published);
-  OfferTail(published);
-}
-
-void ChronoServer::OfferTail(
-    const std::shared_ptr<const obs::RequestTrace>& trace) {
-  if (tail_ == nullptr) return;
-  if (!tail_->MightAdmit(trace->total_us, trace->forced)) return;
-  tail_->Offer(trace, NowMicros());
+  // Cheap floor pre-check first: the steady-state cost is one relaxed load.
+  if (tail_->MightAdmit(published->total_us, published->forced)) {
+    tail_->Offer(published, NowMicros());
+  }
 }
 
 uint64_t ChronoServer::NowMicros() const {
@@ -510,8 +510,6 @@ uint64_t ChronoServer::NowMicros() const {
           std::chrono::steady_clock::now() - start_)
           .count());
 }
-
-void ChronoServer::SimulateWan() const { SleepMicros(config_.db_latency_us); }
 
 void ChronoServer::SleepMicros(uint64_t us) const {
   if (us == 0) return;
@@ -545,11 +543,10 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
   // The node's own budget, before any client clamp: a timeout this budget
   // alone would not have hit is the client's, not the backend's.
   net::Deadline own_deadline(budget_us, [this] { return NowMicros(); });
-  if (call.ctx != nullptr && call.ctx->wire != nullptr &&
-      call.ctx->wire->deadline_us != 0) {
+  if (call.ctx != nullptr && call.ctx->arrival.deadline_us != 0) {
     uint64_t now = NowMicros();
-    uint64_t left = call.ctx->wire->deadline_us > now
-                        ? call.ctx->wire->deadline_us - now
+    uint64_t left = call.ctx->arrival.deadline_us > now
+                        ? call.ctx->arrival.deadline_us - now
                         : 1;
     uint64_t clamped = net::ClampBudgetUs(budget_us, left);
     if (clamped != budget_us) {
@@ -741,81 +738,41 @@ SharedResult ChronoServer::TryServeStale(
 
 size_t ChronoServer::session_count() const { return engine_.model_count(); }
 
-std::future<Result<SharedResult>> ChronoServer::Submit(ClientId client,
-                                                       std::string sql,
-                                                       int security_group) {
-  auto promise = std::make_shared<std::promise<Result<SharedResult>>>();
-  std::future<Result<SharedResult>> future = promise->get_future();
-  bool accepted = pool_.Submit(
-      [this, promise, client, security_group, sql = std::move(sql)]() {
-        promise->set_value(Execute(client, sql, security_group));
-      });
-  if (!accepted) {
-    promise->set_value(
-        Status::Internal("ChronoServer is shut down; submission rejected"));
-  }
-  return future;
-}
-
-void ChronoServer::SubmitAsync(
-    ClientId client, std::string sql, int security_group,
-    std::function<void(Result<SharedResult>)> done) {
+void ChronoServer::SubmitAsync(ClientId client, std::string sql,
+                               int security_group, const Arrival& arrival,
+                               Done done) {
   // The pool copies the task before running it; share the callback so a
-  // rejected submission can still deliver the mandatory error callback.
-  auto callback =
-      std::make_shared<std::function<void(Result<SharedResult>)>>(
-          std::move(done));
-  bool accepted = pool_.Submit(
-      [this, callback, client, security_group, sql = std::move(sql)]() {
-        (*callback)(Execute(client, sql, security_group));
-      });
-  if (!accepted) {
-    (*callback)(
-        Status::Internal("ChronoServer is shut down; submission rejected"));
-  }
-}
-
-void ChronoServer::SubmitAsync(
-    ClientId client, std::string sql, int security_group,
-    const WireTiming& wire,
-    std::function<void(Result<SharedResult>,
-                       std::shared_ptr<obs::RequestTrace>)>
-        done) {
-  auto callback = std::make_shared<std::function<void(
-      Result<SharedResult>, std::shared_ptr<obs::RequestTrace>)>>(
-      std::move(done));
-  auto work =
-      [this, callback, client, security_group, wire, sql = std::move(sql)]() {
-        std::shared_ptr<obs::RequestTrace> pending;
-        Result<SharedResult> result =
-            ExecuteInternal(client, sql, security_group, &wire, &pending);
-        (*callback)(std::move(result), std::move(pending));
-      };
+  // rejected submission can still deliver the mandatory callback.
+  auto callback = std::make_shared<Done>(std::move(done));
+  auto work = [this, callback, client, security_group, arrival,
+               sql = std::move(sql)]() {
+    Served served = ExecuteInternal(client, sql, security_group, arrival);
+    (*callback)(std::move(served.result), std::move(served.trace));
+  };
   bool accepted;
-  if (wire.deadline_us != 0) {
+  if (arrival.deadline_us != 0) {
     // Arm expiry-at-dequeue (§17): if the client's deadline passes while
     // the task is still queued, the worker rejects it in O(1) — the
     // backend never sees it — and the completion is delivered with
     // DeadlineExceeded so the frontend can stamp the kFlagExpired Error.
-    uint64_t deadline_us = wire.deadline_us;
-    uint64_t budget_ms = wire.deadline_us > wire.decode_start_us
-                             ? (wire.deadline_us - wire.decode_start_us) /
-                                   1000
-                             : 0;
+    uint64_t budget_ms =
+        arrival.deadline_us > arrival.arrived_us
+            ? (arrival.deadline_us - arrival.arrived_us) / 1000
+            : 0;
     accepted = pool_.Submit(
         std::move(work),
-        start_ + std::chrono::microseconds(deadline_us),
-        [this, callback, client, deadline_us, budget_ms]() {
+        start_ + std::chrono::microseconds(arrival.deadline_us),
+        [this, callback, client, arrival, budget_ms]() {
           uint64_t now = NowMicros();
           obs::JournalEvent event;
           event.type = obs::JournalEventType::kDeadlineExpired;
           event.client = static_cast<uint32_t>(client);
-          event.a = now > deadline_us ? now - deadline_us : 0;
+          event.a = now > arrival.deadline_us ? now - arrival.deadline_us : 0;
           event.b = budget_ms;
           if (pool_.shutting_down()) event.flags = obs::kJournalFlagDrain;
           Journal(event);
           (*callback)(Status::DeadlineExceeded(kExpiredInQueueMessage),
-                      nullptr);
+                      UnservedTrace(arrival, client));
         });
   } else {
     accepted = pool_.Submit(std::move(work));
@@ -823,24 +780,44 @@ void ChronoServer::SubmitAsync(
   if (!accepted) {
     (*callback)(
         Status::Internal("ChronoServer is shut down; submission rejected"),
-        nullptr);
+        UnservedTrace(arrival, client));
   }
+}
+
+std::future<Result<SharedResult>> ChronoServer::Submit(ClientId client,
+                                                       std::string sql,
+                                                       int security_group) {
+  auto promise = std::make_shared<std::promise<Result<SharedResult>>>();
+  std::future<Result<SharedResult>> future = promise->get_future();
+  Arrival arrival;
+  arrival.arrived_us = NowMicros();
+  arrival.enqueued_us = arrival.arrived_us;
+  SubmitAsync(client, std::move(sql), security_group, arrival,
+              [this, promise](Result<SharedResult> result,
+                              std::shared_ptr<obs::RequestTrace> trace) {
+                PublishTrace(std::move(trace));
+                promise->set_value(std::move(result));
+              });
+  return future;
 }
 
 Result<SharedResult> ChronoServer::Execute(ClientId client,
                                            const std::string& sql,
                                            int security_group) {
-  return ExecuteInternal(client, sql, security_group, /*wire=*/nullptr,
-                         /*pending=*/nullptr);
+  Arrival arrival;
+  arrival.via = Arrival::Via::kCall;
+  arrival.arrived_us = NowMicros();
+  arrival.enqueued_us = arrival.arrived_us;
+  Served served = ExecuteInternal(client, sql, security_group, arrival);
+  PublishTrace(std::move(served.trace));
+  return std::move(served.result);
 }
 
-Result<SharedResult> ChronoServer::ExecuteInternal(
-    ClientId client, const std::string& sql, int security_group,
-    const WireTiming* wire, std::shared_ptr<obs::RequestTrace>* pending) {
-  ReqCtx ctx;
-  ctx.t0 = std::chrono::steady_clock::now();
-  ctx.start_us = NowMicros();
-  ctx.wire = wire;
+ChronoServer::Served ChronoServer::ExecuteInternal(ClientId client,
+                                                   const std::string& sql,
+                                                   int security_group,
+                                                   const Arrival& arrival) {
+  ReqCtx ctx(arrival, NowMicros());
   BrownoutController::Level level = brownout_.level();
   if (level != BrownoutController::Level::kNormal) {
     ctx.Note(obs::AnnotationKind::kBrownout,
@@ -855,9 +832,8 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
   if (!parsed.ok()) {
     counters_.errors.fetch_add(1, std::memory_order_relaxed);
     ctx.outcome = obs::TraceOutcome::kError;
-    FinishRequest(&ctx, client, /*read_only=*/true, sql);
-    if (pending != nullptr) *pending = std::move(ctx.pending);
-    return parsed.status();
+    return {parsed.status(),
+            FinishRequest(&ctx, client, /*read_only=*/true, sql)};
   }
   ctx.tmpl = parsed->tmpl->id;
   const bool read_only = parsed->tmpl->read_only;
@@ -872,9 +848,8 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
     result = DoRead(client, security_group, *parsed, &ctx);
   }
   if (!result.ok()) ctx.outcome = obs::TraceOutcome::kError;
-  FinishRequest(&ctx, client, read_only, parsed->bound_text);
-  if (pending != nullptr) *pending = std::move(ctx.pending);
-  return result;
+  return {std::move(result),
+          FinishRequest(&ctx, client, read_only, parsed->bound_text)};
 }
 
 Result<SharedResult> ChronoServer::DoWrite(ClientId client,
@@ -909,47 +884,19 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
   return std::make_shared<const sql::ResultSet>(std::move(outcome->result));
 }
 
-std::vector<ChronoServer::PreparedPlan> ChronoServer::LearnAndCombine(
-    ClientId client, const sql::ParsedQuery& parsed) {
-  std::vector<PreparedPlan> plans;
-  if (!config_.enable_learning) return plans;
+std::optional<core::DependencyGraph> ChronoServer::LearnAndPrefetch(
+    ClientId client, int security_group, const sql::ParsedQuery& parsed) {
+  if (!config_.enable_learning) return std::nullopt;
   std::vector<core::DependencyGraph> ready = engine_.Observe(client, parsed);
-  if (!config_.enable_combining) return plans;
-  for (const core::DependencyGraph& graph : ready) {
-    std::optional<core::Engine::Plan> plan = engine_.Combine(client, graph);
-    if (!plan.has_value()) continue;
-    plans.push_back({std::move(*plan), graph.ContainsNode(parsed.tmpl->id)});
-  }
-  return plans;
-}
-
-Result<SharedResult> ChronoServer::DoRead(ClientId client,
-                                          int security_group,
-                                          const sql::ParsedQuery& parsed,
-                                          ReqCtx* ctx) {
-  const core::TemplateId tmpl = parsed.tmpl->id;
-
-  std::vector<PreparedPlan> plans;
-  {
-    StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
-    plans = LearnAndCombine(client, parsed);
-  }
-
-  // Ships the shared payload to the caller: a ref-count bump, never a row
-  // copy. The mapper reads through the pointer (the payload is immutable).
-  auto respond = [&](const SharedResult& result) {
-    engine_.ObserveResult(client, tmpl, *result);
-    return result;
-  };
-
-  // Launch background prefetches for the plans that do not cover this
-  // query; the covering plan (if any) runs inline below on a miss.
-  PreparedPlan* primary = nullptr;
-  for (PreparedPlan& p : plans) {
-    if (p.contains_current && primary == nullptr) {
-      primary = &p;
+  if (!config_.enable_combining) return std::nullopt;
+  std::optional<core::DependencyGraph> covering;
+  for (core::DependencyGraph& graph : ready) {
+    if (!covering.has_value() && graph.ContainsNode(parsed.tmpl->id)) {
+      covering = std::move(graph);
       continue;
     }
+    std::optional<core::Engine::Plan> plan = engine_.Combine(client, graph);
+    if (!plan.has_value()) continue;
     // First rung of the brownout ladder (§17): under pressure speculation
     // is dropped before it is even queued. Plans are still learned — only
     // the background execution is shed.
@@ -960,13 +907,47 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
     bool queued = pool_.TrySubmit(
         ThreadPool::Lane::kPrefetch,
-        [this, client, security_group, plan = p.plan]() {
+        [this, client, security_group, plan = *plan]() {
           ExecuteCombined(client, security_group, plan, /*ctx=*/nullptr);
         });
     if (!queued) {
-      ShedPrefetch(obs::kShedQueueFull, p.plan.id, client);
+      ShedPrefetch(obs::kShedQueueFull, plan->id, client);
     }
   }
+  return covering;
+}
+
+Result<SharedResult> ChronoServer::DoRead(ClientId client,
+                                          int security_group,
+                                          const sql::ParsedQuery& parsed,
+                                          ReqCtx* ctx) {
+  const core::TemplateId tmpl = parsed.tmpl->id;
+
+  // Background prefetches launch here; the graph covering this query (if
+  // any) is combined and run inline below, on a miss only.
+  std::optional<core::DependencyGraph> covering;
+  {
+    StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
+    covering = LearnAndPrefetch(client, security_group, parsed);
+  }
+
+  // Ships the shared payload to the caller: a ref-count bump, never a row
+  // copy. The mapper reads through the pointer (the payload is immutable).
+  auto respond = [&](const SharedResult& result) {
+    engine_.ObserveResult(client, tmpl, *result);
+    return result;
+  };
+  auto respond_hit = [&](const cache::CachedResult& hit,
+                         obs::TraceOutcome outcome) {
+    counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    ctx->outcome = outcome;
+    if (hit.prefetch_plan != 0) {
+      ctx->prefetch_plan = hit.prefetch_plan;
+      ctx->prefetch_src = hit.prefetch_src;
+      RecordPrefetchedHit(hit.prefetch_src, tmpl);
+    }
+    return respond(hit.result);
+  };
 
   // A version-stale (but security-cleared) entry seen during the lookup:
   // kept around as the degraded answer of last resort.
@@ -978,21 +959,20 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed, &stale_candidate);
     }
     if (hit.has_value()) {
-      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      ctx->outcome = obs::TraceOutcome::kCacheHit;
-      if (hit->prefetch_plan != 0) {
-        ctx->prefetch_plan = hit->prefetch_plan;
-        ctx->prefetch_src = hit->prefetch_src;
-        RecordPrefetchedHit(hit->prefetch_src, tmpl);
-      }
-      return respond(hit->result);
+      return respond_hit(*hit, obs::TraceOutcome::kCacheHit);
     }
   }
 
-  // Miss with a covering combined plan: execute it inline — the wall-clock
-  // analogue of the simulator's "wait on the in-flight combined query".
-  if (primary != nullptr &&
-      ExecuteCombined(client, security_group, primary->plan, ctx)) {
+  // Miss with a covering graph: combine it and execute the plan inline —
+  // the wall-clock analogue of the simulator's "wait on the in-flight
+  // combined query".
+  std::optional<core::Engine::Plan> covering_plan;
+  if (covering.has_value()) {
+    StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
+    covering_plan = engine_.Combine(client, *covering);
+  }
+  if (covering_plan.has_value() &&
+      ExecuteCombined(client, security_group, *covering_plan, ctx)) {
     std::optional<cache::CachedResult> hit;
     {
       StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
@@ -1000,14 +980,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
     if (hit.has_value()) {
       counters_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
-      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      ctx->outcome = obs::TraceOutcome::kPredictionHit;
-      if (hit->prefetch_plan != 0) {
-        ctx->prefetch_plan = hit->prefetch_plan;
-        ctx->prefetch_src = hit->prefetch_src;
-        RecordPrefetchedHit(hit->prefetch_src, tmpl);
-      }
-      return respond(hit->result);
+      return respond_hit(*hit, obs::TraceOutcome::kPredictionHit);
     }
     counters_.prediction_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }

@@ -9,6 +9,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -59,11 +60,10 @@ struct ServerConfig : core::EngineConfig {
   /// stages, the pool, the shards and the database report through this
   /// one registry (DESIGN.md §9).
   obs::MetricsRegistry* registry = nullptr;
-  /// Recent-request trace ring size; 0 disables per-request tracing and
-  /// the tail reservoir (DESIGN.md §15).
+  /// Recent-request trace ring size; 0 turns off trace retention — the
+  /// ring, the tail reservoir and the per-trace SQL copy. Every request is
+  /// still recorded into the stage histograms (DESIGN.md §15).
   size_t trace_capacity = 256;
-  /// Bound SQL text retained per trace (truncated beyond this).
-  size_t trace_sql_bytes = 120;
 
   /// Time-series telemetry ring (/timeseries): samples retained, one per
   /// second. 0 disables the ring.
@@ -150,30 +150,16 @@ class ChronoServer {
   ChronoServer(const ChronoServer&) = delete;
   ChronoServer& operator=(const ChronoServer&) = delete;
 
-  /// Asynchronous client entry point: enqueues the statement on the
-  /// worker pool (blocking while the queue is full) and returns a future
-  /// for the response. After Shutdown() the future holds an error status.
-  /// The payload is a shared immutable result — callers must not mutate
-  /// it; concurrent futures may alias the same rows.
-  std::future<Result<SharedResult>> Submit(ClientId client, std::string sql,
-                                           int security_group = 0);
-
-  /// Callback-style asynchronous entry point for event-driven callers
-  /// (the wire frontend): enqueues the statement and invokes `done` from
-  /// the worker thread that executed it — exactly once, including after
-  /// Shutdown() (then with an error status, from the calling thread).
-  /// `done` must not block: the wire frontend hands the response to its
-  /// IO thread via an eventfd-signalled completion queue.
-  void SubmitAsync(ClientId client, std::string sql, int security_group,
-                   std::function<void(Result<SharedResult>)> done);
-
-  /// Wire-frontend timing context for one request (server-clock µs, see
-  /// NowMicros): when the IO thread began decoding the frame and when it
-  /// dispatched the request to the pool. `traced` marks a client-forced
-  /// trace (wire kFlagTraced) that bypasses tail-reservoir admission.
-  struct WireTiming {
-    uint64_t decode_start_us = 0;
-    uint64_t dispatch_us = 0;
+  /// When and how a request reached the node (server-clock µs, see
+  /// NowMicros); its stamps become the spans in front of the pipeline in
+  /// the request's record (DESIGN.md §15).
+  struct Arrival {
+    /// kCall: Execute(), no queue; kQueue: Submit(); kWire: a Query frame.
+    enum class Via : uint8_t { kCall, kQueue, kWire };
+    Via via = Via::kQueue;
+    uint64_t arrived_us = 0;   // frame decode began (kWire), or submitted
+    uint64_t enqueued_us = 0;  // handed to the worker pool
+    /// A client-forced trace (wire kFlagTraced): bypasses tail admission.
     bool traced = false;
     /// Absolute server-clock µs the client's propagated deadline lands
     /// (wire deadline_ms anchored at decode start); 0 = none. Clamps the
@@ -181,28 +167,43 @@ class ChronoServer {
     uint64_t deadline_us = 0;
   };
 
-  /// Wire-path variant of SubmitAsync: the finished request's trace is
-  /// handed to `done` still unpublished (null when tracing is off or the
-  /// pool rejected the work). The frontend appends its completion-wait /
-  /// response-flush spans once the response bytes actually leave the
-  /// socket, then hands the trace back via PublishTrace — so a trace's
-  /// timeline covers the full wire round trip, not just the worker.
-  void SubmitAsync(
-      ClientId client, std::string sql, int security_group,
-      const WireTiming& wire,
-      std::function<void(Result<SharedResult>,
-                         std::shared_ptr<obs::RequestTrace>)>
-          done);
+  /// Receives a finished request's result and its unpublished record; the
+  /// receiver may append spans (the wire frontend adds completion-wait and
+  /// response-flush) and must hand the record to PublishTrace.
+  using Done = std::function<void(Result<SharedResult>,
+                                  std::shared_ptr<obs::RequestTrace>)>;
 
-  /// Publishes a deferred wire-path trace (ring + tail reservoir +
-  /// wire-stage histograms). The caller must be done mutating it.
-  void PublishTrace(std::shared_ptr<obs::RequestTrace> trace);
+  /// The queued entry point every request but Execute() goes through:
+  /// enqueues the statement on the worker pool (blocking while the queue
+  /// is full) and invokes `done` exactly once — from the worker thread
+  /// that executed it, from a worker that found its deadline expired in
+  /// the queue, or after Shutdown() from the calling thread (both with an
+  /// error status). `done` must not block: the wire frontend hands the
+  /// response to its IO thread via an eventfd-signalled completion queue.
+  /// The payload is a shared immutable result — callers must not mutate
+  /// it; concurrent requests may alias the same rows.
+  void SubmitAsync(ClientId client, std::string sql, int security_group,
+                   const Arrival& arrival, Done done);
+
+  /// In-process wrapper over SubmitAsync: stamps the arrival at enqueue
+  /// and publishes the record before the future becomes ready, so a
+  /// caller that waits on it sees its trace. After Shutdown() the future
+  /// holds an error status.
+  std::future<Result<SharedResult>> Submit(ClientId client, std::string sql,
+                                           int security_group = 0);
 
   /// Synchronous entry point: runs the full analyze → predict → combine →
-  /// decode pipeline in the calling thread. Safe to call from any number
-  /// of threads concurrently (the worker pool itself calls this).
+  /// decode pipeline in the calling thread (no queue span) and publishes
+  /// the record before returning. Safe to call from any number of threads
+  /// concurrently.
   Result<SharedResult> Execute(ClientId client, const std::string& sql,
                                int security_group = 0);
+
+  /// The one publish site for request records: records the arrival-stage
+  /// histograms (wire_decode … response_flush) from the record's spans,
+  /// then, when traces are retained, pushes it to the ring and offers it
+  /// to the tail reservoir. The caller must be done mutating it.
+  void PublishTrace(std::shared_ptr<obs::RequestTrace> trace);
 
   /// Microseconds since server start — the clock every trace timestamp,
   /// stale-age bound and time-series sample shares.
@@ -212,6 +213,8 @@ class ChronoServer {
   void Shutdown();
 
   ServerMetrics metrics() const { return engine_.Metrics(); }
+  /// The live node counters metrics() snapshots (lock-free reads).
+  const core::EngineCounters& counters() const { return counters_; }
 
   /// Node health for /healthz: degraded while the circuit breaker is not
   /// closed or a stale result was served within the last 2 s.
@@ -264,48 +267,48 @@ class ChronoServer {
   obs::ContentionRegistry* contention() const { return contention_.get(); }
   /// Recent-request traces; null when trace_capacity was 0.
   const obs::TraceRing* traces() const { return traces_.get(); }
+  /// SQL text retained per trace (truncated beyond this).
+  static constexpr size_t kTraceSqlBytes = 120;
   /// The prefetch-lifecycle journal (attach file sinks here); null when
   /// enable_journal was false.
   obs::EventJournal* journal() const { return journal_.get(); }
   /// Live prefetch cost/benefit scoreboards fed by the journal drain;
   /// null when enable_journal was false.
   const obs::PrefetchAudit* audit() const { return audit_.get(); }
-  /// Tail-latency reservoir; null when tracing is disabled.
+  /// Tail-latency reservoir; null when trace_capacity was 0.
   const obs::TailReservoir* tail() const { return tail_.get(); }
   /// 1 s telemetry samples; null when timeseries_capacity was 0. Non-const
   /// so tests can drive SampleNow() without waiting out real intervals.
   obs::TimeSeriesRing* timeseries() const { return timeseries_.get(); }
 
  private:
-  /// A combined prefetch ready to execute.
-  struct PreparedPlan {
-    core::Engine::Plan plan;
-    bool contains_current = false;  // covers the query being served
-  };
-
-  /// Per-request observability context, stack-allocated in Execute():
-  /// accumulates timed pipeline spans and the outcome/attribution that
-  /// become a RequestTrace. Never crosses a thread.
+  /// Per-request observability context, stack-allocated in
+  /// ExecuteInternal(): accumulates timed pipeline spans and the
+  /// outcome/attribution that become a RequestTrace. Never crosses a
+  /// thread.
   struct ReqCtx;
   class StageTimer;
 
-  /// Execute() with optional wire timing: when `wire` is non-null the
-  /// finished trace is written to *pending (unpublished) instead of being
-  /// pushed to the ring.
-  Result<SharedResult> ExecuteInternal(
-      ClientId client, const std::string& sql, int security_group,
-      const WireTiming* wire,
-      std::shared_ptr<obs::RequestTrace>* pending);
+  /// A finished request: its result and its unpublished record.
+  struct Served {
+    Result<SharedResult> result;
+    std::shared_ptr<obs::RequestTrace> trace;
+  };
+  /// Runs the pipeline for one request in the calling thread.
+  Served ExecuteInternal(ClientId client, const std::string& sql,
+                         int security_group, const Arrival& arrival);
 
   Result<SharedResult> DoWrite(ClientId client,
                                const sql::ParsedQuery& parsed, ReqCtx* ctx);
   Result<SharedResult> DoRead(ClientId client, int security_group,
                               const sql::ParsedQuery& parsed, ReqCtx* ctx);
 
-  /// Learning + graph readiness + combining for one read arrival. Returns
-  /// the plans mined ready on this arrival.
-  std::vector<PreparedPlan> LearnAndCombine(ClientId client,
-                                            const sql::ParsedQuery& parsed);
+  /// Learning + graph readiness for one read arrival: combines and queues
+  /// a background prefetch for every graph made ready, except the first
+  /// graph that covers the query being served, which is returned so the
+  /// caller combines it only on a cache miss (it is never issued on a hit).
+  std::optional<core::DependencyGraph> LearnAndPrefetch(
+      ClientId client, int security_group, const sql::ParsedQuery& parsed);
 
   /// Executes a combined plan (reader-locked database), splits the result
   /// and installs every piece in the cache tagged with `plan_id` for hit
@@ -326,7 +329,7 @@ class ChronoServer {
     ReqCtx* ctx = nullptr;     // trace annotations (null for background)
   };
   /// `exec` performs the actual (locked) database execution; CallBackend
-  /// owns the WAN sleep, so `exec` must not call SimulateWan itself.
+  /// owns the WAN sleep, so `exec` must not sleep itself.
   Result<db::ExecOutcome> CallBackend(
       const BackendCall& call,
       const std::function<Result<db::ExecOutcome>()>& exec);
@@ -364,16 +367,26 @@ class ChronoServer {
   void Journal(obs::JournalEvent event) { engine_.Journal(event); }
   /// Bumps the per-edge attributed prediction-hit counter.
   void RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl);
-  /// Publishes the finished request to the histograms and the trace ring
-  /// (or defers the trace into ctx for the wire path, see ExecuteInternal).
-  void FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
-                     const std::string& sql);
-  /// Offers a published trace to the tail reservoir (cheap floor
-  /// pre-check first, so the steady-state cost is one relaxed load).
-  void OfferTail(const std::shared_ptr<const obs::RequestTrace>& trace);
+  /// Records the finished request's latency and kRequest journal event
+  /// (on the worker thread) and returns its record.
+  std::shared_ptr<obs::RequestTrace> FinishRequest(ReqCtx* ctx,
+                                                   ClientId client,
+                                                   bool read_only,
+                                                   const std::string& sql);
+  /// Builds the one-shape record of a request: the arrival stages
+  /// (wire_decode when it crossed the wire, queue_wait when it was
+  /// queued), then an execute span wrapping the pipeline spans.
+  std::shared_ptr<obs::RequestTrace> BuildTrace(const ReqCtx& ctx,
+                                                ClientId client,
+                                                const std::string& sql,
+                                                uint64_t execute_us);
+  /// The record of a queued request that never ran the pipeline (expired
+  /// in the queue, or refused after Shutdown): an error outcome whose
+  /// execute span is empty.
+  std::shared_ptr<obs::RequestTrace> UnservedTrace(const Arrival& arrival,
+                                                   ClientId client);
 
-  /// Sleeps the configured WAN latency; never called holding a lock.
-  void SimulateWan() const;
+  /// Sleeps (the WAN latency, a backoff); never called holding a lock.
   void SleepMicros(uint64_t us) const;
 
   db::Database* db_;

@@ -40,51 +40,57 @@ uint64_t RelSince(uint64_t now_us, const obs::RequestTrace& trace) {
 WireServer::WireServer(runtime::ChronoServer* server, Options options)
     : server_(server),
       options_(std::move(options)),
-      completions_mutex_(server_->contention() != nullptr
-                             ? server_->contention()->Site("wire.completions")
-                             : nullptr) {
+      completions_mutex_(server_->contention()->Site("wire.completions")) {
+  // Each fact lives in one atomic; the registry families read it.
   obs::MetricsRegistry* registry = server_->registry();
-  if (registry != nullptr) {
-    active_gauge_ = registry->GetGauge(
-        "chrono_wire_connections",
-        "Current wire connections by state.", {{"state", "active"}});
-    accepted_counter_ = registry->GetCounter(
-        "chrono_wire_connections_accepted_total",
-        "Wire connections accepted since start.");
-    rejected_counter_ = registry->GetCounter(
-        "chrono_wire_connections_rejected_total",
-        "Wire connections refused at the max_connections admission cap.");
-    const char* closed_help = "Wire connections closed, by reason.";
-    closed_client_counter_ =
-        registry->GetCounter("chrono_wire_connections_closed_total",
-                             closed_help, {{"reason", "client"}});
-    closed_idle_counter_ =
-        registry->GetCounter("chrono_wire_connections_closed_total",
-                             closed_help, {{"reason", "idle"}});
-    closed_error_counter_ =
-        registry->GetCounter("chrono_wire_connections_closed_total",
-                             closed_help, {{"reason", "error"}});
-    const char* bytes_help = "Wire payload traffic in bytes, by direction.";
-    bytes_in_counter_ = registry->GetCounter("chrono_wire_bytes_total",
-                                             bytes_help, {{"direction", "in"}});
-    bytes_out_counter_ = registry->GetCounter(
-        "chrono_wire_bytes_total", bytes_help, {{"direction", "out"}});
-    const char* frames_help = "Wire frames processed, by direction.";
-    frames_in_counter_ = registry->GetCounter(
-        "chrono_wire_frames_total", frames_help, {{"direction", "in"}});
-    frames_out_counter_ = registry->GetCounter(
-        "chrono_wire_frames_total", frames_help, {{"direction", "out"}});
-    protocol_errors_counter_ = registry->GetCounter(
-        "chrono_wire_protocol_errors_total",
-        "Malformed or oversized frames that forced a connection close.");
-    latency_hist_ = registry->GetHistogram(
-        "chrono_wire_request_latency_us",
-        "Wire request latency in microseconds: frame decoded to response "
-        "frame queued for the socket.");
-  }
+  auto read = [](const std::atomic<uint64_t>* value) {
+    return [value] {
+      return static_cast<double>(value->load(std::memory_order_relaxed));
+    };
+  };
+  registry->RegisterCallbackGauge(
+      "chrono_wire_connections", "Current wire connections by state.",
+      {{"state", "active"}}, read(&active_), this);
+  auto counter = [&](const char* name, const char* help, obs::Labels labels,
+                     const std::atomic<uint64_t>* value) {
+    registry->RegisterCallbackCounter(name, help, std::move(labels),
+                                      read(value), this);
+  };
+  counter("chrono_wire_connections_accepted_total",
+          "Wire connections accepted since start.", {}, &accepted_);
+  counter("chrono_wire_connections_rejected_total",
+          "Wire connections refused at the max_connections admission cap.",
+          {}, &rejected_);
+  const char* closed_help = "Wire connections closed, by reason.";
+  counter("chrono_wire_connections_closed_total", closed_help,
+          {{"reason", "client"}}, &closed_by_client_);
+  counter("chrono_wire_connections_closed_total", closed_help,
+          {{"reason", "idle"}}, &closed_by_idle_);
+  counter("chrono_wire_connections_closed_total", closed_help,
+          {{"reason", "error"}}, &closed_by_error_);
+  const char* bytes_help = "Wire payload traffic in bytes, by direction.";
+  counter("chrono_wire_bytes_total", bytes_help, {{"direction", "in"}},
+          &bytes_in_);
+  counter("chrono_wire_bytes_total", bytes_help, {{"direction", "out"}},
+          &bytes_out_);
+  const char* frames_help = "Wire frames processed, by direction.";
+  counter("chrono_wire_frames_total", frames_help, {{"direction", "in"}},
+          &frames_in_);
+  counter("chrono_wire_frames_total", frames_help, {{"direction", "out"}},
+          &frames_out_);
+  counter("chrono_wire_protocol_errors_total",
+          "Malformed or oversized frames that forced a connection close.", {},
+          &protocol_errors_);
+  latency_hist_ = registry->GetHistogram(
+      "chrono_wire_request_latency_us",
+      "Wire request latency in microseconds: frame decoded to response "
+      "frame queued for the socket.");
 }
 
-WireServer::~WireServer() { Stop(); }
+WireServer::~WireServer() {
+  Stop();
+  server_->registry()->UnregisterCallbacksOwnedBy(this);
+}
 
 uint64_t WireServer::NowMicros() const {
   return static_cast<uint64_t>(
@@ -213,7 +219,6 @@ void WireServer::AcceptAll() {
       net::SendAll(fd, frame.data(), frame.size());
       ::close(fd);
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (rejected_counter_) rejected_counter_->Increment();
       continue;
     }
     net::SetNoDelay(fd);
@@ -231,10 +236,6 @@ void WireServer::AcceptAll() {
     conns_.emplace(fd, conn);
     active_.fetch_add(1, std::memory_order_relaxed);
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (accepted_counter_) accepted_counter_->Increment();
-    if (active_gauge_) {
-      active_gauge_->Set(static_cast<double>(conns_.size()));
-    }
   }
 }
 
@@ -247,9 +248,6 @@ void WireServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
       bytes_in_.fetch_add(static_cast<uint64_t>(n),
                           std::memory_order_relaxed);
-      if (bytes_in_counter_) {
-        bytes_in_counter_->Increment(static_cast<uint64_t>(n));
-      }
       conn->last_activity_us = NowMicros();
       if (!DrainInbuf(conn)) return;  // connection closed
       if (conn->stopped_reading) return;  // backpressure kicked in
@@ -293,19 +291,16 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
     }
     if (status == DecodeStatus::kError) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (protocol_errors_counter_) protocol_errors_counter_->Increment();
       ProtocolError(conn, 0, error);
       return false;
     }
     conn->inbuf.erase(0, consumed);
     conn->partial_since_us = 0;
     frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (frames_in_counter_) frames_in_counter_->Increment();
 
     const uint64_t request_id = frame.header.request_id;
     if (!conn->hello_done && frame.header.type != MessageType::kHello) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (protocol_errors_counter_) protocol_errors_counter_->Increment();
       ProtocolError(conn, request_id,
                     Status::InvalidArgument("first frame must be Hello"));
       return false;
@@ -315,7 +310,6 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
         Result<HelloBody> hello = DecodeHello(frame.payload);
         if (!hello.ok()) {
           protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (protocol_errors_counter_) protocol_errors_counter_->Increment();
           ProtocolError(conn, request_id, hello.status());
           return false;
         }
@@ -336,7 +330,6 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
             DecodeQuery(frame.payload, frame.header.flags);
         if (!query.ok()) {
           protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (protocol_errors_counter_) protocol_errors_counter_->Increment();
           ProtocolError(conn, request_id, query.status());
           return false;
         }
@@ -370,7 +363,6 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
         }
         if (shed) {
           const uint32_t retry_after = server_->brownout_retry_after_ms();
-          overload_rejects_.fetch_add(1, std::memory_order_relaxed);
           server_->RecordOverloadShed(
               shed_reason, static_cast<runtime::ClientId>(conn->client_id),
               retry_after);
@@ -404,7 +396,6 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
       case MessageType::kResult:
       case MessageType::kError: {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        if (protocol_errors_counter_) protocol_errors_counter_->Increment();
         ProtocolError(conn, request_id,
                       Status::InvalidArgument(
                           "clients may not send Result/Error frames"));
@@ -426,24 +417,25 @@ void WireServer::DispatchQuery(const std::shared_ptr<Conn>& conn,
   const auto client = static_cast<runtime::ClientId>(conn->client_id);
   const int group = conn->security_group;
   const uint8_t version = conn->version;
-  runtime::ChronoServer::WireTiming timing;
-  timing.decode_start_us = decode_start_us;
-  timing.dispatch_us = server_->NowMicros();
-  timing.traced = traced;
+  runtime::ChronoServer::Arrival arrival;
+  arrival.via = runtime::ChronoServer::Arrival::Via::kWire;
+  arrival.arrived_us = decode_start_us;
+  arrival.enqueued_us = server_->NowMicros();
+  arrival.traced = traced;
   if (deadline_ms > 0) {
     // The client's patience is measured from frame decode: everything the
     // server spends — queueing, retries, the backend — counts against it.
-    timing.deadline_us =
+    arrival.deadline_us =
         decode_start_us + static_cast<uint64_t>(deadline_ms) * 1000;
   }
   // ChronoServer::SubmitAsync blocks while the pool queue is full — that
   // (plus the per-conn pipeline cap) is the dispatch-side backpressure.
   // The callback runs on a worker thread: it encodes the response frame
   // and records latency off the IO thread, then posts the completion.
-  // The trace it receives is still unpublished; the IO thread closes the
+  // The record it receives is still unpublished; the IO thread closes the
   // completion-wait and response-flush spans before PublishTrace.
   server_->SubmitAsync(
-      client, std::move(sql), group, timing,
+      client, std::move(sql), group, arrival,
       [this, conn, request_id, t0,
        version](Result<runtime::SharedResult> result,
                 std::shared_ptr<obs::RequestTrace> trace) {
@@ -465,7 +457,7 @@ void WireServer::DispatchQuery(const std::shared_ptr<Conn>& conn,
         }
         const uint64_t latency_us = NowMicros() - t0;
         requests_.fetch_add(1, std::memory_order_relaxed);
-        if (latency_hist_) latency_hist_->Record(latency_us);
+        latency_hist_->Record(latency_us);
         if (obs::EventJournal* journal = server_->journal()) {
           obs::JournalEvent event;
           event.type = obs::JournalEventType::kWireRequest;
@@ -496,30 +488,24 @@ void WireServer::DrainCompletions() {
   for (Completion& completion : batch) {
     const std::shared_ptr<Conn>& conn = completion.conn;
     if (conn->inflight > 0) --conn->inflight;
-    if (completion.trace != nullptr) {
-      // The worker queued this response at the trace's current total_us;
-      // it reached the IO thread now. That gap is the completion-wait
-      // span (encode + queue + eventfd wakeup).
-      obs::RequestTrace& trace = *completion.trace;
-      uint64_t drain_rel = RelSince(server_->NowMicros(), trace);
-      trace.spans.push_back({obs::Stage::kCompletionWait, trace.total_us,
-                             drain_rel - trace.total_us});
-      trace.total_us = drain_rel;
-    }
+    // The worker queued this response at the record's current total_us;
+    // it reached the IO thread now. That gap is the completion-wait span
+    // (encode + queue + eventfd wakeup).
+    obs::RequestTrace& trace = *completion.trace;
+    uint64_t drain_rel = RelSince(server_->NowMicros(), trace);
+    trace.spans.push_back({obs::Stage::kCompletionWait, trace.total_us,
+                           drain_rel - trace.total_us});
+    trace.total_us = drain_rel;
     if (conn->dead.load(std::memory_order_relaxed)) {
       // No socket left to flush through: close the timeline here.
-      if (completion.trace != nullptr) {
-        FinalizeTrace(std::move(completion.trace));
-      }
+      FinalizeTrace(std::move(completion.trace));
       continue;
     }
-    if (completion.trace != nullptr) {
-      // Watermark = outbuf bytes once this frame is appended; the flush
-      // span closes when sent_total catches up (FinalizeFlushed).
-      conn->pending_traces.push_back(
-          {conn->enqueued_total + completion.frame.size(),
-           std::move(completion.trace)});
-    }
+    // Watermark = outbuf bytes once this frame is appended; the flush span
+    // closes when sent_total catches up (FinalizeFlushed).
+    conn->pending_traces.push_back(
+        {conn->enqueued_total + completion.frame.size(),
+         std::move(completion.trace)});
     SendFrame(conn, std::move(completion.frame));
     if (conn->dead.load(std::memory_order_relaxed)) continue;
     if (conn->draining && conn->inflight == 0 &&
@@ -544,7 +530,6 @@ void WireServer::SendFrame(const std::shared_ptr<Conn>& conn,
     conn->out_offset = 0;
   }
   frames_out_.fetch_add(1, std::memory_order_relaxed);
-  if (frames_out_counter_) frames_out_counter_->Increment();
   conn->enqueued_total += frame.size();
   conn->outbuf += frame;
   FlushOut(conn);
@@ -576,9 +561,6 @@ bool WireServer::FlushOut(const std::shared_ptr<Conn>& conn) {
       conn->sent_total += static_cast<uint64_t>(n);
       bytes_out_.fetch_add(static_cast<uint64_t>(n),
                            std::memory_order_relaxed);
-      if (bytes_out_counter_) {
-        bytes_out_counter_->Increment(static_cast<uint64_t>(n));
-      }
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -650,7 +632,6 @@ void WireServer::ProtocolError(const std::shared_ptr<Conn>& conn,
     conn->enqueued_total += frame.size();
     conn->outbuf += frame;
     frames_out_.fetch_add(1, std::memory_order_relaxed);
-    if (frames_out_counter_) frames_out_counter_->Increment();
     FlushOut(conn);
   }
   if (!conn->dead.load(std::memory_order_relaxed)) {
@@ -667,15 +648,12 @@ void WireServer::CloseConn(const std::shared_ptr<Conn>& conn,
   switch (reason) {
     case CloseReason::kClient:
       closed_by_client_.fetch_add(1, std::memory_order_relaxed);
-      if (closed_client_counter_) closed_client_counter_->Increment();
       break;
     case CloseReason::kIdle:
       closed_by_idle_.fetch_add(1, std::memory_order_relaxed);
-      if (closed_idle_counter_) closed_idle_counter_->Increment();
       break;
     case CloseReason::kError:
       closed_by_error_.fetch_add(1, std::memory_order_relaxed);
-      if (closed_error_counter_) closed_error_counter_->Increment();
       break;
     case CloseReason::kShutdown:
       // Server-initiated drain; not a client or error close.
@@ -684,7 +662,6 @@ void WireServer::CloseConn(const std::shared_ptr<Conn>& conn,
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conns_.erase(conn->fd);
-  if (active_gauge_) active_gauge_->Set(static_cast<double>(conns_.size()));
   // Responses that never fully flushed still carry a finished pipeline:
   // publish their timelines ending now rather than dropping them.
   while (!conn->pending_traces.empty()) {
@@ -774,9 +751,7 @@ void WireServer::GracefulDrain() {
       std::string bye = EncodeGoodbye(0, conn->version);
       net::SendAll(conn->fd, bye.data(), bye.size());
       frames_out_.fetch_add(1, std::memory_order_relaxed);
-      if (frames_out_counter_) frames_out_counter_->Increment();
       bytes_out_.fetch_add(bye.size(), std::memory_order_relaxed);
-      if (bytes_out_counter_) bytes_out_counter_->Increment(bye.size());
     }
     CloseConn(conn, CloseReason::kShutdown);
   }
@@ -799,12 +774,14 @@ WireServer::Stats WireServer::stats() const {
   out.frames_out = frames_out_.load(std::memory_order_relaxed);
   out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   out.requests = requests_.load(std::memory_order_relaxed);
-  out.overload_rejects = overload_rejects_.load(std::memory_order_relaxed);
-  if (latency_hist_ != nullptr) {
-    obs::HistogramSnapshot hist = latency_hist_->Snapshot();
-    out.p50_latency_us = hist.Percentile(0.5);
-    out.p99_latency_us = hist.Percentile(0.99);
-  }
+  // The node counts every Query the ladder refuses at the frontend.
+  const core::EngineCounters& node = server_->counters();
+  out.overload_rejects =
+      node.overload_shed_pipeline.load(std::memory_order_relaxed) +
+      node.overload_shed_admission.load(std::memory_order_relaxed);
+  obs::HistogramSnapshot hist = latency_hist_->Snapshot();
+  out.p50_latency_us = hist.Percentile(0.5);
+  out.p99_latency_us = hist.Percentile(0.99);
   return out;
 }
 

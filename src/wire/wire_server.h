@@ -62,7 +62,9 @@ class WireServer {
   };
 
   /// `server` must outlive the WireServer; its registry receives the
-  /// chrono_wire_* metrics and its journal the kWireRequest events.
+  /// chrono_wire_* metrics (callbacks dropped in the destructor) and its
+  /// journal the kWireRequest events. One frontend per node: a second
+  /// would take over the first's families.
   WireServer(runtime::ChronoServer* server, Options options);
   ~WireServer();
 
@@ -93,7 +95,9 @@ class WireServer {
     uint64_t frames_out = 0;
     uint64_t protocol_errors = 0;
     uint64_t requests = 0;           // queries answered
-    uint64_t overload_rejects = 0;   // Querys refused by the brownout ladder
+    /// Querys refused by the brownout ladder: the node's pipeline and
+    /// admission overload sheds.
+    uint64_t overload_rejects = 0;
     double p50_latency_us = 0;       // wire request latency
     double p99_latency_us = 0;
   };
@@ -146,9 +150,9 @@ class WireServer {
   struct Completion {
     std::shared_ptr<Conn> conn;
     std::string frame;
-    /// The request's deferred timeline (null when tracing is off): the IO
-    /// thread appends completion-wait and response-flush spans, then hands
-    /// it to ChronoServer::PublishTrace.
+    /// The request's unpublished record: the IO thread appends
+    /// completion-wait and response-flush spans, then hands it to
+    /// ChronoServer::PublishTrace.
     std::shared_ptr<obs::RequestTrace> trace;
   };
 
@@ -209,7 +213,8 @@ class WireServer {
   bool completions_open_ = false;
 
   // Aggregates. Written by the IO thread (and workers for latency/request
-  // counts); all relaxed atomics, read by stats().
+  // counts); all relaxed atomics, read by stats() and by the chrono_wire_*
+  // callback families registered in the constructor.
   std::atomic<uint64_t> active_{0};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejected_{0};
@@ -222,20 +227,8 @@ class WireServer {
   std::atomic<uint64_t> frames_out_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> overload_rejects_{0};
 
-  // Registry instruments (owned by the server's registry).
-  obs::Gauge* active_gauge_ = nullptr;
-  obs::Counter* accepted_counter_ = nullptr;
-  obs::Counter* rejected_counter_ = nullptr;
-  obs::Counter* closed_client_counter_ = nullptr;
-  obs::Counter* closed_idle_counter_ = nullptr;
-  obs::Counter* closed_error_counter_ = nullptr;
-  obs::Counter* bytes_in_counter_ = nullptr;
-  obs::Counter* bytes_out_counter_ = nullptr;
-  obs::Counter* frames_in_counter_ = nullptr;
-  obs::Counter* frames_out_counter_ = nullptr;
-  obs::Counter* protocol_errors_counter_ = nullptr;
+  // Owned by the server's registry.
   obs::Histogram* latency_hist_ = nullptr;
 };
 

@@ -5,9 +5,11 @@
 // snapshot — the same guarantee tools/chrono_audit relies on.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -368,6 +370,60 @@ TEST(PrefetchAuditE2E, ServerCountersReconcileWithAuditSnapshot) {
               snap.TotalWastedBytes())
         << dim;
   }
+}
+
+// A covering plan is combined only on the miss path that issues it: with
+// nothing shed (no faults, brownout off, an idle pool) every mined plan is
+// issued, even when the covered query is then answered from the cache.
+TEST(PrefetchAuditE2E, EveryMinedPlanIsIssuedWhenNothingIsShed) {
+  db::Database db;
+  ASSERT_TRUE(db.ExecuteText("CREATE TABLE t (id INT, v TEXT)").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.ExecuteText("INSERT INTO t (id, v) VALUES (" +
+                               std::to_string(i) + ", 'v" +
+                               std::to_string(i) + "')")
+                    .ok());
+  }
+  runtime::ServerConfig config;
+  config.workers = 2;
+  config.extract_every = 2;
+  runtime::ChronoServer server(&db, config);
+
+  for (int round = 0; round < 24; ++round) {
+    int id = round % 4;
+    ASSERT_TRUE(server
+                    .Submit(1, "SELECT id FROM t WHERE id = " +
+                                   std::to_string(id))
+                    .get()
+                    .ok());
+    ASSERT_TRUE(server
+                    .Submit(1, "SELECT v FROM t WHERE id = " +
+                                   std::to_string(id))
+                    .get()
+                    .ok());
+  }
+  // Let queued background prefetches start; Shutdown then waits for them.
+  while (server.pool().queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.Shutdown();
+  runtime::ServerMetrics m = server.metrics();
+  server.journal()->Stop();
+  EXPECT_EQ(server.journal()->events_dropped(), 0u);
+  ASSERT_EQ(m.prefetches_dropped + m.prefetches_shed_breaker +
+                m.brownout_sheds,
+            0u);
+
+  PrefetchAudit::Snapshot snap = server.audit()->snapshot();
+  uint64_t mined = 0, issued = 0;
+  for (const PrefetchAudit::Score& plan : snap.plans) {
+    mined += plan.mined;
+    issued += plan.issued;
+  }
+  EXPECT_GT(mined, 0u) << "workload must mine combined plans";
+  EXPECT_GT(m.cache_hits, 0u);
+  EXPECT_EQ(mined, issued);
+  EXPECT_EQ(issued, m.remote_combined);
 }
 
 /// Keeps every drained journal event for post-run assertions.

@@ -242,7 +242,7 @@ std::vector<std::shared_ptr<const RequestTrace>> ChromeFixture() {
   slow->spans.push_back({Stage::kCompletionWait, 850, 30});
   slow->spans.push_back({Stage::kResponseFlush, 880, 20});
   slow->annotations.push_back({AnnotationKind::kRetry, 400, 2});
-  slow->annotations.push_back({AnnotationKind::kBreakerState, 500, 1});
+  slow->annotations.push_back({AnnotationKind::kBreakerReject, 500, 1});
 
   auto hit = std::make_shared<RequestTrace>();
   hit->id = 8;

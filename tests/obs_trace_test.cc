@@ -264,24 +264,76 @@ TEST_F(ServerTraceTest, RequestsProduceTracesWithStageSpans) {
 }
 
 TEST_F(ServerTraceTest, TracingDisabledWithZeroCapacity) {
+  // Capacity 0 turns off retention only: no ring, no tail reservoir. The
+  // request is still recorded into the stage histograms.
   runtime::ServerConfig config;
   config.workers = 1;
   config.trace_capacity = 0;
   runtime::ChronoServer server(&db_, config);
   ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 1").get().ok());
   EXPECT_EQ(server.traces(), nullptr);
+  EXPECT_EQ(server.tail(), nullptr);
+  RegistrySnapshot snap = server.registry()->Snapshot();
+  for (const char* stage : {"queue_wait", "execute", "analyze"}) {
+    const MetricSnapshot* hist =
+        snap.Find("chrono_stage_latency_ns", {{"stage", stage}});
+    ASSERT_NE(hist, nullptr) << stage;
+    EXPECT_EQ(hist->histogram.count, 1u) << stage;
+  }
+}
+
+TEST_F(ServerTraceTest, InProcessSubmitTimelineTilesQueueWaitAndExecute) {
+  runtime::ServerConfig config;
+  config.workers = 1;
+  runtime::ChronoServer server(&db_, config);
+  ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 4").get().ok());
+  // Submit publishes the record before its future becomes ready.
+  auto traces = server.traces()->Snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  const RequestTrace& trace = *traces[0];
+
+  // queue_wait then execute, tiling [0, total_us] with no gap; no wire
+  // stage on an in-process request.
+  const TraceSpan* queue_wait = nullptr;
+  const TraceSpan* execute = nullptr;
+  for (const TraceSpan& s : trace.spans) {
+    EXPECT_NE(s.stage, Stage::kWireDecode);
+    EXPECT_NE(s.stage, Stage::kCompletionWait);
+    EXPECT_NE(s.stage, Stage::kResponseFlush);
+    if (s.stage == Stage::kQueueWait) {
+      ASSERT_EQ(queue_wait, nullptr);
+      queue_wait = &s;
+    }
+    if (s.stage == Stage::kExecute) {
+      ASSERT_EQ(execute, nullptr);
+      execute = &s;
+    }
+  }
+  ASSERT_NE(queue_wait, nullptr);
+  ASSERT_NE(execute, nullptr);
+  EXPECT_EQ(queue_wait->start_us, 0u);
+  EXPECT_EQ(execute->start_us, queue_wait->start_us + queue_wait->dur_us);
+  EXPECT_EQ(execute->start_us + execute->dur_us, trace.total_us);
+
+  RegistrySnapshot snap = server.registry()->Snapshot();
+  const MetricSnapshot* decode =
+      snap.Find("chrono_stage_latency_ns", {{"stage", "wire_decode"}});
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->histogram.count, 0u);
 }
 
 TEST_F(ServerTraceTest, TraceSqlIsTruncated) {
   runtime::ServerConfig config;
   config.workers = 1;
-  config.trace_sql_bytes = 16;
   runtime::ChronoServer server(&db_, config);
-  ASSERT_TRUE(
-      server.Submit(1, "SELECT v FROM t WHERE id = 12345678").get().ok());
+  std::string sql = "SELECT v FROM t WHERE id = 12345678";
+  while (sql.size() <= runtime::ChronoServer::kTraceSqlBytes) {
+    sql += " OR id = 12345678";
+  }
+  ASSERT_TRUE(server.Submit(1, sql).get().ok());
   auto traces = server.traces()->Snapshot();
   ASSERT_FALSE(traces.empty());
-  EXPECT_LE(traces[0]->sql.size(), 16u);
+  EXPECT_EQ(traces[0]->sql.size(), runtime::ChronoServer::kTraceSqlBytes);
 }
 
 TEST_F(ServerTraceTest, PrefetchedHitsCarryAttribution) {

@@ -278,10 +278,10 @@ TEST(Brownout, WindowedPercentileIgnoresHistoryBeforeTheWindow) {
   obs::HistogramSnapshot cur = hist.Snapshot();
   // Cumulative p99 would still be dominated by the 1000 old samples; the
   // windowed p99 must see only the slow ones.
-  uint64_t p99 = WindowedPercentile(prev, cur, 0.99);
-  EXPECT_GT(p99, 50'000u);
+  double p99 = obs::DeltaHistogram(cur, prev).Percentile(0.99);
+  EXPECT_GT(p99, 50'000.0);
   // Empty window reads as fully clear.
-  EXPECT_EQ(WindowedPercentile(cur, cur, 0.99), 0u);
+  EXPECT_EQ(obs::DeltaHistogram(cur, cur).Percentile(0.99), 0.0);
 }
 
 // ---- Server-level expired-in-queue rejection ------------------------------
@@ -312,30 +312,26 @@ TEST_F(OverloadServerTest, ExpiredWhileQueuedIsRejectedNotExecuted) {
   // Head-of-line requests monopolize the single worker long enough that a
   // 1 ms deadline on the tail request expires while it waits in queue.
   constexpr int kBlockers = 4;
-  std::vector<std::promise<Status>> done(kBlockers + 1);
+  std::vector<std::future<Result<runtime::SharedResult>>> blockers;
   for (int i = 0; i < kBlockers; ++i) {
-    server.SubmitAsync(/*client=*/1, "SELECT v FROM t WHERE id = 1",
-                       /*security_group=*/0,
-                       [&done, i](Result<runtime::SharedResult> result) {
-                         done[i].set_value(result.status());
-                       });
+    blockers.push_back(server.Submit(/*client=*/1,
+                                     "SELECT v FROM t WHERE id = 1"));
   }
-  ChronoServer::WireTiming timing;
-  timing.decode_start_us = server.NowMicros();
-  timing.dispatch_us = timing.decode_start_us;
-  timing.deadline_us = timing.decode_start_us + 1000;  // 1 ms budget
+  ChronoServer::Arrival arrival;
+  arrival.arrived_us = server.NowMicros();
+  arrival.enqueued_us = arrival.arrived_us;
+  arrival.deadline_us = arrival.arrived_us + 1000;  // 1 ms budget
+  std::promise<Status> done;
   server.SubmitAsync(
       /*client=*/1, "SELECT v FROM t WHERE id = 2", /*security_group=*/0,
-      timing,
+      arrival,
       [&done](Result<runtime::SharedResult> result,
               std::shared_ptr<obs::RequestTrace>) {
-        done[kBlockers].set_value(result.status());
+        done.set_value(result.status());
       });
 
-  for (int i = 0; i < kBlockers; ++i) {
-    EXPECT_TRUE(done[i].get_future().get().ok());
-  }
-  Status rejected = done[kBlockers].get_future().get();
+  for (auto& blocker : blockers) EXPECT_TRUE(blocker.get().ok());
+  Status rejected = done.get_future().get();
   EXPECT_EQ(rejected.code(), Status::Code::kDeadlineExceeded);
   EXPECT_TRUE(ChronoServer::IsExpiredInQueue(rejected));
 
@@ -351,14 +347,14 @@ TEST_F(OverloadServerTest, GenerousDeadlineExecutesNormally) {
   config.registry = &registry_;
   ChronoServer server(&db_, config);
 
-  ChronoServer::WireTiming timing;
-  timing.decode_start_us = server.NowMicros();
-  timing.dispatch_us = timing.decode_start_us;
-  timing.deadline_us = timing.decode_start_us + 10'000'000;  // 10 s
+  ChronoServer::Arrival arrival;
+  arrival.arrived_us = server.NowMicros();
+  arrival.enqueued_us = arrival.arrived_us;
+  arrival.deadline_us = arrival.arrived_us + 10'000'000;  // 10 s
   std::promise<Status> done;
   server.SubmitAsync(
       /*client=*/1, "SELECT v FROM t WHERE id = 3", /*security_group=*/0,
-      timing,
+      arrival,
       [&done](Result<runtime::SharedResult> result,
               std::shared_ptr<obs::RequestTrace>) {
         done.set_value(result.status());
@@ -383,14 +379,14 @@ TEST_F(OverloadServerTest, ClientDeadlineTimeoutsNeverTripTheBreaker) {
 
   constexpr int kRequests = 10;
   for (int i = 0; i < kRequests; ++i) {
-    ChronoServer::WireTiming timing;
-    timing.decode_start_us = server.NowMicros();
-    timing.dispatch_us = timing.decode_start_us;
-    timing.deadline_us = timing.decode_start_us + 5'000;  // 5 ms < 20 ms
+    ChronoServer::Arrival arrival;
+    arrival.arrived_us = server.NowMicros();
+    arrival.enqueued_us = arrival.arrived_us;
+    arrival.deadline_us = arrival.arrived_us + 5'000;  // 5 ms < 20 ms
     std::promise<Status> done;
     server.SubmitAsync(
         /*client=*/1, "SELECT v FROM t WHERE id = " + std::to_string(i),
-        /*security_group=*/0, timing,
+        /*security_group=*/0, arrival,
         [&done](Result<runtime::SharedResult> result,
                 std::shared_ptr<obs::RequestTrace>) {
           done.set_value(result.status());

@@ -46,8 +46,8 @@ class WireServerTest : public ::testing::Test {
   }
 
   /// Starts a ChronoServer + WireServer pair on an ephemeral port.
-  void StartNode(WireServer::Options wire_options = {}) {
-    runtime::ServerConfig config;
+  void StartNode(WireServer::Options wire_options = {},
+                 runtime::ServerConfig config = {}) {
     config.workers = 4;
     config.registry = &registry_;
     server_ = std::make_unique<runtime::ChronoServer>(&db_, config);
@@ -388,6 +388,91 @@ TEST_F(WireServerTest, WireRequestsPublishTilingEndToEndTimelines) {
       "chrono_stage_latency_ns", {{"stage", "wire_decode"}});
   ASSERT_NE(decode, nullptr);
   EXPECT_GE(decode->histogram.count, 1u);
+}
+
+TEST_F(WireServerTest, ZeroTraceCapacityStillRecordsWireStages) {
+  // Capacity 0 turns off trace retention, not recording: a wire request
+  // still lands in all five arrival-stage histograms.
+  runtime::ServerConfig config;
+  config.trace_capacity = 0;
+  StartNode({}, config);
+  WireClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", wire_->port(), 62).ok());
+  ASSERT_TRUE(client.Query("SELECT v FROM t WHERE id = 8").ok());
+  client.Close();
+  EXPECT_EQ(server_->traces(), nullptr);
+  EXPECT_EQ(server_->tail(), nullptr);
+
+  // response_flush is recorded once the response bytes reach the kernel,
+  // after the client may already have read them: poll.
+  const char* stages[] = {"wire_decode", "queue_wait", "execute",
+                          "completion_wait", "response_flush"};
+  EXPECT_TRUE(WaitFor([&] {
+    auto snapshot = registry_.Snapshot();
+    for (const char* stage : stages) {
+      const obs::MetricSnapshot* hist =
+          snapshot.Find("chrono_stage_latency_ns", {{"stage", stage}});
+      if (hist == nullptr || hist->histogram.count != 1) return false;
+    }
+    return true;
+  }));
+}
+
+TEST_F(WireServerTest, WireFamiliesEqualStats) {
+  WireServer::Options options;
+  options.max_connections = 2;
+  StartNode(options);
+  WireClient a, b, c;
+  ASSERT_TRUE(a.Connect("127.0.0.1", wire_->port(), 63).ok());
+  ASSERT_TRUE(b.Connect("127.0.0.1", wire_->port(), 64).ok());
+  EXPECT_FALSE(c.Connect("127.0.0.1", wire_->port(), 65).ok());  // capped
+  ASSERT_TRUE(a.Query("SELECT v FROM t WHERE id = 1").ok());
+  ASSERT_TRUE(b.Query("SELECT v FROM t WHERE id = 2").ok());
+  a.Close();
+  std::string garbage = "XXXXGARBAGEGARBAGEGARBAGE";
+  ASSERT_TRUE(b.SendRaw(garbage.data(), garbage.size()).ok());
+  ASSERT_TRUE(WaitFor([&] {
+    WireServer::Stats s = wire_->stats();
+    return s.rejected == 1 && s.closed_by_client == 1 &&
+           s.closed_by_error == 1 && s.active == 0;
+  }));
+
+  WireServer::Stats stats = wire_->stats();
+  auto snapshot = registry_.Snapshot();
+  auto value = [&](const char* name, obs::Labels labels = {}) {
+    const obs::MetricSnapshot* m = snapshot.Find(name, labels);
+    EXPECT_NE(m, nullptr) << name;
+    return m == nullptr ? -1.0 : m->value;
+  };
+  auto as_double = [](uint64_t v) { return static_cast<double>(v); };
+  EXPECT_EQ(value("chrono_wire_connections", {{"state", "active"}}),
+            as_double(stats.active));
+  EXPECT_EQ(value("chrono_wire_connections_accepted_total"),
+            as_double(stats.accepted));
+  EXPECT_EQ(value("chrono_wire_connections_rejected_total"),
+            as_double(stats.rejected));
+  EXPECT_EQ(value("chrono_wire_connections_closed_total",
+                  {{"reason", "client"}}),
+            as_double(stats.closed_by_client));
+  EXPECT_EQ(
+      value("chrono_wire_connections_closed_total", {{"reason", "idle"}}),
+      as_double(stats.closed_by_idle));
+  EXPECT_EQ(
+      value("chrono_wire_connections_closed_total", {{"reason", "error"}}),
+      as_double(stats.closed_by_error));
+  EXPECT_EQ(value("chrono_wire_bytes_total", {{"direction", "in"}}),
+            as_double(stats.bytes_in));
+  EXPECT_EQ(value("chrono_wire_bytes_total", {{"direction", "out"}}),
+            as_double(stats.bytes_out));
+  EXPECT_EQ(value("chrono_wire_frames_total", {{"direction", "in"}}),
+            as_double(stats.frames_in));
+  EXPECT_EQ(value("chrono_wire_frames_total", {{"direction", "out"}}),
+            as_double(stats.frames_out));
+  EXPECT_EQ(value("chrono_wire_protocol_errors_total"),
+            as_double(stats.protocol_errors));
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_GT(stats.bytes_in, 0u);
 }
 
 TEST_F(WireServerTest, TracedFlagForcesTailRetention) {

@@ -75,7 +75,7 @@ struct BenchOptions {
   std::string journal_path;  // --journal-out: binary event journal (last run)
   std::string trace_path;    // --trace-out: final trace ring JSON (last run)
   bool journal = true;       // --no-journal: A/B the journal overhead
-  bool telemetry = true;     // --no-telemetry: A/B tracing + time series
+  bool telemetry = true;     // --no-telemetry: A/B trace retention
   bool lock_telemetry = true;  // --no-lock-telemetry: A/B the lock layer
   std::string profile_path;  // --profile-out: whole-run collapsed stacks
   int profile_hz = 99;       // --profile-hz: sampling rate for the above
@@ -185,8 +185,9 @@ void Usage() {
       "  --trace-out F     dump the final request-trace ring to F as\n"
       "                    JSON (last run when sweeping)\n"
       "  --no-journal      disable the event journal (A/B its overhead)\n"
-      "  --no-telemetry    disable tracing, tail reservoir and the\n"
-      "                    time-series sampler (A/B their overhead)\n"
+      "  --no-telemetry    disable trace retention (ring, tail reservoir)\n"
+      "                    and the time-series sampler (A/B their\n"
+      "                    overhead; stage histograms stay recorded)\n"
       "  --no-lock-telemetry  disarm the instrumented lock layer (A/B\n"
       "                    its overhead; /contention then reports armed\n"
       "                    false and records nothing)\n"
@@ -326,8 +327,9 @@ runtime::ServerConfig MakeServerConfig(const BenchOptions& opt, int workers,
   config.registry = registry;
   config.enable_journal = opt.journal;
   if (!opt.telemetry) {
-    // A/B the whole timeline subsystem: no trace ring (which also
-    // disables the tail reservoir) and no time-series sampler.
+    // A/B timeline retention: no trace ring (which also disables the tail
+    // reservoir) and no time-series sampler. Every request is still
+    // recorded into the stage histograms.
     config.trace_capacity = 0;
     config.timeseries_capacity = 0;
   }
