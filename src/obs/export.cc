@@ -253,64 +253,6 @@ std::string TracesToJson(
   return out;
 }
 
-std::string TracesToChromeJson(
-    const std::vector<std::shared_ptr<const RequestTrace>>& traces) {
-  std::string out = "{\"traceEvents\":[";
-  char buf[512];
-  bool first = true;
-  auto emit = [&](const char* text) {
-    if (!first) out += ',';
-    first = false;
-    out += text;
-  };
-  std::set<uint64_t> named_pids;
-  for (const auto& t : traces) {
-    if (t == nullptr) continue;
-    // One process row per client, named once so Perfetto groups requests
-    // by the connection that issued them.
-    if (named_pids.insert(t->client).second) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%" PRIu64
-                    ",\"tid\":0,\"args\":{\"name\":\"client %" PRIu64 "\"}}",
-                    t->client, t->client);
-      emit(buf);
-    }
-    // The request itself: an enclosing span named by its outcome, args
-    // carrying the identifying detail a tail investigation needs.
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"cat\":\"request\",\"ph\":\"X\","
-                  "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"pid\":%" PRIu64
-                  ",\"tid\":%" PRIu64 ",\"args\":{\"trace_id\":%" PRIu64
-                  ",\"template\":%" PRIu64 ",\"sql\":\"",
-                  TraceOutcomeName(t->outcome), t->start_us, t->total_us,
-                  t->client, t->id, t->id, t->tmpl);
-    out += (first ? "" : ",");
-    first = false;
-    out += buf;
-    out += EscapeJson(t->sql) + "\"}}";
-    for (const TraceSpan& s : t->spans) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"stage\",\"ph\":\"X\","
-                    "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"pid\":%" PRIu64
-                    ",\"tid\":%" PRIu64 "}",
-                    StageName(s.stage), t->start_us + s.start_us, s.dur_us,
-                    t->client, t->id);
-      emit(buf);
-    }
-    for (const TraceAnnotation& a : t->annotations) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"backend\",\"ph\":\"i\","
-                    "\"ts\":%" PRIu64 ",\"pid\":%" PRIu64 ",\"tid\":%" PRIu64
-                    ",\"s\":\"t\",\"args\":{\"value\":%" PRIu64 "}}",
-                    AnnotationKindName(a.kind), t->start_us + a.at_us,
-                    t->client, t->id, a.value);
-      emit(buf);
-    }
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
-}
-
 std::string TailToJson(
     const std::vector<std::shared_ptr<const RequestTrace>>& traces,
     uint64_t offered, uint64_t admitted) {

@@ -33,16 +33,6 @@ std::string ToJson(const RegistrySnapshot& snapshot);
 std::string TracesToJson(
     const std::vector<std::shared_ptr<const RequestTrace>>& traces);
 
-/// Renders traces in the Chrome trace-event JSON format (the
-/// {"traceEvents":[...]} envelope Perfetto and chrome://tracing load
-/// directly): one complete "X" event per span on pid=client / tid=trace
-/// id, the request itself as an enclosing span named by its outcome, and
-/// each backend annotation as an instant ("i") event at the moment it
-/// happened. Timestamps are absolute server-relative µs (trace start_us +
-/// span offset) so traces from one node line up on a shared timeline.
-std::string TracesToChromeJson(
-    const std::vector<std::shared_ptr<const RequestTrace>>& traces);
-
 /// Renders a tail-reservoir snapshot (slowest first) as JSON. Each entry
 /// carries a histogram-exemplar link: the `le` bound of the
 /// chrono_request_latency_ns bucket this trace's total latency lands in,

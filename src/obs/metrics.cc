@@ -40,67 +40,41 @@ double HistogramSnapshot::Percentile(double q) const {
   return prev_bound;
 }
 
-namespace {
-
-/// Walks the union of two sorted cumulative-bucket lists, carrying each
-/// side's cumulative count forward across bounds the sparse snapshot
-/// omitted (a missing bound means "no observation advanced this bucket",
-/// so its cumulative equals the nearest lower present bound's).
-template <typename Combine>
-HistogramSnapshot CombineBuckets(const HistogramSnapshot& a,
-                                 const HistogramSnapshot& b,
-                                 Combine&& combine) {
-  HistogramSnapshot out;
-  size_t ia = 0, ib = 0;
-  uint64_t cum_a = 0, cum_b = 0;
-  while (ia < a.buckets.size() || ib < b.buckets.size()) {
-    double bound;
-    if (ia >= a.buckets.size()) {
-      bound = b.buckets[ib].upper_bound;
-    } else if (ib >= b.buckets.size()) {
-      bound = a.buckets[ia].upper_bound;
-    } else {
-      bound = std::min(a.buckets[ia].upper_bound, b.buckets[ib].upper_bound);
-    }
-    if (ia < a.buckets.size() && a.buckets[ia].upper_bound == bound) {
-      cum_a = a.buckets[ia].cumulative;
-      ++ia;
-    }
-    if (ib < b.buckets.size() && b.buckets[ib].upper_bound == bound) {
-      cum_b = b.buckets[ib].cumulative;
-      ++ib;
-    }
-    out.buckets.push_back({bound, combine(cum_a, cum_b)});
-  }
-  out.count = out.buckets.empty() ? 0 : out.buckets.back().cumulative;
-  return out;
-}
-
-}  // namespace
-
-HistogramSnapshot MergeHistograms(const HistogramSnapshot& a,
-                                  const HistogramSnapshot& b) {
-  HistogramSnapshot out = CombineBuckets(
-      a, b, [](uint64_t ca, uint64_t cb) { return ca + cb; });
-  out.sum = a.sum + b.sum;
-  return out;
-}
-
 HistogramSnapshot DeltaHistogram(const HistogramSnapshot& cur,
                                  const HistogramSnapshot& prev) {
-  HistogramSnapshot out =
-      CombineBuckets(cur, prev, [](uint64_t ccur, uint64_t cprev) {
-        return ccur > cprev ? ccur - cprev : 0;
-      });
-  out.sum = cur.sum > prev.sum ? cur.sum - prev.sum : 0;
-  // Cumulative-delta monotonicity can wobble when writers race the two
-  // snapshots; re-impose it so Percentile never walks backwards.
-  uint64_t floor = 0;
-  for (auto& bucket : out.buckets) {
-    if (bucket.cumulative < floor) bucket.cumulative = floor;
-    floor = bucket.cumulative;
+  // Walk the union of the two sorted bucket lists, carrying each side's
+  // cumulative count forward across bounds a sparse snapshot omitted (a
+  // missing bound means "no observation advanced this bucket", so its
+  // cumulative equals the nearest lower present bound's). The difference
+  // is clamped at zero, and cumulative-delta monotonicity, which can
+  // wobble when writers race the two snapshots, is re-imposed so
+  // Percentile never walks backwards.
+  HistogramSnapshot out;
+  size_t ic = 0, ip = 0;
+  uint64_t cum_cur = 0, cum_prev = 0, floor = 0;
+  while (ic < cur.buckets.size() || ip < prev.buckets.size()) {
+    double bound;
+    if (ic >= cur.buckets.size()) {
+      bound = prev.buckets[ip].upper_bound;
+    } else if (ip >= prev.buckets.size()) {
+      bound = cur.buckets[ic].upper_bound;
+    } else {
+      bound = std::min(cur.buckets[ic].upper_bound,
+                       prev.buckets[ip].upper_bound);
+    }
+    if (ic < cur.buckets.size() && cur.buckets[ic].upper_bound == bound) {
+      cum_cur = cur.buckets[ic].cumulative;
+      ++ic;
+    }
+    if (ip < prev.buckets.size() && prev.buckets[ip].upper_bound == bound) {
+      cum_prev = prev.buckets[ip].cumulative;
+      ++ip;
+    }
+    floor = std::max(floor, cum_cur > cum_prev ? cum_cur - cum_prev : 0);
+    out.buckets.push_back({bound, floor});
   }
-  out.count = out.buckets.empty() ? 0 : out.buckets.back().cumulative;
+  out.count = floor;
+  out.sum = cur.sum > prev.sum ? cur.sum - prev.sum : 0;
   return out;
 }
 

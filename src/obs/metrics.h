@@ -60,11 +60,6 @@ struct HistogramSnapshot {
   double Mean() const { return count == 0 ? 0 : sum / static_cast<double>(count); }
 };
 
-/// Sums two cumulative-bucket histograms (e.g. the op=read and op=write
-/// latency families) into one, carrying forward sparse buckets.
-HistogramSnapshot MergeHistograms(const HistogramSnapshot& a,
-                                  const HistogramSnapshot& b);
-
 /// The observations recorded between `prev` and `cur` (cur − prev by
 /// cumulative-bucket subtraction, clamped at zero so a racing writer can
 /// never produce a negative bucket). Percentiles of the result describe

@@ -4,12 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,10 +45,12 @@ uint64_t MonotonicMicros() {
           .count());
 }
 
-/// Value of `key` in an RFC-3986-ish query string ("a=1&b=2"); empty when
-/// absent. Values are used verbatim — the endpoints only accept numbers
-/// and enum names, so percent-decoding is deliberately out of scope.
-std::string QueryParam(const std::string& query, const std::string& key) {
+/// Value of `key` in an RFC-3986-ish query string ("a=1&b=2"); nullopt
+/// when absent. Values are used verbatim — the endpoints only accept
+/// numbers and enum names, so percent-decoding is deliberately out of
+/// scope.
+std::optional<std::string> QueryParam(const std::string& query,
+                                      const std::string& key) {
   size_t pos = 0;
   while (pos < query.size()) {
     size_t amp = query.find('&', pos);
@@ -59,20 +62,15 @@ std::string QueryParam(const std::string& query, const std::string& key) {
     }
     pos = amp + 1;
   }
-  return "";
+  return std::nullopt;
 }
 
 }  // namespace
 
 StatsServer::StatsServer(const MetricsRegistry* registry,
                          const TraceRing* traces, const PrefetchAudit* audit,
-                         const TailReservoir* tail,
-                         const TimeSeriesRing* timeseries)
-    : registry_(registry),
-      traces_(traces),
-      audit_(audit),
-      tail_(tail),
-      timeseries_(timeseries) {}
+                         const TailReservoir* tail)
+    : registry_(registry), traces_(traces), audit_(audit), tail_(tail) {}
 
 StatsServer::~StatsServer() { Stop(); }
 
@@ -162,7 +160,8 @@ void StatsServer::HandleConnection(int fd) {
   } else if (path == "/traces") {
     std::vector<std::shared_ptr<const RequestTrace>> snapshot;
     if (traces_ != nullptr) snapshot = traces_->Snapshot();
-    std::string outcome_name = QueryParam(query_string, "outcome");
+    std::string outcome_name =
+        QueryParam(query_string, "outcome").value_or("");
     if (!outcome_name.empty()) {
       TraceOutcome wanted;
       if (!ParseTraceOutcome(outcome_name, &wanted)) {
@@ -178,15 +177,18 @@ void StatsServer::HandleConnection(int fd) {
                                     }),
                      snapshot.end());
     }
-    std::string n_text = QueryParam(query_string, "n");
-    if (!n_text.empty()) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(n_text.c_str(), &end, 10);
-      if (end == n_text.c_str() || *end != '\0') {
+    if (std::optional<std::string> n_text = QueryParam(query_string, "n")) {
+      // Digits only: strtoull alone would take "-1" (wrapping to 2^64-1),
+      // "+3" and leading whitespace. A raw space ends the request path, so
+      // "n= 4" arrives as an empty value.
+      if (n_text->empty() ||
+          !std::all_of(n_text->begin(), n_text->end(),
+                       [](unsigned char c) { return std::isdigit(c); })) {
         WriteAll(fd, HttpResponse(400, "Bad Request", "text/plain",
                                   "n must be a non-negative integer\n"));
         return;
       }
+      unsigned long long n = std::strtoull(n_text->c_str(), nullptr, 10);
       if (snapshot.size() > n) snapshot.resize(n);
     }
     WriteAll(fd, HttpResponse(200, "OK", "application/json",
@@ -198,27 +200,6 @@ void StatsServer::HandleConnection(int fd) {
             : TailToJson(tail_->Snapshot(), tail_->offered(),
                          tail_->admitted());
     WriteAll(fd, HttpResponse(200, "OK", "application/json", body));
-  } else if (path == "/timeseries") {
-    std::string body = timeseries_ == nullptr
-                           ? std::string("{\"samples\":[]}")
-                           : timeseries_->ToJson();
-    WriteAll(fd, HttpResponse(200, "OK", "application/json", body));
-  } else if (path == "/traces.chrome") {
-    // Recency ring + tail reservoir merged (dedup by id): a Perfetto load
-    // sees both the recent steady state and the retained outliers.
-    std::vector<std::shared_ptr<const RequestTrace>> merged;
-    if (traces_ != nullptr) merged = traces_->Snapshot();
-    if (tail_ != nullptr) {
-      std::set<uint64_t> seen;
-      for (const auto& t : merged) {
-        if (t != nullptr) seen.insert(t->id);
-      }
-      for (auto& t : tail_->Snapshot()) {
-        if (seen.insert(t->id).second) merged.push_back(std::move(t));
-      }
-    }
-    WriteAll(fd, HttpResponse(200, "OK", "application/json",
-                              TracesToChromeJson(merged)));
   } else if (path == "/prefetch") {
     std::string body =
         audit_ == nullptr
@@ -268,7 +249,7 @@ void StatsServer::HandleConnection(int fd) {
     // whole window, so concurrent scrapes can't start a second profile.
     long seconds = 2;
     long hz = 99;
-    std::string text = QueryParam(query_string, "seconds");
+    std::string text = QueryParam(query_string, "seconds").value_or("");
     if (!text.empty()) {
       char* end = nullptr;
       seconds = std::strtol(text.c_str(), &end, 10);
@@ -279,7 +260,7 @@ void StatsServer::HandleConnection(int fd) {
         return;
       }
     }
-    text = QueryParam(query_string, "hz");
+    text = QueryParam(query_string, "hz").value_or("");
     if (!text.empty()) {
       char* end = nullptr;
       hz = std::strtol(text.c_str(), &end, 10);
@@ -289,7 +270,7 @@ void StatsServer::HandleConnection(int fd) {
         return;
       }
     }
-    std::string format = QueryParam(query_string, "format");
+    std::string format = QueryParam(query_string, "format").value_or("");
     if (format.empty()) format = "collapsed";
     if (format != "collapsed" && format != "json") {
       WriteAll(fd, HttpResponse(400, "Bad Request", "text/plain",
@@ -314,9 +295,8 @@ void StatsServer::HandleConnection(int fd) {
   } else {
     WriteAll(fd, HttpResponse(404, "Not Found", "text/plain",
                               "try /metrics, /metrics.json, /traces, "
-                              "/traces.chrome, /tail, /timeseries, "
-                              "/prefetch, /wire, /threads, /contention, "
-                              "/profile or /healthz\n"));
+                              "/tail, /prefetch, /wire, /threads, "
+                              "/contention, /profile or /healthz\n"));
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace chrono::obs {
@@ -24,14 +23,12 @@ class PrefetchAudit;
 ///   GET /metrics       Prometheus text exposition of the registry
 ///   GET /metrics.json  JSON snapshot (same data, serve_bench --metrics-out)
 ///   GET /traces        recent RequestTraces as JSON, newest first;
-///                      ?n=K limits the count, ?outcome=NAME filters
+///                      ?n=K (digits only) limits the count,
+///                      ?outcome=NAME filters
 ///                      (e.g. /traces?n=10&outcome=stale_hit)
 ///   GET /tail          tail-reservoir dossier (§15): slowest traces per
 ///                      window + forced retention, slowest first, each
 ///                      with its latency-histogram exemplar link
-///   GET /timeseries    1 s samples of qps/hit-rate/p50/p99/... as JSON
-///   GET /traces.chrome recency ring + tail reservoir merged, rendered as
-///                      Chrome trace-event JSON (open in Perfetto)
 ///   GET /prefetch      prefetch-efficacy scoreboards as JSON (§10)
 ///   GET /wire          connection-frontend aggregates as JSON (§13):
 ///                      active/accepted/closed-by-{client,idle,error},
@@ -51,6 +48,9 @@ class PrefetchAudit;
 ///                      the JSON document. 409 if a window is already
 ///                      running, 404 when no profiler is attached.
 ///
+/// Any other path is a 404 naming these. A Perfetto view of the node is
+/// rendered offline by tools/chrono_trace from the event journal.
+///
 /// Off by default everywhere; serve_bench enables it with --stats-port.
 /// The server reads the registry and ring through the same snapshot paths
 /// tests use — it takes no server locks (DESIGN.md §9), so a slow scraper
@@ -59,13 +59,11 @@ class PrefetchAudit;
 /// accept loop.
 class StatsServer {
  public:
-  /// `registry` must outlive the server; `traces`, `audit`, `tail` and
-  /// `timeseries` may be null (the corresponding endpoints then return
-  /// empty documents).
+  /// `registry` must outlive the server; `traces`, `audit` and `tail` may
+  /// be null (the corresponding endpoints then return empty documents).
   StatsServer(const MetricsRegistry* registry, const TraceRing* traces,
               const PrefetchAudit* audit = nullptr,
-              const TailReservoir* tail = nullptr,
-              const TimeSeriesRing* timeseries = nullptr);
+              const TailReservoir* tail = nullptr);
   ~StatsServer();
 
   StatsServer(const StatsServer&) = delete;
@@ -133,7 +131,6 @@ class StatsServer {
   const TraceRing* traces_;
   const PrefetchAudit* audit_;
   const TailReservoir* tail_;
-  const TimeSeriesRing* timeseries_;
   HealthCallback health_;
   WireCallback wire_;
   ContentionCallback contention_;

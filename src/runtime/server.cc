@@ -24,7 +24,6 @@ constexpr size_t kQueueCapacity = 4096;  // demand lane: backpressure
 // Speculation queues separately and only runs on an empty demand lane.
 constexpr size_t kPrefetchQueueCapacity = kQueueCapacity / 8;
 constexpr std::chrono::milliseconds kJournalDrainEvery{5};
-constexpr std::chrono::milliseconds kTimeSeriesEvery{1000};
 
 }  // namespace
 
@@ -155,17 +154,9 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
   counters_.deadline_expired = [this] { return pool_.tasks_expired(); };
   counters_.faults_injected = [this] { return fault_.faults_injected(); };
   RegisterMetrics();
-  if (config_.timeseries_capacity > 0) {
-    obs::TimeSeriesRing::Options ts_options;
-    ts_options.capacity = config_.timeseries_capacity;
-    ts_options.interval_ms = static_cast<uint64_t>(kTimeSeriesEvery.count());
-    timeseries_ = std::make_unique<obs::TimeSeriesRing>(
-        metrics_registry_, ts_options, [this] { return NowMicros(); });
-    timeseries_->SampleNow();  // the baseline the first sample diffs
-  }
   // Last: every job reads state built above (the brownout step diffs the
   // demand-lane wait histogram RegisterMetrics attached).
-  if (journal_ != nullptr || brownout_.enabled() || timeseries_ != nullptr) {
+  if (journal_ != nullptr || brownout_.enabled()) {
     housekeeping_ = std::thread([this] { Housekeeping(); });
   }
 }
@@ -217,9 +208,6 @@ void ChronoServer::Housekeeping() {
                 obs::DeltaHistogram(cur, prev).Percentile(0.99) / 1000));
             prev = std::move(cur);
           });
-  }
-  if (timeseries_ != nullptr) {
-    every(kTimeSeriesEvery, [this] { timeseries_->SampleNow(); });
   }
 
   std::unique_lock<std::mutex> lock(housekeeping_mutex_);

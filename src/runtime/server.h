@@ -26,7 +26,6 @@
 #include "obs/contention.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "runtime/brownout.h"
 #include "runtime/sharded_cache.h"
@@ -64,10 +63,6 @@ struct ServerConfig : core::EngineConfig {
   /// ring, the tail reservoir and the per-trace SQL copy. Every request is
   /// still recorded into the stage histograms (DESIGN.md §15).
   size_t trace_capacity = 256;
-
-  /// Time-series telemetry ring (/timeseries): samples retained, one per
-  /// second. 0 disables the ring.
-  size_t timeseries_capacity = 300;
 
   /// Prefetch-efficacy journal (DESIGN.md §10): always on by default —
   /// the full prefetch lifecycle plus request outcomes flow into an
@@ -277,9 +272,6 @@ class ChronoServer {
   const obs::PrefetchAudit* audit() const { return audit_.get(); }
   /// Tail-latency reservoir; null when trace_capacity was 0.
   const obs::TailReservoir* tail() const { return tail_.get(); }
-  /// 1 s telemetry samples; null when timeseries_capacity was 0. Non-const
-  /// so tests can drive SampleNow() without waiting out real intervals.
-  obs::TimeSeriesRing* timeseries() const { return timeseries_.get(); }
 
  private:
   /// Per-request observability context, stack-allocated in
@@ -466,7 +458,6 @@ class ChronoServer {
   // only through lock-free Record()/Push() calls.
   std::unique_ptr<obs::TraceRing> traces_;
   std::unique_ptr<obs::TailReservoir> tail_;
-  std::unique_ptr<obs::TimeSeriesRing> timeseries_;
   obs::Histogram* stage_hist_[static_cast<int>(obs::Stage::kCount)] = {};
   obs::Histogram* request_read_hist_ = nullptr;
   obs::Histogram* request_write_hist_ = nullptr;

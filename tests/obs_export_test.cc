@@ -24,7 +24,6 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/stats_server.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace chrono::obs {
@@ -220,88 +219,6 @@ TEST(JsonExport, TracesIncludeAttributionOnlyWhenPresent) {
   EXPECT_EQ(json.find("prefetch_plan", a_pos), std::string::npos);
 }
 
-// ---- Chrome trace-event export ------------------------------------------
-
-/// Two fixed traces covering every feature the Chrome renderer emits:
-/// process metadata, outcome-named request spans, stage spans, backend
-/// annotations, forced retention and SQL needing escaping.
-std::vector<std::shared_ptr<const RequestTrace>> ChromeFixture() {
-  auto slow = std::make_shared<RequestTrace>();
-  slow->id = 7;
-  slow->client = 3;
-  slow->tmpl = 21;
-  slow->sql = "SELECT \"v\" FROM t";
-  slow->start_us = 1000;
-  slow->total_us = 900;
-  slow->outcome = TraceOutcome::kRemotePlain;
-  slow->forced = true;
-  slow->spans.push_back({Stage::kWireDecode, 0, 10});
-  slow->spans.push_back({Stage::kQueueWait, 10, 40});
-  slow->spans.push_back({Stage::kExecute, 50, 800});
-  slow->spans.push_back({Stage::kDbExecute, 60, 700});
-  slow->spans.push_back({Stage::kCompletionWait, 850, 30});
-  slow->spans.push_back({Stage::kResponseFlush, 880, 20});
-  slow->annotations.push_back({AnnotationKind::kRetry, 400, 2});
-  slow->annotations.push_back({AnnotationKind::kBreakerReject, 500, 1});
-
-  auto hit = std::make_shared<RequestTrace>();
-  hit->id = 8;
-  hit->client = 4;
-  hit->sql = "SELECT 1";
-  hit->start_us = 2500;
-  hit->total_us = 40;
-  hit->outcome = TraceOutcome::kCacheHit;
-  hit->prefetch_plan = 5;
-  hit->prefetch_src = 2;
-  hit->spans.push_back({Stage::kCacheLookup, 1, 30});
-  return {slow, hit};
-}
-
-TEST(ChromeExport, MatchesGoldenFile) {
-  std::string got = TracesToChromeJson(ChromeFixture());
-  std::string want = ReadFileOrDie(std::string(CHRONO_TEST_DATA_DIR) +
-                                   "/traces_chrome_golden.json");
-  EXPECT_EQ(got, want) << "rendered trace-event JSON:\n" << got;
-}
-
-TEST(ChromeExport, GoldenRoundTripsThroughStrictParser) {
-  std::string json = TracesToChromeJson(ChromeFixture());
-  Status valid = ValidateJson(json);
-  EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << json;
-  // Envelope + the three event kinds Perfetto needs.
-  EXPECT_NE(json.find("{\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);  // process names
-  // The request span is named by outcome, placed at absolute ts, on
-  // pid=client / tid=trace id.
-  EXPECT_NE(json.find("{\"name\":\"remote_plain\",\"cat\":\"request\","
-                      "\"ph\":\"X\",\"ts\":1000,\"dur\":900,\"pid\":3,"
-                      "\"tid\":7"),
-            std::string::npos)
-      << json;
-  // Stage spans shift by the trace's start (1000 + 10 = 1010).
-  EXPECT_NE(json.find("{\"name\":\"queue_wait\",\"cat\":\"stage\","
-                      "\"ph\":\"X\",\"ts\":1010,\"dur\":40"),
-            std::string::npos)
-      << json;
-  // Backend annotations become instant events carrying their value.
-  EXPECT_NE(json.find("{\"name\":\"retry\",\"cat\":\"backend\",\"ph\":\"i\","
-                      "\"ts\":1400"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"args\":{\"value\":2}"), std::string::npos) << json;
-}
-
-TEST(ChromeExport, SkipsNullEntriesAndEscapesSql) {
-  auto t = std::make_shared<RequestTrace>();
-  t->id = 1;
-  t->client = 1;
-  t->sql = "SELECT \"x\"";
-  std::string json = TracesToChromeJson({nullptr, t, nullptr});
-  EXPECT_TRUE(ValidateJson(json).ok()) << json;
-  EXPECT_NE(json.find("SELECT \\\"x\\\""), std::string::npos) << json;
-}
-
 TEST(TailExport, CarriesCountersAndExemplarLinks) {
   auto t = std::make_shared<RequestTrace>();
   t->id = 11;
@@ -487,10 +404,17 @@ TEST(StatsServer, UnknownPathsGet404WithEndpointDirectory) {
     // is self-correcting.
     std::string body = Body(response);
     for (const char* endpoint :
-         {"/metrics", "/metrics.json", "/traces", "/traces.chrome", "/tail",
-          "/timeseries", "/prefetch", "/wire", "/healthz"}) {
+         {"/metrics", "/metrics.json", "/traces", "/tail", "/prefetch",
+          "/wire", "/threads", "/contention", "/profile", "/healthz"}) {
       EXPECT_NE(body.find(endpoint), std::string::npos) << path << " body";
     }
+  }
+  // The retired time-series and Chrome-export routes are unknown paths,
+  // and the directory no longer advertises them.
+  for (const char* path : {"/timeseries", "/traces.chrome"}) {
+    std::string response = HttpGet(server.port(), path);
+    EXPECT_NE(response.find("404 Not Found"), std::string::npos) << path;
+    EXPECT_EQ(Body(response).find(path), std::string::npos) << path;
   }
 }
 
@@ -524,8 +448,14 @@ TEST(StatsServer, TracesEndpointSupportsLimitAndOutcomeFilter) {
   // n=0 is a valid (empty) limit; malformed params are 400s.
   EXPECT_NE(Body(HttpGet(server.port(), "/traces?n=0")).find("[]"),
             std::string::npos);
-  EXPECT_NE(HttpGet(server.port(), "/traces?n=two").find("400 Bad Request"),
-            std::string::npos);
+  // Digits only: a sign is malformed, not a huge or positive limit, and so
+  // is an empty value (a raw space ends the request path after "n=").
+  for (const char* path : {"/traces?n=two", "/traces?n=-1", "/traces?n=+3",
+                           "/traces?n= 4"}) {
+    EXPECT_NE(HttpGet(server.port(), path).find("400 Bad Request"),
+              std::string::npos)
+        << path;
+  }
   EXPECT_NE(
       HttpGet(server.port(), "/traces?outcome=banana").find("400 Bad Request"),
       std::string::npos);
@@ -538,17 +468,10 @@ TEST(StatsServer, TailAndTimeseriesDegradeToEmptyDocumentsWhenOff) {
   ASSERT_TRUE(server.Start(0).ok());
   EXPECT_EQ(Body(HttpGet(server.port(), "/tail")),
             "{\"offered\":0,\"admitted\":0,\"traces\":[]}");
-  EXPECT_EQ(Body(HttpGet(server.port(), "/timeseries")), "{\"samples\":[]}");
-  // /traces.chrome still renders a valid (empty) envelope.
-  std::string chrome = Body(HttpGet(server.port(), "/traces.chrome"));
-  EXPECT_TRUE(ValidateJson(chrome).ok()) << chrome;
-  EXPECT_NE(chrome.find("\"traceEvents\":[]"), std::string::npos);
 }
 
 TEST(StatsServer, ServesTailAndTimeseriesDocuments) {
   MetricsRegistry r;
-  Counter* requests =
-      r.GetCounter("chrono_requests_total", "Requests", {{"op", "read"}});
   TailReservoir::Options tail_opts;
   tail_opts.top_k = 4;
   TailReservoir tail(tail_opts);
@@ -558,15 +481,7 @@ TEST(StatsServer, ServesTailAndTimeseriesDocuments) {
   slow->annotations.push_back({AnnotationKind::kRetry, 100, 1});
   tail.Offer(slow, /*now_us=*/1000);
 
-  uint64_t now_us = 1'000'000;
-  TimeSeriesRing::Options ts_opts;
-  TimeSeriesRing timeseries(&r, ts_opts, [&now_us] { return now_us; });
-  timeseries.SampleNow();
-  requests->Increment(50);
-  now_us = 2'000'000;
-  timeseries.SampleNow();
-
-  StatsServer server(&r, nullptr, nullptr, &tail, &timeseries);
+  StatsServer server(&r, nullptr, nullptr, &tail);
   ASSERT_TRUE(server.Start(0).ok());
 
   std::string tail_body = Body(HttpGet(server.port(), "/tail"));
@@ -574,15 +489,6 @@ TEST(StatsServer, ServesTailAndTimeseriesDocuments) {
   EXPECT_NE(tail_body.find("\"id\":99"), std::string::npos) << tail_body;
   EXPECT_NE(tail_body.find("\"kind\":\"retry\""), std::string::npos);
   EXPECT_NE(tail_body.find("\"exemplar\""), std::string::npos);
-
-  std::string ts_body = Body(HttpGet(server.port(), "/timeseries"));
-  EXPECT_TRUE(ValidateJson(ts_body).ok()) << ts_body;
-  EXPECT_NE(ts_body.find("\"qps\":50.0"), std::string::npos) << ts_body;
-
-  // The tail's traces also surface in the merged Perfetto view.
-  std::string chrome = Body(HttpGet(server.port(), "/traces.chrome"));
-  EXPECT_TRUE(ValidateJson(chrome).ok()) << chrome;
-  EXPECT_NE(chrome.find("\"trace_id\":99"), std::string::npos) << chrome;
 }
 
 TEST(StatsServer, SurvivesConcurrentScrapes) {

@@ -1,7 +1,8 @@
 // Unit + concurrency tests for the observability metrics layer: the
 // log-bucketed lock-striped histogram (bucket math, percentile
-// interpolation, concurrent record/snapshot), and the MetricsRegistry
-// (get-or-create identity, callback metrics, owner-scoped unregistration).
+// interpolation, concurrent record/snapshot, interval deltas), and the
+// MetricsRegistry (get-or-create identity, callback metrics, owner-scoped
+// unregistration).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -147,6 +149,36 @@ TEST(Histogram, ConcurrentRecordAndSnapshotStorm) {
 
   EXPECT_EQ(h.Snapshot().count,
             static_cast<uint64_t>(kWriters) * kPerWriter);
+}
+
+// ---- Interval deltas (the brownout step diffs two snapshots) -----------
+
+HistogramSnapshot Hist(std::vector<HistogramSnapshot::Bucket> buckets,
+                       double sum) {
+  HistogramSnapshot h;
+  h.buckets = std::move(buckets);
+  h.count = h.buckets.empty() ? 0 : h.buckets.back().cumulative;
+  h.sum = sum;
+  return h;
+}
+
+TEST(HistogramMath, DeltaSubtractsAndClampsRacingBuckets) {
+  HistogramSnapshot prev = Hist({{2, 3}, {8, 5}}, 40);
+  HistogramSnapshot cur = Hist({{2, 4}, {8, 9}}, 100);
+  HistogramSnapshot delta = DeltaHistogram(cur, prev);
+  ASSERT_EQ(delta.buckets.size(), 2u);
+  EXPECT_EQ(delta.buckets[0].cumulative, 1u);
+  EXPECT_EQ(delta.buckets[1].cumulative, 4u);
+  EXPECT_EQ(delta.count, 4u);
+  EXPECT_DOUBLE_EQ(delta.sum, 60);
+
+  // A bucket that reads *behind* prev (writer raced the two snapshots)
+  // clamps to zero, and monotonicity is re-imposed on what follows.
+  HistogramSnapshot racing = Hist({{2, 2}, {8, 9}}, 30);
+  HistogramSnapshot clamped = DeltaHistogram(racing, prev);
+  EXPECT_EQ(clamped.buckets[0].cumulative, 0u);
+  EXPECT_EQ(clamped.buckets[1].cumulative, 4u);
+  EXPECT_DOUBLE_EQ(clamped.sum, 0);  // sum went backwards: clamp
 }
 
 // ---- MetricsRegistry ----------------------------------------------------

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -19,7 +18,7 @@
 #include "net/circuit_breaker.h"
 #include "obs/audit.h"
 #include "obs/journal.h"
-#include "obs/timeseries.h"
+#include "obs/metrics.h"
 #include "runtime/server.h"
 #include "sql/result_set.h"
 
@@ -253,9 +252,9 @@ TEST_F(ChaosTest, ChaosRunCompletesAndJournalReconciles) {
   EXPECT_EQ(snap.availability.stale_serves, m.stale_serves);
 }
 
-// /timeseries reads the retry and stale-serve families. They are engine
-// counters registered at startup, so the rates are live with the journal
-// off too (serve_bench --no-journal), not only when the audit folds them.
+// The retry and stale-serve families are engine counters registered at
+// startup, so they are live with the journal off too (serve_bench
+// --no-journal), not only when the audit folds them.
 TEST_F(ChaosTest, TimeSeriesReportsRetriesWithTheJournalOff) {
   ServerConfig config = ChaosConfig();
   config.enable_journal = false;
@@ -263,7 +262,6 @@ TEST_F(ChaosTest, TimeSeriesReportsRetriesWithTheJournalOff) {
   config.fault.seed = 11;
   ChronoServer server(&db_, config);
   ASSERT_EQ(server.journal(), nullptr);
-  ASSERT_NE(server.timeseries(), nullptr);
 
   for (int i = 0; i < 100; ++i) {
     (void)server.Submit(1, "SELECT v FROM t WHERE id = " +
@@ -271,15 +269,11 @@ TEST_F(ChaosTest, TimeSeriesReportsRetriesWithTheJournalOff) {
         .get();
   }
   ASSERT_GT(server.metrics().backend_retries, 0u);
-  server.timeseries()->SampleNow();
-  std::vector<obs::TimeSeriesRing::Sample> samples =
-      server.timeseries()->Snapshot();
-  ASSERT_FALSE(samples.empty());
-  // The housekeeping thread may have sampled part of the run already.
-  EXPECT_TRUE(std::any_of(samples.begin(), samples.end(),
-                          [](const obs::TimeSeriesRing::Sample& s) {
-                            return s.retries_ps > 0;
-                          }));
+  obs::RegistrySnapshot snap = server.registry()->Snapshot();
+  const obs::MetricSnapshot* retries =
+      snap.Find("chrono_backend_retries_total");
+  ASSERT_NE(retries, nullptr);
+  EXPECT_GT(retries->value, 0);
 }
 
 }  // namespace

@@ -355,13 +355,12 @@ TEST_F(ChronoServerTest, LearnsAndPrefetchesDependentQueries) {
 }
 
 // One housekeeping thread runs every periodic job of a node (DESIGN.md
-// §9): it drains the journal, steps the brownout controller and samples
-// the time series, and it is the only such thread — the journal and the
-// time-series ring own none.
+// §9): it drains the journal and steps the brownout controller, and it is
+// the only such thread — the journal owns none.
 TEST_F(ChronoServerTest, OneHousekeepingThreadRunsEveryPeriodicJob) {
   ServerConfig config;
   config.workers = 2;
-  config.queue_target_us = 1'000'000;  // brownout on: all three jobs run
+  config.queue_target_us = 1'000'000;  // brownout on: both jobs run
   ChronoServer server(&db_, config);
   ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 1").get().ok());
 
@@ -376,23 +375,19 @@ TEST_F(ChronoServerTest, OneHousekeepingThreadRunsEveryPeriodicJob) {
   auto is_housekeeping = [](const obs::ThreadRegistry::Entry& entry) {
     return entry.role == obs::ThreadRole::kHousekeeping;
   };
-  // No manual Drain() and no SampleNow(): only the housekeeping thread can
-  // make these move. The time series samples once a second.
+  // No manual Drain(): only the housekeeping thread can make this move.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while ((count_alive(is_housekeeping) == 0 ||
-          server.journal()->events_drained() == 0 ||
-          server.timeseries()->samples_taken() == 0) &&
+          server.journal()->events_drained() == 0) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(count_alive(is_housekeeping), 1);
   EXPECT_EQ(count_alive([](const obs::ThreadRegistry::Entry& entry) {
-              return entry.name == "chrono-journal" ||
-                     entry.name == "chrono-ts-sampler";
+              return entry.name == "chrono-journal";
             }),
             0);
   EXPECT_GT(server.journal()->events_drained(), 0u);
-  EXPECT_GT(server.timeseries()->samples_taken(), 0u);
 
   server.Shutdown();
   EXPECT_EQ(count_alive(is_housekeeping), 0);

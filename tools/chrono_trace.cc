@@ -8,13 +8,17 @@
 //   chrono_trace serve.journal --out timeline.json
 //   chrono_trace --validate scrape.json     # strict JSON check, exit 0/2
 //
+// This is the node's one Perfetto view. The journal is always on, so the
+// timeline covers every request (not only the ones the trace ring kept),
+// and simulator journals render the same way.
+//
 // Stage segments are reconstructed from the packed kRequest durations and
 // tiled sequentially in pipeline order — the journal stores per-stage
 // sums, not span offsets, so overlap inside one request is flattened (the
-// live /traces.chrome endpoint renders exact offsets). Rows are grouped
-// per client (one Chrome "thread" per client id). --validate runs the
-// same strict RFC 8259 well-formedness check CI applies to /timeseries
-// and /traces.chrome scrapes.
+// live /traces and /tail endpoints keep each retained request's exact
+// span offsets as JSON). Rows are grouped per client (one Chrome "thread"
+// per client id). --validate runs the same strict RFC 8259
+// well-formedness check CI applies to /traces and /tail scrapes.
 //
 // Exit 0 on success, 2 on a malformed or unreadable input.
 

@@ -25,11 +25,15 @@
 // scaling meaningful even on small CPU-count machines.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -185,9 +189,9 @@ void Usage() {
       "  --trace-out F     dump the final request-trace ring to F as\n"
       "                    JSON (last run when sweeping)\n"
       "  --no-journal      disable the event journal (A/B its overhead)\n"
-      "  --no-telemetry    disable trace retention (ring, tail reservoir)\n"
-      "                    and the time-series sampler (A/B their\n"
-      "                    overhead; stage histograms stay recorded)\n"
+      "  --no-telemetry    disable trace retention (ring, tail reservoir;\n"
+      "                    A/B its overhead; stage histograms stay\n"
+      "                    recorded)\n"
       "  --no-lock-telemetry  disarm the instrumented lock layer (A/B\n"
       "                    its overhead; /contention then reports armed\n"
       "                    false and records nothing)\n"
@@ -328,10 +332,9 @@ runtime::ServerConfig MakeServerConfig(const BenchOptions& opt, int workers,
   config.enable_journal = opt.journal;
   if (!opt.telemetry) {
     // A/B timeline retention: no trace ring (which also disables the tail
-    // reservoir) and no time-series sampler. Every request is still
-    // recorded into the stage histograms.
+    // reservoir). Every request is still recorded into the stage
+    // histograms.
     config.trace_capacity = 0;
-    config.timeseries_capacity = 0;
   }
   config.lock_telemetry = opt.lock_telemetry;
   config.fault = opt.fault;
@@ -357,78 +360,235 @@ runtime::ServerConfig MakeServerConfig(const BenchOptions& opt, int workers,
   return config;
 }
 
-/// --profile-out: collapsed stacks captured over the whole measurement
-/// window, ready for flamegraph.pl (or chrono_prof report).
-void WriteProfile(const std::string& path, const obs::CpuProfiler& profiler) {
+// ---------------------------------------------------------------------------
+// Client-side accounting
+
+/// What one run's clients saw: one per client thread or socket connection,
+/// summed after they are joined (SampleStats' external-locking contract).
+struct FleetResult {
+  uint64_t ops = 0;
+  uint64_t reads_ok = 0, reads_failed = 0;
+  uint64_t writes_ok = 0, writes_failed = 0;
+  uint64_t connect_failures = 0;
+  uint64_t on_time = 0;             // completed within --deadline-ms
+  uint64_t expired_rejections = 0;  // kFlagExpired Errors (never executed)
+  uint64_t overload_rejections = 0; // brownout Retry-After refusals
+  SampleStats latency;  // ms
+
+  /// A request that returned a result, fresh or explicitly stale: a
+  /// success from the client's seat. It counts toward goodput when it
+  /// came back inside the deadline (none when `deadline_ms` <= 0).
+  void Completed(bool is_write, double ms, int64_t deadline_ms) {
+    latency.Add(ms);
+    ++(is_write ? writes_ok : reads_ok);
+    ++ops;
+    if (deadline_ms <= 0 || ms <= static_cast<double>(deadline_ms)) {
+      ++on_time;
+    }
+  }
+};
+
+FleetResult Sum(const std::vector<FleetResult>& parts) {
+  FleetResult all;
+  for (const FleetResult& f : parts) {
+    all.ops += f.ops;
+    all.reads_ok += f.reads_ok;
+    all.reads_failed += f.reads_failed;
+    all.writes_ok += f.writes_ok;
+    all.writes_failed += f.writes_failed;
+    all.connect_failures += f.connect_failures;
+    all.on_time += f.on_time;
+    all.expired_rejections += f.expired_rejections;
+    all.overload_rejections += f.overload_rejections;
+    all.latency.Merge(f.latency);
+  }
+  return all;
+}
+
+/// The client-side half of a RunResult; the node fills the rest.
+RunResult ToRunResult(const FleetResult& fleet, double elapsed) {
+  RunResult out;
+  out.ops = fleet.ops;
+  out.elapsed_s = elapsed;
+  out.throughput = elapsed > 0 ? static_cast<double>(out.ops) / elapsed : 0;
+  out.p50_ms = fleet.latency.empty() ? 0 : fleet.latency.Percentile(0.5);
+  out.p99_ms = fleet.latency.empty() ? 0 : fleet.latency.Percentile(0.99);
+  out.mean_ms = fleet.latency.empty() ? 0 : fleet.latency.Mean();
+  out.reads_ok = fleet.reads_ok;
+  out.reads_failed = fleet.reads_failed;
+  out.writes_ok = fleet.writes_ok;
+  out.writes_failed = fleet.writes_failed;
+  out.on_time = fleet.on_time;
+  out.goodput = elapsed > 0 ? static_cast<double>(fleet.on_time) / elapsed : 0;
+  out.expired_rejections = fleet.expired_rejections;
+  out.overload_rejections = fleet.overload_rejections;
+  if (fleet.connect_failures > 0) {
+    std::fprintf(stderr, "warning: %llu connections failed to connect\n",
+                 static_cast<unsigned long long>(fleet.connect_failures));
+  }
+  return out;
+}
+
+/// Writes `body` to `path` and reports it ("wrote PATH" + `detail`).
+void WriteFile(const std::string& path, const std::string& body,
+               const std::string& detail = "") {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::string collapsed = profiler.CollapsedStacks();
-  std::fwrite(collapsed.data(), 1, collapsed.size(), f);
+  std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
-  std::printf(
-      "wrote %s (%llu samples, %llu dropped)\n", path.c_str(),
-      static_cast<unsigned long long>(profiler.samples_captured()),
-      static_cast<unsigned long long>(profiler.samples_dropped()));
+  std::printf("wrote %s%s\n", path.c_str(), detail.c_str());
 }
 
-RunResult RunOnce(db::Database* db, const BenchOptions& opt, int workers) {
-  // One registry per run so sweep runs export clean per-configuration
-  // numbers; it must outlive the server (the server registers callbacks
-  // against it and unregisters them in its destructor).
-  obs::MetricsRegistry registry;
-  runtime::ServerConfig config = MakeServerConfig(opt, workers, &registry);
-  // Declared before the server: the journal's final drain (in the server
-  // destructor) must find the file sink still alive.
-  std::unique_ptr<obs::JournalFileSink> journal_sink;
-  if (opt.journal && !opt.journal_path.empty()) {
-    journal_sink = obs::JournalFileSink::Open(opt.journal_path);
-    if (journal_sink == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.journal_path.c_str());
+/// The node one run measures: a private registry (so sweep runs export
+/// clean per-configuration numbers), the ChronoServer with its journal
+/// file sink, an optional wire frontend, the stats endpoint and the CPU
+/// profiler. Every mode builds it here and tears it down through Finish(),
+/// in the one order the journal's recorded == drained contract needs. A
+/// requested journal file, stats port or wire port that cannot be opened
+/// is reported and exits 1.
+class BenchNode {
+ public:
+  BenchNode(db::Database* db, const BenchOptions& opt, int workers,
+            std::optional<wire::WireServer::Options> wire_options = {})
+      : opt_(opt),
+        // Opened before the server: its final drain (in Shutdown) must
+        // find the file sink alive.
+        journal_sink_(OpenJournalSink(opt)),
+        server_(db, MakeServerConfig(opt, workers, &registry_)),
+        stats_(server_.registry(), server_.traces(), server_.audit(),
+               server_.tail()) {
+    if (journal_sink_ != nullptr && server_.journal() != nullptr) {
+      server_.journal()->AddSink(journal_sink_.get());
     }
-  }
-  runtime::ChronoServer server(db, config);
-  if (journal_sink != nullptr && server.journal() != nullptr) {
-    server.journal()->AddSink(journal_sink.get());
+    if (wire_options) {
+      wire_.emplace(&server_, *wire_options);
+      Status started = wire_->Start();
+      if (!started.ok()) Fail("wire server: " + started.message());
+      stats_.SetWireCallback([this] { return wire_->StatsJson(); });
+    }
+    stats_.SetHealthCallback([this] {
+      runtime::ChronoServer::HealthStatus h = server_.Health();
+      return obs::StatsServer::Health{h.ok, h.reason};
+    });
+    stats_.SetContentionCallback(
+        [this] { return server_.contention()->ContentionJson(); });
+    stats_.SetProfiler(&profiler_);
+    if (opt.stats_port >= 0) {
+      Status started = stats_.Start(opt.stats_port);
+      if (!started.ok()) Fail("stats server: " + started.message());
+      std::printf("stats: http://127.0.0.1:%d/metrics (and %s)\n",
+                  stats_.port(), wire_ ? "/wire" : "/traces");
+    }
+    if (!opt.profile_path.empty()) {
+      Status prof = profiler_.Start(opt.profile_hz);
+      if (!prof.ok()) {
+        std::fprintf(stderr, "profiler: %s\n", prof.message().c_str());
+      }
+    }
   }
 
-  obs::CpuProfiler profiler;
-  obs::StatsServer stats(server.registry(), server.traces(), server.audit(),
-                         server.tail(), server.timeseries());
-  stats.SetHealthCallback([&server] {
-    runtime::ChronoServer::HealthStatus h = server.Health();
-    return obs::StatsServer::Health{h.ok, h.reason};
-  });
-  stats.SetContentionCallback(
-      [&server] { return server.contention()->ContentionJson(); });
-  stats.SetProfiler(&profiler);
-  if (opt.stats_port >= 0) {
-    Status started = stats.Start(opt.stats_port);
-    if (!started.ok()) {
-      std::fprintf(stderr, "stats server: %s\n",
-                   std::string(started.message()).c_str());
-    } else {
-      std::printf("stats: http://127.0.0.1:%d/metrics (and /traces)\n",
-                  stats.port());
+  BenchNode(const BenchNode&) = delete;
+  BenchNode& operator=(const BenchNode&) = delete;
+
+  runtime::ChronoServer& server() { return server_; }
+  /// The frontend; null without wire options. Its stats() stay readable
+  /// after Finish().
+  wire::WireServer* wire() { return wire_ ? &*wire_ : nullptr; }
+
+  /// Ends the run: writes the profile and --metrics-out, stops the
+  /// frontend (draining in-flight requests), the stats endpoint and the
+  /// server, takes the journal's exact final drain, then writes the
+  /// journal file and --trace-out. Fills `out`'s node-side fields.
+  void Finish(RunResult* out) {
+    if (profiler_.running()) {
+      // Collapsed stacks over the whole window, ready for flamegraph.pl
+      // (or chrono_prof report).
+      profiler_.Stop();
+      WriteFile(opt_.profile_path, profiler_.CollapsedStacks(),
+                " (" + std::to_string(profiler_.samples_captured()) +
+                    " samples, " + std::to_string(profiler_.samples_dropped()) +
+                    " dropped)");
+    }
+    out->metrics = server_.metrics();
+    // Before the server tears down its registry callbacks.
+    if (!opt_.metrics_path.empty()) {
+      WriteFile(opt_.metrics_path, obs::ToJson(registry_.Snapshot()));
+    }
+    if (wire_) {
+      wire_->Stop();
+      wire::WireServer::Stats ws = wire_->stats();
+      out->wire_accepted = ws.accepted;
+      out->wire_protocol_errors = ws.protocol_errors;
+      out->wire_requests = ws.requests;
+      out->wire_p99_us = ws.p99_latency_us;
+    }
+    stats_.Stop();
+    server_.Shutdown();
+    // Workers are joined: the journal can take its exact final drain, and
+    // the audit scoreboards are complete.
+    if (server_.journal() != nullptr) server_.journal()->Stop();
+    if (server_.audit() != nullptr) {
+      obs::PrefetchAudit::Snapshot snap = server_.audit()->snapshot();
+      out->prefetch_installed = snap.TotalInstalled();
+      out->prefetch_used = snap.TotalUsed();
+      out->prefetch_wasted_bytes = snap.TotalWastedBytes();
+      out->prefetch_precision = snap.OverallPrecision();
+    }
+    if (journal_sink_ != nullptr) {
+      journal_sink_->Flush();
+      std::printf(
+          "wrote %s (%llu events)\n", opt_.journal_path.c_str(),
+          static_cast<unsigned long long>(journal_sink_->events_written()));
+    }
+    if (!opt_.trace_path.empty() && server_.traces() != nullptr) {
+      WriteFile(opt_.trace_path,
+                obs::TracesToJson(server_.traces()->Snapshot()));
     }
   }
-  if (!opt.profile_path.empty()) {
-    Status prof = profiler.Start(opt.profile_hz);
-    if (!prof.ok()) {
-      std::fprintf(stderr, "profiler: %s\n", prof.message().c_str());
+
+ private:
+  static std::unique_ptr<obs::JournalFileSink> OpenJournalSink(
+      const BenchOptions& opt) {
+    if (!opt.journal || opt.journal_path.empty()) return nullptr;
+    auto sink = obs::JournalFileSink::Open(opt.journal_path);
+    if (sink == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", opt.journal_path.c_str());
+      std::exit(1);
     }
+    return sink;
   }
+
+  /// Startup failure: stop what already runs, then exit 1.
+  [[noreturn]] void Fail(const std::string& what) {
+    std::fprintf(stderr, "%s\n", what.c_str());
+    if (wire_) wire_->Stop();
+    stats_.Stop();
+    server_.Shutdown();
+    std::exit(1);
+  }
+
+  // Declaration order is teardown order, reversed: the stats endpoint and
+  // the frontend go before the server, the sink and registry after it.
+  const BenchOptions& opt_;
+  obs::MetricsRegistry registry_;
+  std::unique_ptr<obs::JournalFileSink> journal_sink_;
+  runtime::ChronoServer server_;
+  std::optional<wire::WireServer> wire_;
+  obs::CpuProfiler profiler_;
+  obs::StatsServer stats_;
+};
+
+RunResult RunOnce(db::Database* db, const BenchOptions& opt, int workers) {
+  BenchNode node(db, opt, workers);
+  runtime::ChronoServer& server = node.server();
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> total_ops{0};
-  std::atomic<uint64_t> on_time{0};
-  std::atomic<uint64_t> reads_ok{0}, reads_failed{0};
-  std::atomic<uint64_t> writes_ok{0}, writes_failed{0};
-  // SampleStats external-locking contract: one private instance per
-  // client thread, merged after the threads are joined.
-  std::vector<SampleStats> per_client(static_cast<size_t>(opt.clients));
+  // One private accumulator per client thread (SampleStats' external
+  // locking contract), summed after the threads are joined.
+  std::vector<FleetResult> per_client(static_cast<size_t>(opt.clients));
 
   auto started = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -439,8 +599,7 @@ RunResult RunOnce(db::Database* db, const BenchOptions& opt, int workers) {
                              "chrono-client-" + std::to_string(c));
       Rng rng(opt.seed + 1000 * static_cast<uint64_t>(workers) +
               static_cast<uint64_t>(c));
-      SampleStats& lat = per_client[static_cast<size_t>(c)];
-      uint64_t ops = 0;
+      FleetResult& mine = per_client[static_cast<size_t>(c)];
       int64_t chain_key = -1;  // flight id awaiting its follow-up lookup
       while (!stop.load(std::memory_order_relaxed)) {
         std::string sql;
@@ -462,22 +621,15 @@ RunResult RunOnce(db::Database* db, const BenchOptions& opt, int workers) {
         auto t1 = std::chrono::steady_clock::now();
         // A stale result is still a success from the client's seat — the
         // degradation is accounted server-side (chrono_stale_serves_total).
-        std::atomic<uint64_t>& bucket =
-            result.ok() ? (is_write ? writes_ok : reads_ok)
-                        : (is_write ? writes_failed : reads_failed);
-        bucket.fetch_add(1, std::memory_order_relaxed);
         if (result.ok()) {
-          double ms =
-              std::chrono::duration<double, std::milli>(t1 - t0).count();
-          lat.Add(ms);
-          ++ops;
-          if (opt.deadline_ms <= 0 ||
-              ms <= static_cast<double>(opt.deadline_ms)) {
-            on_time.fetch_add(1, std::memory_order_relaxed);
-          }
+          mine.Completed(
+              is_write,
+              std::chrono::duration<double, std::milli>(t1 - t0).count(),
+              opt.deadline_ms);
+        } else {
+          ++(is_write ? mine.writes_failed : mine.reads_failed);
         }
       }
-      total_ops.fetch_add(ops, std::memory_order_relaxed);
     });
   }
 
@@ -517,88 +669,15 @@ RunResult RunOnce(db::Database* db, const BenchOptions& opt, int workers) {
   double elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - started)
                        .count();
-  if (profiler.running()) {
-    profiler.Stop();
-    WriteProfile(opt.profile_path, profiler);
-  }
 
-  SampleStats all;
-  for (const SampleStats& s : per_client) all.Merge(s);
-
-  RunResult out;
+  RunResult out = ToRunResult(Sum(per_client), elapsed);
   out.workers = workers;
-  out.ops = total_ops.load();
-  out.elapsed_s = elapsed;
-  out.throughput = elapsed > 0 ? static_cast<double>(out.ops) / elapsed : 0;
-  out.p50_ms = all.empty() ? 0 : all.Percentile(0.5);
-  out.p99_ms = all.empty() ? 0 : all.Percentile(0.99);
-  out.mean_ms = all.empty() ? 0 : all.Mean();
-  out.reads_ok = reads_ok.load();
-  out.reads_failed = reads_failed.load();
-  out.writes_ok = writes_ok.load();
-  out.writes_failed = writes_failed.load();
-  out.on_time = on_time.load();
-  out.goodput =
-      elapsed > 0 ? static_cast<double>(out.on_time) / elapsed : 0;
-  out.metrics = server.metrics();
-
-  // Snapshot before the server tears down its registry callbacks.
-  if (!opt.metrics_path.empty()) {
-    FILE* f = std::fopen(opt.metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.metrics_path.c_str());
-    } else {
-      std::string json = obs::ToJson(registry.Snapshot());
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", opt.metrics_path.c_str());
-    }
-  }
-  stats.Stop();
-  server.Shutdown();
-
-  // Workers are joined: the journal can take its exact final drain, and
-  // the audit scoreboards are complete.
-  if (server.journal() != nullptr) server.journal()->Stop();
-  if (server.audit() != nullptr) {
-    obs::PrefetchAudit::Snapshot snap = server.audit()->snapshot();
-    out.prefetch_installed = snap.TotalInstalled();
-    out.prefetch_used = snap.TotalUsed();
-    out.prefetch_wasted_bytes = snap.TotalWastedBytes();
-    out.prefetch_precision = snap.OverallPrecision();
-  }
-  if (journal_sink != nullptr) {
-    journal_sink->Flush();
-    std::printf("wrote %s (%llu events)\n", opt.journal_path.c_str(),
-                static_cast<unsigned long long>(journal_sink->events_written()));
-  }
-  if (!opt.trace_path.empty() && server.traces() != nullptr) {
-    FILE* f = std::fopen(opt.trace_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.trace_path.c_str());
-    } else {
-      std::string json = obs::TracesToJson(server.traces()->Snapshot());
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", opt.trace_path.c_str());
-    }
-  }
+  node.Finish(&out);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // Socket modes (DESIGN.md §13)
-
-struct FleetResult {
-  uint64_t ops = 0;
-  uint64_t reads_ok = 0, reads_failed = 0;
-  uint64_t writes_ok = 0, writes_failed = 0;
-  uint64_t connect_failures = 0;
-  uint64_t on_time = 0;             // completed within --deadline-ms
-  uint64_t expired_rejections = 0;  // kFlagExpired Errors (never executed)
-  uint64_t overload_rejections = 0; // brownout Retry-After refusals
-  SampleStats latency;  // ms
-};
 
 /// One socket client connection. Closed loop keeps up to `pipeline`
 /// requests in flight; open loop (`per_conn_qps > 0`) draws Poisson
@@ -632,15 +711,11 @@ void WireClientLoop(const std::string& host, int port,
     if (it == inflight.end()) return;
     const bool is_write = it->second.second;
     if (response.result.ok()) {
-      double ms = std::chrono::duration<double, std::milli>(
-                      now - it->second.first)
-                      .count();
-      out->latency.Add(ms);
-      ++(is_write ? out->writes_ok : out->reads_ok);
-      ++out->ops;
-      if (wire_deadline_ms == 0 || ms <= static_cast<double>(wire_deadline_ms)) {
-        ++out->on_time;
-      }
+      out->Completed(is_write,
+                     std::chrono::duration<double, std::milli>(
+                         now - it->second.first)
+                         .count(),
+                     opt.deadline_ms);
     } else {
       ++(is_write ? out->writes_failed : out->reads_failed);
       if (response.expired) {
@@ -726,8 +801,9 @@ void WireClientLoop(const std::string& host, int port,
 }
 
 /// Drives `connections` socket clients against host:port for the window.
-FleetResult RunWireFleet(const std::string& host, int port,
-                         const BenchOptions& opt, int connections) {
+RunResult RunWireFleet(const std::string& host, int port,
+                       const BenchOptions& opt, int connections) {
+  auto started = std::chrono::steady_clock::now();
   std::atomic<bool> stop{false};
   std::vector<FleetResult> per_conn(static_cast<size_t>(connections));
   std::vector<std::thread> threads;
@@ -743,138 +819,28 @@ FleetResult RunWireFleet(const std::string& host, int port,
   std::this_thread::sleep_for(std::chrono::duration<double>(opt.seconds));
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : threads) t.join();
-  FleetResult all;
-  for (const FleetResult& f : per_conn) {
-    all.ops += f.ops;
-    all.reads_ok += f.reads_ok;
-    all.reads_failed += f.reads_failed;
-    all.writes_ok += f.writes_ok;
-    all.writes_failed += f.writes_failed;
-    all.connect_failures += f.connect_failures;
-    all.on_time += f.on_time;
-    all.expired_rejections += f.expired_rejections;
-    all.overload_rejections += f.overload_rejections;
-    all.latency.Merge(f.latency);
-  }
-  return all;
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - started)
+                       .count();
+  RunResult out = ToRunResult(Sum(per_conn), elapsed);
+  out.socket_mode = true;
+  out.connections = connections;
+  out.pipeline = opt.pipeline;
+  out.arrival_qps = opt.arrival_qps;
+  return out;
 }
 
 /// --wire: in-process node behind a real WireServer, TCP client fleet.
 RunResult RunOnceWire(db::Database* db, const BenchOptions& opt, int workers,
                       int connections) {
-  obs::MetricsRegistry registry;
-  runtime::ServerConfig config = MakeServerConfig(opt, workers, &registry);
-  std::unique_ptr<obs::JournalFileSink> journal_sink;
-  if (opt.journal && !opt.journal_path.empty()) {
-    journal_sink = obs::JournalFileSink::Open(opt.journal_path);
-    if (journal_sink == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.journal_path.c_str());
-    }
-  }
-  runtime::ChronoServer server(db, config);
-  if (journal_sink != nullptr && server.journal() != nullptr) {
-    server.journal()->AddSink(journal_sink.get());
-  }
   wire::WireServer::Options wire_options;
   wire_options.max_connections = std::max(connections * 2, 4096);
   wire_options.max_pipeline = std::max(opt.pipeline, 8);
-  wire::WireServer wire_server(&server, wire_options);
-  Status started = wire_server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "wire server: %s\n",
-                 std::string(started.message()).c_str());
-    std::exit(1);
-  }
-  obs::CpuProfiler profiler;
-  obs::StatsServer stats(server.registry(), server.traces(), server.audit(),
-                         server.tail(), server.timeseries());
-  stats.SetHealthCallback([&server] {
-    runtime::ChronoServer::HealthStatus h = server.Health();
-    return obs::StatsServer::Health{h.ok, h.reason};
-  });
-  stats.SetWireCallback([&wire_server] { return wire_server.StatsJson(); });
-  stats.SetContentionCallback(
-      [&server] { return server.contention()->ContentionJson(); });
-  stats.SetProfiler(&profiler);
-  if (opt.stats_port >= 0) {
-    Status stats_started = stats.Start(opt.stats_port);
-    if (stats_started.ok()) {
-      std::printf("stats: http://127.0.0.1:%d/metrics (and /wire)\n",
-                  stats.port());
-    }
-  }
-  if (!opt.profile_path.empty()) {
-    Status prof = profiler.Start(opt.profile_hz);
-    if (!prof.ok()) {
-      std::fprintf(stderr, "profiler: %s\n", prof.message().c_str());
-    }
-  }
-
-  auto t_start = std::chrono::steady_clock::now();
-  FleetResult fleet = RunWireFleet("127.0.0.1", wire_server.port(), opt,
-                                   connections);
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t_start)
-                       .count();
-  if (profiler.running()) {
-    profiler.Stop();
-    WriteProfile(opt.profile_path, profiler);
-  }
-
-  RunResult out;
-  out.socket_mode = true;
-  out.connections = connections;
-  out.pipeline = opt.pipeline;
-  out.arrival_qps = opt.arrival_qps;
+  BenchNode node(db, opt, workers, wire_options);
+  RunResult out =
+      RunWireFleet("127.0.0.1", node.wire()->port(), opt, connections);
   out.workers = workers;
-  out.ops = fleet.ops;
-  out.elapsed_s = elapsed;
-  out.throughput = elapsed > 0 ? static_cast<double>(out.ops) / elapsed : 0;
-  out.p50_ms = fleet.latency.empty() ? 0 : fleet.latency.Percentile(0.5);
-  out.p99_ms = fleet.latency.empty() ? 0 : fleet.latency.Percentile(0.99);
-  out.mean_ms = fleet.latency.empty() ? 0 : fleet.latency.Mean();
-  out.reads_ok = fleet.reads_ok;
-  out.reads_failed = fleet.reads_failed;
-  out.writes_ok = fleet.writes_ok;
-  out.writes_failed = fleet.writes_failed;
-  out.on_time = fleet.on_time;
-  out.goodput = elapsed > 0 ? static_cast<double>(fleet.on_time) / elapsed : 0;
-  out.expired_rejections = fleet.expired_rejections;
-  out.overload_rejections = fleet.overload_rejections;
-  out.metrics = server.metrics();
-  if (fleet.connect_failures > 0) {
-    std::fprintf(stderr, "warning: %llu connections failed to connect\n",
-                 static_cast<unsigned long long>(fleet.connect_failures));
-  }
-
-  if (!opt.metrics_path.empty()) {
-    FILE* f = std::fopen(opt.metrics_path.c_str(), "w");
-    if (f != nullptr) {
-      std::string json = obs::ToJson(registry.Snapshot());
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", opt.metrics_path.c_str());
-    }
-  }
-  // Frontend first (drains in-flight requests), then the runtime: the
-  // journal's recorded == drained contract survives the network hop.
-  wire_server.Stop();
-  wire::WireServer::Stats ws = wire_server.stats();
-  out.wire_accepted = ws.accepted;
-  out.wire_protocol_errors = ws.protocol_errors;
-  out.wire_requests = ws.requests;
-  out.wire_p99_us = ws.p99_latency_us;
-  stats.Stop();
-  server.Shutdown();
-  if (server.journal() != nullptr) server.journal()->Stop();
-  if (server.audit() != nullptr) {
-    obs::PrefetchAudit::Snapshot snap = server.audit()->snapshot();
-    out.prefetch_installed = snap.TotalInstalled();
-    out.prefetch_used = snap.TotalUsed();
-    out.prefetch_wasted_bytes = snap.TotalWastedBytes();
-    out.prefetch_precision = snap.OverallPrecision();
-  }
-  if (journal_sink != nullptr) journal_sink->Flush();
+  node.Finish(&out);
   return out;
 }
 
@@ -882,50 +848,12 @@ RunResult RunOnceWire(db::Database* db, const BenchOptions& opt, int workers,
 /// drain gracefully and verify the journal contract. Returns the exit
 /// code: non-zero when the drain dropped events.
 int RunServe(db::Database* db, const BenchOptions& opt, int workers) {
-  obs::MetricsRegistry registry;
-  runtime::ServerConfig config = MakeServerConfig(opt, workers, &registry);
-  std::unique_ptr<obs::JournalFileSink> journal_sink;
-  if (opt.journal && !opt.journal_path.empty()) {
-    journal_sink = obs::JournalFileSink::Open(opt.journal_path);
-  }
-  runtime::ChronoServer server(db, config);
-  if (journal_sink != nullptr && server.journal() != nullptr) {
-    server.journal()->AddSink(journal_sink.get());
-  }
   wire::WireServer::Options wire_options;
   wire_options.port = opt.port;
   wire_options.max_pipeline = std::max(opt.pipeline, 128);
-  wire::WireServer wire_server(&server, wire_options);
-  Status started = wire_server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "wire server: %s\n",
-                 std::string(started.message()).c_str());
-    return 1;
-  }
-  obs::CpuProfiler profiler;
-  obs::StatsServer stats(server.registry(), server.traces(), server.audit(),
-                         server.tail(), server.timeseries());
-  stats.SetHealthCallback([&server] {
-    runtime::ChronoServer::HealthStatus h = server.Health();
-    return obs::StatsServer::Health{h.ok, h.reason};
-  });
-  stats.SetWireCallback([&wire_server] { return wire_server.StatsJson(); });
-  stats.SetContentionCallback(
-      [&server] { return server.contention()->ContentionJson(); });
-  stats.SetProfiler(&profiler);
-  if (opt.stats_port >= 0) {
-    Status stats_started = stats.Start(opt.stats_port);
-    if (stats_started.ok()) {
-      std::printf("stats: http://127.0.0.1:%d/metrics (and /wire)\n",
-                  stats.port());
-    }
-  }
-  if (!opt.profile_path.empty()) {
-    Status prof = profiler.Start(opt.profile_hz);
-    if (!prof.ok()) {
-      std::fprintf(stderr, "profiler: %s\n", prof.message().c_str());
-    }
-  }
+  BenchNode node(db, opt, workers, wire_options);
+  runtime::ChronoServer& server = node.server();
+  wire::WireServer& wire_server = *node.wire();
   std::printf("serving on 127.0.0.1:%d for %.1f s\n", wire_server.port(),
               opt.seconds);
   std::fflush(stdout);
@@ -949,16 +877,9 @@ int RunServe(db::Database* db, const BenchOptions& opt, int workers) {
                 server.pool().queue_depth());
     std::fflush(stdout);
   }
-  wire_server.Stop();
+  RunResult out;
+  node.Finish(&out);
   wire::WireServer::Stats ws = wire_server.stats();
-  if (profiler.running()) {
-    profiler.Stop();
-    WriteProfile(opt.profile_path, profiler);
-  }
-  stats.Stop();
-  server.Shutdown();
-  if (server.journal() != nullptr) server.journal()->Stop();
-  if (journal_sink != nullptr) journal_sink->Flush();
 
   uint64_t recorded = 0, drained = 0, dropped = 0;
   if (server.journal() != nullptr) {
@@ -988,40 +909,6 @@ int RunServe(db::Database* db, const BenchOptions& opt, int workers) {
     return 1;
   }
   return 0;
-}
-
-/// --connect: client fleet against an external --serve node.
-RunResult RunConnect(const BenchOptions& opt, const std::string& host,
-                     int port, int connections) {
-  auto t_start = std::chrono::steady_clock::now();
-  FleetResult fleet = RunWireFleet(host, port, opt, connections);
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t_start)
-                       .count();
-  RunResult out;
-  out.socket_mode = true;
-  out.connections = connections;
-  out.pipeline = opt.pipeline;
-  out.arrival_qps = opt.arrival_qps;
-  out.ops = fleet.ops;
-  out.elapsed_s = elapsed;
-  out.throughput = elapsed > 0 ? static_cast<double>(out.ops) / elapsed : 0;
-  out.p50_ms = fleet.latency.empty() ? 0 : fleet.latency.Percentile(0.5);
-  out.p99_ms = fleet.latency.empty() ? 0 : fleet.latency.Percentile(0.99);
-  out.mean_ms = fleet.latency.empty() ? 0 : fleet.latency.Mean();
-  out.reads_ok = fleet.reads_ok;
-  out.reads_failed = fleet.reads_failed;
-  out.writes_ok = fleet.writes_ok;
-  out.writes_failed = fleet.writes_failed;
-  out.on_time = fleet.on_time;
-  out.goodput = elapsed > 0 ? static_cast<double>(fleet.on_time) / elapsed : 0;
-  out.expired_rejections = fleet.expired_rejections;
-  out.overload_rejections = fleet.overload_rejections;
-  if (fleet.connect_failures > 0) {
-    std::fprintf(stderr, "warning: %llu connections failed to connect\n",
-                 static_cast<unsigned long long>(fleet.connect_failures));
-  }
-  return out;
 }
 
 void WriteJson(const BenchOptions& opt, const std::vector<RunResult>& runs) {
@@ -1297,7 +1184,7 @@ int main(int argc, char** argv) {
     std::vector<RunResult> runs;
     for (int connections : opt.conn_counts) {
       RunResult r =
-          RunConnect(opt, host, static_cast<int>(port64), connections);
+          RunWireFleet(host, static_cast<int>(port64), opt, connections);
       runs.push_back(r);
       std::printf(
           "connections=%d  pipeline=%d  %.1f qps  goodput %.1f/s  "
