@@ -152,6 +152,39 @@ uint64_t Read(const EngineCounters& counters, const CounterRow& row) {
   return source ? source() : 0;
 }
 
+// The counter a recorded event stands for, or null when the event's fact
+// is counted elsewhere (queue sheds: the pool) or not at all
+// (session-rejected coalesced followers saved no backend call).
+std::atomic<uint64_t>* CounterFor(EngineCounters& c,
+                                  const obs::JournalEvent& event) {
+  using Type = obs::JournalEventType;
+  switch (event.type) {
+    case Type::kCombinedIssued:
+      return &c.remote_combined;
+    case Type::kBackendRetry:
+      return &c.backend_retries;
+    case Type::kBackendTimeout:
+      return event.b == obs::kTimeoutClientDeadline
+                 ? &c.backend_timeouts_client
+                 : &c.backend_timeouts_backend;
+    case Type::kStaleServe:
+      return &c.stale_serves;
+    case Type::kShed:
+      return event.a == obs::kShedBreakerUnhealthy
+                 ? &c.prefetches_shed_breaker
+                 : nullptr;
+    case Type::kShedQueue:
+      return event.a == obs::kOverloadShedPipeline ? &c.overload_shed_pipeline
+             : event.a == obs::kOverloadShedAdmission
+                 ? &c.overload_shed_admission
+                 : &c.overload_shed_prefetch;
+    case Type::kBackendCoalesced:
+      return event.b == 0 ? &c.backend_coalesced : nullptr;
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 Engine::ClientModel::ClientModel(const EngineConfig& config,
@@ -207,10 +240,14 @@ Result<sql::ParsedQuery> Engine::Analyze(const std::string& sql) {
     std::lock_guard<obs::TimedMutex> lock(template_mutex_);
     parsed = *template_cache_.Put(sql, std::move(*analyzed));
   }
+  // Literal-varying texts miss the text-keyed cache but share a template:
+  // only a template the registry has never seen takes the writer side.
   {
-    std::unique_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    registry_.Register(parsed.tmpl);
+    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+    if (registry_.Find(parsed.tmpl->id) != nullptr) return parsed;
   }
+  std::unique_lock<obs::TimedSharedMutex> lock(registry_mutex_);
+  registry_.Register(parsed.tmpl);
   return parsed;
 }
 
@@ -333,15 +370,6 @@ size_t Engine::model_count() const {
 }
 
 // ---- Combined results ----------------------------------------------------
-
-void Engine::CombinedIssued(ClientId client, uint64_t plan_id) {
-  counters_.remote_combined.fetch_add(1, std::memory_order_relaxed);
-  obs::JournalEvent event;
-  event.type = obs::JournalEventType::kCombinedIssued;
-  event.plan = plan_id;
-  event.client = static_cast<uint32_t>(client);
-  Journal(event);
-}
 
 void Engine::CombinedFetched(ClientId client, uint64_t plan_id,
                              const sql::ResultSet* rows, uint64_t fetch_us) {
@@ -625,6 +653,13 @@ void Engine::AttachJournal(obs::EventJournal* journal, bool stamp_events) {
     }
     Journal(event);
   });
+}
+
+void Engine::Record(const obs::JournalEvent& event) {
+  if (std::atomic<uint64_t>* counter = CounterFor(counters_, event)) {
+    counter->fetch_add(1, std::memory_order_relaxed);
+  }
+  Journal(event);
 }
 
 void Engine::Journal(obs::JournalEvent event) {

@@ -83,10 +83,11 @@ struct NodeMetrics {
 };
 
 /// \brief The node's counters, one per fact (relaxed atomics). The engine
-/// bumps the ones it owns the decision for (rejects, combined calls,
-/// predictions cached); each driver bumps the rest at the one site its
-/// policy decides. Engine::RegisterMetrics exports them and
-/// Engine::Metrics snapshots them from one table (DESIGN.md §9).
+/// bumps the ones it owns the decision for (rejects, predictions cached);
+/// each driver bumps the rest at the one site its policy decides. A fact
+/// that is also journaled is counted by Engine::Record, never by hand.
+/// Engine::RegisterMetrics exports them and Engine::Metrics snapshots
+/// them from one table (DESIGN.md §9).
 struct EngineCounters {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> writes{0};
@@ -235,9 +236,8 @@ class Engine {
 
   // --- Combined results -------------------------------------------------
 
-  /// A plan is sent to the database: counts and journals it.
-  void CombinedIssued(ClientId client, uint64_t plan_id);
-  /// Its response arrived: `rows` is null when the call failed.
+  /// A plan's response arrived (Record a kCombinedIssued event when it is
+  /// sent): `rows` is null when the call failed.
   void CombinedFetched(ClientId client, uint64_t plan_id,
                        const sql::ResultSet* rows, uint64_t fetch_us);
   /// Splits a combined result and installs one entry per slot, attributed
@@ -305,7 +305,13 @@ class Engine {
   /// otherwise the journal stamps its own wall clock. Attach before the
   /// first request: the pointer is not synchronised with serving threads.
   void AttachJournal(obs::EventJournal* journal, bool stamp_events);
-  /// Records one event; no-op without a journal.
+  /// Records one runtime fact: bumps the EngineCounters field `event`
+  /// stands for (if any) and journals it. The one place the drivers'
+  /// event-to-counter rules live, so counters and journal agree by
+  /// construction.
+  void Record(const obs::JournalEvent& event);
+  /// Journals one event that no counter stands for; no-op without a
+  /// journal.
   void Journal(obs::JournalEvent event);
   /// Registers every node counter family (one table, both drivers) and
   /// the template and result cache families. The registry must outlive the

@@ -409,19 +409,16 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
           if (config_.enable_retries &&
               net::RetryPolicy::IsRetryable(outcome.status()) &&
               retry_.ShouldRetry(attempts)) {
-            ++engine_.counters().backend_retries;
             double u =
                 HashToUnit(SplitMix64(config_.retry_seed ^ retry_ordinal_++));
             SimTime backoff =
                 static_cast<SimTime>(retry_.BackoffUs(attempts, u));
-            obs::JournalEvent event;
-            event.type = obs::JournalEventType::kBackendRetry;
-            event.tmpl = static_cast<uint64_t>(tmpl);
-            event.client = static_cast<uint32_t>(client);
-            event.a = static_cast<uint64_t>(attempts);
-            event.b = static_cast<uint64_t>(backoff);
-            event.c = 0;  // no per-request deadline in virtual time
-            engine_.Journal(event);
+            // c = 0: no per-request deadline in virtual time.
+            engine_.Record({.tmpl = static_cast<uint64_t>(tmpl),
+                            .a = static_cast<uint64_t>(attempts),
+                            .b = static_cast<uint64_t>(backoff),
+                            .client = static_cast<uint32_t>(client),
+                            .type = obs::JournalEventType::kBackendRetry});
             events_->ScheduleAfter(
                 backoff, [this, client, security_group, tmpl, bound_text, key,
                           attempts](SimTime) {
@@ -476,7 +473,9 @@ bool Middleware::FireGraph(ClientId client, int security_group,
                            const std::string& wait_key, int cascade_depth) {
   std::optional<Engine::Plan> plan = engine_.Combine(client, graph);
   if (!plan.has_value()) return false;
-  engine_.CombinedIssued(client, plan->id);
+  engine_.Record({.plan = plan->id,
+                  .client = static_cast<uint32_t>(client),
+                  .type = obs::JournalEventType::kCombinedIssued});
   // Charge the combination + split work to this node's worker pool.
   mw_pool_.Submit(latency_.mw_combine_service, [](SimTime) {});
   const SimTime issued_at = events_->now();

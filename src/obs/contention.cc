@@ -4,12 +4,10 @@
 
 namespace chrono::obs {
 
-LockSite::LockSite(std::string name, const std::atomic<bool>* armed,
-                   MetricsRegistry* registry)
-    : name_(std::move(name)), armed_(armed) {
+LockSite::LockSite(std::string name, MetricsRegistry* registry)
+    : name_(std::move(name)) {
   acquisitions_ = registry->GetCounter(
-      "chrono_lock_acquisitions_total",
-      "Instrumented lock acquisitions while lock telemetry is armed",
+      "chrono_lock_acquisitions_total", "Instrumented lock acquisitions",
       {{"site", name_}});
   contended_ = registry->GetCounter(
       "chrono_lock_contended_total",
@@ -33,7 +31,7 @@ LockSite* ContentionRegistry::Site(const std::string& name) {
   auto it = by_name_.find(name);
   if (it != by_name_.end()) return it->second;
   sites_.push_back(
-      std::unique_ptr<LockSite>(new LockSite(name, &armed_, registry_)));
+      std::unique_ptr<LockSite>(new LockSite(name, registry_)));
   LockSite* site = sites_.back().get();
   by_name_[name] = site;
   return site;
@@ -65,9 +63,7 @@ std::string ContentionRegistry::ContentionJson() const {
   double total_wait = 0;
   for (const Row& row : rows) total_wait += row.wait.sum;
 
-  std::string out = "{\"armed\":";
-  out += armed() ? "true" : "false";
-  out += ",\"total_wait_ns\":" + std::to_string(total_wait);
+  std::string out = "{\"total_wait_ns\":" + std::to_string(total_wait);
   out += ",\"sites\":[";
   bool first = true;
   for (const Row& row : rows) {

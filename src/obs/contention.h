@@ -1,7 +1,6 @@
 #ifndef CHRONOCACHE_OBS_CONTENTION_H_
 #define CHRONOCACHE_OBS_CONTENTION_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -25,16 +24,14 @@ namespace chrono::obs {
 /// so /metrics exports them for free and /contention ranks sites by wait
 /// share. Sites are created once (get-or-create by name) and never freed.
 ///
-/// Cost discipline: a disarmed site (ContentionRegistry::SetArmed(false),
-/// serve_bench --no-lock-telemetry) reduces every TimedMutex operation to
-/// ONE relaxed atomic load before the plain lock — the A/B'd fast path.
-/// Armed, the uncontended path is a try_lock plus two lock-free Records.
+/// Cost: the uncontended path is a try_lock, one counter increment, two
+/// clock reads and one histogram Record for the hold; a contended
+/// acquisition adds the wait sample. Every site always records: the A/B
+/// against turning sites off (BENCH_serve.json, lock_telemetry_ab*) did
+/// not resolve this cost from run-to-run noise.
 class LockSite {
  public:
   const std::string& name() const { return name_; }
-
-  /// One relaxed load — the entire disarmed fast-path cost.
-  bool armed() const { return armed_->load(std::memory_order_relaxed); }
 
   void CountAcquisition() { acquisitions_->Increment(); }
   void RecordWait(uint64_t wait_ns) {
@@ -50,18 +47,16 @@ class LockSite {
 
  private:
   friend class ContentionRegistry;
-  LockSite(std::string name, const std::atomic<bool>* armed,
-           MetricsRegistry* registry);
+  LockSite(std::string name, MetricsRegistry* registry);
 
   std::string name_;
-  const std::atomic<bool>* armed_;  // the owning registry's arm flag
   Counter* acquisitions_;
   Counter* contended_;
   Histogram* wait_ns_;
   Histogram* hold_ns_;
 };
 
-/// Owns the LockSites of one node and the arm flag they all share.
+/// Owns the LockSites of one node.
 /// `registry` must outlive this object (ChronoServer guarantees it by
 /// declaration order).
 class ContentionRegistry {
@@ -74,18 +69,12 @@ class ContentionRegistry {
   /// Get-or-create; the returned site lives as long as this registry.
   LockSite* Site(const std::string& name);
 
-  void SetArmed(bool armed) {
-    armed_.store(armed, std::memory_order_relaxed);
-  }
-  bool armed() const { return armed_.load(std::memory_order_relaxed); }
-
   /// The /contention document: every site with acquisition/contention
   /// counts and wait/hold stats, ranked by total wait share (worst first).
   std::string ContentionJson() const;
 
  private:
   MetricsRegistry* registry_;
-  std::atomic<bool> armed_{true};
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<LockSite>> sites_;  // stable addresses
   std::unordered_map<std::string, LockSite*> by_name_;
@@ -98,21 +87,23 @@ inline uint64_t LockClockNs() {
           .count());
 }
 
-/// std::mutex wrapper satisfying Lockable, with per-site wait/hold
-/// telemetry. Default-constructed or null-site instances behave exactly
-/// like std::mutex. The hold timestamp lives in the object and is only
-/// touched by the current holder — it is guarded by the mutex itself.
-class TimedMutex {
+/// A mutex wrapper satisfying Lockable, with per-site wait/hold telemetry
+/// on the exclusive side. A default-constructed or null-site instance
+/// behaves exactly like `Mutex`. The hold timestamp lives in the object
+/// and is only touched by the current holder — it is guarded by the mutex
+/// itself.
+template <typename Mutex>
+class TimedExclusiveMutex {
  public:
-  TimedMutex() = default;
-  explicit TimedMutex(LockSite* site) : site_(site) {}
+  TimedExclusiveMutex() = default;
+  explicit TimedExclusiveMutex(LockSite* site) : site_(site) {}
 
-  TimedMutex(const TimedMutex&) = delete;
-  TimedMutex& operator=(const TimedMutex&) = delete;
+  TimedExclusiveMutex(const TimedExclusiveMutex&) = delete;
+  TimedExclusiveMutex& operator=(const TimedExclusiveMutex&) = delete;
 
   void lock() {
     LockSite* site = site_;
-    if (site == nullptr || !site->armed()) {
+    if (site == nullptr) {
       mutex_.lock();
       return;
     }
@@ -129,7 +120,7 @@ class TimedMutex {
 
   bool try_lock() {
     LockSite* site = site_;
-    if (site == nullptr || !site->armed()) return mutex_.try_lock();
+    if (site == nullptr) return mutex_.try_lock();
     if (!mutex_.try_lock()) return false;
     site->CountAcquisition();
     hold_begin_ns_ = LockClockNs();
@@ -144,62 +135,29 @@ class TimedMutex {
     mutex_.unlock();
   }
 
+ protected:
+  Mutex mutex_;
+
  private:
-  std::mutex mutex_;
   LockSite* site_ = nullptr;
   uint64_t hold_begin_ns_ = 0;  // nonzero while a timed hold is open
 };
+
+using TimedMutex = TimedExclusiveMutex<std::mutex>;
 
 /// std::shared_mutex wrapper (SharedLockable): the exclusive side records
 /// wait + hold against `writer_site`; the shared side records wait only
 /// against `reader_site` (readers overlap, so a shared hold time has no
 /// single owner to attribute it to).
-class TimedSharedMutex {
+class TimedSharedMutex : public TimedExclusiveMutex<std::shared_mutex> {
  public:
   TimedSharedMutex() = default;
   TimedSharedMutex(LockSite* writer_site, LockSite* reader_site)
-      : writer_site_(writer_site), reader_site_(reader_site) {}
-
-  TimedSharedMutex(const TimedSharedMutex&) = delete;
-  TimedSharedMutex& operator=(const TimedSharedMutex&) = delete;
-
-  void lock() {
-    LockSite* site = writer_site_;
-    if (site == nullptr || !site->armed()) {
-      mutex_.lock();
-      return;
-    }
-    site->CountAcquisition();
-    if (mutex_.try_lock()) {
-      hold_begin_ns_ = LockClockNs();
-      return;
-    }
-    uint64_t wait_begin = LockClockNs();
-    mutex_.lock();
-    site->RecordWait(LockClockNs() - wait_begin);
-    hold_begin_ns_ = LockClockNs();
-  }
-
-  bool try_lock() {
-    LockSite* site = writer_site_;
-    if (site == nullptr || !site->armed()) return mutex_.try_lock();
-    if (!mutex_.try_lock()) return false;
-    site->CountAcquisition();
-    hold_begin_ns_ = LockClockNs();
-    return true;
-  }
-
-  void unlock() {
-    if (hold_begin_ns_ != 0) {
-      writer_site_->RecordHold(LockClockNs() - hold_begin_ns_);
-      hold_begin_ns_ = 0;
-    }
-    mutex_.unlock();
-  }
+      : TimedExclusiveMutex(writer_site), reader_site_(reader_site) {}
 
   void lock_shared() {
     LockSite* site = reader_site_;
-    if (site == nullptr || !site->armed()) {
+    if (site == nullptr) {
       mutex_.lock_shared();
       return;
     }
@@ -212,7 +170,7 @@ class TimedSharedMutex {
 
   bool try_lock_shared() {
     LockSite* site = reader_site_;
-    if (site == nullptr || !site->armed()) return mutex_.try_lock_shared();
+    if (site == nullptr) return mutex_.try_lock_shared();
     if (!mutex_.try_lock_shared()) return false;
     site->CountAcquisition();
     return true;
@@ -221,10 +179,7 @@ class TimedSharedMutex {
   void unlock_shared() { mutex_.unlock_shared(); }
 
  private:
-  std::shared_mutex mutex_;
-  LockSite* writer_site_ = nullptr;
   LockSite* reader_site_ = nullptr;
-  uint64_t hold_begin_ns_ = 0;  // exclusive holder only (guarded by it)
 };
 
 }  // namespace chrono::obs

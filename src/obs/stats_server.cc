@@ -158,8 +158,8 @@ void StatsServer::HandleConnection(int fd) {
     WriteAll(fd, HttpResponse(200, "OK", "application/json",
                               ToJson(registry_->Snapshot())));
   } else if (path == "/traces") {
-    std::vector<std::shared_ptr<const RequestTrace>> snapshot;
-    if (traces_ != nullptr) snapshot = traces_->Snapshot();
+    std::vector<std::shared_ptr<const RequestTrace>> snapshot =
+        traces_->Snapshot();
     std::string outcome_name =
         QueryParam(query_string, "outcome").value_or("");
     if (!outcome_name.empty()) {
@@ -194,18 +194,12 @@ void StatsServer::HandleConnection(int fd) {
     WriteAll(fd, HttpResponse(200, "OK", "application/json",
                               TracesToJson(snapshot)));
   } else if (path == "/tail") {
-    std::string body =
-        tail_ == nullptr
-            ? std::string("{\"offered\":0,\"admitted\":0,\"traces\":[]}")
-            : TailToJson(tail_->Snapshot(), tail_->offered(),
-                         tail_->admitted());
-    WriteAll(fd, HttpResponse(200, "OK", "application/json", body));
+    WriteAll(fd, HttpResponse(200, "OK", "application/json",
+                              TailToJson(tail_->Snapshot(), tail_->offered(),
+                                         tail_->admitted())));
   } else if (path == "/prefetch") {
-    std::string body =
-        audit_ == nullptr
-            ? std::string("{\"enabled\":false}")
-            : PrefetchAuditJson(audit_->snapshot());
-    WriteAll(fd, HttpResponse(200, "OK", "application/json", body));
+    WriteAll(fd, HttpResponse(200, "OK", "application/json",
+                              PrefetchAuditJson(audit_->snapshot())));
   } else if (path == "/wire") {
     std::string body =
         wire_ ? wire_() : std::string("{\"enabled\":false}");

@@ -59,11 +59,11 @@ class PrefetchAudit;
 /// accept loop.
 class StatsServer {
  public:
-  /// `registry` must outlive the server; `traces`, `audit` and `tail` may
-  /// be null (the corresponding endpoints then return empty documents).
+  /// The node's four surfaces (ChronoServer's registry(), traces(),
+  /// audit() and tail()); none may be null and all must outlive the
+  /// server.
   StatsServer(const MetricsRegistry* registry, const TraceRing* traces,
-              const PrefetchAudit* audit = nullptr,
-              const TailReservoir* tail = nullptr);
+              const PrefetchAudit* audit, const TailReservoir* tail);
   ~StatsServer();
 
   StatsServer(const StatsServer&) = delete;

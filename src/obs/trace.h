@@ -28,7 +28,7 @@ enum class Stage {
   kSplitDecode,      // combined-result splitting + cache installs
   kWireDecode,       // IO thread: frame bytes → decoded Query
   kQueueWait,        // dispatch → a worker picked the request up
-  kExecute,          // worker: the whole Execute() pipeline
+  kExecute,          // worker: the whole request pipeline
   kCompletionWait,   // response encoded → IO thread drains the completion
   kResponseFlush,    // completion drained → last response byte sent
   kCount,

@@ -106,6 +106,7 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
       fault_(config.fault),
       retry_(config.retry),
       breaker_(config.breaker, [this] { return NowMicros(); }),
+      audit_(metrics_registry_),
       brownout_(BrownoutController::Options{
           .queue_target_us = config.queue_target_us,
           .up_samples = config.brownout_up_samples}),
@@ -113,17 +114,8 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
             contention_->Site("pool.queue")) {
   // Reader-locked execution must never trigger a lazy index build.
   db_->WarmIndexes();
-  contention_->SetArmed(config_.lock_telemetry);
-  if (config_.trace_capacity > 0) {
-    traces_ = std::make_unique<obs::TraceRing>(config_.trace_capacity);
-    tail_ = std::make_unique<obs::TailReservoir>(obs::TailReservoir::Options{});
-  }
-  if (config_.enable_journal) {
-    audit_ = std::make_unique<obs::PrefetchAudit>(metrics_registry_);
-    journal_ = std::make_unique<obs::EventJournal>();
-    journal_->AddSink(audit_.get());
-    engine_.AttachJournal(journal_.get(), /*stamp_events=*/false);
-  }
+  journal_.AddSink(&audit_);
+  engine_.AttachJournal(&journal_, /*stamp_events=*/false);
   // Breaker transitions flow into the journal (the listener runs under
   // the breaker mutex; journal Record is a leaf, so this cannot invert
   // the lock order). The audit fold turns these into
@@ -156,9 +148,7 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
   RegisterMetrics();
   // Last: every job reads state built above (the brownout step diffs the
   // demand-lane wait histogram RegisterMetrics attached).
-  if (journal_ != nullptr || brownout_.enabled()) {
-    housekeeping_ = std::thread([this] { Housekeeping(); });
-  }
+  housekeeping_ = std::thread([this] { Housekeeping(); });
 }
 
 ChronoServer::~ChronoServer() {
@@ -179,7 +169,7 @@ void ChronoServer::Shutdown() {
   housekeeping_cv_.notify_all();
   if (housekeeping_.joinable()) housekeeping_.join();
   // What the drained pool journaled: recorded == drained from here on.
-  if (journal_ != nullptr) journal_->Drain();
+  journal_.Drain();
 }
 
 void ChronoServer::Housekeeping() {
@@ -196,9 +186,7 @@ void ChronoServer::Housekeeping() {
                        std::function<void()> run) {
     jobs.push_back({period, std::move(run), Clock::now() + period});
   };
-  if (journal_ != nullptr) {
-    every(kJournalDrainEvery, [this] { journal_->Drain(); });
-  }
+  every(kJournalDrainEvery, [this] { journal_.Drain(); });
   if (brownout_.enabled()) {
     every(std::chrono::milliseconds(config_.brownout_sample_ms),
           [this, prev = pool_wait_hist_[0]->Snapshot()]() mutable {
@@ -228,19 +216,34 @@ void ChronoServer::Housekeeping() {
   }
 }
 
+void ChronoServer::Record(const obs::JournalEvent& event, ReqCtx* ctx) {
+  engine_.Record(event);
+  if (ctx == nullptr) return;
+  switch (event.type) {
+    case obs::JournalEventType::kBackendRetry:
+      ctx->Note(obs::AnnotationKind::kRetry, event.a);
+      break;
+    case obs::JournalEventType::kBackendTimeout:
+      ctx->Note(obs::AnnotationKind::kAttemptTimeout, event.a);
+      break;
+    case obs::JournalEventType::kStaleServe:
+      ctx->Note(obs::AnnotationKind::kStaleServe, event.a);
+      break;
+    case obs::JournalEventType::kBackendCoalesced:
+      ctx->Note(obs::AnnotationKind::kCoalesced, event.a);
+      break;
+    default:
+      break;
+  }
+}
+
 void ChronoServer::RecordOverloadShed(uint64_t reason, ClientId client,
                                       uint32_t retry_after_ms) {
-  (reason == obs::kOverloadShedPipeline    ? counters_.overload_shed_pipeline
-   : reason == obs::kOverloadShedAdmission ? counters_.overload_shed_admission
-                                           : counters_.overload_shed_prefetch)
-      .fetch_add(1, std::memory_order_relaxed);
-  obs::JournalEvent event;
-  event.type = obs::JournalEventType::kShedQueue;
-  event.a = reason;
-  event.b = static_cast<uint64_t>(brownout_.level());
-  event.c = retry_after_ms;
-  event.client = static_cast<uint32_t>(client);
-  Journal(event);
+  Record({.a = reason,
+          .b = static_cast<uint64_t>(brownout_.level()),
+          .c = retry_after_ms,
+          .client = static_cast<uint32_t>(client),
+          .type = obs::JournalEventType::kShedQueue});
 }
 
 void ChronoServer::RegisterMetrics() {
@@ -363,12 +366,9 @@ void ChronoServer::RegisterMetrics() {
       [this] { return static_cast<double>(db_->statements_executed()); },
       owner);
 
-  if (traces_ != nullptr) {
-    r->RegisterCallbackCounter(
-        "chrono_traces_total", "Requests traced into the ring", {},
-        [this] { return static_cast<double>(traces_->total_pushed()); },
-        owner);
-  }
+  r->RegisterCallbackCounter(
+      "chrono_traces_total", "Requests traced into the ring", {},
+      [this] { return static_cast<double>(traces_.total_pushed()); }, owner);
 }
 
 void ChronoServer::RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl) {
@@ -388,37 +388,35 @@ std::shared_ptr<obs::RequestTrace> ChronoServer::FinishRequest(
     ReqCtx* ctx, ClientId client, bool read_only, const std::string& sql) {
   uint64_t total_ns = NsBetween(ctx->t0, std::chrono::steady_clock::now());
   (read_only ? request_read_hist_ : request_write_hist_)->Record(total_ns);
-  if (journal_ != nullptr) {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kRequest;
-    event.client = static_cast<uint32_t>(client);
-    event.tmpl = static_cast<uint64_t>(ctx->tmpl);
-    event.plan = ctx->prefetch_plan;
-    event.src = ctx->prefetch_src;
-    event.flags = static_cast<uint8_t>(ctx->outcome);
-    // §17 invariant violation marker: a request whose client deadline had
-    // already passed when the pipeline started should have been rejected
-    // at dequeue, never executed. The audit counts these; the count must
-    // stay zero.
-    if (ctx->arrival.deadline_us != 0 &&
-        ctx->start_us > ctx->arrival.deadline_us) {
-      event.flags |= obs::kJournalFlagLate;
-    }
-    uint64_t stage_us[static_cast<int>(obs::Stage::kCount)] = {};
-    for (const obs::TraceSpan& span : ctx->spans) {
-      stage_us[static_cast<int>(span.stage)] += span.dur_us;
-    }
-    event.a = obs::PackDurations(
-        stage_us[static_cast<int>(obs::Stage::kAnalyze)],
-        stage_us[static_cast<int>(obs::Stage::kCacheLookup)]);
-    event.b = obs::PackDurations(
-        stage_us[static_cast<int>(obs::Stage::kLearnCombine)],
-        stage_us[static_cast<int>(obs::Stage::kDbExecute)]);
-    event.c = obs::PackDurations(
-        stage_us[static_cast<int>(obs::Stage::kSplitDecode)],
-        total_ns / 1000);
-    journal_->Record(event);
+  obs::JournalEvent event;
+  event.type = obs::JournalEventType::kRequest;
+  event.client = static_cast<uint32_t>(client);
+  event.tmpl = static_cast<uint64_t>(ctx->tmpl);
+  event.plan = ctx->prefetch_plan;
+  event.src = ctx->prefetch_src;
+  event.flags = static_cast<uint8_t>(ctx->outcome);
+  // §17 invariant violation marker: a request whose client deadline had
+  // already passed when the pipeline started should have been rejected
+  // at dequeue, never executed. The audit counts these; the count must
+  // stay zero.
+  if (ctx->arrival.deadline_us != 0 &&
+      ctx->start_us > ctx->arrival.deadline_us) {
+    event.flags |= obs::kJournalFlagLate;
   }
+  uint64_t stage_us[static_cast<int>(obs::Stage::kCount)] = {};
+  for (const obs::TraceSpan& span : ctx->spans) {
+    stage_us[static_cast<int>(span.stage)] += span.dur_us;
+  }
+  event.a = obs::PackDurations(
+      stage_us[static_cast<int>(obs::Stage::kAnalyze)],
+      stage_us[static_cast<int>(obs::Stage::kCacheLookup)]);
+  event.b = obs::PackDurations(
+      stage_us[static_cast<int>(obs::Stage::kLearnCombine)],
+      stage_us[static_cast<int>(obs::Stage::kDbExecute)]);
+  event.c = obs::PackDurations(
+      stage_us[static_cast<int>(obs::Stage::kSplitDecode)],
+      total_ns / 1000);
+  journal_.Record(event);
   return BuildTrace(*ctx, client, sql, total_ns / 1000);
 }
 
@@ -436,7 +434,7 @@ std::shared_ptr<obs::RequestTrace> ChronoServer::BuildTrace(
   trace->id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   trace->client = static_cast<uint64_t>(client);
   trace->tmpl = static_cast<uint64_t>(ctx.tmpl);
-  if (traces_ != nullptr) trace->sql = sql.substr(0, kTraceSqlBytes);
+  trace->sql = sql.substr(0, kTraceSqlBytes);
   trace->outcome = ctx.outcome;
   trace->prefetch_plan = ctx.prefetch_plan;
   trace->prefetch_src = ctx.prefetch_src;
@@ -448,10 +446,8 @@ std::shared_ptr<obs::RequestTrace> ChronoServer::BuildTrace(
   if (arrival.via == Arrival::Via::kWire) {
     trace->spans.push_back({obs::Stage::kWireDecode, 0, enqueued});
   }
-  if (arrival.via != Arrival::Via::kCall) {
-    trace->spans.push_back(
-        {obs::Stage::kQueueWait, enqueued, exec_start - enqueued});
-  }
+  trace->spans.push_back(
+      {obs::Stage::kQueueWait, enqueued, exec_start - enqueued});
   trace->spans.push_back({obs::Stage::kExecute, exec_start, execute_us});
   for (obs::TraceSpan span : ctx.spans) {
     span.start_us += exec_start;
@@ -483,12 +479,11 @@ void ChronoServer::PublishTrace(std::shared_ptr<obs::RequestTrace> trace) {
       stage_hist_[static_cast<int>(span.stage)]->Record(span.dur_us * 1000);
     }
   }
-  if (traces_ == nullptr) return;
   std::shared_ptr<const obs::RequestTrace> published = std::move(trace);
-  traces_->Push(published);
+  traces_.Push(published);
   // Cheap floor pre-check first: the steady-state cost is one relaxed load.
-  if (tail_->MightAdmit(published->total_us, published->forced)) {
-    tail_->Offer(published, NowMicros());
+  if (tail_.MightAdmit(published->total_us, published->forced)) {
+    tail_.Offer(published, NowMicros());
   }
 }
 
@@ -620,21 +615,14 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
     bool transport_failed =
         !outcome.ok() && IsBackendFailure(outcome.status());
     if (timed_out) {
-      (client_deadline ? counters_.backend_timeouts_client
-                       : counters_.backend_timeouts_backend)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (call.ctx != nullptr) {
-        call.ctx->Note(obs::AnnotationKind::kAttemptTimeout, attempt_cap);
-      }
-      obs::JournalEvent event;
-      event.type = obs::JournalEventType::kBackendTimeout;
-      event.tmpl = call.tmpl;
-      event.client = static_cast<uint32_t>(call.client);
-      event.a = attempt_cap;
-      event.b = client_deadline ? obs::kTimeoutClientDeadline
-                                : obs::kTimeoutBackend;
-      if (call.is_write) event.flags = obs::kJournalFlagWrite;
-      Journal(event);
+      Record({.tmpl = call.tmpl,
+              .a = attempt_cap,
+              .b = client_deadline ? obs::kTimeoutClientDeadline
+                                   : obs::kTimeoutBackend,
+              .client = static_cast<uint32_t>(call.client),
+              .type = obs::JournalEventType::kBackendTimeout,
+              .flags = call.is_write ? obs::kJournalFlagWrite : uint8_t{0}},
+             call.ctx);
     }
     if (client_deadline) {
       // Local budget exhaustion (the client's wire deadline shrank the
@@ -668,35 +656,23 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
         jitter_ordinal_.fetch_add(1, std::memory_order_relaxed)));
     uint64_t backoff = retry_.BackoffUs(attempts, u);
     if (left != UINT64_MAX && backoff >= left) backoff = left / 2;
-    counters_.backend_retries.fetch_add(1, std::memory_order_relaxed);
-    if (call.ctx != nullptr) {
-      call.ctx->Note(obs::AnnotationKind::kRetry,
-                     static_cast<uint64_t>(attempts));
-    }
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kBackendRetry;
-    event.tmpl = call.tmpl;
-    event.client = static_cast<uint32_t>(call.client);
-    event.a = static_cast<uint64_t>(attempts);
-    event.b = backoff;
-    event.c = left == UINT64_MAX ? 0 : left;
-    Journal(event);
+    Record({.tmpl = call.tmpl,
+            .a = static_cast<uint64_t>(attempts),
+            .b = backoff,
+            .c = left == UINT64_MAX ? 0 : left,
+            .client = static_cast<uint32_t>(call.client),
+            .type = obs::JournalEventType::kBackendRetry},
+           call.ctx);
     SleepMicros(backoff);
   }
 }
 
 void ChronoServer::ShedPrefetch(uint64_t kind, uint64_t plan_id,
                                 ClientId client) {
-  // A full queue is counted by the pool itself (tasks_shed).
-  if (kind == obs::kShedBreakerUnhealthy) {
-    counters_.prefetches_shed_breaker.fetch_add(1, std::memory_order_relaxed);
-  }
-  obs::JournalEvent event;
-  event.type = obs::JournalEventType::kShed;
-  event.a = kind;
-  event.plan = plan_id;
-  event.client = static_cast<uint32_t>(client);
-  Journal(event);
+  Record({.plan = plan_id,
+          .a = kind,
+          .client = static_cast<uint32_t>(client),
+          .type = obs::JournalEventType::kShed});
 }
 
 SharedResult ChronoServer::TryServeStale(
@@ -708,19 +684,14 @@ SharedResult ChronoServer::TryServeStale(
   uint64_t now = NowMicros();
   uint64_t age = now > candidate->install_us ? now - candidate->install_us : 0;
   if (age > config_.stale_serve_us) return nullptr;
-  counters_.stale_serves.fetch_add(1, std::memory_order_relaxed);
   last_stale_us_.store(now, std::memory_order_relaxed);
-  if (ctx != nullptr) {
-    ctx->outcome = obs::TraceOutcome::kStaleHit;
-    ctx->Note(obs::AnnotationKind::kStaleServe, age);
-  }
-  obs::JournalEvent event;
-  event.type = obs::JournalEventType::kStaleServe;
-  event.tmpl = tmpl;
-  event.a = age;
-  event.b = config_.stale_serve_us;
-  event.client = static_cast<uint32_t>(client);
-  Journal(event);
+  if (ctx != nullptr) ctx->outcome = obs::TraceOutcome::kStaleHit;
+  Record({.tmpl = tmpl,
+          .a = age,
+          .b = config_.stale_serve_us,
+          .client = static_cast<uint32_t>(client),
+          .type = obs::JournalEventType::kStaleServe},
+         ctx);
   return candidate->result;
 }
 
@@ -787,18 +758,6 @@ std::future<Result<SharedResult>> ChronoServer::Submit(ClientId client,
                 promise->set_value(std::move(result));
               });
   return future;
-}
-
-Result<SharedResult> ChronoServer::Execute(ClientId client,
-                                           const std::string& sql,
-                                           int security_group) {
-  Arrival arrival;
-  arrival.via = Arrival::Via::kCall;
-  arrival.arrived_us = NowMicros();
-  arrival.enqueued_us = arrival.arrived_us;
-  Served served = ExecuteInternal(client, sql, security_group, arrival);
-  PublishTrace(std::move(served.trace));
-  return std::move(served.result);
 }
 
 ChronoServer::Served ChronoServer::ExecuteInternal(ClientId client,
@@ -1021,7 +980,6 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // Follower: the wait surfaces as db-execute time (that is what it
     // replaces). No CachePut, no retries, no breaker feed — the leader
     // owns all backend semantics; its Status fans out verbatim.
-    ctx->Note(obs::AnnotationKind::kCoalesced, parked_before);
     Result<FlightPayload> shared = Status::OK();
     {
       StageTimer timer(this, ctx, obs::Stage::kDbExecute);
@@ -1031,18 +989,14 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // leader issued its read: absorb it — never SyncClientToDb — and
     // only if this client's session has not moved past it since.
     bool version_ok = shared.ok() && engine_.TryAbsorb(client, shared->version);
-    {
-      obs::JournalEvent event;
-      event.type = obs::JournalEventType::kBackendCoalesced;
-      event.tmpl = static_cast<uint64_t>(tmpl);
-      event.client = static_cast<uint32_t>(client);
-      event.a = parked_before;
-      event.b = shared.ok() && !version_ok ? 1 : 0;  // session-rejected
-      event.flags = shared.ok() ? obs::kJournalFlagOk : 0;
-      Journal(event);
-    }
+    Record({.tmpl = static_cast<uint64_t>(tmpl),
+            .a = parked_before,
+            .b = shared.ok() && !version_ok ? 1u : 0u,  // session-rejected
+            .client = static_cast<uint32_t>(client),
+            .type = obs::JournalEventType::kBackendCoalesced,
+            .flags = shared.ok() ? obs::kJournalFlagOk : uint8_t{0}},
+           ctx);
     if (!shared.ok()) {
-      counters_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kCoalescedHit;
       if (IsBackendFailure(shared.status())) {
         if (auto stale = TryServeStale(stale_candidate,
@@ -1055,12 +1009,12 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       return shared.status();
     }
     if (version_ok) {
-      counters_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
       ctx->outcome = obs::TraceOutcome::kCoalescedHit;
       return respond(shared->result);
     }
     // Inherited rows may predate this client's own writes: go around and
-    // fetch fresh (not counted as coalesced — the wait saved nothing).
+    // fetch fresh (recorded session-rejected, which Engine::Record does
+    // not count as coalesced — the wait saved nothing).
     ++rejected_flights;
   }
 
@@ -1153,7 +1107,9 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
     ShedPrefetch(obs::kShedBreakerUnhealthy, plan.id, client);
     return false;
   }
-  engine_.CombinedIssued(client, plan.id);
+  Record({.plan = plan.id,
+          .client = static_cast<uint32_t>(client),
+          .type = obs::JournalEventType::kCombinedIssued});
   const std::vector<uint64_t> pre_read = engine_.SnapshotDb();
   auto db_begin = std::chrono::steady_clock::now();
   BackendCall call;

@@ -59,16 +59,6 @@ struct ServerConfig : core::EngineConfig {
   /// stages, the pool, the shards and the database report through this
   /// one registry (DESIGN.md §9).
   obs::MetricsRegistry* registry = nullptr;
-  /// Recent-request trace ring size; 0 turns off trace retention — the
-  /// ring, the tail reservoir and the per-trace SQL copy. Every request is
-  /// still recorded into the stage histograms (DESIGN.md §15).
-  size_t trace_capacity = 256;
-
-  /// Prefetch-efficacy journal (DESIGN.md §10): always on by default —
-  /// the full prefetch lifecycle plus request outcomes flow into an
-  /// EventJournal and fold into a PrefetchAudit. `false` exists only for
-  /// the A/B overhead harness (serve_bench --no-journal).
-  bool enable_journal = true;
 
   // --- Fault tolerance (DESIGN.md §11) ---
 
@@ -100,12 +90,6 @@ struct ServerConfig : core::EngineConfig {
   /// BrownoutController).
   uint64_t brownout_sample_ms = 100;
   int brownout_up_samples = 2;
-
-  /// Arms per-site lock telemetry (DESIGN.md §16): wait/hold histograms
-  /// on the hot locks, exported at /metrics and ranked at /contention.
-  /// Disarmed (--no-lock-telemetry), every instrumented lock costs one
-  /// relaxed load over a plain mutex — the A/B'd fast path.
-  bool lock_telemetry = true;
 };
 
 /// Wall-clock serving metrics: the engine's counter snapshot.
@@ -120,6 +104,10 @@ using ServerMetrics = core::NodeMetrics;
 /// the wall-clock policy: the worker pool and its lanes, the backend call
 /// ladder (§11), single-flight coalescing (§12), stale serving, brownout
 /// (§17) and request traces.
+///
+/// Telemetry has one configuration: the journal and its audit (§10), the
+/// trace ring and tail reservoir (§15) and the lock sites (§16) are always
+/// on, so counters, journal and traces describe every node the same way.
 ///
 /// Threading model — lock order is strictly
 ///   server-level locks  →  engine registry  →  per-session model lock
@@ -149,8 +137,8 @@ class ChronoServer {
   /// NowMicros); its stamps become the spans in front of the pipeline in
   /// the request's record (DESIGN.md §15).
   struct Arrival {
-    /// kCall: Execute(), no queue; kQueue: Submit(); kWire: a Query frame.
-    enum class Via : uint8_t { kCall, kQueue, kWire };
+    /// kQueue: Submit(); kWire: a Query frame.
+    enum class Via : uint8_t { kQueue, kWire };
     Via via = Via::kQueue;
     uint64_t arrived_us = 0;   // frame decode began (kWire), or submitted
     uint64_t enqueued_us = 0;  // handed to the worker pool
@@ -168,7 +156,7 @@ class ChronoServer {
   using Done = std::function<void(Result<SharedResult>,
                                   std::shared_ptr<obs::RequestTrace>)>;
 
-  /// The queued entry point every request but Execute() goes through:
+  /// The queued entry point every request goes through:
   /// enqueues the statement on the worker pool (blocking while the queue
   /// is full) and invokes `done` exactly once — from the worker thread
   /// that executed it, from a worker that found its deadline expired in
@@ -187,17 +175,10 @@ class ChronoServer {
   std::future<Result<SharedResult>> Submit(ClientId client, std::string sql,
                                            int security_group = 0);
 
-  /// Synchronous entry point: runs the full analyze → predict → combine →
-  /// decode pipeline in the calling thread (no queue span) and publishes
-  /// the record before returning. Safe to call from any number of threads
-  /// concurrently.
-  Result<SharedResult> Execute(ClientId client, const std::string& sql,
-                               int security_group = 0);
-
   /// The one publish site for request records: records the arrival-stage
   /// histograms (wire_decode … response_flush) from the record's spans,
-  /// then, when traces are retained, pushes it to the ring and offers it
-  /// to the tail reservoir. The caller must be done mutating it.
+  /// then pushes it to the ring and offers it to the tail reservoir. The
+  /// caller must be done mutating it.
   void PublishTrace(std::shared_ptr<obs::RequestTrace> trace);
 
   /// Microseconds since server start — the clock every trace timestamp,
@@ -260,18 +241,18 @@ class ChronoServer {
   /// Per-site lock telemetry for this node (the /contention document;
   /// wire frontends get their sites here). Never null.
   obs::ContentionRegistry* contention() const { return contention_.get(); }
-  /// Recent-request traces; null when trace_capacity was 0.
-  const obs::TraceRing* traces() const { return traces_.get(); }
+  /// Recent-request traces (the last kTraceCapacity records). Never null.
+  const obs::TraceRing* traces() const { return &traces_; }
+  static constexpr size_t kTraceCapacity = 256;
   /// SQL text retained per trace (truncated beyond this).
   static constexpr size_t kTraceSqlBytes = 120;
-  /// The prefetch-lifecycle journal (attach file sinks here); null when
-  /// enable_journal was false.
-  obs::EventJournal* journal() const { return journal_.get(); }
-  /// Live prefetch cost/benefit scoreboards fed by the journal drain;
-  /// null when enable_journal was false.
-  const obs::PrefetchAudit* audit() const { return audit_.get(); }
-  /// Tail-latency reservoir; null when trace_capacity was 0.
-  const obs::TailReservoir* tail() const { return tail_.get(); }
+  /// The prefetch-lifecycle journal (attach file sinks here). Never null.
+  obs::EventJournal* journal() const { return &journal_; }
+  /// Live prefetch cost/benefit scoreboards fed by the journal drain.
+  /// Never null.
+  const obs::PrefetchAudit* audit() const { return &audit_; }
+  /// Tail-latency reservoir. Never null.
+  const obs::TailReservoir* tail() const { return &tail_; }
 
  private:
   /// Per-request observability context, stack-allocated in
@@ -332,7 +313,13 @@ class ChronoServer {
     return net::RetryPolicy::IsRetryable(status);
   }
 
-  /// Journals + counts one shed prefetch (kind = kShedQueueFull /
+  /// Records one runtime fact through the engine's recorder (counter +
+  /// journal, Engine::Record) and, when the fact happened to a request
+  /// (`ctx` non-null), stamps its annotation on that request's timeline:
+  /// retry, attempt timeout, stale serve and coalesced carry `event.a` as
+  /// the annotation value.
+  void Record(const obs::JournalEvent& event, ReqCtx* ctx = nullptr);
+  /// Records one shed prefetch (kind = kShedQueueFull /
   /// kShedBreakerUnhealthy).
   void ShedPrefetch(uint64_t kind, uint64_t plan_id, ClientId client);
 
@@ -354,8 +341,8 @@ class ChronoServer {
   /// Registers the engine's counter families and this node's pool, breaker,
   /// database and trace metrics, and creates the stage histograms.
   void RegisterMetrics();
-  /// Records one journal event if the journal is enabled (lock-free; safe
-  /// under any server lock — the journal's own locks are leaves).
+  /// Records one journal event that no counter stands for (lock-free;
+  /// safe under any server lock — the journal's own locks are leaves).
   void Journal(obs::JournalEvent event) { engine_.Journal(event); }
   /// Bumps the per-edge attributed prediction-hit counter.
   void RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl);
@@ -456,8 +443,8 @@ class ChronoServer {
   // Stage histograms are raw pointers into the registry (stable for its
   // lifetime); the trace ring is owned here. Worker threads touch these
   // only through lock-free Record()/Push() calls.
-  std::unique_ptr<obs::TraceRing> traces_;
-  std::unique_ptr<obs::TailReservoir> tail_;
+  obs::TraceRing traces_{kTraceCapacity};
+  obs::TailReservoir tail_{obs::TailReservoir::Options{}};
   obs::Histogram* stage_hist_[static_cast<int>(obs::Stage::kCount)] = {};
   obs::Histogram* request_read_hist_ = nullptr;
   obs::Histogram* request_write_hist_ = nullptr;
@@ -466,9 +453,11 @@ class ChronoServer {
   // Prefetch-efficacy journal + live audit. Declaration order matters:
   // audit_ before journal_, so the journal's destructor (final drain into
   // the audit sink) runs while the audit is still alive; both before
-  // pool_, so workers are joined before the journal goes away.
-  std::unique_ptr<obs::PrefetchAudit> audit_;
-  std::unique_ptr<obs::EventJournal> journal_;
+  // pool_, so workers are joined before the journal goes away. The
+  // journal is mutable: attaching a sink through the const accessor
+  // changes no serving state.
+  obs::PrefetchAudit audit_;
+  mutable obs::EventJournal journal_;
 
   // Overload control (§17). The controller's level is read lock-free on
   // the hot path; the housekeeping thread steps it from the demand-lane
@@ -477,10 +466,9 @@ class ChronoServer {
   obs::Histogram* pool_wait_hist_[ThreadPool::kLaneCount] = {};
   obs::Histogram* pool_run_hist_ = nullptr;
 
-  // One thread runs every periodic job (DESIGN.md §9): the journal drain,
-  // the brownout step and the time-series sample. Started last in the
-  // constructor; joined in Shutdown once the pool has drained. Not
-  // started when none of the three is enabled.
+  // One thread runs every periodic job (DESIGN.md §9): the journal drain
+  // and, when enabled, the brownout step. Started last in the
+  // constructor; joined in Shutdown once the pool has drained.
   std::mutex housekeeping_mutex_;
   std::condition_variable housekeeping_cv_;
   bool housekeeping_stop_ = false;

@@ -458,15 +458,12 @@ void WireServer::DispatchQuery(const std::shared_ptr<Conn>& conn,
         const uint64_t latency_us = NowMicros() - t0;
         requests_.fetch_add(1, std::memory_order_relaxed);
         latency_hist_->Record(latency_us);
-        if (obs::EventJournal* journal = server_->journal()) {
-          obs::JournalEvent event;
-          event.type = obs::JournalEventType::kWireRequest;
-          event.client = static_cast<uint32_t>(conn->client_id);
-          event.a = latency_us;
-          event.b = frame.size();
-          event.flags = ok_flag;
-          journal->Record(event);
-        }
+        server_->journal()->Record(
+            {.a = latency_us,
+             .b = frame.size(),
+             .client = static_cast<uint32_t>(conn->client_id),
+             .type = obs::JournalEventType::kWireRequest,
+             .flags = ok_flag});
         std::lock_guard<obs::TimedMutex> lock(completions_mutex_);
         if (!completions_open_) return;  // server already stopped
         completions_.push_back(

@@ -147,7 +147,7 @@ TEST_P(RuntimeConsistencyProperty, ServerMatchesDirectExecution) {
 
   CheckAgainstMirror(workload.get(), &mirror, [&](const std::string& sql) {
     Result<sql::ResultSet> out = Status::Internal("no response");
-    Result<runtime::SharedResult> result = server.Execute(0, sql);
+    Result<runtime::SharedResult> result = server.Submit(0, sql).get();
     if (result.ok()) {
       out = **result;
     } else {

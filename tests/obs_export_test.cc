@@ -275,6 +275,14 @@ std::string Body(const std::string& response) {
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
+// The surfaces a StatsServer serves beside the registry, empty; a test
+// passes its own in place of the ones it fills.
+struct Surfaces {
+  TraceRing traces{4};
+  PrefetchAudit audit;
+  TailReservoir tail{TailReservoir::Options{}};
+};
+
 TEST(StatsServer, ServesMetricsAndTracesOverLoopback) {
   std::unique_ptr<MetricsRegistry> r(GoldenRegistry());
   TraceRing ring(4);
@@ -283,7 +291,8 @@ TEST(StatsServer, ServesMetricsAndTracesOverLoopback) {
   t->sql = "SELECT 77";
   ring.Push(std::move(t));
 
-  StatsServer server(r.get(), &ring);
+  Surfaces s;
+  StatsServer server(r.get(), &ring, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   ASSERT_GT(server.port(), 0);
 
@@ -313,9 +322,11 @@ TEST(StatsServer, ServesMetricsAndTracesOverLoopback) {
 }
 
 TEST(StatsServer, NullTraceRingServesEmptyList) {
+  // A ring no request has reached serves an empty list.
   MetricsRegistry r;
   r.GetCounter("one_total", "h")->Increment();
-  StatsServer server(&r, nullptr);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   std::string traces = HttpGet(server.port(), "/traces");
   EXPECT_NE(traces.find("{\"traces\":[]}"), std::string::npos);
@@ -324,21 +335,20 @@ TEST(StatsServer, NullTraceRingServesEmptyList) {
 TEST(StatsServer, HealthzReportsUptimeWithoutAudit) {
   MetricsRegistry r;
   r.GetCounter("one_total", "h")->Increment();
-  StatsServer server(&r, nullptr);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   std::string health = HttpGet(server.port(), "/healthz");
   EXPECT_NE(health.find("200 OK"), std::string::npos);
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(health.find("\"uptime_seconds\":"), std::string::npos);
-  // No audit attached: /prefetch degrades to an explicit "off" document.
-  EXPECT_NE(HttpGet(server.port(), "/prefetch").find("\"enabled\":false"),
-            std::string::npos);
 }
 
 TEST(StatsServer, HealthzReturns503WhileDegraded) {
   MetricsRegistry r;
   r.GetCounter("one_total", "h")->Increment();
-  StatsServer server(&r, nullptr);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &s.audit, &s.tail);
   bool healthy = false;
   server.SetHealthCallback([&healthy]() -> StatsServer::Health {
     if (healthy) return {true, ""};
@@ -382,7 +392,8 @@ TEST(StatsServer, PrefetchEndpointRendersAuditScoreboards) {
   events[2].b = 50;
   audit.OnEvents(events, 3);
 
-  StatsServer server(&r, nullptr, &audit);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   std::string body = Body(HttpGet(server.port(), "/prefetch"));
   EXPECT_NE(body.find("\"plans\""), std::string::npos) << body;
@@ -395,7 +406,8 @@ TEST(StatsServer, PrefetchEndpointRendersAuditScoreboards) {
 TEST(StatsServer, UnknownPathsGet404WithEndpointDirectory) {
   MetricsRegistry r;
   r.GetCounter("one_total", "h")->Increment();
-  StatsServer server(&r, nullptr);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   for (const char* path : {"/nope", "/metrics/extra", "/Traces"}) {
     std::string response = HttpGet(server.port(), path);
@@ -429,7 +441,8 @@ TEST(StatsServer, TracesEndpointSupportsLimitAndOutcomeFilter) {
                             : TraceOutcome::kRemotePlain;
     ring.Push(std::move(t));
   }
-  StatsServer server(&r, &ring);
+  Surfaces s;
+  StatsServer server(&r, &ring, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
 
   // ?n= keeps the newest n (the ring is most-recent-first).
@@ -462,9 +475,11 @@ TEST(StatsServer, TracesEndpointSupportsLimitAndOutcomeFilter) {
 }
 
 TEST(StatsServer, TailAndTimeseriesDegradeToEmptyDocumentsWhenOff) {
+  // A reservoir that was never offered a trace serves the empty dossier.
   MetricsRegistry r;
   r.GetCounter("one_total", "h")->Increment();
-  StatsServer server(&r, nullptr);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   EXPECT_EQ(Body(HttpGet(server.port(), "/tail")),
             "{\"offered\":0,\"admitted\":0,\"traces\":[]}");
@@ -481,7 +496,8 @@ TEST(StatsServer, ServesTailAndTimeseriesDocuments) {
   slow->annotations.push_back({AnnotationKind::kRetry, 100, 1});
   tail.Offer(slow, /*now_us=*/1000);
 
-  StatsServer server(&r, nullptr, nullptr, &tail);
+  Surfaces s;
+  StatsServer server(&r, &s.traces, &s.audit, &tail);
   ASSERT_TRUE(server.Start(0).ok());
 
   std::string tail_body = Body(HttpGet(server.port(), "/tail"));
@@ -494,7 +510,8 @@ TEST(StatsServer, ServesTailAndTimeseriesDocuments) {
 TEST(StatsServer, SurvivesConcurrentScrapes) {
   std::unique_ptr<MetricsRegistry> r(GoldenRegistry());
   TraceRing ring(4);
-  StatsServer server(r.get(), &ring);
+  Surfaces s;
+  StatsServer server(r.get(), &ring, &s.audit, &s.tail);
   ASSERT_TRUE(server.Start(0).ok());
   int port = server.port();
 

@@ -20,10 +20,12 @@
 #include <vector>
 
 #include "common/json.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/stats_server.h"
 #include "obs/threads.h"
+#include "obs/trace.h"
 
 namespace chrono::obs {
 namespace {
@@ -315,7 +317,10 @@ std::string Body(const std::string& response) {
 TEST(StatsServerProfile, ServesThreadsAndProfileOverLoopback) {
   MetricsRegistry registry;
   CpuProfiler profiler;
-  StatsServer server(&registry, nullptr);
+  TraceRing traces(4);
+  PrefetchAudit audit;
+  TailReservoir tail(TailReservoir::Options{});
+  StatsServer server(&registry, &traces, &audit, &tail);
   server.SetProfiler(&profiler);
   // /profile blocks the accept loop for the window; keep the scrape
   // socket timeout comfortably above seconds=1.
@@ -364,7 +369,10 @@ TEST(StatsServerProfile, ServesThreadsAndProfileOverLoopback) {
 
 TEST(StatsServerProfile, ProfileWithoutProfilerIs404) {
   MetricsRegistry registry;
-  StatsServer server(&registry, nullptr);
+  TraceRing traces(4);
+  PrefetchAudit audit;
+  TailReservoir tail(TailReservoir::Options{});
+  StatsServer server(&registry, &traces, &audit, &tail);
   ASSERT_TRUE(server.Start(0).ok());
   EXPECT_NE(HttpGet(server.port(), "/profile").find("404"),
             std::string::npos);

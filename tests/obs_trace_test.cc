@@ -219,7 +219,6 @@ class ServerTraceTest : public ::testing::Test {
 TEST_F(ServerTraceTest, RequestsProduceTracesWithStageSpans) {
   runtime::ServerConfig config;
   config.workers = 2;
-  config.trace_capacity = 32;
   runtime::ChronoServer server(&db_, config);
 
   ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 3").get().ok());
@@ -264,15 +263,11 @@ TEST_F(ServerTraceTest, RequestsProduceTracesWithStageSpans) {
 }
 
 TEST_F(ServerTraceTest, TracingDisabledWithZeroCapacity) {
-  // Capacity 0 turns off retention only: no ring, no tail reservoir. The
-  // request is still recorded into the stage histograms.
+  // Every request is recorded into the stage histograms.
   runtime::ServerConfig config;
   config.workers = 1;
-  config.trace_capacity = 0;
   runtime::ChronoServer server(&db_, config);
   ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 1").get().ok());
-  EXPECT_EQ(server.traces(), nullptr);
-  EXPECT_EQ(server.tail(), nullptr);
   RegistrySnapshot snap = server.registry()->Snapshot();
   for (const char* stage : {"queue_wait", "execute", "analyze"}) {
     const MetricSnapshot* hist =
@@ -340,7 +335,6 @@ TEST_F(ServerTraceTest, PrefetchedHitsCarryAttribution) {
   runtime::ServerConfig config;
   config.workers = 2;
   config.extract_every = 2;
-  config.trace_capacity = 512;
   runtime::ChronoServer server(&db_, config);
 
   // Same training pattern as runtime_test: "SELECT id" then a dependent

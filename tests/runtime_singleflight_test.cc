@@ -278,16 +278,16 @@ TEST_F(SingleFlightTest, WriteCommittingMidReadIsNotClaimedByTheInstall) {
     if (wrote) return;
     wrote = true;
     Result<SharedResult> update =
-        server.Execute(1, "UPDATE t SET v = 'new' WHERE id = 3");
+        server.Submit(1, "UPDATE t SET v = 'new' WHERE id = 3").get();
     ASSERT_TRUE(update.ok()) << update.status().ToString();
   });
-  Result<SharedResult> first = server.Execute(1, kSql);
+  Result<SharedResult> first = server.Submit(1, kSql).get();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ((*first)->rows()[0][0].AsString(), "v3");  // read before it
 
   // Tagged with the pre-read snapshot, the entry is behind the writer's
   // session by a write to its own row: read-your-writes (§5.2) rejects it.
-  Result<SharedResult> second = server.Execute(1, kSql);
+  Result<SharedResult> second = server.Submit(1, kSql).get();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   ASSERT_EQ((*second)->row_count(), 1u);
   EXPECT_EQ((*second)->rows()[0][0].AsString(), "new");

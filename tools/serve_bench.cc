@@ -78,9 +78,6 @@ struct BenchOptions {
   std::string metrics_path;  // --metrics-out: JSON registry dump (last run)
   std::string journal_path;  // --journal-out: binary event journal (last run)
   std::string trace_path;    // --trace-out: final trace ring JSON (last run)
-  bool journal = true;       // --no-journal: A/B the journal overhead
-  bool telemetry = true;     // --no-telemetry: A/B trace retention
-  bool lock_telemetry = true;  // --no-lock-telemetry: A/B the lock layer
   std::string profile_path;  // --profile-out: whole-run collapsed stacks
   int profile_hz = 99;       // --profile-hz: sampling rate for the above
   int chain_pct = 0;         // flight lookup -> flight_avail follow-up %
@@ -131,7 +128,7 @@ struct RunResult {
                       : static_cast<double>(reads_ok + writes_ok) /
                             static_cast<double>(total);
   }
-  // Prefetch-efficacy scoreboard totals (zero when --no-journal).
+  // Prefetch-efficacy scoreboard totals.
   uint64_t prefetch_installed = 0;
   uint64_t prefetch_used = 0;
   uint64_t prefetch_wasted_bytes = 0;
@@ -188,13 +185,6 @@ void Usage() {
       "                    last run when sweeping)\n"
       "  --trace-out F     dump the final request-trace ring to F as\n"
       "                    JSON (last run when sweeping)\n"
-      "  --no-journal      disable the event journal (A/B its overhead)\n"
-      "  --no-telemetry    disable trace retention (ring, tail reservoir;\n"
-      "                    A/B its overhead; stage histograms stay\n"
-      "                    recorded)\n"
-      "  --no-lock-telemetry  disarm the instrumented lock layer (A/B\n"
-      "                    its overhead; /contention then reports armed\n"
-      "                    false and records nothing)\n"
       "  --profile-out F   run the CPU sampling profiler for the whole\n"
       "                    measurement window and write collapsed stacks\n"
       "                    (flamegraph.pl-ready) to F (last run when\n"
@@ -329,14 +319,6 @@ runtime::ServerConfig MakeServerConfig(const BenchOptions& opt, int workers,
   config.cache_bytes = opt.cache_mb << 20;
   config.db_latency_us = opt.db_latency_us;
   config.registry = registry;
-  config.enable_journal = opt.journal;
-  if (!opt.telemetry) {
-    // A/B timeline retention: no trace ring (which also disables the tail
-    // reservoir). Every request is still recorded into the stage
-    // histograms.
-    config.trace_capacity = 0;
-  }
-  config.lock_telemetry = opt.lock_telemetry;
   config.fault = opt.fault;
   config.retry.max_attempts = opt.retries;
   config.enable_retries = opt.enable_retries;
@@ -460,7 +442,7 @@ class BenchNode {
         server_(db, MakeServerConfig(opt, workers, &registry_)),
         stats_(server_.registry(), server_.traces(), server_.audit(),
                server_.tail()) {
-    if (journal_sink_ != nullptr && server_.journal() != nullptr) {
+    if (journal_sink_ != nullptr) {
       server_.journal()->AddSink(journal_sink_.get());
     }
     if (wire_options) {
@@ -529,21 +511,19 @@ class BenchNode {
     server_.Shutdown();
     // Workers are joined: the journal can take its exact final drain, and
     // the audit scoreboards are complete.
-    if (server_.journal() != nullptr) server_.journal()->Stop();
-    if (server_.audit() != nullptr) {
-      obs::PrefetchAudit::Snapshot snap = server_.audit()->snapshot();
-      out->prefetch_installed = snap.TotalInstalled();
-      out->prefetch_used = snap.TotalUsed();
-      out->prefetch_wasted_bytes = snap.TotalWastedBytes();
-      out->prefetch_precision = snap.OverallPrecision();
-    }
+    server_.journal()->Stop();
+    obs::PrefetchAudit::Snapshot snap = server_.audit()->snapshot();
+    out->prefetch_installed = snap.TotalInstalled();
+    out->prefetch_used = snap.TotalUsed();
+    out->prefetch_wasted_bytes = snap.TotalWastedBytes();
+    out->prefetch_precision = snap.OverallPrecision();
     if (journal_sink_ != nullptr) {
       journal_sink_->Flush();
       std::printf(
           "wrote %s (%llu events)\n", opt_.journal_path.c_str(),
           static_cast<unsigned long long>(journal_sink_->events_written()));
     }
-    if (!opt_.trace_path.empty() && server_.traces() != nullptr) {
+    if (!opt_.trace_path.empty()) {
       WriteFile(opt_.trace_path,
                 obs::TracesToJson(server_.traces()->Snapshot()));
     }
@@ -552,7 +532,7 @@ class BenchNode {
  private:
   static std::unique_ptr<obs::JournalFileSink> OpenJournalSink(
       const BenchOptions& opt) {
-    if (!opt.journal || opt.journal_path.empty()) return nullptr;
+    if (opt.journal_path.empty()) return nullptr;
     auto sink = obs::JournalFileSink::Open(opt.journal_path);
     if (sink == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", opt.journal_path.c_str());
@@ -650,9 +630,7 @@ RunResult RunOnce(db::Database* db, const BenchOptions& opt, int workers) {
     uint64_t done = m.reads + m.writes;
     double interval = std::chrono::duration<double>(now - last_tick).count();
     double secs = std::chrono::duration<double>(now - started).count();
-    double precision = server.audit() != nullptr
-                           ? server.audit()->snapshot().OverallPrecision()
-                           : 0;
+    double precision = server.audit()->snapshot().OverallPrecision();
     std::printf(
         "  t=%4.1fs  %7.1f qps  hit-rate %5.1f%%  prefetch-prec %5.1f%%  "
         "queue %zu\n",
@@ -881,12 +859,10 @@ int RunServe(db::Database* db, const BenchOptions& opt, int workers) {
   node.Finish(&out);
   wire::WireServer::Stats ws = wire_server.stats();
 
-  uint64_t recorded = 0, drained = 0, dropped = 0;
-  if (server.journal() != nullptr) {
-    recorded = server.journal()->events_recorded();
-    drained = server.journal()->events_drained();
-    dropped = server.journal()->events_dropped();
-  }
+  const obs::EventJournal& journal = *server.journal();
+  const uint64_t recorded = journal.events_recorded();
+  const uint64_t drained = journal.events_drained();
+  const uint64_t dropped = journal.events_dropped();
   std::printf(
       "wire: accepted %llu  requests %llu  overload-rejects %llu  "
       "protocol-errors %llu  "
@@ -1088,12 +1064,6 @@ int main(int argc, char** argv) {
       opt.journal_path = next();
     } else if (arg == "--trace-out") {
       opt.trace_path = next();
-    } else if (arg == "--no-journal") {
-      opt.journal = false;
-    } else if (arg == "--no-telemetry") {
-      opt.telemetry = false;
-    } else if (arg == "--no-lock-telemetry") {
-      opt.lock_telemetry = false;
     } else if (arg == "--profile-out") {
       opt.profile_path = next();
     } else if (arg == "--profile-hz") {
