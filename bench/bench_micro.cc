@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for ChronoCache's hot paths:
-// parsing + template extraction, query combination, result splitting,
-// executor point lookups, and transition-graph updates.
+// parsing + template extraction, shape-keyed analysis, query combination,
+// result splitting, executor point lookups, and model updates.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/lru_cache.h"
 #include "core/combiner_lateral.h"
@@ -63,21 +64,44 @@ void BM_StatementCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_StatementCacheHit);
 
-// Template-cache hit path: AnalyzeQuery memoized in the middleware's
-// LruMap (lookup cost only — compare against BM_AnalyzeTemplate).
+// Template-cache hit path, keyed by literal-free shape as Engine::Analyze
+// keys it: tokenize, hash, look up, read the literals and render the bound
+// text — no parse (compare against BM_AnalyzeTemplate).
 void BM_TemplateCacheHit(benchmark::State& state) {
-  cache::LruMap<std::string, sql::ParsedQuery> cache(512);
-  auto parsed = sql::AnalyzeQuery(kPointQuery);
-  cache.Put(kPointQuery, std::move(*parsed));
-  std::string key = kPointQuery;
+  cache::LruMap<std::string, std::shared_ptr<const sql::ShapeTemplate>> cache(
+      512);
+  cache.Put(sql::ShapeQuery(kPointQuery)->key,
+            std::make_shared<const sql::ShapeTemplate>(
+                *sql::AnalyzeShape(kPointQuery)));
   for (auto _ : state) {
-    const sql::ParsedQuery* hit = cache.Get(key);
-    benchmark::DoNotOptimize(hit);
-    sql::ParsedQuery copy = *hit;
-    benchmark::DoNotOptimize(copy);
+    auto shape = sql::ShapeQuery(kPointQuery);
+    const auto* hit = cache.Get(shape->key);
+    sql::ParsedQuery parsed = sql::InstantiateShape(**hit, *shape);
+    benchmark::DoNotOptimize(parsed);
   }
 }
 BENCHMARK(BM_TemplateCacheHit);
+
+// Engine::Analyze on literal-varying texts of one shape, cycling through
+// more texts than the template cache holds (as traffic whose texts never
+// repeat): every lookup after the first is a shape hit. CI's bench job
+// requires it to cost under a third of BM_AnalyzeTemplate.
+void BM_EngineAnalyzeLiteralVarying(benchmark::State& state) {
+  core::Engine engine(core::EngineConfig{}, core::Engine::Options{},
+                      [] { return uint64_t{0}; });
+  std::vector<std::string> texts;
+  for (int i = 0; i < 4096; ++i) {
+    texts.push_back(
+        "SELECT s_name, s_num_out FROM security WHERE s_symb = 'SYM" +
+        std::to_string(i) + "'");
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto parsed = engine.Analyze(texts[i++ % texts.size()]);
+    benchmark::DoNotOptimize(parsed);
+  }
+}
+BENCHMARK(BM_EngineAnalyzeLiteralVarying);
 
 void BM_ExecutorPointLookup(benchmark::State& state) {
   db::Database database;
@@ -227,6 +251,46 @@ void BM_CacheGetVersionGap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheGetVersionGap)->Arg(0)->Arg(8)->Arg(64)->Arg(1024);
+
+// Engine::Observe and ObserveResult on a warmed loop of 4 dependent
+// templates (each one's parameter is the previous one's result), analyzed
+// outside the timed loop: one iteration is 4 observations, so extraction
+// is due once per iteration. Once the model is learned its inputs stop
+// moving and extraction is skipped.
+void BM_EngineObserveSteadyState(benchmark::State& state) {
+  uint64_t now_us = 0;
+  core::Engine engine(core::EngineConfig{}, core::Engine::Options{},
+                      [&now_us] { return now_us; });
+  struct Step {
+    sql::ParsedQuery parsed;
+    sql::ResultSet result{{"c"}};
+  };
+  const char* kTables[] = {"ta", "tb", "tc", "td"};
+  std::vector<Step> steps;  // 1024 iterations of the loop, then it wraps
+  for (int64_t x = 0; x < 4096; ++x) {
+    Step step;
+    step.parsed = *engine.Analyze(std::string("SELECT c FROM ") +
+                                  kTables[x % 4] + " WHERE id = " +
+                                  std::to_string(x));
+    step.result.AddRow({sql::Value::Int(x + 1)});
+    steps.push_back(std::move(step));
+  }
+  size_t next = 0;
+  auto iteration = [&] {
+    for (int i = 0; i < 4; ++i) {
+      const Step& step = steps[next++ % steps.size()];
+      engine.Observe(1, step.parsed);
+      engine.ObserveResult(1, step.parsed.tmpl->id, step.result);
+      now_us += 1000;
+    }
+    now_us += 300 * 1000;  // past the correlation window
+  };
+  for (int i = 0; i < 64; ++i) iteration();  // learn the loop
+  for (auto _ : state) iteration();
+  if (engine.TotalGraphs() == 0) state.SkipWithError("learned no graph");
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_EngineObserveSteadyState);
 
 void BM_TransitionGraphObserve(benchmark::State& state) {
   core::TransitionGraph graph(200 * kMicrosPerMilli);

@@ -191,7 +191,8 @@ Engine::ClientModel::ClientModel(const EngineConfig& config,
                                  const Options& options,
                                  obs::LockSite* lock_site)
     : mutex(lock_site),
-      transitions(config.delta_t),
+      transitions(config.delta_t, /*window_cap=*/64,
+                  {config.tau, kMinOccurrences}),
       mapper(config.min_validations),
       manager(DependencyManager::Options{options.enable_subsumption}) {}
 
@@ -224,31 +225,42 @@ Engine::~Engine() {
 // ---- Query analysis ------------------------------------------------------
 
 Result<sql::ParsedQuery> Engine::Analyze(const std::string& sql) {
+  CHRONO_ASSIGN_OR_RETURN(sql::QueryShape shape, sql::ShapeQuery(sql));
+  std::shared_ptr<const sql::ShapeTemplate> analyzed;
   {
     std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-    if (const sql::ParsedQuery* hit = template_cache_.Get(sql)) {
-      return *hit;  // copy out while the lock pins the entry
+    if (const auto* hit = template_cache_.Get(shape.key)) analyzed = *hit;
+  }
+  if (analyzed == nullptr) {
+    // Analysis is a pure function of the shape: run it unlocked. Two
+    // threads racing on a new shape both analyze and both Put — the second
+    // Put replaces an identical value, which is harmless.
+    Result<sql::ShapeTemplate> built = sql::AnalyzeShape(sql);
+    if (!built.ok()) {
+      // Not reusable by shape (or not valid SQL): analyze the text itself.
+      auto parsed = sql::AnalyzeQuery(sql);
+      if (parsed.ok()) Register(parsed->tmpl);
+      return parsed;
     }
-  }
-  // AnalyzeQuery is a pure function of the text: run it unlocked. Two
-  // threads racing on the same new text both analyze and both Put — the
-  // second Put replaces an identical value, which is harmless.
-  auto analyzed = sql::AnalyzeQuery(sql);
-  if (!analyzed.ok()) return analyzed.status();
-  sql::ParsedQuery parsed;
-  {
+    // Registered before it is cached: a reader that finds the shape finds
+    // the template.
+    Register(built->tmpl);
+    analyzed = std::make_shared<const sql::ShapeTemplate>(std::move(*built));
     std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-    parsed = *template_cache_.Put(sql, std::move(*analyzed));
+    template_cache_.Put(shape.key, analyzed);
   }
-  // Literal-varying texts miss the text-keyed cache but share a template:
-  // only a template the registry has never seen takes the writer side.
+  return sql::InstantiateShape(*analyzed, shape);
+}
+
+void Engine::Register(const std::shared_ptr<const sql::QueryTemplate>& tmpl) {
+  // Several shapes (and texts) share a template: only a template the
+  // registry has never seen takes the writer side.
   {
     std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    if (registry_.Find(parsed.tmpl->id) != nullptr) return parsed;
+    if (registry_.Find(tmpl->id) != nullptr) return;
   }
   std::unique_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-  registry_.Register(parsed.tmpl);
-  return parsed;
+  registry_.Register(tmpl);
 }
 
 const sql::QueryTemplate* Engine::FindTemplate(TemplateId id) const {
@@ -281,9 +293,18 @@ std::vector<DependencyGraph> Engine::Observe(ClientId client,
   model->mapper.ObserveQuery(tmpl, parsed.params);
   model->latest_params[tmpl] = parsed.params;
   if (++model->observations % config_.extract_every == 0) {
-    for (auto& graph :
-         extractor_.Extract(model->transitions, model->mapper, registry_)) {
-      model->manager.AddGraph(std::move(graph));
+    // Extract reads the τ-pruned transition graph and the confirmed
+    // mappings (registered templates never change). When neither moved,
+    // it would return the graphs the manager already holds, and adding
+    // them again changes nothing.
+    const uint64_t generation =
+        model->transitions.generation() + model->mapper.generation();
+    if (generation != model->extracted_generation) {
+      model->extracted_generation = generation;
+      for (auto& graph :
+           extractor_.Extract(model->transitions, model->mapper, registry_)) {
+        model->manager.AddGraph(std::move(graph));
+      }
     }
   }
   std::vector<DependencyGraph> ready;
@@ -389,7 +410,8 @@ void Engine::CombinedFetched(ClientId client, uint64_t plan_id,
 Result<std::vector<SplitEntry>> Engine::InstallCombined(
     ClientId client, int security_group, const CombinedQuery& plan,
     uint64_t plan_id, const sql::ResultSet& rows,
-    const std::vector<uint64_t>& pre_read, bool feed_model) {
+    const std::vector<uint64_t>& pre_read, bool feed_model,
+    Trigger* trigger) {
   Result<std::vector<SplitEntry>> split = Status::OK();
   {
     std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
@@ -414,13 +436,19 @@ Result<std::vector<SplitEntry>> Engine::InstallCombined(
     auto it = src_of.find(entry.tmpl);
     cache::VersionVector version;
     {
-      std::vector<std::string> reads = ReadsOf(entry.tmpl);
+      const std::vector<std::string>& reads = ReadsOf(entry.tmpl);
       std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
       version = versions_.SnapshotFor(reads, pre_read);
     }
-    CachePut(client, security_group, entry.tmpl, entry.key, entry.result,
-             std::move(version), plan_id,
-             it == src_of.end() ? 0 : static_cast<uint64_t>(it->second));
+    const bool answers_trigger = trigger != nullptr &&
+                                 !trigger->answer.has_value() &&
+                                 entry.key == trigger->bound_text;
+    std::optional<cache::CachedResult> used =
+        Put(client, security_group, entry.tmpl, entry.key, entry.result,
+            std::move(version), plan_id,
+            it == src_of.end() ? 0 : static_cast<uint64_t>(it->second),
+            answers_trigger);
+    if (used.has_value()) trigger->answer = std::move(used);
     counters_.predictions_cached.fetch_add(1, std::memory_order_relaxed);
   }
   // The triggering client observed fresh database state.
@@ -456,6 +484,15 @@ void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
                       std::shared_ptr<const sql::ResultSet> result,
                       cache::VersionVector version, uint64_t prefetch_plan,
                       uint64_t prefetch_src) {
+  Put(client, security_group, tmpl, bound_text, std::move(result),
+      std::move(version), prefetch_plan, prefetch_src, /*used=*/false);
+}
+
+std::optional<cache::CachedResult> Engine::Put(
+    ClientId client, int security_group, TemplateId tmpl,
+    const std::string& bound_text,
+    std::shared_ptr<const sql::ResultSet> result, cache::VersionVector version,
+    uint64_t prefetch_plan, uint64_t prefetch_src, bool used) {
   cache::CachedResult entry;
   entry.SetResult(std::move(result));
   {
@@ -469,6 +506,8 @@ void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
   entry.prefetch_src = prefetch_src;
   entry.tmpl = static_cast<uint64_t>(tmpl);
   entry.install_us = now_us_();
+  // A CacheGet hit would have counted this use.
+  entry.use_count = used ? 1 : 0;
   std::string key = CacheKey(client, bound_text);
   if (prefetch_plan != 0 && journal_ != nullptr) {
     obs::JournalEvent event;
@@ -479,8 +518,16 @@ void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
     event.a = cache::LruCache::EntryBytes(key, entry);
     event.client = static_cast<uint32_t>(client);
     Journal(event);
+    if (used) {
+      event.type = obs::JournalEventType::kEntryUsed;
+      event.b = 0;  // used the moment it landed
+      Journal(event);
+    }
   }
+  std::optional<cache::CachedResult> installed;
+  if (used) installed = entry;
   cache_.Put(key, std::move(entry));
+  return installed;
 }
 
 Engine::Admission Engine::Admit(ClientId client, cache::CachedResult* entry,
@@ -591,15 +638,16 @@ void Engine::SyncClientToDb(ClientId client) {
   versions_.SyncClientToDb(client);
 }
 
-std::vector<std::string> Engine::ReadsOf(TemplateId tmpl) const {
+const std::vector<std::string>& Engine::ReadsOf(TemplateId tmpl) const {
+  static const std::vector<std::string> kNone;
   std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
   const sql::QueryTemplate* qt = registry_.Find(tmpl);
-  return qt == nullptr ? std::vector<std::string>{}
-                       : sql::CollectTableAccess(*qt->ast).reads;
+  // Templates are never removed: the reference outlives the lock.
+  return qt == nullptr ? kNone : qt->access.reads;
 }
 
 cache::VersionVector Engine::SnapshotReads(TemplateId tmpl) {
-  std::vector<std::string> reads = ReadsOf(tmpl);
+  const std::vector<std::string>& reads = ReadsOf(tmpl);
   std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
   return versions_.SnapshotFor(reads);
 }

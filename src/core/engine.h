@@ -171,6 +171,9 @@ class Engine {
     DependencyManager manager;
     std::map<TemplateId, std::vector<sql::Value>> latest_params;
     uint64_t observations = 0;
+    // transitions.generation() + mapper.generation() at the last
+    // extraction: both only grow, so an equal sum means neither moved.
+    uint64_t extracted_generation = 0;
 
     ClientModel(const EngineConfig& config, const Options& options,
                 obs::LockSite* lock_site);
@@ -195,7 +198,9 @@ class Engine {
 
   // --- Query analysis ---------------------------------------------------
 
-  /// AnalyzeQuery memoized by text; a new template joins the registry.
+  /// AnalyzeQuery memoized by literal-free shape (sql::ShapeQuery): a hit
+  /// costs a tokenize, a hash and reading the literals, with no parse. A
+  /// new template joins the registry.
   Result<sql::ParsedQuery> Analyze(const std::string& sql);
   /// Registered template or nullptr. Templates are never removed, so the
   /// pointer stays valid for the engine's lifetime.
@@ -204,9 +209,9 @@ class Engine {
   // --- Learned models ---------------------------------------------------
 
   /// One read arrival: transition, parameter and latest-parameter
-  /// updates, extraction every `extract_every` observations, then
-  /// Algorithm 1's mark_text_avail. Returns copies of the graphs it made
-  /// ready.
+  /// updates, extraction every `extract_every` observations (skipped when
+  /// no input of the extractor moved since the last one), then Algorithm
+  /// 1's mark_text_avail. Returns copies of the graphs it made ready.
   std::vector<DependencyGraph> Observe(ClientId client,
                                        const sql::ParsedQuery& parsed);
   /// Algorithm 1 line 7: a prefetched text arrived. Records its
@@ -240,16 +245,26 @@ class Engine {
   /// sent): `rows` is null when the call failed.
   void CombinedFetched(ClientId client, uint64_t plan_id,
                        const sql::ResultSet* rows, uint64_t fetch_us);
+  /// The read whose miss fired a plan inline (the trigger): the plan
+  /// answers it from the slot bound to its own text.
+  struct Trigger {
+    const std::string& bound_text;
+    std::optional<cache::CachedResult> answer;  // set when a slot matched
+  };
+
   /// Splits a combined result and installs one entry per slot, attributed
   /// to the plan and the edge that predicted it, then syncs the client to
   /// the database (Vc = Vd). Each entry is tagged from `pre_read`, the
   /// SnapshotDb() taken before the plan was sent. With `feed_model` the
-  /// pieces also train the client's mapper and latest parameters. Returns
-  /// the split entries.
+  /// pieces also train the client's mapper and latest parameters. With a
+  /// `trigger`, the entry bound to its text is installed as used by it
+  /// and copied to `trigger->answer`: it is as fresh as a plain leader's
+  /// own fetch (DESIGN.md §19). Returns the split entries.
   Result<std::vector<SplitEntry>> InstallCombined(
       ClientId client, int security_group, const CombinedQuery& plan,
       uint64_t plan_id, const sql::ResultSet& rows,
-      const std::vector<uint64_t>& pre_read, bool feed_model);
+      const std::vector<uint64_t>& pre_read, bool feed_model,
+      Trigger* trigger = nullptr);
 
   // --- Result cache -----------------------------------------------------
 
@@ -343,7 +358,18 @@ class Engine {
  private:
   ClientModel* ModelFor(ClientId client);
   /// Reads relations of a registered template (empty when unknown).
-  std::vector<std::string> ReadsOf(TemplateId tmpl) const;
+  const std::vector<std::string>& ReadsOf(TemplateId tmpl) const;
+  /// Registers a template unless known: a known one takes only the
+  /// registry's shared lock.
+  void Register(const std::shared_ptr<const sql::QueryTemplate>& tmpl);
+  /// CachePut. A `used` entry is one a read consumes at install: it is
+  /// installed with one use, journaled as used, and returned.
+  std::optional<cache::CachedResult> Put(
+      ClientId client, int security_group, TemplateId tmpl,
+      const std::string& bound_text,
+      std::shared_ptr<const sql::ResultSet> result,
+      cache::VersionVector version, uint64_t prefetch_plan,
+      uint64_t prefetch_src, bool used);
 
   enum class Admission { kCurrent, kAcrossGap, kRejected };
   /// The §5.2 session check for `entry`, answering `tmpl` bound with
@@ -360,7 +386,9 @@ class Engine {
   GraphExtractor extractor_;  // stateless after construction
 
   mutable obs::TimedMutex template_mutex_;
-  cache::LruMap<std::string, sql::ParsedQuery> template_cache_;
+  // Keyed by QueryShape::key; values are shared, so a hit copies a pointer.
+  cache::LruMap<std::string, std::shared_ptr<const sql::ShapeTemplate>>
+      template_cache_;
 
   mutable obs::TimedSharedMutex registry_mutex_;
   TemplateRegistry registry_;

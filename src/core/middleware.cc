@@ -259,12 +259,12 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
                              ResponseCallback done) {
   // Writes bypass the cache entirely; ChronoCache never predicts updates
   // (§5, "focuses on predictively caching read queries").
-  auto access = sql::CollectTableAccess(*parsed.tmpl->ast);
   auto footprint = std::make_shared<const sql::WriteFootprint>(
       sql::ExtractWriteFootprint(*parsed.tmpl->ast, parsed.params));
   remote_->Submit(
       parsed.bound_text,
-      [this, client, tmpl = parsed.tmpl->id, writes = access.writes,
+      [this, client, tmpl = parsed.tmpl->id,
+       writes = parsed.tmpl->access.writes,
        footprint = std::move(footprint),
        done = std::move(done)](SimTime, Result<db::ExecOutcome> outcome) {
         engine_.OnRemoteAccess();

@@ -26,6 +26,7 @@ void ParamMapper::ObserveQuery(TemplateId dst,
   // forever (§2.1: "deemed spurious ... never used in the future").
   for (auto& cand : cands) {
     if (cand.blacklisted) continue;
+    const bool was_confirmed = Confirmed(cand);
     auto rs_it = last_results_.find(cand.src);
     if (rs_it == last_results_.end()) continue;
     const sql::ResultSet& rs = rs_it->second;
@@ -36,15 +37,17 @@ void ParamMapper::ObserveQuery(TemplateId dst,
     if (cand.src_column >= static_cast<int>(rs.column_count())) continue;
     if (cand.dst_param >= static_cast<int>(params.size())) {
       cand.blacklisted = true;
-      continue;
-    }
-    const sql::Value& have = rs.row(row)[static_cast<size_t>(cand.src_column)];
-    const sql::Value& want = params[static_cast<size_t>(cand.dst_param)];
-    if (have.EqualsSql(want)) {
-      ++cand.validations;
     } else {
-      cand.blacklisted = true;
+      const sql::Value& have =
+          rs.row(row)[static_cast<size_t>(cand.src_column)];
+      const sql::Value& want = params[static_cast<size_t>(cand.dst_param)];
+      if (have.EqualsSql(want)) {
+        ++cand.validations;
+      } else {
+        cand.blacklisted = true;
+      }
     }
+    if (Confirmed(cand) != was_confirmed) ++generation_;
   }
 
   // Pass 2: discover new candidates from every recorded result set.
@@ -73,6 +76,7 @@ void ParamMapper::ObserveQuery(TemplateId dst,
           cand.src_column_name = rs.columns()[static_cast<size_t>(c)];
           cand.dst_param = p;
           cand.validations = 1;
+          if (Confirmed(cand)) ++generation_;
           cands.push_back(std::move(cand));
         }
       }

@@ -55,6 +55,10 @@ class ParamMapper {
   /// Introspection for tests: number of blacklisted candidates for dst.
   int BlacklistedCount(TemplateId dst) const;
 
+  /// Moves on every ObserveQuery that changes ConfirmedMappings: a
+  /// candidate confirmed, or a confirmed one blacklisted.
+  uint64_t generation() const { return generation_; }
+
  private:
   struct Candidate {
     TemplateId src = 0;
@@ -74,7 +78,12 @@ class ParamMapper {
     }
   };
 
+  bool Confirmed(const Candidate& cand) const {
+    return !cand.blacklisted && cand.validations >= min_validations_;
+  }
+
   int min_validations_;
+  uint64_t generation_ = 0;
   std::unordered_map<TemplateId, sql::ResultSet> last_results_;
   std::map<PairKey, size_t> cursors_;  // next row of src for dst's next issue
   std::unordered_map<TemplateId, std::vector<Candidate>> candidates_;  // by dst

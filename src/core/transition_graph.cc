@@ -1,11 +1,13 @@
 #include "core/transition_graph.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace chrono::core {
 
-TransitionGraph::TransitionGraph(SimTime delta_t, size_t window_cap)
-    : delta_t_(delta_t), window_cap_(window_cap) {}
+TransitionGraph::TransitionGraph(SimTime delta_t, size_t window_cap,
+                                 ExtractThresholds thresholds)
+    : delta_t_(delta_t), window_cap_(window_cap), thresholds_(thresholds) {}
 
 void TransitionGraph::Observe(TemplateId tmpl, SimTime now) {
   // Expire occurrences that fell out of the Δt window.
@@ -13,14 +15,24 @@ void TransitionGraph::Observe(TemplateId tmpl, SimTime now) {
                               recent_.size() >= window_cap_)) {
     recent_.pop_front();
   }
+  // Whether this arrival moves what extraction reads (generation()). An
+  // in-edge it credits only gains, so it crosses tau at most once, upward.
+  bool moved = false;
+  uint64_t self_credits = 0;
   // Credit this submission as a successor of each live prior occurrence,
-  // at most once per (occurrence, template) pair.
-  for (auto& occ : recent_) {
-    if (std::find(occ.counted.begin(), occ.counted.end(), tmpl) !=
-        occ.counted.end()) {
-      continue;
+  // at most once per (occurrence, template) pair. An occurrence stays live
+  // from its arrival until it expires, so the ones tmpl has not credited
+  // yet are exactly those from tmpl's latest occurrence on.
+  auto first = recent_.end();
+  if (auto last = last_seq_.find(tmpl); last == last_seq_.end()) {
+    first = recent_.begin();
+  } else {
+    while (first != recent_.begin() && std::prev(first)->seq >= last->second) {
+      --first;
     }
-    occ.counted.push_back(tmpl);
+  }
+  for (auto it = first; it != recent_.end(); ++it) {
+    const Occurrence& occ = *it;
     auto& count = edges_[occ.tmpl][tmpl];
     if (count == 0) {
       auto& preds = preds_[tmpl];
@@ -28,10 +40,33 @@ void TransitionGraph::Observe(TemplateId tmpl, SimTime now) {
         preds.push_back(occ.tmpl);
       }
     }
+    if (occ.tmpl == tmpl) {
+      ++self_credits;  // its denominator moves too: judged below
+    } else if (!moved) {
+      const uint64_t from = occurrences_[occ.tmpl];
+      moved = !AboveTau(count, from) && AboveTau(count + 1, from);
+    }
     ++count;
   }
-  ++occurrences_[tmpl];
-  recent_.push_back(Occurrence{tmpl, now, {}});
+  uint64_t& occurrences = occurrences_[tmpl];
+  const uint64_t before = occurrences++;
+  moved = moved || before == 0 ||
+          occurrences == thresholds_.min_occurrences;
+  // Every out-edge's denominator grew.
+  if (!moved) {
+    if (auto out = edges_.find(tmpl); out != edges_.end()) {
+      for (const auto& [to, count] : out->second) {
+        const uint64_t old_count = to == tmpl ? count - self_credits : count;
+        if (AboveTau(old_count, before) != AboveTau(count, occurrences)) {
+          moved = true;
+          break;
+        }
+      }
+    }
+  }
+  if (moved) ++generation_;
+  last_seq_[tmpl] = next_seq_;
+  recent_.push_back(Occurrence{tmpl, now, next_seq_++});
 }
 
 double TransitionGraph::Probability(TemplateId from, TemplateId to) const {

@@ -918,10 +918,17 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
     covering_plan = engine_.Combine(client, *covering);
   }
+  // The plan answers its trigger from the slot bound to the trigger's own
+  // text, as a plain leader answers from its own fetch: a re-lookup would
+  // reject that entry whenever another client wrote its relations while
+  // the plan was in flight (DESIGN.md §19). The cache is asked only when
+  // the plan did not produce the text.
+  core::Engine::Trigger trigger{parsed.bound_text, std::nullopt};
   if (covering_plan.has_value() &&
-      ExecuteCombined(client, security_group, *covering_plan, ctx)) {
-    std::optional<cache::CachedResult> hit;
-    {
+      ExecuteCombined(client, security_group, *covering_plan, ctx,
+                      &trigger)) {
+    std::optional<cache::CachedResult> hit = std::move(trigger.answer);
+    if (!hit.has_value()) {
       StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
       hit = CacheGet(client, security_group, parsed);
     }
@@ -1099,7 +1106,8 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
 
 bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
                                    const core::Engine::Plan& plan,
-                                   ReqCtx* ctx) {
+                                   ReqCtx* ctx,
+                                   core::Engine::Trigger* trigger) {
   // Combined queries are predictive work, inline or not: while the breaker
   // is unhealthy they are shed before touching the backend, so prefetch
   // never consumes capacity (or probe slots) demand traffic needs.
@@ -1128,12 +1136,13 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
       client, plan.id, outcome.ok() ? &outcome->result : nullptr,
       NsBetween(db_begin, std::chrono::steady_clock::now()) / 1000);
   if (!outcome.ok()) return false;
+  if (after_read_hook_) after_read_hook_();
 
   StageTimer split_timer(this, ctx, obs::Stage::kSplitDecode);
   return engine_
       .InstallCombined(client, security_group, *plan.query, plan.id,
                        outcome->result, pre_read,
-                       /*feed_model=*/config_.enable_learning)
+                       /*feed_model=*/config_.enable_learning, trigger)
       .ok();
 }
 

@@ -286,10 +286,12 @@ class ChronoServer {
   /// Executes a combined plan (reader-locked database), splits the result
   /// and installs every piece in the cache tagged with `plan_id` for hit
   /// attribution. Returns false on any failure (combined execution is
-  /// best-effort — the caller falls back to plain). `ctx` is null when
-  /// running as a background prefetch.
+  /// best-effort — the caller falls back to plain). `ctx` and `trigger`
+  /// are null when running as a background prefetch; an inline covering
+  /// plan passes its read as `trigger` to be answered from its own slot.
   bool ExecuteCombined(ClientId client, int security_group,
-                       const core::Engine::Plan& plan, ReqCtx* ctx);
+                       const core::Engine::Plan& plan, ReqCtx* ctx,
+                       core::Engine::Trigger* trigger = nullptr);
 
   /// One remote-database operation routed through the fault-tolerance
   /// layer (fault injection → breaker admission → deadline/attempt budget
@@ -419,13 +421,14 @@ class ChronoServer {
   obs::TimedMutex inflight_mutex_;
   std::unordered_map<std::string, std::shared_ptr<InflightFetch>> inflight_;
 
-  /// Test-only back door (runtime_singleflight_test.cc): advances session
-  /// version state at a deterministic point inside a coalescing race that
-  /// cannot be scheduled reliably through the public API, and sets
-  /// `after_read_hook_`.
-  friend struct SingleFlightTestPeer;
-  /// Test-only: runs on a plain-read leader's thread between its backend
-  /// read and its cache install (no lock held). Set before traffic.
+  /// Test-only back door (runtime_singleflight_test.cc, runtime_test.cc):
+  /// advances session version state at a deterministic point inside a
+  /// coalescing race that cannot be scheduled reliably through the public
+  /// API, and sets `after_read_hook_`.
+  friend struct ServerTestPeer;
+  /// Test-only: runs on a plain-read leader's or a combined plan's thread
+  /// between its backend read and its cache install (no lock held). Set
+  /// before traffic.
   std::function<void()> after_read_hook_;
 
   // Fault-tolerance layer (DESIGN.md §11). The breaker mutex and the

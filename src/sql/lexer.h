@@ -38,6 +38,11 @@ struct Token {
 /// lower-cased so that the rest of the system can compare names directly.
 Result<std::vector<Token>> Tokenize(std::string_view input);
 
+/// Scans the token at or after `*pos` into `*token` (reusing its storage)
+/// and moves `*pos` past it. Whitespace and `;` terminators are skipped;
+/// at the end of input the token is kEnd.
+Status NextToken(std::string_view input, size_t* pos, Token* token);
+
 }  // namespace chrono::sql
 
 #endif  // CHRONOCACHE_SQL_LEXER_H_

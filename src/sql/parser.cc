@@ -403,18 +403,10 @@ class Parser {
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
     switch (t.kind) {
-      case Token::Kind::kInt: {
-        auto e = Expr::MakeLiteral(Value::Int(t.int_value));
-        Advance();
-        return e;
-      }
-      case Token::Kind::kDouble: {
-        auto e = Expr::MakeLiteral(Value::Double(t.double_value));
-        Advance();
-        return e;
-      }
+      case Token::Kind::kInt:
+      case Token::Kind::kDouble:
       case Token::Kind::kString: {
-        auto e = Expr::MakeLiteral(Value::String(t.text));
+        auto e = Expr::MakeLiteral(LiteralValue(t));
         Advance();
         return e;
       }
@@ -621,8 +613,23 @@ class Parser {
 
 Result<std::unique_ptr<Statement>> Parse(std::string_view sql) {
   CHRONO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  return ParseTokens(std::move(tokens));
+}
+
+Result<std::unique_ptr<Statement>> ParseTokens(std::vector<Token> tokens) {
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
+}
+
+Value LiteralValue(const Token& token) {
+  switch (token.kind) {
+    case Token::Kind::kInt:
+      return Value::Int(token.int_value);
+    case Token::Kind::kDouble:
+      return Value::Double(token.double_value);
+    default:
+      return Value::String(token.text);
+  }
 }
 
 Result<std::unique_ptr<SelectStmt>> ParseSelect(std::string_view sql) {

@@ -24,7 +24,8 @@ const char* BinOpText(BinOp op) {
   return "?";
 }
 
-void WriteExprTo(const Expr& expr, std::string* out) {
+void WriteExprTo(const Expr& expr, std::string* out,
+                 std::vector<ParamSlot>* slots) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       *out += expr.literal.ToSqlLiteral();
@@ -37,16 +38,17 @@ void WriteExprTo(const Expr& expr, std::string* out) {
       *out += expr.column;
       return;
     case Expr::Kind::kParam:
+      if (slots != nullptr) slots->push_back({out->size(), expr.param_index});
       *out += "?";
       return;
     case Expr::Kind::kUnary:
       if (expr.un_op == UnOp::kNot) {
         *out += "NOT (";
-        WriteExprTo(*expr.children[0], out);
+        WriteExprTo(*expr.children[0], out, slots);
         *out += ")";
       } else {
         *out += "-(";
-        WriteExprTo(*expr.children[0], out);
+        WriteExprTo(*expr.children[0], out, slots);
         *out += ")";
       }
       return;
@@ -54,11 +56,11 @@ void WriteExprTo(const Expr& expr, std::string* out) {
       bool logical =
           expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr;
       *out += "(";
-      WriteExprTo(*expr.children[0], out);
+      WriteExprTo(*expr.children[0], out, slots);
       *out += logical ? " " : " ";
       *out += BinOpText(expr.bin_op);
       *out += " ";
-      WriteExprTo(*expr.children[1], out);
+      WriteExprTo(*expr.children[1], out, slots);
       *out += ")";
       return;
     }
@@ -67,7 +69,7 @@ void WriteExprTo(const Expr& expr, std::string* out) {
       *out += "(";
       for (size_t i = 0; i < expr.children.size(); ++i) {
         if (i > 0) *out += ", ";
-        WriteExprTo(*expr.children[i], out);
+        WriteExprTo(*expr.children[i], out, slots);
       }
       *out += ")";
       return;
@@ -77,16 +79,16 @@ void WriteExprTo(const Expr& expr, std::string* out) {
       return;
     case Expr::Kind::kIsNull:
       *out += "(";
-      WriteExprTo(*expr.children[0], out);
+      WriteExprTo(*expr.children[0], out, slots);
       *out += expr.is_not ? " IS NOT NULL)" : " IS NULL)";
       return;
     case Expr::Kind::kInList: {
       *out += "(";
-      WriteExprTo(*expr.children[0], out);
+      WriteExprTo(*expr.children[0], out, slots);
       *out += expr.is_not ? " NOT IN (" : " IN (";
       for (size_t i = 1; i < expr.children.size(); ++i) {
         if (i > 1) *out += ", ";
-        WriteExprTo(*expr.children[i], out);
+        WriteExprTo(*expr.children[i], out, slots);
       }
       *out += "))";
       return;
@@ -100,13 +102,13 @@ void WriteExprTo(const Expr& expr, std::string* out) {
           expr.is_not ? expr.children.size() - 1 : expr.children.size();
       for (size_t i = 0; i + 1 < branch_elems; i += 2) {
         *out += " WHEN ";
-        WriteExprTo(*expr.children[i], out);
+        WriteExprTo(*expr.children[i], out, slots);
         *out += " THEN ";
-        WriteExprTo(*expr.children[i + 1], out);
+        WriteExprTo(*expr.children[i + 1], out, slots);
       }
       if (expr.is_not) {
         *out += " ELSE ";
-        WriteExprTo(*expr.children.back(), out);
+        WriteExprTo(*expr.children.back(), out, slots);
       }
       *out += " END";
       return;
@@ -114,7 +116,11 @@ void WriteExprTo(const Expr& expr, std::string* out) {
   }
 }
 
-void WriteTableRefTo(const TableRef& ref, std::string* out) {
+void WriteSelectTo(const SelectStmt& stmt, std::string* out,
+                   std::vector<ParamSlot>* slots);
+
+void WriteTableRefTo(const TableRef& ref, std::string* out,
+                     std::vector<ParamSlot>* slots) {
   switch (ref.kind) {
     case TableRef::Kind::kNone:
       return;
@@ -123,12 +129,12 @@ void WriteTableRefTo(const TableRef& ref, std::string* out) {
       break;
     case TableRef::Kind::kSubquery:
       *out += "(";
-      *out += WriteSelect(*ref.subquery);
+      WriteSelectTo(*ref.subquery, out, slots);
       *out += ")";
       break;
     case TableRef::Kind::kLateralSubquery:
       *out += "LATERAL (";
-      *out += WriteSelect(*ref.subquery);
+      WriteSelectTo(*ref.subquery, out, slots);
       *out += ")";
       break;
   }
@@ -138,107 +144,119 @@ void WriteTableRefTo(const TableRef& ref, std::string* out) {
   }
 }
 
-}  // namespace
-
-std::string WriteExpr(const Expr& expr) {
-  std::string out;
-  WriteExprTo(expr, &out);
-  return out;
-}
-
-std::string WriteSelect(const SelectStmt& stmt) {
-  std::string out;
+void WriteSelectTo(const SelectStmt& stmt, std::string* out,
+                   std::vector<ParamSlot>* slots) {
   if (!stmt.ctes.empty()) {
-    out += "WITH ";
+    *out += "WITH ";
     for (size_t i = 0; i < stmt.ctes.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += stmt.ctes[i].name;
-      out += " AS (";
-      out += WriteSelect(*stmt.ctes[i].query);
-      out += ")";
+      if (i > 0) *out += ", ";
+      *out += stmt.ctes[i].name;
+      *out += " AS (";
+      WriteSelectTo(*stmt.ctes[i].query, out, slots);
+      *out += ")";
     }
-    out += " ";
+    *out += " ";
   }
-  out += "SELECT ";
-  if (stmt.distinct) out += "DISTINCT ";
+  *out += "SELECT ";
+  if (stmt.distinct) *out += "DISTINCT ";
   for (size_t i = 0; i < stmt.items.size(); ++i) {
-    if (i > 0) out += ", ";
+    if (i > 0) *out += ", ";
     const SelectItem& item = stmt.items[i];
     if (item.is_star) {
       if (!item.star_qualifier.empty()) {
-        out += item.star_qualifier;
-        out += ".*";
+        *out += item.star_qualifier;
+        *out += ".*";
       } else {
-        out += "*";
+        *out += "*";
       }
     } else {
-      WriteExprTo(*item.expr, &out);
+      WriteExprTo(*item.expr, out, slots);
       if (!item.alias.empty()) {
-        out += " AS ";
-        out += item.alias;
+        *out += " AS ";
+        *out += item.alias;
       }
     }
   }
   if (stmt.from.kind != TableRef::Kind::kNone) {
-    out += " FROM ";
-    WriteTableRefTo(stmt.from, &out);
+    *out += " FROM ";
+    WriteTableRefTo(stmt.from, out, slots);
     for (const auto& join : stmt.joins) {
       switch (join.type) {
         case JoinClause::Type::kCross:
-          out += ", ";
-          WriteTableRefTo(join.ref, &out);
+          *out += ", ";
+          WriteTableRefTo(join.ref, out, slots);
           break;
         case JoinClause::Type::kInner:
-          out += " JOIN ";
-          WriteTableRefTo(join.ref, &out);
-          out += " ON ";
-          WriteExprTo(*join.on, &out);
+          *out += " JOIN ";
+          WriteTableRefTo(join.ref, out, slots);
+          *out += " ON ";
+          WriteExprTo(*join.on, out, slots);
           break;
         case JoinClause::Type::kLeft:
-          out += " LEFT JOIN ";
-          WriteTableRefTo(join.ref, &out);
-          out += " ON ";
-          WriteExprTo(*join.on, &out);
+          *out += " LEFT JOIN ";
+          WriteTableRefTo(join.ref, out, slots);
+          *out += " ON ";
+          WriteExprTo(*join.on, out, slots);
           break;
       }
     }
   }
   if (stmt.where) {
-    out += " WHERE ";
-    WriteExprTo(*stmt.where, &out);
+    *out += " WHERE ";
+    WriteExprTo(*stmt.where, out, slots);
   }
   if (!stmt.group_by.empty()) {
-    out += " GROUP BY ";
+    *out += " GROUP BY ";
     for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-      if (i > 0) out += ", ";
-      WriteExprTo(*stmt.group_by[i], &out);
+      if (i > 0) *out += ", ";
+      WriteExprTo(*stmt.group_by[i], out, slots);
     }
   }
   if (stmt.having) {
-    out += " HAVING ";
-    WriteExprTo(*stmt.having, &out);
+    *out += " HAVING ";
+    WriteExprTo(*stmt.having, out, slots);
   }
   if (!stmt.order_by.empty()) {
-    out += " ORDER BY ";
+    *out += " ORDER BY ";
     for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-      if (i > 0) out += ", ";
-      WriteExprTo(*stmt.order_by[i].expr, &out);
-      if (stmt.order_by[i].desc) out += " DESC";
+      if (i > 0) *out += ", ";
+      WriteExprTo(*stmt.order_by[i].expr, out, slots);
+      if (stmt.order_by[i].desc) *out += " DESC";
     }
   }
   if (stmt.limit.has_value()) {
-    out += " LIMIT ";
-    out += std::to_string(*stmt.limit);
+    *out += " LIMIT ";
+    *out += std::to_string(*stmt.limit);
   }
+}
+
+}  // namespace
+
+std::string WriteExpr(const Expr& expr) {
+  std::string out;
+  WriteExprTo(expr, &out, nullptr);
+  return out;
+}
+
+std::string WriteSelect(const SelectStmt& stmt) {
+  std::string out;
+  WriteSelectTo(stmt, &out, nullptr);
   return out;
 }
 
 std::string WriteStatement(const Statement& stmt) {
+  return WriteStatement(stmt, nullptr);
+}
+
+std::string WriteStatement(const Statement& stmt,
+                           std::vector<ParamSlot>* slots) {
+  std::string out;
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return WriteSelect(*stmt.select);
+      WriteSelectTo(*stmt.select, &out, slots);
+      break;
     case Statement::Kind::kInsert: {
-      std::string out = "INSERT INTO ";
+      out = "INSERT INTO ";
       out += stmt.insert->table;
       if (!stmt.insert->columns.empty()) {
         out += " (";
@@ -252,39 +270,39 @@ std::string WriteStatement(const Statement& stmt) {
         const auto& row = stmt.insert->rows[r];
         for (size_t i = 0; i < row.size(); ++i) {
           if (i > 0) out += ", ";
-          out += WriteExpr(*row[i]);
+          WriteExprTo(*row[i], &out, slots);
         }
         out += ")";
       }
-      return out;
+      break;
     }
     case Statement::Kind::kUpdate: {
-      std::string out = "UPDATE ";
+      out = "UPDATE ";
       out += stmt.update->table;
       out += " SET ";
       for (size_t i = 0; i < stmt.update->assignments.size(); ++i) {
         if (i > 0) out += ", ";
         out += stmt.update->assignments[i].first;
         out += " = ";
-        out += WriteExpr(*stmt.update->assignments[i].second);
+        WriteExprTo(*stmt.update->assignments[i].second, &out, slots);
       }
       if (stmt.update->where) {
         out += " WHERE ";
-        out += WriteExpr(*stmt.update->where);
+        WriteExprTo(*stmt.update->where, &out, slots);
       }
-      return out;
+      break;
     }
     case Statement::Kind::kDelete: {
-      std::string out = "DELETE FROM ";
+      out = "DELETE FROM ";
       out += stmt.del->table;
       if (stmt.del->where) {
         out += " WHERE ";
-        out += WriteExpr(*stmt.del->where);
+        WriteExprTo(*stmt.del->where, &out, slots);
       }
-      return out;
+      break;
     }
     case Statement::Kind::kCreateTable: {
-      std::string out = "CREATE TABLE ";
+      out = "CREATE TABLE ";
       out += stmt.create->table;
       out += " (";
       for (size_t i = 0; i < stmt.create->columns.size(); ++i) {
@@ -306,10 +324,10 @@ std::string WriteStatement(const Statement& stmt) {
         }
       }
       out += ")";
-      return out;
+      break;
     }
   }
-  return "";
+  return out;
 }
 
 }  // namespace chrono::sql

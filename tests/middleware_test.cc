@@ -296,11 +296,18 @@ TEST_F(MiddlewareTest, TemplateCacheMemoizesAnalyzeQuery) {
   EXPECT_EQ(mw->template_cache_counters().misses, 1u);
   EXPECT_EQ(mw->template_cache_counters().hits, 1u);
 
-  // A different binding of the same template is a different text.
+  // A different binding of the same template has the same literal-free
+  // shape: a hit too.
   (void)Query(mw.get(), 0,
               "SELECT s_num_out FROM security WHERE s_symb = 'S0_1'");
+  EXPECT_EQ(mw->template_cache_counters().misses, 1u);
+  EXPECT_EQ(mw->template_cache_counters().hits, 2u);
+
+  // A literal of another kind is another shape.
+  (void)Query(mw.get(), 0,
+              "SELECT s_num_out FROM security WHERE s_symb = 7");
   EXPECT_EQ(mw->template_cache_counters().misses, 2u);
-  EXPECT_EQ(mw->template_cache_counters().hits, 1u);
+  EXPECT_EQ(mw->template_cache_counters().hits, 2u);
 }
 
 TEST_F(MiddlewareTest, CombinedPredictionsUseAstHandoff) {

@@ -281,8 +281,9 @@ TEST(ChronoServerContention, KnownTemplateTakesNoRegistryWriterLock) {
   runtime::ServerConfig config;
   config.workers = 2;
   runtime::ChronoServer server(&db, config);
-  // Literal-varying texts each miss the text-keyed template cache, but
-  // they share one template: only the first registers it.
+  // Literal-varying texts share one shape and one template: the first
+  // misses the shape-keyed template cache and registers the template, the
+  // rest hit.
   constexpr int kTexts = 20;
   for (int i = 0; i < kTexts; ++i) {
     ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = " +
@@ -290,8 +291,31 @@ TEST(ChronoServerContention, KnownTemplateTakesNoRegistryWriterLock) {
                     .get()
                     .ok());
   }
-  EXPECT_EQ(server.template_cache_counters().misses.load(),
-            static_cast<uint64_t>(kTexts));
+  EXPECT_EQ(server.template_cache_counters().misses.load(), 1u);
+  EXPECT_EQ(server.template_cache_counters().hits.load(),
+            static_cast<uint64_t>(kTexts - 1));
+  RegistrySnapshot snap = server.registry()->Snapshot();
+  const MetricSnapshot* writes = snap.Find(
+      "chrono_lock_acquisitions_total", {{"site", "server.registry.write"}});
+  ASSERT_NE(writes, nullptr);
+  EXPECT_EQ(writes->value, 1);
+}
+
+// Literals of different kinds make different shapes of one template: each
+// new shape misses the template cache, and only the first registers.
+TEST(ChronoServerContention, KnownTemplateUnderANewShapeTakesNoWriterLock) {
+  db::Database db;
+  ASSERT_TRUE(db.ExecuteText("CREATE TABLE t (id INT, v TEXT)").ok());
+  ASSERT_TRUE(db.ExecuteText("INSERT INTO t (id, v) VALUES (1, 'v')").ok());
+  runtime::ServerConfig config;
+  config.workers = 2;
+  runtime::ChronoServer server(&db, config);
+  for (const char* text : {"SELECT v FROM t WHERE id = 1",
+                           "SELECT v FROM t WHERE id = 1.5",
+                           "SELECT v FROM t WHERE id = 'one'"}) {
+    ASSERT_TRUE(server.Submit(1, text).get().ok()) << text;
+  }
+  EXPECT_EQ(server.template_cache_counters().misses.load(), 3u);
   RegistrySnapshot snap = server.registry()->Snapshot();
   const MetricSnapshot* writes = snap.Find(
       "chrono_lock_acquisitions_total", {{"site", "server.registry.write"}});

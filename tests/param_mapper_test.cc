@@ -2,6 +2,12 @@
 
 #include "core/param_mapper.h"
 
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace chrono::core {
 namespace {
 
@@ -151,6 +157,70 @@ TEST(ParamMapper, NumericCrossTypeMatch) {
   mapper.ObserveResult(1, rs);
   mapper.ObserveQuery(2, {Value::Double(5.0)});
   EXPECT_EQ(mapper.ConfirmedMappings(2).size(), 1u);
+}
+
+// The generation moves when the confirmed set changes, and only then.
+TEST(ParamMapper, GenerationTracksConfirmedMappings) {
+  ParamMapper mapper(2);
+  mapper.ObserveResult(1, SymbolResult({"AAA", "BBB", "CCC"}));
+  const uint64_t start = mapper.generation();
+  mapper.ObserveQuery(2, {Value::String("AAA")});  // candidate, unconfirmed
+  EXPECT_EQ(mapper.generation(), start);
+  mapper.ObserveQuery(2, {Value::String("BBB")});  // confirmed
+  const uint64_t confirmed = mapper.generation();
+  EXPECT_GT(confirmed, start);
+  mapper.ObserveQuery(2, {Value::String("CCC")});  // validated again
+  EXPECT_EQ(mapper.generation(), confirmed);
+  mapper.ObserveResult(1, SymbolResult({"AAA"}));
+  mapper.ObserveQuery(2, {Value::String("ZZZ")});  // blacklisted
+  EXPECT_TRUE(mapper.ConfirmedMappings(2).empty());
+  EXPECT_GT(mapper.generation(), confirmed);
+}
+
+// Against brute force: after every query of a random sequence, the
+// generation moved exactly when some destination's confirmed mappings
+// changed.
+TEST(ParamMapper, GenerationMovesExactlyWhenConfirmedMappingsChange) {
+  for (int min_validations : {1, 2, 3}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("min_validations " + std::to_string(min_validations) +
+                   " seed " + std::to_string(seed));
+      ParamMapper mapper(min_validations);
+      Rng rng(seed);
+      auto view = [&] {
+        std::vector<std::tuple<TemplateId, TemplateId, std::string, int>> out;
+        for (TemplateId dst = 0; dst < 5; ++dst) {
+          for (const auto& m : mapper.ConfirmedMappings(dst)) {
+            out.emplace_back(dst, m.src, m.src_column, m.dst_param);
+          }
+        }
+        return out;
+      };
+      auto last = view();
+      for (int i = 0; i < 2000; ++i) {
+        const TemplateId tmpl = rng.NextBounded(5);
+        if (rng.NextBool(0.4)) {
+          ResultSet rs({"a", "b"});
+          for (int64_t r = rng.NextInt(0, 3); r > 0; --r) {
+            rs.AddRow({Value::Int(rng.NextInt(1, 6)),
+                       Value::Int(rng.NextInt(1, 6))});
+          }
+          mapper.ObserveResult(tmpl, rs);
+          continue;
+        }
+        const uint64_t generation = mapper.generation();
+        std::vector<Value> params;
+        for (int64_t p = rng.NextInt(0, 2); p > 0; --p) {
+          params.push_back(Value::Int(rng.NextInt(1, 6)));
+        }
+        mapper.ObserveQuery(tmpl, params);
+        auto now = view();
+        ASSERT_EQ(mapper.generation() != generation, now != last)
+            << "query " << i;
+        last = std::move(now);
+      }
+    }
+  }
 }
 
 }  // namespace

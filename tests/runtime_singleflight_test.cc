@@ -29,7 +29,7 @@ namespace chrono::runtime {
 /// real write shares the WAN latency with the in-flight read, so its commit
 /// cannot be scheduled between the leader's snapshot and the follower's
 /// park, or between a read and its install, through the public API alone).
-struct SingleFlightTestPeer {
+struct ServerTestPeer {
   static void BumpClientWrite(ChronoServer& server, ClientId client,
                               const std::vector<std::string>& tables) {
     server.engine_.OnClientWrite(client, tables);
@@ -232,7 +232,7 @@ TEST_F(SingleFlightTest, FollowerWithNewerSessionRefetchesInsteadOfInheriting) {
   while (server.metrics().remote_plain == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  SingleFlightTestPeer::BumpClientWrite(server, /*client=*/2, {"t"});
+  ServerTestPeer::BumpClientWrite(server, /*client=*/2, {"t"});
 
   // Client 2 now parks on client 1's flight (200 ms still on the wire),
   // but the flight's snapshot predates its write: read-your-writes (§5.2)
@@ -274,7 +274,7 @@ TEST_F(SingleFlightTest, WriteCommittingMidReadIsNotClaimedByTheInstall) {
   // The reader's own write to the row commits after the backend read
   // returned the pre-write rows and before those rows are installed.
   bool wrote = false;
-  SingleFlightTestPeer::SetAfterReadHook(server, [&] {
+  ServerTestPeer::SetAfterReadHook(server, [&] {
     if (wrote) return;
     wrote = true;
     Result<SharedResult> update =

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,6 +21,16 @@
 #include "sql/value.h"
 
 namespace chrono::runtime {
+
+/// Befriended by ChronoServer: runs a hook between a backend read and its
+/// cache install, so a write can land while a plan is in flight.
+struct ServerTestPeer {
+  static void SetAfterReadHook(ChronoServer& server,
+                               std::function<void()> hook) {
+    server.after_read_hook_ = std::move(hook);
+  }
+};
+
 namespace {
 
 using sql::ResultSet;
@@ -352,6 +363,60 @@ TEST_F(ChronoServerTest, LearnsAndPrefetchesDependentQueries) {
   EXPECT_GT(m.remote_combined + m.predictions_cached, 0u)
       << "combined=" << m.remote_combined
       << " predicted=" << m.predictions_cached;
+}
+
+// A covering plan answers the read that fired it (its trigger) from its own
+// slot. Here the trigger is an ORDER BY ... LIMIT read and another client
+// writes its table while the plan is in flight: the installed entries are
+// then behind the trigger's session, and no row-level rule covers ORDER BY
+// ... LIMIT, so a re-lookup would reject the entry and pay a plain fetch.
+TEST_F(ChronoServerTest, CoveringPlanAnswersItsTriggerDespiteAConcurrentWrite) {
+  ServerConfig config;
+  config.workers = 2;
+  config.extract_every = 2;
+  ChronoServer server(&db_, config);
+  auto driver = [](int bound) {
+    return "SELECT id FROM t WHERE id < " + std::to_string(bound) +
+           " ORDER BY id DESC LIMIT 1";
+  };
+  auto lookup = [](int id) {
+    return "SELECT v FROM t WHERE id = " + std::to_string(id);
+  };
+  // Train driver -> lookup keyed by the driver's row; every driver text is
+  // new, so it misses and fires the plan covering it once learned.
+  for (int bound = 10; bound < 22; ++bound) {
+    ASSERT_TRUE(server.Submit(1, driver(bound)).get().ok());
+    ASSERT_TRUE(server.Submit(1, lookup(bound - 1)).get().ok());
+  }
+  ASSERT_GT(server.metrics().prediction_hits, 0u);
+
+  std::atomic<bool> wrote{false};
+  ServerTestPeer::SetAfterReadHook(server, [&] {
+    if (wrote.exchange(true)) return;
+    auto write = server.Submit(2, "UPDATE t SET v = 'w39' WHERE id = 39");
+    EXPECT_TRUE(write.get().ok());
+  });
+  const ServerMetrics before = server.metrics();
+  auto answer = server.Submit(1, driver(40)).get();
+  const ServerMetrics after = server.metrics();
+  ASSERT_TRUE(wrote.load());
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+
+  // One backend call: the plan. No plain fetch, no fallback.
+  EXPECT_EQ(after.remote_combined - before.remote_combined, 1u);
+  EXPECT_EQ(after.remote_plain - before.remote_plain, 0u);
+  EXPECT_EQ(after.prediction_fallbacks - before.prediction_fallbacks, 0u);
+  EXPECT_EQ(after.prediction_hits - before.prediction_hits, 1u);
+  auto direct = db_.ExecuteText(driver(40));
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(**answer, direct->result);
+
+  // The plan also installed the lookup of row 39 from before the write;
+  // the writer's own next read must not be served that entry.
+  auto mine = server.Submit(2, lookup(39)).get();
+  ASSERT_TRUE(mine.ok());
+  ASSERT_EQ((*mine)->row_count(), 1u);
+  EXPECT_EQ((*mine)->At(0, "v").AsString(), "w39");
 }
 
 // One housekeeping thread runs every periodic job of a node (DESIGN.md

@@ -4,70 +4,22 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "sql/parser.h"
+#include "sql_corpus.h"
 
 namespace chrono::sql {
 namespace {
 
 TEST(ParserRobustness, MalformedInputsReturnStatus) {
-  const char* kInputs[] = {
-      "",
-      ";",
-      "SELECT",
-      "SELECT FROM",
-      "SELECT a FROM",
-      "SELECT a FROM t WHERE",
-      "SELECT a FROM t GROUP",
-      "SELECT a FROM t ORDER",
-      "SELECT a FROM t LIMIT",
-      "SELECT a FROM t LIMIT abc",
-      "WITH",
-      "WITH q AS",
-      "WITH q AS (SELECT a FROM t",
-      "INSERT",
-      "INSERT INTO",
-      "INSERT INTO t",
-      "INSERT INTO t VALUES",
-      "INSERT INTO t VALUES (",
-      "UPDATE",
-      "UPDATE t SET",
-      "UPDATE t SET a",
-      "UPDATE t SET a =",
-      "DELETE",
-      "DELETE FROM",
-      "CREATE",
-      "CREATE TABLE",
-      "CREATE TABLE t",
-      "CREATE TABLE t (",
-      "SELECT * FROM t JOIN",
-      "SELECT * FROM t JOIN u",
-      "SELECT * FROM t JOIN u ON",
-      "SELECT ((((((((a FROM t",
-      "SELECT a FROM t WHERE b = 'unterminated",
-      "SELECT a FROM t WHERE b IN",
-      "SELECT a FROM t WHERE b IN (",
-      "SELECT a FROM t WHERE b BETWEEN 1",
-      "SELECT a FROM t WHERE b BETWEEN 1 AND",
-      "SELECT row_number() FROM t",        // missing OVER ()
-      "SELECT row_number() OVER FROM t",   // missing parens
-      "SELECT a b c FROM t",
-      "@#$%^&",
-      "SELECT \x01\x02 FROM t",
-  };
-  for (const char* input : kInputs) {
+  for (const std::string& input : corpus::MalformedInputs()) {
     auto result = Parse(input);
     EXPECT_FALSE(result.ok()) << "unexpectedly parsed: " << input;
   }
 }
 
 TEST(ParserRobustness, TruncationsOfValidQueryNeverCrash) {
-  const std::string query =
-      "WITH q1 AS (SELECT a, b FROM t WHERE c = 'x' AND d IN (1, 2)) "
-      "SELECT q1.a, count(*) FROM q1 LEFT JOIN u ON q1.a = u.z "
-      "GROUP BY q1.a HAVING count(*) > 1 ORDER BY q1.a DESC LIMIT 5";
-  for (size_t len = 0; len <= query.size(); ++len) {
-    auto result = Parse(query.substr(0, len));
+  for (const std::string& prefix : corpus::Truncations()) {
+    auto result = Parse(prefix);
     // Some prefixes are valid statements; most are errors. Either way the
     // call must return normally.
     (void)result;
@@ -76,27 +28,7 @@ TEST(ParserRobustness, TruncationsOfValidQueryNeverCrash) {
 }
 
 TEST(ParserRobustness, RandomMutationsNeverCrash) {
-  const std::string base =
-      "SELECT wi_s_symb FROM watch_item WHERE wi_wl_id = 1 AND x IN (1,2)";
-  Rng rng(99);
-  for (int i = 0; i < 2000; ++i) {
-    std::string mutated = base;
-    int edits = static_cast<int>(rng.NextInt(1, 5));
-    for (int e = 0; e < edits; ++e) {
-      size_t pos = static_cast<size_t>(rng.NextBounded(mutated.size()));
-      switch (rng.NextBounded(3)) {
-        case 0:  // replace with printable ASCII
-          mutated[pos] = static_cast<char>(rng.NextInt(32, 126));
-          break;
-        case 1:  // delete
-          mutated.erase(pos, 1);
-          break;
-        default:  // duplicate
-          mutated.insert(pos, 1, mutated[pos]);
-          break;
-      }
-      if (mutated.empty()) break;
-    }
+  for (const std::string& mutated : corpus::RandomMutations(2000)) {
     auto result = Parse(mutated);
     (void)result;  // must not crash; ok or error both acceptable
   }
@@ -106,19 +38,12 @@ TEST(ParserRobustness, RandomMutationsNeverCrash) {
 TEST(ParserRobustness, DeeplyNestedParensBounded) {
   // Heavy nesting must parse (or fail) without stack issues at reasonable
   // depth.
-  std::string query = "SELECT ";
-  for (int i = 0; i < 200; ++i) query += "(";
-  query += "1";
-  for (int i = 0; i < 200; ++i) query += ")";
-  auto result = Parse(query);
+  auto result = Parse(corpus::DeeplyNested(200));
   EXPECT_TRUE(result.ok());
 }
 
 TEST(ParserRobustness, LongInListHandled) {
-  std::string query = "SELECT a FROM t WHERE b IN (0";
-  for (int i = 1; i < 5000; ++i) query += ", " + std::to_string(i);
-  query += ")";
-  auto result = Parse(query);
+  auto result = Parse(corpus::LongInList(5000));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->select->where->children.size(), 5001u);
 }

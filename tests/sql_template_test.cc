@@ -130,5 +130,89 @@ TEST(TableAccess, DmlWrites) {
       (std::vector<std::string>{"t"}));
 }
 
+// RenderBoundText splices parameters into the canonical text; it must give
+// exactly what binding the tree and writing it gives, including a partial
+// bind that leaves trailing placeholders.
+TEST(Template, RenderBoundTextMatchesBindAndWrite) {
+  const char* kTexts[] = {
+      "SELECT a FROM t WHERE b = 5 AND c = 'it''s'",
+      "SELECT a FROM t WHERE b IN (1, 2, 3) ORDER BY a DESC LIMIT 5",
+      "SELECT a FROM t WHERE 5 BETWEEN b AND 7.5",
+      "SELECT -(a) FROM t WHERE b = -2 AND c IS NULL",
+      "INSERT INTO t (a, b, c) VALUES (1, NULL, 'x'), (2, TRUE, 'y')",
+      "UPDATE t SET a = a + 1 WHERE b = 'k'",
+      "DELETE FROM t WHERE a = 3",
+      "WITH q AS (SELECT a FROM t WHERE b = 1) SELECT q.a FROM q "
+      "JOIN u ON u.x = q.a WHERE u.y = 'z'",
+  };
+  for (const char* text : kTexts) {
+    SCOPED_TRACE(text);
+    ParsedQuery q = MustAnalyze(text);
+    EXPECT_EQ(q.bound_text, WriteStatement(*BindParams(*q.tmpl->ast,
+                                                       q.params)));
+    std::vector<Value> some(q.params.begin(),
+                            q.params.begin() + q.params.size() / 2);
+    EXPECT_EQ(RenderBoundText(*q.tmpl, some),
+              WriteStatement(*BindParams(*q.tmpl->ast, some)));
+  }
+}
+
+TEST(Template, AccessIsCollectedAtAnalysis) {
+  ParsedQuery q = MustAnalyze(
+      "WITH q AS (SELECT a FROM t) SELECT q.a FROM q JOIN u ON u.x = q.a");
+  EXPECT_EQ(q.tmpl->access.reads, (std::vector<std::string>{"t", "u"}));
+  EXPECT_EQ(MustAnalyze("UPDATE t SET a = 1").tmpl->access.writes,
+            (std::vector<std::string>{"t"}));
+}
+
+// The shape abstracts exactly the literals that become parameters.
+TEST(Template, ShapeKeepsGrammarLiterals) {
+  auto shape = [](const char* text) { return ShapeQuery(text)->key; };
+  EXPECT_EQ(shape("SELECT a FROM t WHERE b = 5"),
+            shape("select a from T where b = 77"));
+  EXPECT_NE(shape("SELECT a FROM t WHERE b = 5"),
+            shape("SELECT a FROM t WHERE b = 5.0"));
+  EXPECT_NE(shape("SELECT a FROM t WHERE b = 5"),
+            shape("SELECT a FROM t WHERE b = '5'"));
+  EXPECT_NE(shape("SELECT a FROM t WHERE b = 5"),
+            shape("SELECT a FROM t WHERE b = -5"));
+  EXPECT_NE(shape("SELECT a FROM t LIMIT 5"), shape("SELECT a FROM t LIMIT 6"));
+  EXPECT_NE(shape("SELECT a FROM t WHERE b IN (1, 2)"),
+            shape("SELECT a FROM t WHERE b IN (1, 2, 3)"));
+  EXPECT_NE(shape("SELECT a FROM t WHERE b = NULL"),
+            shape("SELECT a FROM t WHERE b = 0"));
+  EXPECT_EQ(shape("SELECT a FROM t WHERE b = 'SELECT '' FROM'"),
+            shape("SELECT a FROM t WHERE b = 'x'"));
+}
+
+TEST(Template, ShapeInstantiationMatchesAnalyzeQuery) {
+  const char* kTexts[] = {
+      "SELECT a FROM t WHERE b = -5 AND c = 'WHERE ''x'' LIMIT 3'",
+      "SELECT a FROM t WHERE b = TRUE AND c IS NOT NULL LIMIT 7",
+      "SELECT a FROM t WHERE 5 BETWEEN b AND 7.5",
+      "INSERT INTO t (a, b, c) VALUES (1, NULL, 'x'), (2.5, FALSE, 'y')",
+  };
+  for (const char* text : kTexts) {
+    SCOPED_TRACE(text);
+    auto shape = ShapeQuery(text);
+    ASSERT_TRUE(shape.ok());
+    auto analyzed = AnalyzeShape(text);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    ParsedQuery want = MustAnalyze(text);
+    ParsedQuery got = InstantiateShape(*analyzed, *shape);
+    EXPECT_EQ(got.tmpl->id, want.tmpl->id);
+    EXPECT_EQ(got.tmpl->canonical_text, want.tmpl->canonical_text);
+    EXPECT_EQ(got.params, want.params);
+    EXPECT_EQ(got.bound_text, want.bound_text);
+  }
+}
+
+TEST(Template, ShapesTheGrammarNeedsLiteralsForAreRefused) {
+  // A `?` of the text's own and a literal the grammar consumes (a column
+  // length) cannot be read back from a shape.
+  EXPECT_FALSE(AnalyzeShape("SELECT a FROM t WHERE b = ?").ok());
+  EXPECT_FALSE(AnalyzeShape("CREATE TABLE t (a varchar(32))").ok());
+}
+
 }  // namespace
 }  // namespace chrono::sql

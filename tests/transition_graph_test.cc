@@ -2,6 +2,15 @@
 
 #include "core/transition_graph.h"
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace chrono::core {
 namespace {
 
@@ -140,6 +149,130 @@ TEST(TransitionGraph, WindowCapBoundsMemory) {
   // Template 0 fell out of the cap; its edge to 99 cannot exist.
   EXPECT_DOUBLE_EQ(g.Probability(0, 99), 0.0);
   EXPECT_DOUBLE_EQ(g.Probability(98, 99), 1.0);
+}
+
+// The generation moves exactly when graph extraction's inputs may move: a
+// new node, a node reaching min_occurrences, an edge crossing tau.
+TEST(TransitionGraph, GenerationTracksExtractionInputs) {
+  TransitionGraph g(200 * kMs, /*window_cap=*/64, {0.8, 3});
+  SimTime t = 0;
+  auto round = [&] {
+    g.Observe(1, t);
+    g.Observe(2, t + 10 * kMs);
+    t += 300 * kMs;
+  };
+  uint64_t last = g.generation();
+  round();  // two new nodes, and 1 -> 2 at P = 1
+  EXPECT_GT(g.generation(), last);
+  // Each arrival of 1 dips P(1 -> 2) to n / (n + 1) until 2 follows: from
+  // n = 4 on the dip stays at or above tau.
+  for (int i = 0; i < 4; ++i) round();
+  last = g.generation();
+  for (int i = 0; i < 20; ++i) round();  // steady: nothing crosses
+  EXPECT_EQ(g.generation(), last);
+
+  // Template 1 now runs alone: P(1 -> 2) decays through tau.
+  bool crossed = false;
+  for (int i = 0; i < 10 && !crossed; ++i) {
+    g.Observe(1, t);
+    t += 300 * kMs;
+    crossed = g.Probability(1, 2) < 0.8;
+    if (!crossed) {
+      EXPECT_EQ(g.generation(), last);
+    }
+  }
+  ASSERT_TRUE(crossed);
+  EXPECT_GT(g.generation(), last);
+}
+
+// Against the direct reading of the counting rule: each live occurrence
+// remembers the successors it already credited. Random sequences with
+// jittered gaps and a small window cap give the same counts.
+TEST(TransitionGraph, CreditsMatchPerOccurrenceBookkeeping) {
+  struct Reference {
+    struct Occ {
+      TemplateId tmpl;
+      SimTime time;
+      std::vector<TemplateId> counted;
+    };
+    std::deque<Occ> recent;
+    std::map<std::pair<TemplateId, TemplateId>, uint64_t> edges;
+    std::map<TemplateId, uint64_t> occurrences;
+    void Observe(TemplateId tmpl, SimTime now, SimTime delta_t, size_t cap) {
+      while (!recent.empty() &&
+             (recent.front().time < now - delta_t || recent.size() >= cap)) {
+        recent.pop_front();
+      }
+      for (auto& occ : recent) {
+        if (std::find(occ.counted.begin(), occ.counted.end(), tmpl) !=
+            occ.counted.end()) {
+          continue;
+        }
+        occ.counted.push_back(tmpl);
+        ++edges[{occ.tmpl, tmpl}];
+      }
+      ++occurrences[tmpl];
+      recent.push_back({tmpl, now, {}});
+    }
+  };
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TransitionGraph g(50 * kMs, /*window_cap=*/6);
+    Reference ref;
+    Rng rng(seed);
+    SimTime t = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const TemplateId tmpl = rng.NextBounded(6);
+      g.Observe(tmpl, t);
+      ref.Observe(tmpl, t, 50 * kMs, 6);
+      t += rng.NextInt(0, 30) * kMs;
+    }
+    for (TemplateId from = 0; from < 6; ++from) {
+      ASSERT_EQ(g.Occurrences(from), ref.occurrences[from]);
+      for (TemplateId to = 0; to < 6; ++to) {
+        const uint64_t count = ref.edges[{from, to}];
+        EXPECT_DOUBLE_EQ(g.Probability(from, to),
+                         count == 0 ? 0.0
+                                    : static_cast<double>(count) /
+                                          static_cast<double>(
+                                              ref.occurrences[from]))
+            << from << " -> " << to;
+      }
+    }
+  }
+}
+
+// Against brute force: after every Observe of a random sequence, the
+// generation moved exactly when the extractor's view changed — the node
+// set, the nodes at min_occurrences, or TauEdges(tau).
+TEST(TransitionGraph, GenerationMovesExactlyWhenExtractionInputsChange) {
+  for (double tau : {0.8, 0.5, 0.25}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("tau " + std::to_string(tau) + " seed " +
+                   std::to_string(seed));
+      TransitionGraph g(200 * kMs, /*window_cap=*/64, {tau, 3});
+      Rng rng(seed);
+      auto view = [&] {
+        std::vector<TemplateId> counted;
+        for (TemplateId n : g.Nodes()) {
+          if (g.Occurrences(n) >= 3) counted.push_back(n);
+        }
+        return std::make_tuple(g.Nodes(), counted, g.TauEdges(tau));
+      };
+      auto last = view();
+      SimTime t = 0;
+      for (int i = 0; i < 3000; ++i) {
+        const uint64_t generation = g.generation();
+        g.Observe(rng.NextBounded(8), t);
+        t += rng.NextBool(0.2) ? rng.NextInt(100, 400) * kMs
+                               : rng.NextInt(1, 60) * kMs;
+        auto now = view();
+        ASSERT_EQ(g.generation() != generation, now != last)
+            << "observation " << i;
+        last = std::move(now);
+      }
+    }
+  }
 }
 
 }  // namespace
