@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for ChronoCache's hot paths:
-// parsing + template extraction, shape-keyed analysis, query combination,
-// result splitting, executor point lookups, and model updates.
+// parsing + template extraction, shape-keyed analysis, query combination
+// (parameter-bound siblings included), result splitting, executor point
+// lookups, and model updates.
 
 #include <benchmark/benchmark.h>
 
@@ -332,6 +333,69 @@ void BM_CombineCteGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CombineCteGraph);
+
+// Security-Detail's plan: the root read plus two parameter-bound siblings
+// (the root's own symbol, and a learned constant), which cross-multiply in
+// the combined result (5 market rows x 2 trades). One iteration resolves
+// the firing parameters, builds the plan and splits a result of it.
+void BM_CombineInputBoundSiblings(benchmark::State& state) {
+  db::Database db;
+  for (const char* ddl :
+       {"CREATE TABLE security (s_symb text, s_name text, s_num_out bigint)",
+        "CREATE TABLE daily_market (dm_s_symb text, dm_date bigint, "
+        "dm_close double)",
+        "CREATE TABLE last_trade (lt_s_symb text, lt_price double, "
+        "lt_vol bigint)",
+        "INSERT INTO security VALUES ('SYM1', 'One', 10)",
+        "INSERT INTO daily_market VALUES ('SYM1', 0, 1.5), ('SYM1', 1, 2.5), "
+        "('SYM1', 2, 3.5), ('SYM1', 3, 4.5), ('SYM1', 4, 5.5), "
+        "('SYM1', 5, 6.5)",
+        "INSERT INTO last_trade VALUES ('SYM1', 12.5, 100), "
+        "('SYM1', 12.75, 5)"}) {
+    (void)db.ExecuteText(ddl);
+  }
+  core::TemplateRegistry registry;
+  std::map<core::TemplateId, std::vector<sql::Value>> latest;
+  std::vector<core::TemplateId> ids;
+  for (const char* text :
+       {"SELECT s_name, s_num_out FROM security WHERE s_symb = 'SYM1'",
+        "SELECT dm_date, dm_close FROM daily_market WHERE dm_s_symb = 'SYM0' "
+        "AND dm_date >= 0 ORDER BY dm_date LIMIT 5",
+        "SELECT lt_price, lt_vol FROM last_trade WHERE lt_s_symb = 'SYM0'"}) {
+    auto parsed = sql::AnalyzeQuery(text);
+    registry.Register(parsed->tmpl);
+    latest[parsed->tmpl->id] = parsed->params;
+    ids.push_back(parsed->tmpl->id);
+  }
+  core::DependencyGraph graph;
+  graph.nodes = ids;
+  graph.param_counts = {{ids[0], 1}, {ids[1], 2}, {ids[2], 1}};
+  graph.edges.push_back({ids[0], ids[1], {{"", 0, 0}}});
+  graph.edges.push_back({ids[0], ids[2], {{"", 0, 0}}});
+  graph.constants = {{ids[1], 1}};
+  graph.Normalize();
+
+  auto firing = core::FiringParams(graph, latest);
+  auto plan = core::CombineGraph(
+      core::CombineInput{&graph, &registry, &firing});
+  if (!plan.ok()) {
+    state.SkipWithError("plan did not combine");
+    return;
+  }
+  auto rows = db.Execute(*plan->ast);
+  if (!rows.ok() || rows->result.row_count() != 10) {
+    state.SkipWithError("unexpected combined result");
+    return;
+  }
+  for (auto _ : state) {
+    auto params = core::FiringParams(graph, latest);
+    auto combined = core::CombineGraph(
+        core::CombineInput{&graph, &registry, &params});
+    auto split = core::SplitResult(*combined, rows->result, registry);
+    benchmark::DoNotOptimize(split);
+  }
+}
+BENCHMARK(BM_CombineInputBoundSiblings);
 
 }  // namespace
 }  // namespace chrono

@@ -58,6 +58,73 @@ void RewriteParams(SelectStmt* stmt,
   });
 }
 
+std::map<TemplateId, std::vector<Value>> FiringParams(
+    const DependencyGraph& graph,
+    const std::map<TemplateId, std::vector<Value>>& latest) {
+  std::map<TemplateId, std::vector<Value>> out;
+  for (TemplateId node : graph.nodes) {
+    auto it = latest.find(node);
+    if (it != latest.end()) out.emplace(node, it->second);
+  }
+  for (TemplateId node : graph.TopologicalOrder()) {
+    for (const auto& e : graph.edges) {
+      if (e.dst != node) continue;
+      for (const auto& b : e.bindings) {
+        if (!b.from_param()) continue;
+        auto src_it = out.find(e.src);
+        if (src_it == out.end() ||
+            static_cast<size_t>(b.src_param) >= src_it->second.size()) {
+          continue;
+        }
+        Value value = src_it->second[static_cast<size_t>(b.src_param)];
+        std::vector<Value>& params = out[node];
+        if (params.size() <= static_cast<size_t>(b.dst_param)) {
+          params.resize(static_cast<size_t>(b.dst_param) + 1, Value::Null());
+        }
+        params[static_cast<size_t>(b.dst_param)] = std::move(value);
+      }
+    }
+  }
+  return out;
+}
+
+Result<std::vector<TemplateId>> SlotOrder(const DependencyGraph& graph) {
+  std::vector<TemplateId> topo = graph.TopologicalOrder();
+  if (topo.empty()) return Status::InvalidArgument("cyclic dependency graph");
+  std::vector<TemplateId> order;
+  std::vector<TemplateId> bound;
+  for (TemplateId node : topo) {
+    (graph.ParamBound(node) ? bound : order).push_back(node);
+  }
+  for (const auto& e : graph.edges) {
+    if (e.HasResultBinding() && graph.ParamBound(e.src)) {
+      return Status::Unsupported(
+          "a parameter-bound query feeds a result binding");
+    }
+  }
+  order.insert(order.end(), bound.begin(), bound.end());
+  return order;
+}
+
+std::vector<int> ResultBindings(
+    const DependencyGraph& graph, TemplateId node,
+    const std::map<TemplateId, size_t>& slot_of,
+    std::map<int, std::pair<TemplateId, std::string>>* mapped) {
+  std::vector<int> parent_slots;
+  for (const auto& e : graph.edges) {
+    if (e.dst != node || !e.HasResultBinding()) continue;
+    for (const auto& b : e.bindings) {
+      if (b.from_param()) continue;
+      mapped->emplace(b.dst_param, std::make_pair(e.src, b.src_column));
+    }
+    parent_slots.push_back(static_cast<int>(slot_of.at(e.src)));
+  }
+  std::sort(parent_slots.begin(), parent_slots.end());
+  parent_slots.erase(std::unique(parent_slots.begin(), parent_slots.end()),
+                     parent_slots.end());
+  return parent_slots;
+}
+
 namespace {
 
 bool ContainsParam(const Expr* expr, const std::set<int>& positions) {
@@ -137,7 +204,7 @@ bool CteJoinCombiner::CanHandle(const CombineInput& in) {
     // parallel parents need the lateral strategy's row-number join (§4.2).
     std::vector<TemplateId> parents;
     for (const auto& e : g.edges) {
-      if (e.dst == node) parents.push_back(e.src);
+      if (e.dst == node && e.HasResultBinding()) parents.push_back(e.src);
     }
     for (size_t i = 0; i < parents.size(); ++i) {
       for (size_t j = i + 1; j < parents.size(); ++j) {
@@ -155,8 +222,7 @@ Result<CombinedQuery> CteJoinCombiner::Combine(const CombineInput& in) {
   const DependencyGraph& g = *in.graph;
   const TemplateRegistry& registry = *in.registry;
 
-  std::vector<TemplateId> topo = g.TopologicalOrder();
-  if (topo.empty()) return Status::InvalidArgument("cyclic dependency graph");
+  CHRONO_ASSIGN_OR_RETURN(std::vector<TemplateId> topo, SlotOrder(g));
 
   std::map<TemplateId, size_t> slot_of;
   for (size_t k = 0; k < topo.size(); ++k) slot_of[topo[k]] = k;
@@ -185,17 +251,8 @@ Result<CombinedQuery> CteJoinCombiner::Combine(const CombineInput& in) {
 
     // Incoming mappings: param position -> (src template, src column).
     std::map<int, std::pair<TemplateId, std::string>> mapped;
-    std::vector<int> parent_slots;
-    for (const auto& e : g.edges) {
-      if (e.dst != node) continue;
-      for (const auto& b : e.bindings) {
-        mapped.emplace(b.dst_param, std::make_pair(e.src, b.src_column));
-      }
-      parent_slots.push_back(static_cast<int>(slot_of[e.src]));
-    }
-    std::sort(parent_slots.begin(), parent_slots.end());
-    parent_slots.erase(std::unique(parent_slots.begin(), parent_slots.end()),
-                       parent_slots.end());
+    std::vector<int> parent_slots =
+        ResultBindings(g, node, slot_of, &mapped);
 
     std::set<int> mapped_positions;
     for (const auto& [pos, src] : mapped) {
@@ -330,6 +387,7 @@ Result<CombinedQuery> CteJoinCombiner::Combine(const CombineInput& in) {
       join.ref.kind = TableRef::Kind::kTable;
       join.ref.table_name = cte_name;
       if (join_conds.empty()) {
+        // A parameter-bound query: its rows join every row before it.
         join.on = Expr::MakeBinary(BinOp::kEq,
                                    Expr::MakeLiteral(Value::Int(1)),
                                    Expr::MakeLiteral(Value::Int(1)));
@@ -366,6 +424,7 @@ Result<CombinedQuery> CteJoinCombiner::Combine(const CombineInput& in) {
     slot.tmpl = node;
     slot.result_names = out_names[k];
     slot.parents = parent_slots;
+    slot.param_bound = g.ParamBound(node);
     for (const auto& alias : out_aliases[k]) {
       sql::SelectItem item;
       item.expr = Expr::MakeColumnRef(cte_name, alias);

@@ -14,7 +14,8 @@ namespace chrono::core {
 /// \brief Inputs shared by both combination strategies: the ready graph,
 /// the template registry, and the latest client-observed parameter values
 /// per template (dependency queries supply their live parameters;
-/// loop-constant queries supply their first observed iteration, §2.2).
+/// loop-constant queries supply their first observed iteration, §2.2;
+/// parameter-bound queries their sources' values, see FiringParams).
 struct CombineInput {
   const DependencyGraph* graph = nullptr;
   const TemplateRegistry* registry = nullptr;
@@ -35,6 +36,31 @@ std::vector<sql::ExprPtr> DecomposeConjuncts(sql::ExprPtr where);
 /// each kParam node and may rewrite it (e.g. to a literal or column ref).
 void RewriteParams(sql::SelectStmt* stmt,
                    const std::function<void(sql::Expr*)>& replace);
+
+/// The latest-parameter view a ready graph fires with, for the graph's
+/// nodes: `latest` with every parameter-source binding replaced by its
+/// source's value, resolved in topological order so chains of them
+/// resolve. For a plan fired inline that value is the trigger's own
+/// parameter; constants keep the node's own latest value. Combiners bind
+/// every parameter no result binding covers from this view.
+std::map<TemplateId, std::vector<sql::Value>> FiringParams(
+    const DependencyGraph& graph,
+    const std::map<TemplateId, std::vector<sql::Value>>& latest);
+
+/// The order the combiners emit a graph's queries in: topological, with
+/// the parameter-bound ones (DependencyGraph::ParamBound) last, so the
+/// rows they contribute to every earlier row never split another query's
+/// runs of rows. Fails when the graph is cyclic or a parameter-bound query
+/// feeds a result binding.
+Result<std::vector<TemplateId>> SlotOrder(const DependencyGraph& graph);
+
+/// `node`'s result bindings, as parameter position -> (source, column),
+/// into `mapped`; returns the sorted slots of their sources, the parents
+/// SplitResult closes `node`'s iterations on.
+std::vector<int> ResultBindings(
+    const DependencyGraph& graph, TemplateId node,
+    const std::map<TemplateId, size_t>& slot_of,
+    std::map<int, std::pair<TemplateId, std::string>>* mapped);
 
 /// \brief §4.1: combines a ready dependency graph of select-project-join
 /// queries into one query using left joins over common table expressions

@@ -42,14 +42,14 @@ bool SingleRowPerIteration(const SelectStmt& sel) {
   return sel.limit.has_value() && *sel.limit <= 1;
 }
 
-/// Longest-path-from-root heights over the graph's edges.
+/// Longest-path-from-root heights over the graph's result bindings.
 std::map<TemplateId, int> TopoHeights(const DependencyGraph& g,
                                       const std::vector<TemplateId>& topo) {
   std::map<TemplateId, int> height;
   for (TemplateId node : topo) {
     int h = 0;
     for (const auto& e : g.edges) {
-      if (e.dst != node) continue;
+      if (e.dst != node || !e.HasResultBinding()) continue;
       h = std::max(h, height[e.src] + 1);
     }
     height[node] = h;
@@ -58,19 +58,25 @@ std::map<TemplateId, int> TopoHeights(const DependencyGraph& g,
 }
 
 /// Emission order: topological, but within each height the (at most one)
-/// multi-row query first so the row-number alignment is lossless.
+/// multi-row query first so the row-number alignment is lossless. The
+/// parameter-bound queries come last (SlotOrder) and take no part in the
+/// alignment: each is joined ON TRUE.
 Result<std::vector<TemplateId>> EmissionOrder(const CombineInput& in,
                                               const DependencyGraph& g) {
-  std::vector<TemplateId> topo = g.TopologicalOrder();
-  if (topo.empty()) return Status::InvalidArgument("cyclic dependency graph");
+  CHRONO_ASSIGN_OR_RETURN(std::vector<TemplateId> topo, SlotOrder(g));
   std::map<TemplateId, int> height = TopoHeights(g, topo);
   std::map<int, int> multi_row_at_height;
   std::vector<std::pair<int, TemplateId>> keyed;  // (sort key, node)
+  std::vector<TemplateId> bound;
   for (size_t k = 0; k < topo.size(); ++k) {
     TemplateId node = topo[k];
     const sql::QueryTemplate* tmpl = in.registry->Find(node);
     if (tmpl == nullptr || tmpl->ast->kind != sql::Statement::Kind::kSelect) {
       return Status::Unsupported("non-select node in lateral combination");
+    }
+    if (g.ParamBound(node)) {
+      bound.push_back(node);
+      continue;
     }
     bool single = SingleRowPerIteration(*tmpl->ast->select);
     if (!single) ++multi_row_at_height[height[node]];
@@ -89,11 +95,12 @@ Result<std::vector<TemplateId>> EmissionOrder(const CombineInput& in,
                      return a.first < b.first;
                    });
   std::vector<TemplateId> order;
-  order.reserve(keyed.size());
+  order.reserve(topo.size());
   for (const auto& [key, node] : keyed) {
     (void)key;
     order.push_back(node);
   }
+  order.insert(order.end(), bound.begin(), bound.end());
   return order;
 }
 
@@ -156,17 +163,8 @@ Result<CombinedQuery> LateralUnionCombiner::Combine(const CombineInput& in) {
 
     // Incoming mappings.
     std::map<int, std::pair<TemplateId, std::string>> mapped;
-    std::vector<int> parent_slots;
-    for (const auto& e : g.edges) {
-      if (e.dst != node) continue;
-      for (const auto& b : e.bindings) {
-        mapped.emplace(b.dst_param, std::make_pair(e.src, b.src_column));
-      }
-      parent_slots.push_back(static_cast<int>(slot_of[e.src]));
-    }
-    std::sort(parent_slots.begin(), parent_slots.end());
-    parent_slots.erase(std::unique(parent_slots.begin(), parent_slots.end()),
-                       parent_slots.end());
+    std::vector<int> parent_slots =
+        ResultBindings(g, node, slot_of, &mapped);
 
     // Locate each mapped source column's alias for substitution.
     auto source_ref = [&](TemplateId src_tmpl, const std::string& src_col)
@@ -231,6 +229,7 @@ Result<CombinedQuery> LateralUnionCombiner::Combine(const CombineInput& in) {
       sel->items.push_back(std::move(rn));
     }
 
+    const bool param_bound = g.ParamBound(node);
     if (k == 0) {
       outer->from.kind = sql::TableRef::Kind::kSubquery;
       outer->from.alias = dt_name;
@@ -238,11 +237,16 @@ Result<CombinedQuery> LateralUnionCombiner::Combine(const CombineInput& in) {
     } else {
       sql::JoinClause join;
       join.type = sql::JoinClause::Type::kLeft;
-      join.ref.kind = sql::TableRef::Kind::kLateralSubquery;
+      // A parameter-bound query reads no outer column: a plain derived
+      // table, run once and joined to every row before it.
+      join.ref.kind = param_bound ? sql::TableRef::Kind::kSubquery
+                                  : sql::TableRef::Kind::kLateralSubquery;
       join.ref.alias = dt_name;
       join.ref.subquery = std::move(sel);
       auto same_h = first_at_height.find(height[node]);
-      if (same_h != first_at_height.end()) {
+      if (param_bound) {
+        join.on = Expr::MakeLiteral(Value::Int(1));
+      } else if (same_h != first_at_height.end()) {
         // Align on the sibling's row number; when the sibling produced no
         // rows for this iteration (its rn is NULL from the left join) this
         // query's single row must still survive.
@@ -261,13 +265,14 @@ Result<CombinedQuery> LateralUnionCombiner::Combine(const CombineInput& in) {
       }
       outer->joins.push_back(std::move(join));
     }
-    first_at_height.emplace(height[node], k);
+    if (!param_bound) first_at_height.emplace(height[node], k);
 
     // Outer select list + decode slot.
     DecodeSlot slot;
     slot.tmpl = node;
     slot.result_names = out_names[k];
     slot.parents = parent_slots;
+    slot.param_bound = param_bound;
     for (const auto& alias : out_aliases[k]) {
       sql::SelectItem item;
       item.expr = Expr::MakeColumnRef(dt_name, alias);

@@ -5,13 +5,34 @@
 
 namespace chrono::core {
 
+bool DepEdge::HasResultBinding() const {
+  for (const auto& b : bindings) {
+    if (!b.from_param()) return true;
+  }
+  return false;
+}
+
 std::set<int> DependencyGraph::CoveredParams(TemplateId node) const {
   std::set<int> covered;
   for (const auto& edge : edges) {
     if (edge.dst != node) continue;
     for (const auto& b : edge.bindings) covered.insert(b.dst_param);
   }
+  for (auto it = constants.lower_bound({node, 0});
+       it != constants.end() && it->first == node; ++it) {
+    covered.insert(it->second);
+  }
   return covered;
+}
+
+bool DependencyGraph::ParamBound(TemplateId node) const {
+  bool has_incoming = false;
+  for (const auto& edge : edges) {
+    if (edge.dst != node) continue;
+    if (edge.HasResultBinding()) return false;
+    has_incoming = true;
+  }
+  return has_incoming;
 }
 
 NodeRole DependencyGraph::RoleOf(TemplateId node) const {
@@ -89,6 +110,10 @@ bool DependencyGraph::Subsumes(const DependencyGraph& other) const {
   for (TemplateId m : other.loop_marked) {
     if (loop_marked.count(m) == 0) return false;
   }
+  if (!std::includes(constants.begin(), constants.end(),
+                     other.constants.begin(), other.constants.end())) {
+    return false;
+  }
   for (const auto& oe : other.edges) {
     bool found = false;
     for (const auto& e : edges) {
@@ -118,6 +143,9 @@ std::string DependencyGraph::CanonicalKey() const {
     key += loop_marked.count(node) > 0 ? "*" : "";
     key += ";";
   }
+  for (const auto& [node, param] : constants) {
+    key += "=" + std::to_string(node) + ":" + std::to_string(param) + ";";
+  }
   key += "|";
   for (const auto& edge : edges) {
     key += std::to_string(edge.src);
@@ -125,7 +153,7 @@ std::string DependencyGraph::CanonicalKey() const {
     key += std::to_string(edge.dst);
     key += "[";
     for (const auto& b : edge.bindings) {
-      key += b.src_column;
+      key += b.from_param() ? "$" + std::to_string(b.src_param) : b.src_column;
       key += ":";
       key += std::to_string(b.dst_param);
       key += ",";
@@ -163,6 +191,10 @@ std::string DependencyGraph::ToDot(
   std::string out = "digraph dependency_graph {\n  rankdir=LR;\n";
   for (TemplateId node : nodes) {
     out += "  n" + std::to_string(node) + " [label=\"" + label_of(node);
+    for (auto it = constants.lower_bound({node, 0});
+         it != constants.end() && it->first == node; ++it) {
+      out += "\\n$" + std::to_string(it->second) + " constant";
+    }
     switch (RoleOf(node)) {
       case NodeRole::kDependency:
         out += "\\n(dependency)\" shape=box";
@@ -181,8 +213,10 @@ std::string DependencyGraph::ToDot(
            std::to_string(edge.dst) + " [label=\"";
     for (size_t i = 0; i < edge.bindings.size(); ++i) {
       if (i > 0) out += ", ";
-      out += edge.bindings[i].src_column + "->$" +
-             std::to_string(edge.bindings[i].dst_param);
+      const ParamBinding& b = edge.bindings[i];
+      out += (b.from_param() ? "$" + std::to_string(b.src_param)
+                             : b.src_column) +
+             "->$" + std::to_string(b.dst_param);
     }
     out += "\"];\n";
   }

@@ -5,34 +5,47 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/transition_graph.h"
 
 namespace chrono::core {
 
-/// \brief One column-to-parameter mapping carried by a dependency edge:
-/// the value of `src_column` in the source query's result set supplies the
-/// destination query's parameter at position `dst_param` (§2.1.1).
+/// \brief One mapping carried by a dependency edge into the destination
+/// query's parameter at position `dst_param`. A result binding (§2.1.1)
+/// takes the value of `src_column` in the source query's result set; a
+/// parameter-source binding (`src_param >= 0`, `src_column` empty) takes
+/// the source query's own parameter at `src_param`, which is known before
+/// either query runs.
 struct ParamBinding {
   std::string src_column;
   int dst_param = 0;
+  int src_param = -1;
+
+  bool from_param() const { return src_param >= 0; }
 
   bool operator==(const ParamBinding& o) const {
-    return src_column == o.src_column && dst_param == o.dst_param;
+    return src_column == o.src_column && dst_param == o.dst_param &&
+           src_param == o.src_param;
   }
   bool operator<(const ParamBinding& o) const {
     if (src_column != o.src_column) return src_column < o.src_column;
-    return dst_param < o.dst_param;
+    if (dst_param != o.dst_param) return dst_param < o.dst_param;
+    return src_param < o.src_param;
   }
 };
 
-/// \brief A directed dependency edge: src's result set provides input
-/// parameter(s) of dst.
+/// \brief A directed dependency edge: src's result set (or its own
+/// parameters) provides input parameter(s) of dst.
 struct DepEdge {
   TemplateId src = 0;
   TemplateId dst = 0;
   std::vector<ParamBinding> bindings;  // kept sorted
+
+  /// True when some binding reads src's result set: dst then runs once
+  /// per row of src.
+  bool HasResultBinding() const;
 };
 
 /// \brief Role of a node within a dependency graph.
@@ -55,9 +68,17 @@ struct DependencyGraph {
   std::vector<DepEdge> edges;               // sorted by (src, dst)
   std::map<TemplateId, int> param_counts;   // per node
   std::set<TemplateId> loop_marked;         // per-loop-constant queries
+  /// (node, parameter) pairs bound to the node's own latest value: the
+  /// parameter held one value every time the client issued the node.
+  std::set<std::pair<TemplateId, int>> constants;
 
-  /// Parameter positions of `node` covered by incoming edges.
+  /// Parameter positions of `node` covered by incoming edges or constants.
   std::set<int> CoveredParams(TemplateId node) const;
+
+  /// True when `node` has incoming edges and none reads a result set:
+  /// every parameter is known when the graph fires, so the node runs once
+  /// per firing rather than once per source row.
+  bool ParamBound(TemplateId node) const;
 
   NodeRole RoleOf(TemplateId node) const;
 

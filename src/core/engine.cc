@@ -291,7 +291,7 @@ std::vector<DependencyGraph> Engine::Observe(ClientId client,
   std::lock_guard<obs::TimedMutex> model_lock(model->mutex);
   model->transitions.Observe(tmpl, static_cast<SimTime>(now_us_()));
   model->mapper.ObserveQuery(tmpl, parsed.params);
-  model->latest_params[tmpl] = parsed.params;
+  model->latest_params[tmpl].assign(parsed.params.begin(), parsed.params.end());
   if (++model->observations % config_.extract_every == 0) {
     // Extract reads the τ-pruned transition graph and the confirmed
     // mappings (registered templates never change). When neither moved,
@@ -347,12 +347,15 @@ std::optional<std::vector<sql::Value>> Engine::LatestParams(ClientId client,
 std::optional<Engine::Plan> Engine::Combine(ClientId client,
                                             const DependencyGraph& graph) {
   ClientModel* model = ModelFor(client);
+  std::map<TemplateId, std::vector<sql::Value>> params;
+  {
+    std::lock_guard<obs::TimedMutex> model_lock(model->mutex);
+    params = FiringParams(graph, model->latest_params);
+  }
   Result<CombinedQuery> combined = Status::OK();
   {
     std::shared_lock<obs::TimedSharedMutex> registry_lock(registry_mutex_);
-    std::lock_guard<obs::TimedMutex> model_lock(model->mutex);
-    combined = CombineGraph(
-        CombineInput{&graph, &registry_, &model->latest_params});
+    combined = CombineGraph(CombineInput{&graph, &registry_, &params});
   }
   if (!combined.ok()) return std::nullopt;
   Plan plan;
@@ -410,8 +413,7 @@ void Engine::CombinedFetched(ClientId client, uint64_t plan_id,
 Result<std::vector<SplitEntry>> Engine::InstallCombined(
     ClientId client, int security_group, const CombinedQuery& plan,
     uint64_t plan_id, const sql::ResultSet& rows,
-    const std::vector<uint64_t>& pre_read, bool feed_model,
-    Trigger* trigger) {
+    const std::vector<uint64_t>& pre_read, Trigger* trigger) {
   Result<std::vector<SplitEntry>> split = Status::OK();
   {
     std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
@@ -420,11 +422,15 @@ Result<std::vector<SplitEntry>> Engine::InstallCombined(
   if (!split.ok()) return split;
 
   // Hit attribution: the transition-graph edge that prefetched a slot is
-  // (first parent slot's template -> slot template); roots keep src 0.
+  // (first parent slot's template -> slot template); a parameter-bound
+  // slot's inputs are the root's (an input source is its value's origin,
+  // which only a root can be); roots keep src 0.
   std::map<TemplateId, TemplateId> src_of;
   for (const DecodeSlot& slot : plan.slots) {
     TemplateId src = 0;
-    if (!slot.parents.empty()) {
+    if (slot.param_bound) {
+      src = plan.slots.front().tmpl;
+    } else if (!slot.parents.empty()) {
       int parent = slot.parents.front();
       if (parent >= 0 && static_cast<size_t>(parent) < plan.slots.size()) {
         src = plan.slots[static_cast<size_t>(parent)].tmpl;
@@ -453,14 +459,6 @@ Result<std::vector<SplitEntry>> Engine::InstallCombined(
   }
   // The triggering client observed fresh database state.
   SyncClientToDb(client);
-  if (feed_model) {
-    ClientModel* model = ModelFor(client);
-    std::lock_guard<obs::TimedMutex> lock(model->mutex);
-    for (const SplitEntry& entry : *split) {
-      model->mapper.ObserveResult(entry.tmpl, *entry.result);
-      model->latest_params[entry.tmpl] = entry.params;
-    }
-  }
   return split;
 }
 

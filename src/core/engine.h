@@ -149,7 +149,7 @@ struct EngineCounters {
 /// template cache, the client table, the version vectors and each cache
 /// shard are taken one at a time and never while another engine lock is
 /// held; the only nesting is the registry's reader side held while one
-/// client's model lock is taken inside it (Observe, Combine).
+/// client's model lock is taken inside it (Observe).
 class Engine {
  public:
   /// What a driver fixes beyond EngineConfig.
@@ -233,8 +233,9 @@ class Engine {
     std::lock_guard<obs::TimedMutex> lock(model->mutex);
     return fn(static_cast<const ClientModel&>(*model));
   }
-  /// Combines a ready graph over the client's latest parameters, assigns
-  /// a plan id and journals kPlanMined with the graph's root template.
+  /// Combines a ready graph over the client's latest parameters (with
+  /// parameter-source bindings resolved, core::FiringParams), assigns a
+  /// plan id and journals kPlanMined with the graph's root template.
   std::optional<Plan> Combine(ClientId client, const DependencyGraph& graph);
   size_t TotalGraphs() const;
   size_t model_count() const;
@@ -255,16 +256,17 @@ class Engine {
   /// Splits a combined result and installs one entry per slot, attributed
   /// to the plan and the edge that predicted it, then syncs the client to
   /// the database (Vc = Vd). Each entry is tagged from `pre_read`, the
-  /// SnapshotDb() taken before the plan was sent. With `feed_model` the
-  /// pieces also train the client's mapper and latest parameters. With a
-  /// `trigger`, the entry bound to its text is installed as used by it
-  /// and copied to `trigger->answer`: it is as fresh as a plain leader's
-  /// own fetch (DESIGN.md §19). Returns the split entries.
+  /// SnapshotDb() taken before the plan was sent. The pieces train no
+  /// model: the client's mapper sees each result when the client reads
+  /// it, in the client's order (a piece fed early would restart the loop
+  /// cursors of §2.1 mid-loop). With a `trigger`, the entry bound to its
+  /// text is installed as used by it and copied to `trigger->answer`: it
+  /// is as fresh as a plain leader's own fetch (DESIGN.md §19). Returns
+  /// the split entries.
   Result<std::vector<SplitEntry>> InstallCombined(
       ClientId client, int security_group, const CombinedQuery& plan,
       uint64_t plan_id, const sql::ResultSet& rows,
-      const std::vector<uint64_t>& pre_read, bool feed_model,
-      Trigger* trigger = nullptr);
+      const std::vector<uint64_t>& pre_read, Trigger* trigger = nullptr);
 
   // --- Result cache -----------------------------------------------------
 

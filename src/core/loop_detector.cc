@@ -116,11 +116,19 @@ void GraphExtractor::ExtractSimple(const TransitionGraph& transitions,
                                    const ParamMapper& mapper,
                                    const TemplateRegistry& registry,
                                    std::vector<DependencyGraph>* out) const {
-  // Phase 1: find every "predictable" template — all parameters covered by
-  // confirmed mappings from temporally correlated predecessors — and the
-  // covering edges (§2.1).
-  std::map<TemplateId, std::map<TemplateId, std::vector<ParamBinding>>>
-      covering;  // dst -> (src -> bindings)
+  // Phase 1: find every "predictable" template — all parameters covered
+  // by temporally correlated predecessors — and the covering edges (§2.1).
+  // A node fed by confirmed result mappings runs once per source row and
+  // takes every parameter from such a row. A node with none is parameter
+  // bound: each parameter takes a confirmed input source (a predecessor's
+  // own parameter), else a confirmed constant. A value repeated inside a
+  // loop is the per-loop constant of §2.2, which waits for an observed
+  // iteration instead, so result-fed nodes never take the other kinds.
+  struct Covering {
+    std::map<TemplateId, std::vector<ParamBinding>> by_src;
+    std::vector<int> constants;
+  };
+  std::map<TemplateId, Covering> covering;
   for (TemplateId dst : transitions.Nodes()) {
     if (transitions.Occurrences(dst) < options_.min_occurrences) continue;
     const sql::QueryTemplate* dst_tmpl = registry.Find(dst);
@@ -129,21 +137,50 @@ void GraphExtractor::ExtractSimple(const TransitionGraph& transitions,
 
     std::set<TemplateId> correlated;
     for (TemplateId p : transitions.CorrelatedPredecessors(dst, options_.tau)) {
-      correlated.insert(p);
+      const sql::QueryTemplate* src_tmpl = registry.Find(p);
+      if (p != dst && src_tmpl != nullptr && src_tmpl->read_only) {
+        correlated.insert(p);
+      }
     }
-    std::map<TemplateId, std::vector<ParamBinding>> by_src;
+    Covering cover;
     std::set<int> covered;
-    for (const auto& m : mapper.ConfirmedMappings(dst)) {
-      if (correlated.count(m.src) == 0 || m.src == dst) continue;
-      const sql::QueryTemplate* src_tmpl = registry.Find(m.src);
-      if (src_tmpl == nullptr || !src_tmpl->read_only) continue;
+    const std::vector<ParamMapper::Mapping> mappings =
+        mapper.ConfirmedMappings(dst);
+    for (const auto& m : mappings) {
+      if (correlated.count(m.src) == 0) continue;
       // First confirmed mapping wins per parameter position.
-      if (covered.count(m.dst_param) > 0) continue;
-      covered.insert(m.dst_param);
-      by_src[m.src].push_back(ParamBinding{m.src_column, m.dst_param});
+      if (!covered.insert(m.dst_param).second) continue;
+      cover.by_src[m.src].push_back(ParamBinding{m.src_column, m.dst_param});
     }
+    if (mappings.empty()) {
+      // An input source is the value's origin: a parameter that repeats an
+      // earlier query's, or that a result row supplies, would hang the
+      // follow-up off a sibling (or a loop body) instead of the root. And
+      // it carries a value that changes: two queries that always send the
+      // same constant share no flow, so a constant at either end binds as
+      // a constant.
+      const std::vector<int> constants = mapper.ConfirmedConstants(dst);
+      auto constant = [](const std::vector<int>& params, int p) {
+        return std::find(params.begin(), params.end(), p) != params.end();
+      };
+      for (const auto& in : mapper.ConfirmedInputSources(dst)) {
+        if (correlated.count(in.src) == 0) continue;
+        if (mapper.Derived(in.src, in.src_param) ||
+            constant(constants, in.dst_param) ||
+            constant(mapper.ConfirmedConstants(in.src), in.src_param)) {
+          continue;
+        }
+        if (!covered.insert(in.dst_param).second) continue;
+        cover.by_src[in.src].push_back(
+            ParamBinding{std::string(), in.dst_param, in.src_param});
+      }
+      for (int p : constants) {
+        if (covered.insert(p).second) cover.constants.push_back(p);
+      }
+    }
+    if (cover.by_src.empty()) continue;  // no predecessor fires it
     if (static_cast<int>(covered.size()) < dst_tmpl->param_count) continue;
-    covering.emplace(dst, std::move(by_src));
+    covering.emplace(dst, std::move(cover));
   }
   if (covering.empty()) return;
 
@@ -163,17 +200,18 @@ void GraphExtractor::ExtractSimple(const TransitionGraph& transitions,
     parent[x] = root;
     return root;
   };
-  for (const auto& [dst, srcs] : covering) {
-    for (const auto& [src, bindings] : srcs) {
+  for (const auto& [dst, cover] : covering) {
+    for (const auto& [src, bindings] : cover.by_src) {
       (void)bindings;
       parent[find(dst)] = find(src);
     }
   }
 
   std::map<TemplateId, DependencyGraph> components;
-  for (const auto& [dst, srcs] : covering) {
+  for (const auto& [dst, cover] : covering) {
     DependencyGraph& graph = components[find(dst)];
-    for (const auto& [src, bindings] : srcs) {
+    for (int p : cover.constants) graph.constants.emplace(dst, p);
+    for (const auto& [src, bindings] : cover.by_src) {
       DepEdge edge;
       edge.src = src;
       edge.dst = dst;

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/rng.h"
+#include "core/combiner_cte.h"
 #include "sql/footprint.h"
 
 namespace chrono::core {
@@ -143,6 +144,22 @@ namespace {
 // The simulator is single-threaded: one shard keeps the result cache's LRU
 // order global, exactly the paper's Memcached model.
 constexpr size_t kSimCacheShards = 1;
+
+// `tmpl`'s `count` parameters from a graph's firing view (FiringParams),
+// NULL where the view has none; result bindings overwrite their positions.
+std::vector<sql::Value> FiringParamsOf(
+    const std::map<TemplateId, std::vector<sql::Value>>& firing,
+    TemplateId tmpl, int count) {
+  std::vector<sql::Value> params(static_cast<size_t>(count),
+                                 sql::Value::Null());
+  auto it = firing.find(tmpl);
+  if (it != firing.end()) {
+    for (size_t p = 0; p < params.size() && p < it->second.size(); ++p) {
+      params[p] = it->second[p];
+    }
+  }
+  return params;
+}
 
 }  // namespace
 
@@ -496,8 +513,7 @@ bool Middleware::FireGraph(ClientId client, int security_group,
         if (outcome.ok()) {
           auto split = engine_.InstallCombined(client, security_group,
                                                *plan.query, plan.id,
-                                               outcome->result, pre_read,
-                                               /*feed_model=*/false);
+                                               outcome->result, pre_read);
           if (split.ok()) {
             // Algorithm 1 line 7: the prefetched texts may make further
             // dependency graphs ready; fire them in the background.
@@ -577,15 +593,18 @@ void Middleware::FireSequential(ClientId client, int security_group,
     if (graph.RoleOf(node) != NodeRole::kPredicted) continue;
     const sql::QueryTemplate* tmpl = engine_.FindTemplate(node);
     if (tmpl == nullptr) continue;
-    // Bind parameters from the sources' last observed result sets.
-    std::vector<sql::Value> params(static_cast<size_t>(tmpl->param_count),
-                                   sql::Value::Null());
+    // Bind parameters from the sources' last observed result sets; the
+    // rest (parameter sources, constants) as a combined plan would.
+    std::vector<sql::Value> params;
     bool ok = engine_.WithModel(client, [&](const Engine::ClientModel& model) {
+      params = FiringParamsOf(FiringParams(graph, model.latest_params), node,
+                              tmpl->param_count);
       for (const auto& e : graph.edges) {
-        if (e.dst != node) continue;
+        if (e.dst != node || !e.HasResultBinding()) continue;
         const sql::ResultSet* src_rs = model.mapper.LastResult(e.src);
         if (src_rs == nullptr || src_rs->empty()) return false;
         for (const auto& b : e.bindings) {
+          if (b.from_param()) continue;
           int col = src_rs->ColumnIndex(b.src_column);
           if (col < 0) return false;
           params[static_cast<size_t>(b.dst_param)] =
@@ -629,6 +648,10 @@ bool Middleware::PredictionsCached(ClientId client, int security_group,
   std::optional<cache::CachedResult> root_hit =
       engine_.CachePeek(client, security_group, *root_tmpl, *root_params);
   if (!root_hit.has_value()) return false;
+  const auto firing = engine_.WithModel(
+      client, [&graph](const Engine::ClientModel& model) {
+        return FiringParams(graph, model.latest_params);
+      });
 
   for (TemplateId node : graph.nodes) {
     if (node == root) continue;
@@ -645,19 +668,27 @@ bool Middleware::PredictionsCached(ClientId client, int security_group,
     for (const auto* e : incoming) {
       if (e->src != root) return false;
     }
-    // Constants for unmapped positions.
-    std::vector<sql::Value> base(static_cast<size_t>(tmpl->param_count),
-                                 sql::Value::Null());
-    if (auto node_lp = engine_.LatestParams(client, node)) {
-      for (size_t p = 0; p < base.size() && p < node_lp->size(); ++p) {
-        base[p] = (*node_lp)[p];
+    // Constants and parameter sources for positions no result row binds.
+    const std::vector<sql::Value> base =
+        FiringParamsOf(firing, node, tmpl->param_count);
+    if (graph.ParamBound(node)) {
+      // One query, whichever rows the root returns (none when it returns
+      // none: the plan would install nothing for it).
+      if (root_hit->result->empty()) continue;
+      for (const auto& v : base) {
+        if (v.is_null()) return false;
       }
+      if (!engine_.CachePeek(client, security_group, *tmpl, base)) {
+        return false;
+      }
+      continue;
     }
     const sql::ResultSet& rows = *root_hit->result;
     for (size_t r = 0; r < rows.row_count(); ++r) {
       std::vector<sql::Value> params = base;
       for (const auto* e : incoming) {
         for (const auto& b : e->bindings) {
+          if (b.from_param()) continue;
           int col = rows.ColumnIndex(b.src_column);
           if (col < 0) return false;
           params[static_cast<size_t>(b.dst_param)] =

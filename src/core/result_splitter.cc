@@ -1,6 +1,7 @@
 #include "core/result_splitter.h"
 
 #include <optional>
+#include <unordered_set>
 
 namespace chrono::core {
 
@@ -44,6 +45,8 @@ Result<std::vector<SplitEntry>> SplitResult(const CombinedQuery& combined,
     std::optional<std::string> current_key;  // unset = iteration not started
     std::vector<Value> current_params;
     std::optional<std::vector<Value>> last_own_ck;
+    // Param-bound slots: every candidate key appended so far.
+    std::unordered_set<Row, sql::RowHash, sql::RowEq> seen_cks;
     std::vector<Value> prev_row_ck;  // this slot's ck in the previous row
     bool has_prev_row = false;
   };
@@ -83,6 +86,7 @@ Result<std::vector<SplitEntry>> SplitResult(const CombinedQuery& combined,
     st.current = sql::ResultSet(combined.slots[k].result_names);
     st.current_key.reset();
     st.last_own_ck.reset();
+    st.seen_cks.clear();
   };
 
   // Initialise running result sets.
@@ -149,9 +153,14 @@ Result<std::vector<SplitEntry>> SplitResult(const CombinedQuery& combined,
       }
 
       // Deduplicate fan-out: add the row only when this slot's candidate
-      // key differs from the last appended one in this iteration.
+      // key differs from the last appended one in this iteration. A
+      // param-bound slot's rows recur in the cross product with the slots
+      // joined before it, so it checks every key it appended.
       bool duplicate =
           st.last_own_ck.has_value() && CkEquals(*st.last_own_ck, own_ck);
+      if (!duplicate && slot.param_bound) {
+        duplicate = !st.seen_cks.insert(own_ck).second;
+      }
       if (!duplicate) {
         Row values;
         values.reserve(slot.result_cols.size());

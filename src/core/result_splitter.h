@@ -33,6 +33,11 @@ struct DecodeSlot {
   /// on. A change in any parent's candidate key starts a new result set.
   std::vector<int> parents;
 
+  /// Every parameter was known when the plan fired (no result binding,
+  /// DependencyGraph::ParamBound): the slot is one result set, whose rows
+  /// repeat once per row of the queries joined before it, in any order.
+  bool param_bound = false;
+
   /// Full parameter vector for this query; mapped positions hold
   /// placeholders overwritten per iteration via `mapped_params`.
   std::vector<sql::Value> bound_params;
@@ -69,7 +74,9 @@ struct SplitEntry {
 /// original queries (§4.1.1): iterates the combined rows, uses candidate
 /// keys to deduplicate join fan-out, and closes a query's running result
 /// set whenever a dependency's candidate key changes (one result set per
-/// loop iteration).
+/// loop iteration). A parameter-bound slot yields one result set, holding
+/// each candidate key it saw once. When the combined result has no row,
+/// only the root's (empty) result set is yielded.
 Result<std::vector<SplitEntry>> SplitResult(const CombinedQuery& combined,
                                             const sql::ResultSet& result,
                                             const TemplateRegistry& registry);

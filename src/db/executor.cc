@@ -180,6 +180,12 @@ Result<ExecOutcome> Executor::Execute(const sql::Statement& stmt) {
       Context ctx;
       ExecOutcome out;
 
+      // A one-row relation view for WHERE and assignment evaluation.
+      Relation view;
+      view.cols.push_back({upd.table, "__rowid"});
+      for (const auto& c : table->columns()) view.cols.push_back({upd.table, c.name});
+      CHRONO_RETURN_NOT_OK(CheckColumns(upd.where.get(), view, nullptr));
+
       // Resolve assignment targets once.
       std::vector<std::pair<int, const Expr*>> sets;
       for (const auto& [col_name, expr] : upd.assignments) {
@@ -187,6 +193,7 @@ Result<ExecOutcome> Executor::Execute(const sql::Statement& stmt) {
         if (col < 0) {
           return Status::NotFound("no column " + col_name + " in " + upd.table);
         }
+        CHRONO_RETURN_NOT_OK(CheckColumns(expr.get(), view, nullptr));
         sets.emplace_back(col, expr.get());
       }
 
@@ -215,11 +222,6 @@ Result<ExecOutcome> Executor::Execute(const sql::Statement& stmt) {
         candidates.resize(table->slots().size());
         for (size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
       }
-
-      // Build a one-row relation view for WHERE evaluation.
-      Relation view;
-      view.cols.push_back({upd.table, "__rowid"});
-      for (const auto& c : table->columns()) view.cols.push_back({upd.table, c.name});
 
       std::vector<size_t> to_update;
       for (size_t slot_index : candidates) {
@@ -278,6 +280,7 @@ Result<ExecOutcome> Executor::Execute(const sql::Statement& stmt) {
       Relation view;
       view.cols.push_back({del.table, "__rowid"});
       for (const auto& c : table->columns()) view.cols.push_back({del.table, c.name});
+      CHRONO_RETURN_NOT_OK(CheckColumns(del.where.get(), view, nullptr));
       std::vector<size_t> to_delete;
       for (size_t i = 0; i < table->slots().size(); ++i) {
         const auto& slot = table->slots()[i];
@@ -581,6 +584,7 @@ Result<Executor::Relation> Executor::EvalFromChain(const SelectStmt& stmt,
           }
         }
       }
+      CHRONO_RETURN_NOT_OK(CheckColumns(join.on.get(), combined, outer));
       current = std::move(combined);
       continue;
     }
@@ -590,6 +594,7 @@ Result<Executor::Relation> Executor::EvalFromChain(const SelectStmt& stmt,
     Relation combined;
     combined.cols = current.cols;
     for (const auto& col : next.cols) combined.cols.push_back(col);
+    CHRONO_RETURN_NOT_OK(CheckColumns(join.on.get(), combined, outer));
 
     if (join.type == JoinClause::Type::kCross) {
       combined.rows.reserve(current.rows.size() * next.rows.size());
@@ -770,6 +775,27 @@ Result<Executor::Relation> Executor::EvalSelect(const SelectStmt& stmt,
     source = std::move(from_result).value();
   }
 
+  // Every column reference resolves before any row is evaluated; ORDER BY
+  // is checked once the output columns are known.
+  {
+    Status resolved = CheckColumns(stmt.where.get(), source, outer);
+    for (const auto& item : stmt.items) {
+      if (resolved.ok() && !item.is_star) {
+        resolved = CheckColumns(item.expr.get(), source, outer);
+      }
+    }
+    for (const auto& g : stmt.group_by) {
+      if (resolved.ok()) resolved = CheckColumns(g.get(), source, outer);
+    }
+    if (resolved.ok()) {
+      resolved = CheckColumns(stmt.having.get(), source, outer);
+    }
+    if (!resolved.ok()) {
+      restore();
+      return resolved;
+    }
+  }
+
   // WHERE.
   std::vector<size_t> selected;
   for (size_t i = 0; i < source.rows.size(); ++i) {
@@ -944,6 +970,16 @@ Result<Executor::Relation> Executor::EvalSelect(const SelectStmt& stmt,
 
   // ORDER BY: resolve against output columns first, then (for non-grouped
   // queries) fall back to the source row.
+  for (const auto& ob : stmt.order_by) {
+    Status resolved = CheckColumns(ob.expr.get(), output, nullptr);
+    if (!resolved.ok() && !grouped) {
+      resolved = CheckColumns(ob.expr.get(), source, outer);
+    }
+    if (!resolved.ok()) {
+      restore();
+      return resolved;
+    }
+  }
   if (!stmt.order_by.empty() && !output.rows.empty()) {
     std::vector<size_t> order(output.rows.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -1100,15 +1136,36 @@ Result<Value> Executor::EvalAggregate(const Expr& expr, const Relation& rel,
       // Non-aggregate leaf: evaluate against the group's first row (it must
       // be functionally dependent on the group key, as in standard SQL).
       if (group_rows.empty()) {
-        Scope empty;
-        auto v = Eval(expr, empty, ctx);
-        if (v.ok()) return v;
-        return Value::Null();
+        // No row: every (already resolved) column reads NULL.
+        const Row nulls(rel.cols.size(), Value::Null());
+        Scope scope{&rel, &nulls, outer};
+        return Eval(expr, scope, ctx);
       }
       Scope scope{&rel, &rel.rows[group_rows.front()], outer};
       return Eval(expr, scope, ctx);
     }
   }
+}
+
+Status Executor::CheckColumns(const Expr* expr, const Relation& rel,
+                              const Scope* outer) {
+  if (expr == nullptr) return Status::OK();
+  if (expr->kind == Expr::Kind::kColumnRef) {
+    bool found = rel.Find(expr->table, expr->column) >= 0;
+    for (const Scope* s = outer; !found && s != nullptr; s = s->outer) {
+      found = s->rel != nullptr && s->rel->Find(expr->table, expr->column) >= 0;
+    }
+    if (!found) {
+      return Status::NotFound(
+          "column not found: " +
+          (expr->table.empty() ? expr->column
+                               : expr->table + "." + expr->column));
+    }
+  }
+  for (const auto& c : expr->children) {
+    CHRONO_RETURN_NOT_OK(CheckColumns(c.get(), rel, outer));
+  }
+  return Status::OK();
 }
 
 Result<Value> Executor::Eval(const Expr& expr, const Scope& scope,

@@ -59,6 +59,11 @@ class Executor {
                                 const std::vector<const sql::Expr*>& filters);
   Result<sql::Value> Eval(const sql::Expr& expr, const Scope& scope,
                           Context* ctx);
+  /// NotFound unless every column `expr` references resolves in `rel` or
+  /// an enclosing scope: checked before any row is evaluated, so a query
+  /// naming an unknown column fails whether or not a row qualifies.
+  static Status CheckColumns(const sql::Expr* expr, const Relation& rel,
+                             const Scope* outer);
   Result<sql::Value> EvalAggregate(const sql::Expr& expr,
                                    const Relation& rel,
                                    const std::vector<size_t>& group_rows,

@@ -1141,8 +1141,7 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
   StageTimer split_timer(this, ctx, obs::Stage::kSplitDecode);
   return engine_
       .InstallCombined(client, security_group, *plan.query, plan.id,
-                       outcome->result, pre_read,
-                       /*feed_model=*/config_.enable_learning, trigger)
+                       outcome->result, pre_read, trigger)
       .ok();
 }
 

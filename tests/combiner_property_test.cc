@@ -178,6 +178,52 @@ TEST_P(CombinerProperty, MixedCardinalitySiblingsViaLateral) {
   VerifyCombined(*lateral, 3);
 }
 
+TEST_P(CombinerProperty, ParamBoundSiblingsMatchSequentialExecution) {
+  // The root reads one symbol; two siblings read the same symbol, passed on
+  // from the root's own parameter rather than its result. Over every symbol
+  // (some without a security row, some without bids or watch items), each
+  // strategy splits the root and, when it has a row, each sibling once.
+  TemplateId q1 =
+      Register("SELECT s_num_out FROM security WHERE s_symb = 'S0'");
+  TemplateId q2 = Register("SELECT b_amount FROM bid WHERE b_symb = 'S0'");
+  TemplateId q3 =
+      Register("SELECT wi_wl_id FROM watch_item WHERE wi_s_symb = 'S0'");
+  TemplateId q2_top = Register(
+      "SELECT b_amount FROM bid WHERE b_symb = 'S0' ORDER BY b_amount DESC "
+      "LIMIT 2");
+  for (TemplateId bid : {q2, q2_top}) {
+    DependencyGraph g;
+    g.nodes = {q1, bid, q3};
+    g.param_counts = {{q1, 1}, {bid, 1}, {q3, 1}};
+    g.edges.push_back({q1, bid, {{"", 0, 0}}});
+    g.edges.push_back({q1, q3, {{"", 0, 0}}});
+    g.Normalize();
+    for (int s = 0; s <= 10; ++s) {
+      latest_[q1] = {Value::String("S" + std::to_string(s))};
+      const auto firing = FiringParams(g, latest_);
+      CombineInput input{&g, &registry_, &firing};
+      const bool root_has_row =
+          Direct("SELECT s_num_out FROM security WHERE s_symb = 'S" +
+                 std::to_string(s) + "'")
+              .row_count() > 0;
+      std::vector<Result<CombinedQuery>> plans;
+      if (CteJoinCombiner::CanHandle(input)) {
+        plans.push_back(CteJoinCombiner::Combine(input));
+      }
+      ASSERT_TRUE(LateralUnionCombiner::CanHandle(input));
+      plans.push_back(LateralUnionCombiner::Combine(input));
+      for (const auto& combined : plans) {
+        ASSERT_TRUE(combined.ok()) << combined.status().ToString();
+        VerifyCombined(*combined, root_has_row ? 3 : 1);
+        auto rows = Direct(combined->sql);
+        auto split = SplitResult(*combined, rows, registry_);
+        ASSERT_TRUE(split.ok());
+        EXPECT_EQ(split->size(), root_has_row ? 3u : 1u) << combined->sql;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CombinerProperty,
                          ::testing::Range<uint64_t>(1, 21));
 

@@ -296,6 +296,65 @@ TEST_F(ExecutorTest, UnknownColumnFails) {
   EXPECT_FALSE(ExecStatus("SELECT id FROM users WHERE nope = 1").ok());
 }
 
+// Column references resolve against the FROM relation's and enclosing
+// scopes' schemas before any row is read: the answer to an unknown column
+// does not depend on whether a row qualifies.
+TEST_F(ExecutorTest, UnknownColumnFailsWhenNoRowQualifies) {
+  const std::vector<std::string> queries = {
+      "SELECT nope FROM users WHERE id = 999",
+      "SELECT id FROM users WHERE id = 999 AND nope = 1",
+      "SELECT id FROM users WHERE id = 999 ORDER BY nope",
+      "SELECT age FROM users WHERE id = 999 GROUP BY nope",
+      "SELECT age, count(*) FROM users WHERE id = 999 GROUP BY age "
+      "HAVING max(nope) > 1",
+      "SELECT nope, count(*) FROM users WHERE id = 999",
+      "SELECT count(nope) FROM users WHERE id = 999",
+      "SELECT users.amount FROM users WHERE id = 999",
+      "SELECT u.id FROM users u JOIN orders o ON o.nope = u.id WHERE u.id = "
+      "999",
+      "SELECT u.id FROM users u LEFT JOIN LATERAL (SELECT amount FROM orders "
+      "WHERE uid = u.id) o ON o.nope = 1 WHERE u.id = 999",
+      "UPDATE users SET age = nope WHERE id = 999",
+      "UPDATE users SET age = 1 WHERE id = 999 AND nope = 1",
+      "DELETE FROM orders WHERE oid = 999 AND nope = 1",
+  };
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    Status status = ExecStatus(sql);
+    EXPECT_EQ(status.code(), Status::Code::kNotFound) << status.ToString();
+    // The same query fails the same way when a row qualifies.
+    std::string qualifying = sql;
+    qualifying.replace(qualifying.find("999"), 3, "1");
+    EXPECT_EQ(ExecStatus(qualifying).code(), Status::Code::kNotFound);
+  }
+  // Nothing was written.
+  EXPECT_EQ(Exec("SELECT age FROM users WHERE id = 1").At(0, "age"),
+            Value::Int(30));
+}
+
+TEST_F(ExecutorTest, KnownColumnsResolveWithoutRows) {
+  // A non-aggregated column of an empty ungrouped aggregate reads NULL.
+  ResultSet empty_group =
+      Exec("SELECT name, count(*), max(age) FROM users WHERE id = 999");
+  ASSERT_EQ(empty_group.row_count(), 1u);
+  EXPECT_TRUE(empty_group.row(0)[0].is_null());
+  EXPECT_EQ(empty_group.row(0)[1], Value::Int(0));
+  EXPECT_TRUE(empty_group.row(0)[2].is_null());
+  // ORDER BY an output alias, or a source column outside the select list.
+  EXPECT_EQ(Exec("SELECT age AS a FROM users WHERE id = 999 ORDER BY a")
+                .row_count(),
+            0u);
+  EXPECT_EQ(
+      Exec("SELECT amount FROM orders WHERE oid = 999 ORDER BY uid").row_count(),
+      0u);
+  // Correlated references resolve in the enclosing scope.
+  ResultSet lateral =
+      Exec("SELECT u.id, o.amount FROM users u LEFT JOIN LATERAL (SELECT "
+           "amount FROM orders WHERE uid = u.id) o ON 1 = 1 WHERE u.id = 2");
+  ASSERT_EQ(lateral.row_count(), 1u);
+  EXPECT_TRUE(lateral.row(0)[1].is_null());
+}
+
 TEST_F(ExecutorTest, UnboundParameterFails) {
   EXPECT_FALSE(ExecStatus("SELECT id FROM users WHERE id = ?").ok());
 }

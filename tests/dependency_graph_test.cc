@@ -132,6 +132,34 @@ TEST(DependencyGraph, CoveredParams) {
   EXPECT_EQ(g.RoleOf(3), NodeRole::kPredicted);
 }
 
+// Security-Detail: Q2 takes Q1's own parameter plus a constant; Q3 takes
+// Q1's parameter only.
+TEST(DependencyGraph, ParameterSourcesAndConstantsCover) {
+  DependencyGraph g;
+  g.nodes = {1, 2, 3};
+  g.param_counts = {{1, 1}, {2, 2}, {3, 1}};
+  g.edges.push_back({1, 2, {{"", 0, 0}}});
+  g.edges.push_back({1, 3, {{"", 0, 0}}});
+  g.Normalize();
+  EXPECT_EQ(g.RoleOf(2), NodeRole::kDependency);  // $1 uncovered
+  g.constants.insert({2, 1});
+  EXPECT_EQ(g.CoveredParams(2), (std::set<int>{0, 1}));
+  EXPECT_EQ(g.RoleOf(2), NodeRole::kPredicted);
+  EXPECT_EQ(g.RoleOf(3), NodeRole::kPredicted);
+  EXPECT_TRUE(g.ParamBound(2));
+  EXPECT_FALSE(g.ParamBound(1));  // a root has no incoming edge
+  EXPECT_FALSE(Chain12().ParamBound(2));
+  EXPECT_EQ(g.DependencyQueries(), (std::vector<TemplateId>{1}));
+
+  // A constant is part of the graph's identity.
+  DependencyGraph no_constant = g;
+  no_constant.constants.clear();
+  EXPECT_NE(no_constant.CanonicalKey(), g.CanonicalKey());
+  EXPECT_TRUE(g.Subsumes(no_constant));
+  EXPECT_FALSE(no_constant.Subsumes(g));
+  EXPECT_NE(g.ToDot().find("$0->$0"), std::string::npos);
+  EXPECT_NE(g.ToDot().find("$1 constant"), std::string::npos);
+}
 
 TEST(DependencyGraph, ToDotRendersRolesAndBindings) {
   DependencyGraph g = Chain12();

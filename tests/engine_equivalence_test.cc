@@ -6,8 +6,9 @@
 //   into (negative numbers, LIMIT counts, IN-list lengths, quoted keywords,
 //   NULL/TRUE, INSERT value order).
 // - Engine::Observe skips graph extraction while neither the transition
-//   graph's nor the mapper's generation moved; after every observation its
-//   dependency table must equal that of a model that always extracts.
+//   graph's nor the mapper's generation moved (result mappings, input
+//   sources and constants alike); after every observation its dependency
+//   table must equal that of a model that always extracts.
 
 #include <gtest/gtest.h>
 
@@ -252,12 +253,15 @@ ResultSet RandomIds(Rng* rng, const char* col, int rows) {
   return rs;
 }
 
-// Seeded random sessions of dependent reads — a driver, a lookup keyed by
+// Seeded random sessions of dependent reads — a driver, a follow-up that
+// mostly repeats the driver's own input and a constant, a lookup keyed by
 // its first row, a loop over its rows, noise — with jittered think times,
-// so edges cross tau both ways and mappings get confirmed and blacklisted.
+// so edges cross tau both ways and mappings of every kind get confirmed
+// and blacklisted.
 TEST(EngineObserveSkipsExtraction, DependencyTablesMatchAnAlwaysExtractModel) {
   uint64_t skipped = 0;
   uint64_t graphs_seen = 0;
+  uint64_t param_bound_seen = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     uint64_t now = 0;
@@ -281,6 +285,11 @@ TEST(EngineObserveSkipsExtraction, DependencyTablesMatchAnAlwaysExtractModel) {
           last_generation = generation;
         }
         graphs_seen += model.manager.graph_count();
+        for (const DependencyGraph* graph : model.manager.Graphs()) {
+          for (TemplateId node : graph->nodes) {
+            if (graph->ParamBound(node)) ++param_bound_seen;
+          }
+        }
       });
       return parsed;
     };
@@ -295,11 +304,20 @@ TEST(EngineObserveSkipsExtraction, DependencyTablesMatchAnAlwaysExtractModel) {
     };
 
     for (int round = 0; round < 150; ++round) {
-      auto driver = observe("SELECT id FROM a WHERE k = " +
-                            std::to_string(rng.NextInt(1, 50)));
+      const int64_t k = rng.NextInt(1, 50);
+      auto driver = observe("SELECT id FROM a WHERE k = " + std::to_string(k));
       ResultSet ids = RandomIds(&rng, "id", static_cast<int>(rng.NextInt(0, 3)));
       result(driver, ids);
       think();
+      if (rng.NextBool(0.7)) {
+        const int64_t again = rng.NextBool(0.97) ? k : rng.NextInt(1, 50);
+        const int64_t flag = rng.NextBool(0.97) ? 0 : 1;
+        auto follow = observe("SELECT u FROM e WHERE k = " +
+                              std::to_string(again) +
+                              " AND flag >= " + std::to_string(flag));
+        result(follow, RandomIds(&rng, "u", 2));
+        think();
+      }
       if (rng.NextBool(0.85)) {
         const int64_t id = ids.row_count() > 0 && rng.NextBool(0.9)
                                ? ids.row(0)[0].AsInt()
@@ -324,8 +342,10 @@ TEST(EngineObserveSkipsExtraction, DependencyTablesMatchAnAlwaysExtractModel) {
       }
     }
   }
-  // The runs learned graphs, and extraction was skipped along the way.
+  // The runs learned graphs, parameter-bound ones among them, and
+  // extraction was skipped along the way.
   EXPECT_GT(graphs_seen, 0u);
+  EXPECT_GT(param_bound_seen, 0u);
   EXPECT_GT(skipped, 0u);
 }
 

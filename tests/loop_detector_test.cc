@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/loop_detector.h"
 #include "sql/template.h"
@@ -109,6 +113,27 @@ class ExtractorTest : public ::testing::Test {
         }
       }
       t_ += 400 * kMs;  // think time between invocations
+    }
+  }
+
+  // Security-Detail `invocations` times: Q1(symbol), whose result does not
+  // return the symbol, then Q2(symbol, 0) and Q3(symbol).
+  void DriveSecurityDetail(TemplateId q1, TemplateId q2, TemplateId q3,
+                           int invocations) {
+    for (int inv = 0; inv < invocations; ++inv) {
+      const Value symb = Value::String("SYM" + std::to_string(inv));
+      transitions_.Observe(q1, t_);
+      mapper_.ObserveQuery(q1, {symb});
+      sql::ResultSet rs({"s_name"});
+      rs.AddRow({Value::String("name" + std::to_string(inv))});
+      mapper_.ObserveResult(q1, rs);
+      t_ += 2 * kMs;
+      transitions_.Observe(q2, t_);
+      mapper_.ObserveQuery(q2, {symb, Value::Int(0)});
+      t_ += 2 * kMs;
+      transitions_.Observe(q3, t_);
+      mapper_.ObserveQuery(q3, {symb});
+      t_ += 400 * kMs;
     }
   }
 
@@ -274,6 +299,141 @@ TEST_F(ExtractorTest, MinOccurrencesGate) {
 
   GraphExtractor extractor(GraphExtractor::Options{});
   EXPECT_TRUE(extractor.Extract(transitions_, mapper_, registry_).empty());
+}
+
+// ---- Parameter-bound follow-ups -------------------------------------------
+
+ParamBinding FromParam(int src_param, int dst_param) {
+  return ParamBinding{std::string(), dst_param, src_param};
+}
+
+TEST_F(ExtractorTest, ParamBoundFollowUpsHangOffTheRoot) {
+  TemplateId q1 =
+      Register("SELECT s_name FROM security WHERE s_symb = 'SYM0'");
+  TemplateId q2 = Register(
+      "SELECT dm_date, dm_close FROM daily_market WHERE dm_s_symb = 'SYM0' "
+      "AND dm_date >= 0 ORDER BY dm_date LIMIT 5");
+  TemplateId q3 =
+      Register("SELECT lt_price FROM last_trade WHERE lt_s_symb = 'SYM0'");
+  DriveSecurityDetail(q1, q2, q3, 4);
+
+  GraphExtractor extractor(GraphExtractor::Options{});
+  auto graphs = extractor.Extract(transitions_, mapper_, registry_);
+  ASSERT_EQ(graphs.size(), 1u);
+  const DependencyGraph& g = graphs[0];
+  EXPECT_EQ(g.nodes.size(), 3u);
+  EXPECT_EQ(g.RoleOf(q1), NodeRole::kDependency);
+  EXPECT_EQ(g.RoleOf(q2), NodeRole::kPredicted);
+  EXPECT_EQ(g.RoleOf(q3), NodeRole::kPredicted);
+  EXPECT_TRUE(g.ParamBound(q2));
+  EXPECT_TRUE(g.ParamBound(q3));
+  EXPECT_FALSE(g.ParamBound(q1));
+  // Q3 repeats Q2's symbol too, but binds to the root the value came from.
+  ASSERT_EQ(g.edges.size(), 2u);
+  for (const auto& e : g.edges) {
+    EXPECT_EQ(e.src, q1);
+    EXPECT_EQ(e.bindings, (std::vector<ParamBinding>{FromParam(0, 0)}));
+  }
+  EXPECT_EQ(g.constants, (std::set<std::pair<TemplateId, int>>{{q2, 1}}));
+  EXPECT_TRUE(g.loop_marked.empty());
+}
+
+TEST_F(ExtractorTest, ResultMappingWinsOverInputSource) {
+  // Q2's parameter is both Q1's input and Q1's result: it binds to the
+  // result, as it did before input sources were learned.
+  TemplateId q1 = Register("SELECT s_symb FROM security WHERE s_symb = 'A'");
+  TemplateId q2 =
+      Register("SELECT lt_price FROM last_trade WHERE lt_s_symb = 'A'");
+  for (int inv = 0; inv < 4; ++inv) {
+    const Value symb = Value::String("S" + std::to_string(inv));
+    transitions_.Observe(q1, t_);
+    mapper_.ObserveQuery(q1, {symb});
+    sql::ResultSet rs({"s_symb"});
+    rs.AddRow({symb});
+    mapper_.ObserveResult(q1, rs);
+    t_ += 2 * kMs;
+    transitions_.Observe(q2, t_);
+    mapper_.ObserveQuery(q2, {symb});
+    t_ += 400 * kMs;
+  }
+  ASSERT_EQ(mapper_.ConfirmedInputSources(q2).size(), 1u);
+  GraphExtractor extractor(GraphExtractor::Options{});
+  auto graphs = extractor.Extract(transitions_, mapper_, registry_);
+  ASSERT_EQ(graphs.size(), 1u);
+  ASSERT_EQ(graphs[0].edges.size(), 1u);
+  EXPECT_EQ(graphs[0].edges[0].bindings,
+            (std::vector<ParamBinding>{ParamBinding{"s_symb", 0}}));
+  EXPECT_FALSE(graphs[0].ParamBound(q2));
+  EXPECT_TRUE(graphs[0].constants.empty());
+}
+
+TEST_F(ExtractorTest, SharedConstantIsNoInputSource) {
+  // Both queries always send 0: that is each one's constant, not a flow
+  // from one to the other.
+  TemplateId q1 =
+      Register("SELECT s_name FROM security WHERE s_symb = 'A' AND s_ex = 0");
+  TemplateId q2 = Register(
+      "SELECT dm_close FROM daily_market WHERE dm_s_symb = 'A' AND dm_date "
+      ">= 0");
+  for (int inv = 0; inv < 5; ++inv) {
+    const Value symb = Value::String("S" + std::to_string(inv));
+    transitions_.Observe(q1, t_);
+    mapper_.ObserveQuery(q1, {symb, Value::Int(0)});
+    t_ += 2 * kMs;
+    transitions_.Observe(q2, t_);
+    mapper_.ObserveQuery(q2, {symb, Value::Int(0)});
+    t_ += 400 * kMs;
+  }
+  GraphExtractor extractor(GraphExtractor::Options{});
+  auto graphs = extractor.Extract(transitions_, mapper_, registry_);
+  ASSERT_EQ(graphs.size(), 1u);
+  ASSERT_EQ(graphs[0].edges.size(), 1u);
+  EXPECT_EQ(graphs[0].edges[0].bindings,
+            (std::vector<ParamBinding>{FromParam(0, 0)}));
+  EXPECT_EQ(graphs[0].constants,
+            (std::set<std::pair<TemplateId, int>>{{q2, 1}}));
+}
+
+TEST_F(ExtractorTest, LoopBodyTakesNoInputSourceOrConstant) {
+  // Market-Watch: inside one invocation Q3's date is constant and its
+  // symbol repeats Q2's. Neither binds: Q3 runs per row of Q1, so the
+  // graphs are exactly the result-mapped chain and the §2.2 loop, before
+  // and after the date changes.
+  TemplateId q1 =
+      Register("SELECT wi_s_symb AS symb FROM watch_item WHERE wi_wl_id = 1");
+  TemplateId q2 = Register("SELECT s_num_out FROM security WHERE s_symb = 'X'");
+  TemplateId q3 = Register(
+      "SELECT dm_close FROM daily_market WHERE dm_s_symb = 'X' AND dm_date = "
+      "5");
+  DependencyGraph chain;
+  chain.nodes = {q1, q2};
+  chain.edges = {DepEdge{q1, q2, {ParamBinding{"symb", 0}}}};
+  chain.param_counts = {{q1, 1}, {q2, 1}};
+  chain.Normalize();
+  DependencyGraph loop;
+  loop.nodes = {q1, q2, q3};
+  loop.edges = {DepEdge{q1, q2, {ParamBinding{"symb", 0}}},
+                DepEdge{q1, q3, {ParamBinding{"symb", 0}}}};
+  loop.param_counts = {{q1, 1}, {q2, 1}, {q3, 2}};
+  loop.loop_marked = {q3};
+  loop.Normalize();
+  const std::set<std::string> expected = {chain.CanonicalKey(),
+                                          loop.CanonicalKey()};
+
+  GraphExtractor extractor(GraphExtractor::Options{});
+  auto keys = [&] {
+    std::set<std::string> out;
+    for (const auto& g : extractor.Extract(transitions_, mapper_, registry_)) {
+      out.insert(g.CanonicalKey());
+    }
+    return out;
+  };
+  DriveLoopWorkload(q1, q2, q3, 1, /*with_q3=*/true);
+  ASSERT_EQ(mapper_.ConfirmedConstants(q3), (std::vector<int>{1}));
+  EXPECT_EQ(keys(), expected);
+  DriveLoopWorkload(q1, q2, q3, 2, /*with_q3=*/true);
+  EXPECT_TRUE(mapper_.ConfirmedConstants(q3).empty());
+  EXPECT_EQ(keys(), expected);
 }
 
 }  // namespace

@@ -178,8 +178,8 @@ TEST(ParamMapper, GenerationTracksConfirmedMappings) {
 }
 
 // Against brute force: after every query of a random sequence, the
-// generation moved exactly when some destination's confirmed mappings
-// changed.
+// generation moved exactly when some destination's confirmed mappings of
+// any kind changed.
 TEST(ParamMapper, GenerationMovesExactlyWhenConfirmedMappingsChange) {
   for (int min_validations : {1, 2, 3}) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
@@ -187,11 +187,19 @@ TEST(ParamMapper, GenerationMovesExactlyWhenConfirmedMappingsChange) {
                    " seed " + std::to_string(seed));
       ParamMapper mapper(min_validations);
       Rng rng(seed);
+      // Every confirmed set: result mappings, input sources, constants.
       auto view = [&] {
         std::vector<std::tuple<TemplateId, TemplateId, std::string, int>> out;
         for (TemplateId dst = 0; dst < 5; ++dst) {
           for (const auto& m : mapper.ConfirmedMappings(dst)) {
             out.emplace_back(dst, m.src, m.src_column, m.dst_param);
+          }
+          for (const auto& in : mapper.ConfirmedInputSources(dst)) {
+            out.emplace_back(dst, in.src, "$" + std::to_string(in.src_param),
+                             in.dst_param);
+          }
+          for (int p : mapper.ConfirmedConstants(dst)) {
+            out.emplace_back(dst, dst, "=", p);
           }
         }
         return out;
@@ -221,6 +229,110 @@ TEST(ParamMapper, GenerationMovesExactlyWhenConfirmedMappingsChange) {
       }
     }
   }
+}
+
+// ---- Input sources and constants ------------------------------------------
+
+// Security-Detail: the follow-up reads take the symbol the first read was
+// asked for, which its result does not return.
+TEST(ParamMapper, InputSourceDiscoveredAndConfirmed) {
+  ParamMapper mapper(2);
+  for (const char* symb : {"AAA", "BBB", "CCC"}) {
+    mapper.ObserveQuery(1, {Value::String(symb)});
+    mapper.ObserveResult(1, SymbolResult({"unrelated"}));
+    mapper.ObserveQuery(2, {Value::String(symb), Value::Int(0)});
+  }
+  auto inputs = mapper.ConfirmedInputSources(2);
+  ASSERT_EQ(inputs.size(), 1u);
+  EXPECT_EQ(inputs[0].src, 1u);
+  EXPECT_EQ(inputs[0].src_param, 0);
+  EXPECT_EQ(inputs[0].dst_param, 0);
+  EXPECT_TRUE(mapper.ConfirmedMappings(2).empty());
+  EXPECT_TRUE(mapper.Derived(2, 0));
+  EXPECT_FALSE(mapper.Derived(1, 0));
+  // The second parameter never changed: a constant.
+  EXPECT_EQ(mapper.ConfirmedConstants(2), (std::vector<int>{1}));
+  EXPECT_FALSE(mapper.Derived(2, 1));
+}
+
+TEST(ParamMapper, InputSourceNeedsMinValidations) {
+  ParamMapper mapper(3);
+  mapper.ObserveQuery(1, {Value::Int(7)});
+  mapper.ObserveQuery(2, {Value::Int(7)});
+  mapper.ObserveQuery(1, {Value::Int(8)});
+  mapper.ObserveQuery(2, {Value::Int(8)});
+  EXPECT_TRUE(mapper.ConfirmedInputSources(2).empty());
+  mapper.ObserveQuery(1, {Value::Int(9)});
+  mapper.ObserveQuery(2, {Value::Int(9)});
+  EXPECT_EQ(mapper.ConfirmedInputSources(2).size(), 1u);
+}
+
+TEST(ParamMapper, InputSourceBlacklistedPermanently) {
+  ParamMapper mapper(2);
+  mapper.ObserveQuery(1, {Value::Int(7)});
+  mapper.ObserveQuery(2, {Value::Int(7)});
+  mapper.ObserveQuery(1, {Value::Int(8)});
+  mapper.ObserveQuery(2, {Value::Int(8)});
+  ASSERT_EQ(mapper.ConfirmedInputSources(2).size(), 1u);
+  const uint64_t confirmed = mapper.generation();
+  // A coincidence after all: dst's value differs from the source's.
+  mapper.ObserveQuery(1, {Value::Int(9)});
+  mapper.ObserveQuery(2, {Value::Int(10)});
+  EXPECT_TRUE(mapper.ConfirmedInputSources(2).empty());
+  EXPECT_GT(mapper.generation(), confirmed);
+  EXPECT_EQ(mapper.BlacklistedCount(2), 1);
+  for (int v = 20; v < 24; ++v) {
+    mapper.ObserveQuery(1, {Value::Int(v)});
+    mapper.ObserveQuery(2, {Value::Int(v)});
+  }
+  EXPECT_TRUE(mapper.ConfirmedInputSources(2).empty());
+}
+
+TEST(ParamMapper, InputSourcesNeverFromSelf) {
+  ParamMapper mapper(2);
+  for (int i = 0; i < 4; ++i) mapper.ObserveQuery(1, {Value::Int(5)});
+  EXPECT_TRUE(mapper.ConfirmedInputSources(1).empty());
+  EXPECT_EQ(mapper.ConfirmedConstants(1), (std::vector<int>{0}));
+}
+
+// Market-Watch's dm_date holds across one transaction's loop, then moves:
+// the constant is blacklisted at the first change, for good.
+TEST(ParamMapper, ConstantBlacklistedAtFirstChange) {
+  ParamMapper mapper(2);
+  for (int i = 0; i < 11; ++i) {
+    mapper.ObserveQuery(3, {Value::String("S" + std::to_string(i)),
+                            Value::Int(17)});
+  }
+  EXPECT_EQ(mapper.ConfirmedConstants(3), (std::vector<int>{1}));
+  const uint64_t confirmed = mapper.generation();
+  mapper.ObserveQuery(3, {Value::String("S0"), Value::Int(4)});
+  EXPECT_TRUE(mapper.ConfirmedConstants(3).empty());
+  EXPECT_GT(mapper.generation(), confirmed);
+  for (int i = 0; i < 11; ++i) {
+    mapper.ObserveQuery(3, {Value::String("S" + std::to_string(i)),
+                            Value::Int(4)});
+  }
+  EXPECT_TRUE(mapper.ConfirmedConstants(3).empty());
+}
+
+TEST(ParamMapper, NullNeverAConstant) {
+  ParamMapper mapper(2);
+  for (int i = 0; i < 4; ++i) mapper.ObserveQuery(1, {Value::Null()});
+  EXPECT_TRUE(mapper.ConfirmedConstants(1).empty());
+}
+
+// A result mapping and an input source into one parameter are learned
+// side by side; the extractor decides which one binds.
+TEST(ParamMapper, ResultMappingAndInputSourceCoexist) {
+  ParamMapper mapper(2);
+  for (const char* symb : {"AAA", "BBB", "CCC"}) {
+    mapper.ObserveQuery(1, {Value::String(symb)});
+    mapper.ObserveResult(1, SymbolResult({symb}));
+    mapper.ObserveQuery(2, {Value::String(symb)});
+  }
+  EXPECT_EQ(mapper.ConfirmedMappings(2).size(), 1u);
+  EXPECT_EQ(mapper.ConfirmedInputSources(2).size(), 1u);
+  EXPECT_TRUE(mapper.Derived(2, 0));
 }
 
 }  // namespace

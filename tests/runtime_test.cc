@@ -419,6 +419,112 @@ TEST_F(ChronoServerTest, CoveringPlanAnswersItsTriggerDespiteAConcurrentWrite) {
   EXPECT_EQ((*mine)->At(0, "v").AsString(), "w39");
 }
 
+// Security-Detail: the first read's result does not return the symbol the
+// two follow-ups are asked for, and the market read carries a constant.
+// Once learned, the follow-ups ride the first read's plan: one backend
+// call per transaction instead of three.
+class SecurityDetailServerTest : public ::testing::Test {
+ protected:
+  SecurityDetailServerTest() {
+    Setup("CREATE TABLE security (s_symb TEXT, s_name TEXT, s_num_out INT)");
+    Setup("CREATE TABLE daily_market (dm_s_symb TEXT, dm_date INT, "
+          "dm_close DOUBLE)");
+    Setup("CREATE TABLE last_trade (lt_s_symb TEXT, lt_price DOUBLE, "
+          "lt_vol INT)");
+    for (int s = 0; s < 40; ++s) {
+      const std::string symb = "'SYM" + std::to_string(s) + "'";
+      Setup("INSERT INTO security VALUES (" + symb + ", 'Name" +
+            std::to_string(s) + "', " + std::to_string(100 + s) + ")");
+      for (int d = 0; d < 3; ++d) {
+        Setup("INSERT INTO daily_market VALUES (" + symb + ", " +
+              std::to_string(d) + ", " + std::to_string(s + d) + ".5)");
+      }
+      Setup("INSERT INTO last_trade VALUES (" + symb + ", " +
+            std::to_string(10 + s) + ".25, " + std::to_string(s) + ")");
+    }
+  }
+
+  void Setup(const std::string& sql) {
+    auto r = db_.ExecuteText(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  }
+
+  static std::vector<std::string> Transaction(int s) {
+    const std::string symb = "'SYM" + std::to_string(s) + "'";
+    return {"SELECT s_name, s_num_out FROM security WHERE s_symb = " + symb,
+            "SELECT dm_date, dm_close FROM daily_market WHERE dm_s_symb = " +
+                symb + " AND dm_date >= 0 ORDER BY dm_date LIMIT 5",
+            "SELECT lt_price, lt_vol FROM last_trade WHERE lt_s_symb = " +
+                symb};
+  }
+
+  // Runs one transaction for `client`, checking every answer against the
+  // database.
+  void Run(ChronoServer* server, ClientId client, int s) {
+    for (const std::string& sql : Transaction(s)) {
+      auto answer = server->Submit(client, sql).get();
+      ASSERT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+      auto direct = db_.ExecuteText(sql);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(**answer, direct->result) << sql;
+    }
+  }
+
+  ServerConfig Config() {
+    ServerConfig config;
+    config.workers = 2;
+    config.extract_every = 2;
+    return config;
+  }
+
+  db::Database db_;
+};
+
+TEST_F(SecurityDetailServerTest, OneBackendCallPerTransactionOnceLearned) {
+  ChronoServer server(&db_, Config());
+  for (int s = 0; s < 8; ++s) Run(&server, 1, s);
+  ASSERT_GT(server.metrics().prediction_hits, 0u);
+
+  for (int s = 10; s < 14; ++s) {
+    SCOPED_TRACE("SYM" + std::to_string(s));
+    const ServerMetrics before = server.metrics();
+    Run(&server, 1, s);
+    const ServerMetrics after = server.metrics();
+    EXPECT_EQ(after.remote_combined - before.remote_combined, 1u);
+    EXPECT_EQ(after.remote_plain - before.remote_plain, 0u);
+    // The plan answers the first read; the follow-ups hit what it cached.
+    EXPECT_EQ(after.prediction_hits - before.prediction_hits, 1u);
+    EXPECT_EQ(after.cache_hits - before.cache_hits, 3u);
+  }
+}
+
+TEST_F(SecurityDetailServerTest, ConcurrentWriteSeenByTheWritersNextRead) {
+  ChronoServer server(&db_, Config());
+  for (int s = 0; s < 8; ++s) Run(&server, 1, s);
+  ASSERT_GT(server.metrics().prediction_hits, 0u);
+
+  // Client 2 writes the traded price while client 1's plan is in flight:
+  // the plan installs the old price, read before the write.
+  const std::string write =
+      "UPDATE last_trade SET lt_price = 99.5 WHERE lt_s_symb = 'SYM20'";
+  std::atomic<bool> wrote{false};
+  ServerTestPeer::SetAfterReadHook(server, [&] {
+    if (wrote.exchange(true)) return;
+    EXPECT_TRUE(server.Submit(2, write).get().ok());
+  });
+  const ServerMetrics before = server.metrics();
+  auto first = server.Submit(1, Transaction(20)[0]).get();
+  ASSERT_TRUE(wrote.load());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(server.metrics().remote_combined - before.remote_combined, 1u);
+  ServerTestPeer::SetAfterReadHook(server, nullptr);
+
+  auto mine = server.Submit(2, Transaction(20)[2]).get();
+  ASSERT_TRUE(mine.ok()) << mine.status().ToString();
+  ASSERT_EQ((*mine)->row_count(), 1u);
+  EXPECT_EQ((*mine)->At(0, "lt_price").AsDouble(), 99.5);
+}
+
 // One housekeeping thread runs every periodic job of a node (DESIGN.md
 // §9): it drains the journal and steps the brownout controller, and it is
 // the only such thread — the journal owns none.
