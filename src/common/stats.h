@@ -42,17 +42,6 @@ struct CacheCounters {
     return hits.load(std::memory_order_relaxed) +
            misses.load(std::memory_order_relaxed);
   }
-  double HitRate() const {
-    uint64_t total = lookups();
-    return total == 0 ? 0
-                      : static_cast<double>(
-                            hits.load(std::memory_order_relaxed)) /
-                            static_cast<double>(total);
-  }
-  void Reset() {
-    hits.store(0, std::memory_order_relaxed);
-    misses.store(0, std::memory_order_relaxed);
-  }
 };
 
 /// \brief Streaming accumulator for latency samples: mean, min/max,

@@ -45,6 +45,14 @@ constexpr CounterRow kCounterRows[] = {
      &C::writes, nullptr, &M::writes},
     {nullptr, nullptr, nullptr, nullptr, &C::cache_hits, nullptr,
      &M::cache_hits},
+    {"chrono_prediction_inline_hits_total",
+     "Misses answered by the combined query that covered them", nullptr,
+     nullptr, &C::prediction_hits, nullptr, &M::prediction_hits},
+    {"chrono_prefetched_hits_total",
+     "Requests answered from predictively prefetched entries", nullptr,
+     nullptr, &C::prefetched_hits, nullptr, &M::prefetched_hits},
+    {"chrono_errors_total", "Statements that returned a status", nullptr,
+     nullptr, &C::errors, nullptr, &M::errors},
     {"chrono_cache_rejects_total",
      "Cached results rejected by session/security checks", "reason",
      "security_group", &C::cache_rejects_security, nullptr, &M::cache_rejects},
@@ -74,12 +82,6 @@ constexpr CounterRow kCounterRows[] = {
      "Demand misses that joined another thread's in-flight backend fetch "
      "instead of issuing their own.",
      nullptr, nullptr, &C::backend_coalesced, nullptr, &M::backend_coalesced},
-    {"chrono_prediction_inline_hits_total",
-     "Misses rescued by an inline covering combined query", nullptr, nullptr,
-     &C::prediction_hits, nullptr, &M::prediction_hits},
-    {"chrono_prefetched_hits_total",
-     "Cache hits served from predictively prefetched entries", nullptr,
-     nullptr, &C::prefetched_hits, nullptr, &M::prefetched_hits},
     {"chrono_prefetches_dropped_total",
      "Background prefetches rejected by a full queue", nullptr, nullptr,
      nullptr, &C::prefetches_dropped, &M::prefetches_dropped},
@@ -91,8 +93,6 @@ constexpr CounterRow kCounterRows[] = {
     {"chrono_shed_total", "Best-effort work shed instead of queued or retried.",
      "kind", "prefetch_breaker", &C::prefetches_shed_breaker, nullptr,
      &M::prefetches_shed_breaker},
-    {"chrono_errors_total", "Statements that returned a status", nullptr,
-     nullptr, &C::errors, nullptr, &M::errors},
     {"chrono_backend_timeouts_total",
      "Remote calls abandoned at their deadline budget, by whose budget ran "
      "out.",
@@ -154,11 +154,24 @@ uint64_t Read(const EngineCounters& counters, const CounterRow& row) {
 
 // The counter a recorded event stands for, or null when the event's fact
 // is counted elsewhere (queue sheds: the pool) or not at all
-// (session-rejected coalesced followers saved no backend call).
+// (session-rejected coalesced followers saved no backend call; requests
+// answered without a hit or an error). A prefetched hit is counted once
+// more, by Engine::Record.
 std::atomic<uint64_t>* CounterFor(EngineCounters& c,
                                   const obs::JournalEvent& event) {
   using Type = obs::JournalEventType;
   switch (event.type) {
+    case Type::kRequest:
+      switch (obs::RequestOutcome(event)) {
+        case obs::TraceOutcome::kCacheHit:
+          return &c.cache_hits;
+        case obs::TraceOutcome::kPredictionHit:
+          return &c.prediction_hits;
+        case obs::TraceOutcome::kError:
+          return &c.errors;
+        default:
+          return nullptr;
+      }
     case Type::kCombinedIssued:
       return &c.remote_combined;
     case Type::kBackendRetry:
@@ -477,6 +490,11 @@ std::string Engine::CacheKey(ClientId client,
   return key;
 }
 
+std::string Engine::FlightKey(ClientId client, int security_group,
+                              const std::string& bound_text) const {
+  return CacheKey(client, bound_text) + "#g" + std::to_string(security_group);
+}
+
 void Engine::CachePut(ClientId client, int security_group, TemplateId tmpl,
                       const std::string& bound_text,
                       std::shared_ptr<const sql::ResultSet> result,
@@ -705,7 +723,39 @@ void Engine::Record(const obs::JournalEvent& event) {
   if (std::atomic<uint64_t>* counter = CounterFor(counters_, event)) {
     counter->fetch_add(1, std::memory_order_relaxed);
   }
+  if (obs::IsPrefetchedHit(event)) {
+    counters_.prefetched_hits.fetch_add(1, std::memory_order_relaxed);
+  }
   Journal(event);
+}
+
+void Engine::Record(const Request& request) {
+  obs::JournalEvent event;
+  event.type = obs::JournalEventType::kRequest;
+  event.client = static_cast<uint32_t>(request.client);
+  event.tmpl = static_cast<uint64_t>(request.tmpl);
+  event.plan = request.plan;
+  event.src = request.src;
+  event.flags = static_cast<uint8_t>(request.outcome);
+  if (request.late) event.flags |= obs::kJournalFlagLate;
+  if (request.spans == nullptr) {
+    event.flags |= obs::kJournalFlagNoLatency;
+  } else {
+    uint64_t stage_us[static_cast<int>(obs::Stage::kCount)] = {};
+    for (const obs::TraceSpan& span : *request.spans) {
+      stage_us[static_cast<int>(span.stage)] += span.dur_us;
+    }
+    auto us = [&stage_us](obs::Stage stage) {
+      return stage_us[static_cast<int>(stage)];
+    };
+    event.a = obs::PackDurations(us(obs::Stage::kAnalyze),
+                                 us(obs::Stage::kCacheLookup));
+    event.b = obs::PackDurations(us(obs::Stage::kLearnCombine),
+                                 us(obs::Stage::kDbExecute));
+    event.c = obs::PackDurations(us(obs::Stage::kSplitDecode),
+                                 request.total_us);
+  }
+  Record(event);
 }
 
 void Engine::Journal(obs::JournalEvent event) {

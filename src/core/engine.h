@@ -23,6 +23,7 @@
 #include "obs/contention.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/sharded_cache.h"
 #include "sql/footprint.h"
 #include "sql/template.h"
@@ -49,7 +50,11 @@ struct EngineConfig {
 struct NodeMetrics {
   uint64_t reads = 0;
   uint64_t writes = 0;
-  uint64_t cache_hits = 0;          // client reads answered from the cache
+  // Request outcomes, counted from each request's record (Engine::Record).
+  uint64_t cache_hits = 0;          // reads answered by a cache lookup
+  uint64_t prediction_hits = 0;     // misses answered by a combined query
+  uint64_t prefetched_hits = 0;     // either hit, on predictively cached rows
+  uint64_t errors = 0;              // statements that returned a status
   uint64_t cache_rejects = 0;       // present but failed session/security
   uint64_t version_gap_serves = 0;  // behind the session, gap disjoint
   uint64_t remote_plain = 0;        // uncombined remote reads
@@ -59,11 +64,8 @@ struct NodeMetrics {
   uint64_t backend_retries = 0;     // demand-read retries after failures
   // Runtime only.
   uint64_t backend_coalesced = 0;   // misses that joined an in-flight fetch
-  uint64_t prediction_hits = 0;     // misses answered by an inline combine
-  uint64_t prefetched_hits = 0;     // cache hits on predictively cached rows
   uint64_t prefetches_dropped = 0;  // prefetch tasks the pool shed
   uint64_t prefetches_shed_breaker = 0;  // prefetch shed: breaker unhealthy
-  uint64_t errors = 0;              // statements that returned a status
   uint64_t backend_timeouts = 0;    // remote calls abandoned at deadline
   uint64_t stale_serves = 0;        // demand reads answered from stale data
   uint64_t breaker_rejects = 0;     // demand rejected while breaker open
@@ -85,13 +87,17 @@ struct NodeMetrics {
 /// \brief The node's counters, one per fact (relaxed atomics). The engine
 /// bumps the ones it owns the decision for (rejects, predictions cached);
 /// each driver bumps the rest at the one site its policy decides. A fact
-/// that is also journaled is counted by Engine::Record, never by hand.
-/// Engine::RegisterMetrics exports them and Engine::Metrics snapshots
-/// them from one table (DESIGN.md §9).
+/// that is also journaled — a request's outcome included — is counted by
+/// Engine::Record, never by hand. Engine::RegisterMetrics exports them and
+/// Engine::Metrics snapshots them from one table (DESIGN.md §9).
 struct EngineCounters {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> writes{0};
+  // Request outcomes (Engine::Record of a Request).
   std::atomic<uint64_t> cache_hits{0};
+  std::atomic<uint64_t> prediction_hits{0};
+  std::atomic<uint64_t> prefetched_hits{0};
+  std::atomic<uint64_t> errors{0};
   // Present entries turned down: another security group's (§5.2.1), or
   // behind the session with a write in the gap not provably disjoint
   // (§5.2, DESIGN.md §19).
@@ -107,10 +113,7 @@ struct EngineCounters {
   std::atomic<uint64_t> backend_retries{0};
   // Runtime only.
   std::atomic<uint64_t> backend_coalesced{0};
-  std::atomic<uint64_t> prediction_hits{0};
-  std::atomic<uint64_t> prefetched_hits{0};
   std::atomic<uint64_t> prefetches_shed_breaker{0};
-  std::atomic<uint64_t> errors{0};
   // Timeouts by whose budget ran out: the node's own, or only the
   // client's propagated wire deadline.
   std::atomic<uint64_t> backend_timeouts_backend{0};
@@ -271,6 +274,10 @@ class Engine {
   // --- Result cache -----------------------------------------------------
 
   std::string CacheKey(ClientId client, const std::string& bound_text) const;
+  /// The coalescing key of a demand read: its cache key plus the security
+  /// group, so one group's fetch is never handed to another (§5.2.1).
+  std::string FlightKey(ClientId client, int security_group,
+                        const std::string& bound_text) const;
   /// Installs `result` tagged with `version`: SnapshotReads(tmpl) taken
   /// *before* the backend read, so a write committing while the read is in
   /// flight is never claimed as seen. `prefetch_plan`/`prefetch_src`
@@ -327,6 +334,24 @@ class Engine {
   /// event-to-counter rules live, so counters and journal agree by
   /// construction.
   void Record(const obs::JournalEvent& event);
+  /// One finished client statement, as the driver that served it saw it.
+  struct Request {
+    ClientId client = 0;
+    TemplateId tmpl = 0;  // 0: the text did not analyze
+    obs::TraceOutcome outcome = obs::TraceOutcome::kRemotePlain;
+    uint64_t plan = 0;  // the answering entry's prefetch attribution
+    uint64_t src = 0;
+    bool late = false;  // started after its client deadline (§17)
+    /// Wall-clock pipeline spans and end-to-end µs. Null in virtual time:
+    /// the record then carries kJournalFlagNoLatency.
+    const std::vector<obs::TraceSpan>* spans = nullptr;
+    uint64_t total_us = 0;
+  };
+  /// Records a request's outcome, the one place either driver does: builds
+  /// its kRequest event and records it, which counts cache_hits
+  /// (kCacheHit), prediction_hits (kPredictionHit), prefetched_hits
+  /// (either hit with a plan) and errors (kError).
+  void Record(const Request& request);
   /// Journals one event that no counter stands for; no-op without a
   /// journal.
   void Journal(obs::JournalEvent event);

@@ -186,56 +186,6 @@ void Middleware::AttachJournal(obs::EventJournal* journal) {
   engine_.AttachJournal(journal, /*stamp_events=*/true);
 }
 
-void Middleware::JournalRequest(ClientId client, TemplateId tmpl,
-                                obs::TraceOutcome outcome,
-                                uint64_t prefetch_plan,
-                                uint64_t prefetch_src) {
-  obs::JournalEvent event;
-  event.type = obs::JournalEventType::kRequest;
-  event.client = static_cast<uint32_t>(client);
-  event.tmpl = static_cast<uint64_t>(tmpl);
-  event.plan = prefetch_plan;
-  event.src = prefetch_src;
-  event.flags =
-      static_cast<uint8_t>(outcome) | obs::kJournalFlagNoLatency;
-  engine_.Journal(event);
-}
-
-std::vector<std::string> Middleware::DumpDependencyGraphs(ClientId client) {
-  std::vector<DependencyGraph> graphs =
-      engine_.WithModel(client, [](const Engine::ClientModel& model) {
-        std::vector<DependencyGraph> out;
-        for (const DependencyGraph* graph : model.manager.Graphs()) {
-          out.push_back(*graph);
-        }
-        return out;
-      });
-  std::vector<std::string> out;
-  for (const DependencyGraph& graph : graphs) {
-    std::map<TemplateId, std::string> labels;
-    for (TemplateId node : graph.nodes) {
-      const sql::QueryTemplate* tmpl = engine_.FindTemplate(node);
-      if (tmpl == nullptr) continue;
-      std::string text = tmpl->canonical_text.substr(0, 48);
-      // Escape for DOT string literals.
-      std::string escaped;
-      for (char c : text) {
-        if (c == '"' || c == '\\') escaped += '\\';
-        escaped += c;
-      }
-      labels[node] = escaped;
-    }
-    out.push_back(graph.ToDot(labels));
-  }
-  return out;
-}
-
-std::string Middleware::FlightKey(ClientId client, int security_group,
-                                  const std::string& bound_text) const {
-  return engine_.CacheKey(client, bound_text) + "#g" +
-         std::to_string(security_group);
-}
-
 void Middleware::SubmitQuery(ClientId client, int security_group,
                              std::string sql_text, ResponseCallback done) {
   // Client -> middleware edge hop, then middleware service.
@@ -256,7 +206,8 @@ void Middleware::Process(ClientId client, int security_group,
                          std::string sql_text, ResponseCallback done) {
   Result<sql::ParsedQuery> parsed = engine_.Analyze(sql_text);
   if (!parsed.ok()) {
-    JournalRequest(client, /*tmpl=*/0, obs::TraceOutcome::kError);
+    engine_.Record(Engine::Request{.client = client,
+                                   .outcome = obs::TraceOutcome::kError});
     events_->ScheduleAfter(latency_.edge_rtt / 2,
                            [done, st = parsed.status()](SimTime now2) {
                              done(now2, st);
@@ -286,9 +237,11 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
        done = std::move(done)](SimTime, Result<db::ExecOutcome> outcome) {
         engine_.OnRemoteAccess();
         if (outcome.ok()) engine_.OnClientWrite(client, writes, footprint);
-        JournalRequest(client, tmpl,
-                       outcome.ok() ? obs::TraceOutcome::kWrite
-                                    : obs::TraceOutcome::kError);
+        engine_.Record(Engine::Request{
+            .client = client,
+            .tmpl = tmpl,
+            .outcome = outcome.ok() ? obs::TraceOutcome::kWrite
+                                    : obs::TraceOutcome::kError});
         events_->ScheduleAfter(
             latency_.edge_rtt / 2,
             [outcome = std::move(outcome), done](SimTime now2) {
@@ -318,13 +271,16 @@ void Middleware::HandleRead(ClientId client, int security_group,
     to_fire.push_back(&g);
   }
 
-  const std::string key = FlightKey(client, security_group, parsed.bound_text);
+  const std::string key =
+      engine_.FlightKey(client, security_group, parsed.bound_text);
   std::optional<cache::CachedResult> hit =
       engine_.CacheGet(client, security_group, parsed);
   if (hit.has_value()) {
-    ++engine_.counters().cache_hits;
-    JournalRequest(client, tmpl, obs::TraceOutcome::kCacheHit,
-                   hit->prefetch_plan, hit->prefetch_src);
+    engine_.Record(Engine::Request{.client = client,
+                                   .tmpl = tmpl,
+                                   .outcome = obs::TraceOutcome::kCacheHit,
+                                   .plan = hit->prefetch_plan,
+                                   .src = hit->prefetch_src});
     // Answer from the edge cache first (Respond records the fresh result
     // into the mapper), then fire background predictions off it.
     Respond(client, tmpl, hit->result, done);
@@ -391,7 +347,8 @@ void Middleware::HandleRead(ClientId client, int security_group,
 
 void Middleware::RemotePlain(ClientId client, int security_group,
                              sql::ParsedQuery query, ResponseCallback done) {
-  const std::string key = FlightKey(client, security_group, query.bound_text);
+  const std::string key =
+      engine_.FlightKey(client, security_group, query.bound_text);
   auto it = inflight_.find(key);
   if (it != inflight_.end()) {
     ++engine_.counters().inflight_joins;
@@ -423,8 +380,7 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
           // Idempotent demand read: reschedule after a full-jitter backoff
           // while the waiters (and any late joiners) stay parked under the
           // in-flight key. Writes and prefetch never take this path.
-          if (config_.enable_retries &&
-              net::RetryPolicy::IsRetryable(outcome.status()) &&
+          if (net::RetryPolicy::IsRetryable(outcome.status()) &&
               retry_.ShouldRetry(attempts)) {
             double u =
                 HashToUnit(SplitMix64(config_.retry_seed ^ retry_ordinal_++));
@@ -449,7 +405,10 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
           inflight_tmpl_.erase(key);
           deferred_seq_.erase(key);
           for (auto& w : waiters) {
-            JournalRequest(w.client, tmpl, obs::TraceOutcome::kError);
+            engine_.Record(
+                Engine::Request{.client = w.client,
+                                .tmpl = tmpl,
+                                .outcome = obs::TraceOutcome::kError});
             events_->ScheduleAfter(
                 latency_.edge_rtt / 2,
                 [done = std::move(w.done), st = outcome.status()](
@@ -469,7 +428,10 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
         for (auto& w : waiters) {
           // Fresh database read: Vc = Vd (§5.2).
           engine_.SyncClientToDb(w.client);
-          JournalRequest(w.client, tmpl, obs::TraceOutcome::kRemotePlain);
+          engine_.Record(
+              Engine::Request{.client = w.client,
+                              .tmpl = tmpl,
+                              .outcome = obs::TraceOutcome::kRemotePlain});
           Respond(w.client, tmpl, payload, w.done);
         }
         // Fire deferred sequential predictions now that the result they
@@ -566,8 +528,12 @@ void Middleware::ResolveInflight(const std::string& key) {
     std::optional<cache::CachedResult> hit =
         engine_.CacheGet(w.client, info.security_group, info.query);
     if (hit.has_value()) {
-      JournalRequest(w.client, tmpl, obs::TraceOutcome::kPredictionHit,
-                     hit->prefetch_plan, hit->prefetch_src);
+      engine_.Record(
+          Engine::Request{.client = w.client,
+                          .tmpl = tmpl,
+                          .outcome = obs::TraceOutcome::kPredictionHit,
+                          .plan = hit->prefetch_plan,
+                          .src = hit->prefetch_src});
       Respond(w.client, tmpl, hit->result, w.done);
     } else {
       unresolved.push_back(std::move(w));
@@ -616,7 +582,7 @@ void Middleware::FireSequential(ClientId client, int security_group,
     if (!ok) continue;
     std::string bound = sql::RenderBoundText(*tmpl, params);
     if (engine_.cache().Contains(engine_.CacheKey(client, bound))) continue;
-    if (inflight_.count(FlightKey(client, security_group, bound)) > 0) {
+    if (inflight_.contains(engine_.FlightKey(client, security_group, bound))) {
       continue;
     }
     ++engine_.counters().sequential_prefetches;

@@ -49,8 +49,8 @@ struct MiddlewareConfig : EngineConfig {
   // full-jitter exponential backoff in virtual time; writes and prefetch
   // never auto-retry. Backoff jitter is derived deterministically from
   // retry_seed so repeated runs replay byte-identical.
+  // retry.max_attempts = 1 turns retries off.
   net::RetryOptions retry;
-  bool enable_retries = true;
   uint64_t retry_seed = 42;
 
   // Capability switches derived from `mode` by Finalize(); individual
@@ -187,10 +187,6 @@ class Middleware {
   /// Dependency-graph count across clients (learning progress probe).
   size_t TotalGraphs() const { return engine_.TotalGraphs(); }
 
-  /// Graphviz renderings of one client's learned dependency graphs, with
-  /// nodes labelled by their template text (inspection/debugging surface).
-  std::vector<std::string> DumpDependencyGraphs(ClientId client);
-
  private:
   struct PendingRequest {
     ClientId client;
@@ -203,12 +199,6 @@ class Middleware {
     sql::ParsedQuery query;
     int security_group = 0;
   };
-
-  /// In-flight key for a demand read: the cache key plus the security
-  /// group, so coalescing never hands one group's fetch to another
-  /// (§5.2.1) — the runtime's single-flight key has the same shape.
-  std::string FlightKey(ClientId client, int security_group,
-                        const std::string& bound_text) const;
 
   void Process(ClientId client, int security_group, std::string sql_text,
                ResponseCallback done);
@@ -263,18 +253,13 @@ class Middleware {
                std::shared_ptr<const sql::ResultSet> result,
                const ResponseCallback& done);
 
-  /// kRequest emission helper shared by the response sites.
-  void JournalRequest(ClientId client, TemplateId tmpl,
-                      obs::TraceOutcome outcome, uint64_t prefetch_plan = 0,
-                      uint64_t prefetch_src = 0);
-
   EventQueue* events_;
   RemoteDbServer* remote_;
   net::LatencyModel latency_;
   MiddlewareConfig config_;
   Engine engine_;
   Resource mw_pool_;
-  // §5.1 duplicate-request coalescing: flight key -> waiters.
+  // §5.1 duplicate-request coalescing: Engine::FlightKey -> waiters.
   std::unordered_map<std::string, std::vector<PendingRequest>> inflight_;
   std::unordered_map<std::string, InflightInfo> inflight_tmpl_;
   // Sequential (Apollo-style) predictions deferred until the in-flight

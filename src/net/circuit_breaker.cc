@@ -4,15 +4,6 @@
 
 namespace chrono::net {
 
-const char* CircuitBreaker::StateName(State state) {
-  switch (state) {
-    case State::kClosed: return "closed";
-    case State::kOpen: return "open";
-    case State::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-
 CircuitBreaker::CircuitBreaker(Options options, Clock clock)
     : options_(options), clock_(std::move(clock)) {}
 

@@ -30,7 +30,6 @@ namespace chrono::net {
 class CircuitBreaker {
  public:
   enum class State : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-  static const char* StateName(State state);
 
   struct Options {
     int failure_threshold = 5;           // consecutive failures that open

@@ -303,7 +303,7 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
     }
     case JournalEventType::kRequest: {
       ++requests_;
-      int outcome = std::min<int>(event.flags & 0x0f, kTraceOutcomeCount - 1);
+      const int outcome = static_cast<int>(RequestOutcome(event));
       ++outcome_counts_[outcome];
       if (event.flags & kJournalFlagLate) {
         ++overload_.late_executions;
@@ -343,6 +343,13 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
             board->hit_latency_us += total_us;
             per_tmpl.second += total_us;
           }
+        }
+        if (registry_ != nullptr && IsPrefetchedHit(event)) {
+          CounterFor("chrono_prediction_hits_total",
+                     "Requests answered by a prefetched entry, by the "
+                     "transition-graph edge that predicted it.",
+                     "edge", edge_key)
+              ->Increment();
         }
       }
       break;

@@ -25,15 +25,17 @@ namespace chrono::obs {
 /// template count; the instance→root mapping is learned from kPlanMined
 /// events (instances whose mining event was dropped fold under "unknown").
 /// Edges are keyed "src->dst" ("root" when the entry's template was a
-/// text-dependency root of the plan), matching
-/// chrono_prediction_hits_total{edge}.
+/// text-dependency root of the plan), the one edge key of every per-edge
+/// family, chrono_prediction_hits_total{edge} included.
 ///
 /// Thread safety: OnEvents arrives single-threaded from Drain(); snapshot()
 /// may be called concurrently (StatsServer /prefetch, the bench progress
 /// line), so one internal mutex guards all state. When constructed with a
 /// registry, folding also drives the counter families of the facts that
 /// exist only as events — chrono_prefetch_{installed,used,wasted_bytes,
-/// invalidated}_total, chrono_breaker_transitions_total{to},
+/// invalidated}_total, chrono_prediction_hits_total{edge} (the per-edge
+/// split of core::Engine's prefetched_hits),
+/// chrono_breaker_transitions_total{to},
 /// chrono_overload_brownout_transitions_total{to} and
 /// chrono_overload_late_executions_total — so scraped counters and offline
 /// chrono_audit numbers are two views of the same fold. Facts a hot-path
@@ -134,9 +136,6 @@ class PrefetchAudit : public JournalSink {
     /// work is rejected at dequeue, never run.
     uint64_t late_executions = 0;
 
-    uint64_t TotalShed() const {
-      return shed_prefetch + shed_pipeline + shed_admission;
-    }
     bool Any() const {
       return shed_prefetch | shed_pipeline | shed_admission |
              deadline_expired | brownout_transitions | late_executions;

@@ -27,30 +27,6 @@ thread_local TlsSlot t_slot;
 
 }  // namespace
 
-const char* JournalEventTypeName(JournalEventType type) {
-  switch (type) {
-    case JournalEventType::kPlanMined: return "plan_mined";
-    case JournalEventType::kCombinedIssued: return "combined_issued";
-    case JournalEventType::kCombinedFetched: return "combined_fetched";
-    case JournalEventType::kEntryInstalled: return "entry_installed";
-    case JournalEventType::kEntryUsed: return "entry_used";
-    case JournalEventType::kEntryEvicted: return "entry_evicted";
-    case JournalEventType::kEntryInvalidated: return "entry_invalidated";
-    case JournalEventType::kRequest: return "request";
-    case JournalEventType::kBackendRetry: return "backend_retry";
-    case JournalEventType::kBackendTimeout: return "backend_timeout";
-    case JournalEventType::kBreakerTransition: return "breaker_transition";
-    case JournalEventType::kStaleServe: return "stale_serve";
-    case JournalEventType::kShed: return "shed";
-    case JournalEventType::kBackendCoalesced: return "backend_coalesced";
-    case JournalEventType::kWireRequest: return "wire_request";
-    case JournalEventType::kShedQueue: return "shed_queue";
-    case JournalEventType::kDeadlineExpired: return "deadline_expired";
-    case JournalEventType::kBrownoutTransition: return "brownout_transition";
-  }
-  return "?";
-}
-
 EventJournal::EventJournal() : EventJournal(Options{}) {}
 
 EventJournal::EventJournal(Options options)

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "obs/trace.h"
 
 namespace chrono::obs {
 
@@ -42,8 +43,6 @@ enum class JournalEventType : uint8_t {
   kDeadlineExpired,   // request expired in queue; rejected unexecuted
   kBrownoutTransition, // brownout ladder stepped (a = to, b = from)
 };
-
-const char* JournalEventTypeName(JournalEventType type);
 
 /// Flag bits shared by the entry-lifecycle events.
 inline constexpr uint8_t kJournalFlagUsed = 1u;  // entry served >= 1 hit
@@ -134,6 +133,26 @@ struct JournalEvent {
   uint16_t pad = 0;
 };
 static_assert(sizeof(JournalEvent) == 64, "journal record is one cache line");
+
+/// The TraceOutcome in a kRequest event's low flag bits.
+inline TraceOutcome RequestOutcome(const JournalEvent& event) {
+  const int outcome = event.flags & 0x0f;
+  return static_cast<TraceOutcome>(
+      outcome < kTraceOutcomeCount ? outcome : kTraceOutcomeCount - 1);
+}
+
+/// A kRequest answered by a predictively installed entry: a cache or
+/// prediction hit carrying the entry's plan. core::Engine counts these as
+/// prefetched_hits and PrefetchAudit as chrono_prediction_hits_total{edge},
+/// so the two agree by construction.
+inline bool IsPrefetchedHit(const JournalEvent& event) {
+  if (event.type != JournalEventType::kRequest || event.plan == 0) {
+    return false;
+  }
+  const TraceOutcome outcome = RequestOutcome(event);
+  return outcome == TraceOutcome::kCacheHit ||
+         outcome == TraceOutcome::kPredictionHit;
+}
 
 /// Packs/unpacks the two 32-bit stage durations of a kRequest payload word.
 inline uint64_t PackDurations(uint64_t lo_us, uint64_t hi_us) {

@@ -13,16 +13,6 @@ BrownoutController::BrownoutController(Options options)
   }
 }
 
-const char* BrownoutController::LevelName(Level level) {
-  switch (level) {
-    case Level::kNormal: return "normal";
-    case Level::kShedPrefetch: return "shed_prefetch";
-    case Level::kShedPipeline: return "shed_pipeline";
-    case Level::kRejectQuery: return "reject_query";
-  }
-  return "?";
-}
-
 uint32_t BrownoutController::RetryAfterMs() const {
   uint64_t target_ms = options_.queue_target_us / 1000;
   if (target_ms == 0) target_ms = 1;

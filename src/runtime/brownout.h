@@ -83,8 +83,6 @@ class BrownoutController {
     listener_ = std::move(listener);
   }
 
-  static const char* LevelName(Level level);
-
  private:
   Options options_;
   Listener listener_;

@@ -371,52 +371,24 @@ void ChronoServer::RegisterMetrics() {
       [this] { return static_cast<double>(traces_.total_pushed()); }, owner);
 }
 
-void ChronoServer::RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl) {
-  counters_.prefetched_hits.fetch_add(1, std::memory_order_relaxed);
-  std::string edge = (src_tmpl == 0 ? std::string("root")
-                                    : std::to_string(src_tmpl)) +
-                     "->" + std::to_string(dst_tmpl);
-  metrics_registry_
-      ->GetCounter("chrono_prediction_hits_total",
-                   "Cache hits attributed to the transition-graph edge that "
-                   "prefetched them (src template -> hit template)",
-                   {{"edge", std::move(edge)}})
-      ->Increment();
-}
-
 std::shared_ptr<obs::RequestTrace> ChronoServer::FinishRequest(
     ReqCtx* ctx, ClientId client, bool read_only, const std::string& sql) {
   uint64_t total_ns = NsBetween(ctx->t0, std::chrono::steady_clock::now());
   (read_only ? request_read_hist_ : request_write_hist_)->Record(total_ns);
-  obs::JournalEvent event;
-  event.type = obs::JournalEventType::kRequest;
-  event.client = static_cast<uint32_t>(client);
-  event.tmpl = static_cast<uint64_t>(ctx->tmpl);
-  event.plan = ctx->prefetch_plan;
-  event.src = ctx->prefetch_src;
-  event.flags = static_cast<uint8_t>(ctx->outcome);
-  // §17 invariant violation marker: a request whose client deadline had
-  // already passed when the pipeline started should have been rejected
-  // at dequeue, never executed. The audit counts these; the count must
-  // stay zero.
-  if (ctx->arrival.deadline_us != 0 &&
-      ctx->start_us > ctx->arrival.deadline_us) {
-    event.flags |= obs::kJournalFlagLate;
-  }
-  uint64_t stage_us[static_cast<int>(obs::Stage::kCount)] = {};
-  for (const obs::TraceSpan& span : ctx->spans) {
-    stage_us[static_cast<int>(span.stage)] += span.dur_us;
-  }
-  event.a = obs::PackDurations(
-      stage_us[static_cast<int>(obs::Stage::kAnalyze)],
-      stage_us[static_cast<int>(obs::Stage::kCacheLookup)]);
-  event.b = obs::PackDurations(
-      stage_us[static_cast<int>(obs::Stage::kLearnCombine)],
-      stage_us[static_cast<int>(obs::Stage::kDbExecute)]);
-  event.c = obs::PackDurations(
-      stage_us[static_cast<int>(obs::Stage::kSplitDecode)],
-      total_ns / 1000);
-  journal_.Record(event);
+  engine_.Record(core::Engine::Request{
+      .client = client,
+      .tmpl = ctx->tmpl,
+      .outcome = ctx->outcome,
+      .plan = ctx->prefetch_plan,
+      .src = ctx->prefetch_src,
+      // §17 invariant violation marker: a request whose client deadline
+      // had already passed when the pipeline started should have been
+      // rejected at dequeue, never executed. The audit counts these; the
+      // count must stay zero.
+      .late = ctx->arrival.deadline_us != 0 &&
+              ctx->start_us > ctx->arrival.deadline_us,
+      .spans = &ctx->spans,
+      .total_us = total_ns / 1000});
   return BuildTrace(*ctx, client, sql, total_ns / 1000);
 }
 
@@ -639,8 +611,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
     // Retry only idempotent demand reads, within the deadline. Writes are
     // never safely retryable here (no dedup tokens), and prefetch is
     // best-effort by contract.
-    if (call.is_write || call.is_prefetch || !config_.enable_retries ||
-        !retry_.ShouldRetry(attempts)) {
+    if (call.is_write || call.is_prefetch || !retry_.ShouldRetry(attempts)) {
       breaker_.OnResult(admission, false);
       return outcome;
     }
@@ -777,7 +748,6 @@ ChronoServer::Served ChronoServer::ExecuteInternal(ClientId client,
     parsed = engine_.Analyze(sql);
   }
   if (!parsed.ok()) {
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
     ctx.outcome = obs::TraceOutcome::kError;
     return {parsed.status(),
             FinishRequest(&ctx, client, /*read_only=*/true, sql)};
@@ -820,10 +790,7 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
       return out;
     });
   }
-  if (!outcome.ok()) {
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
-    return outcome.status();
-  }
+  if (!outcome.ok()) return outcome.status();
   engine_.OnClientWrite(client, outcome->tables_written,
                         std::make_shared<const sql::WriteFootprint>(
                             sql::ExtractWriteFootprint(*parsed.tmpl->ast,
@@ -886,13 +853,9 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   };
   auto respond_hit = [&](const cache::CachedResult& hit,
                          obs::TraceOutcome outcome) {
-    counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
     ctx->outcome = outcome;
-    if (hit.prefetch_plan != 0) {
-      ctx->prefetch_plan = hit.prefetch_plan;
-      ctx->prefetch_src = hit.prefetch_src;
-      RecordPrefetchedHit(hit.prefetch_src, tmpl);
-    }
+    ctx->prefetch_plan = hit.prefetch_plan;
+    ctx->prefetch_src = hit.prefetch_src;
     return respond(hit.result);
   };
 
@@ -933,7 +896,6 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed);
     }
     if (hit.has_value()) {
-      counters_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
       return respond_hit(*hit, obs::TraceOutcome::kPredictionHit);
     }
     counters_.prediction_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -944,11 +906,11 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   // call with the full retry/breaker/deadline semantics; threads that
   // miss the same key in the same group while it is in flight park on the
   // leader's shared future instead of issuing duplicate backend calls.
-  // The group suffix keeps cross-group misses on separate flights — the
-  // coalescing path must honour the same access-control model CacheGet
+  // The group in the key keeps cross-group misses on separate flights —
+  // the coalescing path must honour the same access-control model CacheGet
   // enforces (§5.2.1).
-  const std::string flight_key = engine_.CacheKey(client, parsed.bound_text) +
-                                 "#g" + std::to_string(security_group);
+  const std::string flight_key =
+      engine_.FlightKey(client, security_group, parsed.bound_text);
 
   // A follower validates the inherited payload against its own session
   // vector before accepting it; on rejection it loops and leads a fresh
@@ -1012,7 +974,6 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
           return stale;
         }
       }
-      counters_.errors.fetch_add(1, std::memory_order_relaxed);
       return shared.status();
     }
     if (version_ok) {
@@ -1093,7 +1054,6 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
         return stale;
       }
     }
-    counters_.errors.fetch_add(1, std::memory_order_relaxed);
     return outcome.status();
   }
   // Tagged with the pre-read snapshot, like the followers' payload: a

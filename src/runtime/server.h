@@ -71,10 +71,10 @@ struct ServerConfig : core::EngineConfig {
   /// Per-attempt timeout within the deadline; 0 = whatever remains of the
   /// deadline. A blackout burns one attempt budget, not the whole deadline.
   uint64_t attempt_timeout_us = 0;
-  /// Backoff schedule for idempotent demand-read retries. Writes never
-  /// auto-retry; prefetch never retries (it is shed instead).
+  /// Backoff schedule for idempotent demand-read retries
+  /// (max_attempts = 1: no retry). Writes never auto-retry; prefetch never
+  /// retries (it is shed instead).
   net::RetryOptions retry;
-  bool enable_retries = true;
   /// Circuit breaker thresholds for the remote-database path.
   net::CircuitBreaker::Options breaker;
   /// Serve version-stale cached entries (age-bounded) when a demand fetch
@@ -346,10 +346,8 @@ class ChronoServer {
   /// Records one journal event that no counter stands for (lock-free;
   /// safe under any server lock — the journal's own locks are leaves).
   void Journal(obs::JournalEvent event) { engine_.Journal(event); }
-  /// Bumps the per-edge attributed prediction-hit counter.
-  void RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl);
-  /// Records the finished request's latency and kRequest journal event
-  /// (on the worker thread) and returns its record.
+  /// Records the finished request's latency and outcome (Engine::Record,
+  /// on the worker thread) and returns its record.
   std::shared_ptr<obs::RequestTrace> FinishRequest(ReqCtx* ctx,
                                                    ClientId client,
                                                    bool read_only,

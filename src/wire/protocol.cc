@@ -157,18 +157,6 @@ Status Malformed(const char* what) {
 
 }  // namespace
 
-const char* MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kHello: return "hello";
-    case MessageType::kQuery: return "query";
-    case MessageType::kResult: return "result";
-    case MessageType::kError: return "error";
-    case MessageType::kPing: return "ping";
-    case MessageType::kGoodbye: return "goodbye";
-  }
-  return "?";
-}
-
 std::string EncodeHello(uint64_t request_id, const HelloBody& body,
                         uint8_t version) {
   std::string payload;

@@ -124,8 +124,6 @@ struct ErrorBody {
   bool expired = false;         // kFlagExpired: rejected unexecuted
 };
 
-const char* MessageTypeName(MessageType type);
-
 // --- Encoding (always produces a complete frame: header + payload) ------
 //
 // `version` stamps the frame header. The server answers a v1 client with

@@ -1,0 +1,181 @@
+// Engine::Record of a Request is the one place either driver records how a
+// statement ended. For every TraceOutcome, with and without a prefetch
+// plan, the kRequest event it journals and the outcome counters it moves
+// must follow from that one record:
+//
+// - cache_hits on kCacheHit, prediction_hits on kPredictionHit, errors on
+//   kError, prefetched_hits on either hit that carries a plan;
+// - flags: the outcome in the low bits, kJournalFlagNoLatency without
+//   wall-clock spans, kJournalFlagLate for a request started past its
+//   client deadline; a/b/c: the packed stage µs.
+
+#include <gtest/gtest.h>
+
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/engine.h"
+#include "obs/journal.h"
+#include "obs/trace.h"
+
+namespace chrono::core {
+namespace {
+
+class CollectSink : public obs::JournalSink {
+ public:
+  void OnEvents(const obs::JournalEvent* events, size_t count) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.insert(events_.end(), events, events + count);
+  }
+  std::vector<obs::JournalEvent> Take() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::move(events_);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<obs::JournalEvent> events_;
+};
+
+struct RecordedEngine {
+  explicit RecordedEngine(bool virtual_time)
+      : engine(EngineConfig{}, Engine::Options{}, [this] { return now_us; }) {
+    journal.AddSink(&sink);
+    engine.AttachJournal(&journal, /*stamp_events=*/virtual_time);
+  }
+
+  uint64_t now_us = 1000;
+  CollectSink sink;  // outlives the journal's final drain
+  obs::EventJournal journal;
+  Engine engine;
+};
+
+// Every counter Metrics() snapshots, as one comparable vector, so a test
+// can assert that nothing but the expected counters moved.
+std::vector<uint64_t> AllCounters(const NodeMetrics& m) {
+  return {m.reads,
+          m.writes,
+          m.cache_hits,
+          m.prediction_hits,
+          m.prefetched_hits,
+          m.errors,
+          m.cache_rejects,
+          m.version_gap_serves,
+          m.remote_plain,
+          m.remote_combined,
+          m.predictions_cached,
+          m.prediction_fallbacks,
+          m.backend_retries,
+          m.backend_coalesced,
+          m.prefetches_dropped,
+          m.prefetches_shed_breaker,
+          m.backend_timeouts,
+          m.stale_serves,
+          m.breaker_rejects,
+          m.faults_injected,
+          m.deadline_expired,
+          m.brownout_sheds,
+          m.redundant_skips,
+          m.inflight_joins,
+          m.sequential_prefetches,
+          m.cascaded_fires};
+}
+
+TEST(EngineRecordRequest, EveryOutcomeMovesOnlyItsCounters) {
+  for (int o = 0; o < obs::kTraceOutcomeCount; ++o) {
+    for (uint64_t plan : {uint64_t{0}, uint64_t{7}}) {
+      const auto outcome = static_cast<obs::TraceOutcome>(o);
+      SCOPED_TRACE(std::string(obs::TraceOutcomeName(outcome)) +
+                   (plan == 0 ? " without a plan" : " with a plan"));
+      RecordedEngine node(/*virtual_time=*/true);
+      node.engine.Record(Engine::Request{.client = 3,
+                                         .tmpl = 11,
+                                         .outcome = outcome,
+                                         .plan = plan,
+                                         .src = plan == 0 ? 0u : 5u});
+
+      const bool hit = outcome == obs::TraceOutcome::kCacheHit ||
+                       outcome == obs::TraceOutcome::kPredictionHit;
+      NodeMetrics expected;
+      expected.cache_hits = outcome == obs::TraceOutcome::kCacheHit;
+      expected.prediction_hits = outcome == obs::TraceOutcome::kPredictionHit;
+      expected.prefetched_hits = hit && plan != 0;
+      expected.errors = outcome == obs::TraceOutcome::kError;
+      EXPECT_EQ(AllCounters(node.engine.Metrics()), AllCounters(expected));
+
+      node.journal.Drain();
+      std::vector<obs::JournalEvent> events = node.sink.Take();
+      ASSERT_EQ(events.size(), 1u);
+      const obs::JournalEvent& event = events[0];
+      EXPECT_EQ(event.type, obs::JournalEventType::kRequest);
+      EXPECT_EQ(event.client, 3u);
+      EXPECT_EQ(event.tmpl, 11u);
+      EXPECT_EQ(event.plan, plan);
+      EXPECT_EQ(event.src, plan == 0 ? 0u : 5u);
+      EXPECT_EQ(event.flags, o | obs::kJournalFlagNoLatency);
+      EXPECT_EQ(event.ts_us, node.now_us);  // virtual time
+      EXPECT_EQ(event.a, 0u);
+      EXPECT_EQ(event.b, 0u);
+      EXPECT_EQ(event.c, 0u);
+      EXPECT_EQ(obs::RequestOutcome(event), outcome);
+      EXPECT_EQ(obs::IsPrefetchedHit(event), hit && plan != 0);
+    }
+  }
+}
+
+TEST(EngineRecordRequest, WallClockRequestPacksStagesAndMarksLateness) {
+  RecordedEngine node(/*virtual_time=*/false);
+  const std::vector<obs::TraceSpan> spans = {
+      {obs::Stage::kAnalyze, 0, 3},      {obs::Stage::kCacheLookup, 3, 4},
+      {obs::Stage::kLearnCombine, 7, 5}, {obs::Stage::kDbExecute, 12, 6},
+      {obs::Stage::kDbExecute, 18, 1},   {obs::Stage::kSplitDecode, 19, 2},
+      {obs::Stage::kCacheLookup, 21, 1}};
+  node.engine.Record(Engine::Request{.client = 2,
+                                     .tmpl = 9,
+                                     .outcome =
+                                         obs::TraceOutcome::kPredictionHit,
+                                     .plan = 4,
+                                     .late = true,
+                                     .spans = &spans,
+                                     .total_us = 40});
+  EXPECT_EQ(node.engine.Metrics().prediction_hits, 1u);
+  EXPECT_EQ(node.engine.Metrics().prefetched_hits, 1u);
+  EXPECT_EQ(node.engine.Metrics().cache_hits, 0u);
+
+  node.journal.Drain();
+  std::vector<obs::JournalEvent> events = node.sink.Take();
+  ASSERT_EQ(events.size(), 1u);
+  const obs::JournalEvent& event = events[0];
+  EXPECT_EQ(event.flags,
+            static_cast<uint8_t>(obs::TraceOutcome::kPredictionHit) |
+                obs::kJournalFlagLate);
+  EXPECT_EQ(obs::RequestOutcome(event), obs::TraceOutcome::kPredictionHit);
+  EXPECT_EQ(event.src, 0u);  // the plan's root
+  EXPECT_EQ(event.a, obs::PackDurations(3, 5));
+  EXPECT_EQ(event.b, obs::PackDurations(5, 7));
+  EXPECT_EQ(event.c, obs::PackDurations(2, 40));
+}
+
+TEST(EngineRecordRequest, CountsWithoutAJournal) {
+  Engine engine(EngineConfig{}, Engine::Options{}, [] { return uint64_t{1}; });
+  engine.Record(Engine::Request{.outcome = obs::TraceOutcome::kError});
+  engine.Record(Engine::Request{.tmpl = 4,
+                                .outcome = obs::TraceOutcome::kCacheHit,
+                                .plan = 2});
+  const NodeMetrics m = engine.Metrics();
+  EXPECT_EQ(m.errors, 1u);
+  EXPECT_EQ(m.cache_hits, 1u);
+  EXPECT_EQ(m.prefetched_hits, 1u);
+}
+
+TEST(EngineFlightKey, CarriesTheSecurityGroup) {
+  Engine engine(EngineConfig{}, Engine::Options{}, [] { return uint64_t{1}; });
+  const std::string text = "SELECT v FROM t WHERE id = 1";
+  EXPECT_EQ(engine.FlightKey(1, 3, text), engine.CacheKey(1, text) + "#g3");
+  EXPECT_NE(engine.FlightKey(1, 3, text), engine.FlightKey(1, 4, text));
+}
+
+}  // namespace
+}  // namespace chrono::core

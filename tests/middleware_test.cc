@@ -200,6 +200,24 @@ TEST_F(MiddlewareTest, ChronoLearnsLoopAndPrefetches) {
   EXPECT_GE(mw->metrics().cache_hits - hits_before, 8u);
 }
 
+// A read parked on the combined query that covers it is answered by that
+// plan: a prediction hit, not a cache hit, and a prefetched hit like the
+// loop reads that hit what the plan cached — the runtime's definitions,
+// since both drivers count outcomes from the request record.
+TEST_F(MiddlewareTest, PlanAnsweredReadIsAPredictionHitNotACacheHit) {
+  auto mw = MakeMiddleware(SystemMode::kChrono);
+  RunLoopTransaction(mw.get(), 0, 0);
+  RunLoopTransaction(mw.get(), 0, 1);
+  const MiddlewareMetrics before = mw->metrics();
+  RunLoopTransaction(mw.get(), 0, 2);
+  const MiddlewareMetrics after = mw->metrics();
+  ASSERT_EQ(after.remote_combined - before.remote_combined, 1u);
+  EXPECT_EQ(after.prediction_hits - before.prediction_hits, 1u);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 8u);
+  EXPECT_EQ(after.prefetched_hits - before.prefetched_hits, 9u);
+  EXPECT_EQ(after.errors, 0u);
+}
+
 TEST_F(MiddlewareTest, PrefetchedResultsMatchDirectExecution) {
   auto mw = MakeMiddleware(SystemMode::kChrono);
   RunLoopTransaction(mw.get(), 0, 0);
@@ -257,6 +275,35 @@ TEST_F(MiddlewareTest, ParseErrorSurfacesToClient) {
                   });
   events_.RunAll();
   EXPECT_TRUE(got_error);
+}
+
+// retry.max_attempts = 1 is "no retry": a demand read whose backend call
+// fails surfaces the error at once and counts it.
+TEST_F(MiddlewareTest, OneAttemptSurfacesBackendFailuresUnretried) {
+  net::FaultOptions faults;
+  faults.error_pct = 100;  // every backend call fails
+  net::FaultInjector injector(faults);
+  remote_.SetFaultInjector(&injector);
+  for (int attempts : {1, 3}) {
+    SCOPED_TRACE(attempts);
+    MiddlewareConfig config;
+    config.mode = SystemMode::kLru;
+    config.Finalize();
+    config.retry.max_attempts = attempts;
+    Middleware mw(&events_, &remote_, latency_, config);
+    bool failed = false;
+    const std::string q =
+        "SELECT s_num_out FROM security WHERE s_symb = 'S0_1'";
+    mw.SubmitQuery(0, 0, q, [&](SimTime, const Result<ResultSet>& result) {
+      failed = !result.ok();
+    });
+    events_.RunAll();
+    EXPECT_TRUE(failed);
+    EXPECT_EQ(mw.metrics().backend_retries,
+              static_cast<uint64_t>(attempts - 1));
+    EXPECT_EQ(mw.metrics().errors, 1u);
+  }
+  remote_.SetFaultInjector(nullptr);
 }
 
 TEST_F(MiddlewareTest, WriteReturnsWithoutCaching) {

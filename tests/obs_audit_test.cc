@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -370,6 +371,60 @@ TEST(PrefetchAuditE2E, ServerCountersReconcileWithAuditSnapshot) {
               snap.TotalWastedBytes())
         << dim;
   }
+}
+
+// chrono_prediction_hits_total{edge} is folded from the kRequest records
+// with the audit's edge key: every label is one of the audit's edges (a
+// hit on a plan's root entry is "root", like its installs), and the
+// family sums to the engine's prefetched_hits.
+TEST(PrefetchAuditE2E, PredictionHitEdgesAreAuditEdges) {
+  db::Database db;
+  ASSERT_TRUE(db.ExecuteText("CREATE TABLE t (id INT, v TEXT)").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.ExecuteText("INSERT INTO t (id, v) VALUES (" +
+                               std::to_string(i) + ", 'v" +
+                               std::to_string(i) + "')")
+                    .ok());
+  }
+  MetricsRegistry registry;
+  runtime::ServerConfig config;
+  config.workers = 2;
+  config.extract_every = 2;
+  config.registry = &registry;
+  runtime::ChronoServer server(&db, config);
+
+  // Fresh ids after the pattern is learned: each id read misses and its
+  // covering plan answers it from the root slot.
+  for (int id = 0; id < 24; ++id) {
+    for (const char* column : {"id", "v"}) {
+      ASSERT_TRUE(server
+                      .Submit(1, std::string("SELECT ") + column +
+                                     " FROM t WHERE id = " +
+                                     std::to_string(id))
+                      .get()
+                      .ok());
+    }
+  }
+  server.Shutdown();
+  const runtime::ServerMetrics m = server.metrics();
+  server.journal()->Stop();
+  ASSERT_GT(m.prediction_hits, 0u) << "no read was answered by its plan";
+
+  std::set<std::string> edges;
+  for (const PrefetchAudit::Score& edge : server.audit()->snapshot().edges) {
+    edges.insert(edge.key);
+  }
+  uint64_t attributed = 0;
+  for (const MetricSnapshot& ms : registry.Snapshot().metrics) {
+    if (ms.name != "chrono_prediction_hits_total") continue;
+    ASSERT_EQ(ms.labels.size(), 1u);
+    EXPECT_EQ(ms.labels.begin()->first, "edge");
+    EXPECT_EQ(edges.count(ms.labels.begin()->second), 1u)
+        << "edge " << ms.labels.begin()->second << " is not an audit edge";
+    attributed += static_cast<uint64_t>(ms.value);
+  }
+  EXPECT_EQ(attributed, m.prefetched_hits);
+  EXPECT_GT(attributed, 0u);
 }
 
 // A covering plan is combined only on the miss path that issues it: with

@@ -368,6 +368,8 @@ TEST_F(ServerTraceTest, PrefetchedHitsCarryAttribution) {
   }
   EXPECT_TRUE(traced_attribution);
 
+  // The per-edge family is folded from the journal: drain it first.
+  server.journal()->Drain();
   RegistrySnapshot snap = server.registry()->Snapshot();
   double attributed = 0;
   for (const MetricSnapshot& ms : snap.metrics) {

@@ -115,6 +115,27 @@ TEST_F(ChaosTest, WritesNeverAutoRetry) {
   EXPECT_EQ(server.metrics().backend_retries, 2u);
 }
 
+// retry.max_attempts = 1 is "no retry": a failing demand read surfaces
+// its error after one attempt, and every failure is counted.
+TEST_F(ChaosTest, OneAttemptSurfacesReadFailuresUnretried) {
+  ServerConfig config = ChaosConfig();
+  config.fault.error_pct = 100;  // every backend call fails
+  config.retry.max_attempts = 1;
+  ChronoServer server(&db_, config);
+
+  const int kReads = 4;  // below the breaker's failure threshold
+  for (int i = 0; i < kReads; ++i) {
+    EXPECT_FALSE(
+        server.Submit(1, "SELECT v FROM t WHERE id = " + std::to_string(i))
+            .get()
+            .ok());
+  }
+  ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.backend_retries, 0u);
+  EXPECT_EQ(m.errors, static_cast<uint64_t>(kReads));
+  EXPECT_EQ(m.faults_injected, static_cast<uint64_t>(kReads));
+}
+
 TEST_F(ChaosTest, BlackoutTripsBreakerAndStaleServesWarmKeys) {
   ServerConfig config = ChaosConfig();
   config.fault.blackout_start_us = 400'000;

@@ -60,7 +60,7 @@ void Usage() {
       "  --fault-blackout-period-ms N  repeat the blackout every N ms\n"
       "  --fault-seed N           fault schedule seed (default 42)\n"
       "  --retries N              max demand-read attempts (default 3)\n"
-      "  --no-retries             disable demand-read retries\n"
+      "  --no-retries             disable demand-read retries (--retries 1)\n"
       "With faults enabled the exit code stays 0 even when some requests\n"
       "error — surviving the schedule is the experiment.\n");
 }
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
       config.middleware.retry.max_attempts =
           static_cast<int>(IntFlag(arg, next()));
     } else if (arg == "--no-retries") {
-      config.middleware.enable_retries = false;
+      config.middleware.retry.max_attempts = 1;
     } else if (arg == "--journal-out") {
       config.journal_out = next();
     } else if (arg == "--timeline") {

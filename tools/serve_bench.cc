@@ -90,7 +90,6 @@ struct BenchOptions {
   int64_t attempt_timeout_ms = -1;  // per-attempt cap (auto: 25 under faults)
   uint64_t stale_serve_ms = 0;      // --stale-serve-ms degradation bound
   int retries = 3;                  // max demand-read attempts
-  bool enable_retries = true;       // --no-retries
 
   // Overload control (DESIGN.md §17).
   uint64_t queue_target_ms = 0;     // --queue-target-ms: 0 = brownout off
@@ -203,7 +202,7 @@ void Usage() {
       "                           faults are on, unlimited otherwise)\n"
       "  --attempt-timeout-ms N   per-attempt cap (default 25 under faults)\n"
       "  --retries N              max demand-read attempts (default 3)\n"
-      "  --no-retries             disable demand-read retries\n"
+      "  --no-retries             disable demand-read retries (--retries 1)\n"
       "  --stale-serve-ms N       serve cached-but-stale results up to N ms\n"
       "                           old when a demand fetch fails (default\n"
       "                           off)\n"
@@ -321,7 +320,6 @@ runtime::ServerConfig MakeServerConfig(const BenchOptions& opt, int workers,
   config.registry = registry;
   config.fault = opt.fault;
   config.retry.max_attempts = opt.retries;
-  config.enable_retries = opt.enable_retries;
   config.stale_serve_us = opt.stale_serve_ms * 1000;
   config.queue_target_us = opt.queue_target_ms * 1000;
   config.brownout_sample_ms = opt.brownout_sample_ms;
@@ -1051,7 +1049,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--retries") {
       opt.retries = static_cast<int>(IntFlag(arg, next()));
     } else if (arg == "--no-retries") {
-      opt.enable_retries = false;
+      opt.retries = 1;
     } else if (arg == "--stale-serve-ms") {
       opt.stale_serve_ms = UintFlag(arg, next());
     } else if (arg == "--queue-target-ms") {
