@@ -15,7 +15,6 @@
 #include "core/middleware.h"
 #include "db/database.h"
 #include "runtime/sharded_cache.h"
-#include "sql/footprint.h"
 #include "sql/parser.h"
 #include "sql/result_set.h"
 #include "sql/template.h"
@@ -222,27 +221,25 @@ BENCHMARK(BM_ShardedCacheGetShared)->Arg(1)->Arg(64)->Arg(1024);
 // BM_CacheGetVersionGap/N: Engine::CacheGet on an entry N writes behind the
 // client's session, every write in the gap a point UPDATE of another row.
 // /0 is the current-tag baseline. A served lookup re-stamps the entry, so
-// every iteration first re-installs it with its old tag: all arms pay the
-// same CachePut, and the difference to /0 is the gap check.
+// every iteration first re-lands the read with its old tag: all arms pay
+// the same ReadLanded, and the difference to /0 is the gap check.
 void BM_CacheGetVersionGap(benchmark::State& state) {
   core::Engine engine(core::EngineConfig{}, core::Engine::Options{},
                       [] { return uint64_t{0}; });
   auto read = engine.Analyze("SELECT v FROM t WHERE id = 1");
-  sql::ResultSet rs({"v"});
-  rs.AddRow({sql::Value::String("v1")});
-  auto payload = std::make_shared<const sql::ResultSet>(std::move(rs));
-  const cache::VersionVector tag = engine.SnapshotReads(read->tmpl->id);
+  db::ExecOutcome fetched;
+  fetched.result = sql::ResultSet({"v"});
+  fetched.result.AddRow({sql::Value::String("v1")});
+  const cache::VersionVector tag = engine.BeginRead(read->tmpl->id);
+  db::ExecOutcome written;
+  written.tables_written = {"t"};
   for (int64_t i = 0; i < state.range(0); ++i) {
-    auto write = sql::AnalyzeQuery("UPDATE t SET v = 'w' WHERE id = " +
-                                   std::to_string(i + 2));
-    engine.OnClientWrite(1, {"t"},
-                         std::make_shared<const sql::WriteFootprint>(
-                             sql::ExtractWriteFootprint(*write->tmpl->ast,
-                                                        write->params)));
+    auto write = engine.Analyze("UPDATE t SET v = 'w' WHERE id = " +
+                                std::to_string(i + 2));
+    engine.WriteLanded(1, *write, written);
   }
-  engine.SyncClientToDb(1);
   for (auto _ : state) {
-    engine.CachePut(1, 0, read->tmpl->id, read->bound_text, payload, tag);
+    engine.ReadLanded(1, 0, read->tmpl->id, read->bound_text, tag, fetched);
     auto hit = engine.CacheGet(1, 0, *read);
     benchmark::DoNotOptimize(hit);
   }

@@ -193,11 +193,13 @@ class Middleware {
     ResponseCallback done;
   };
 
-  /// Bookkeeping for an in-flight request key: what query it stands for.
-  /// The security group is part of the key, so every waiter shares it.
-  struct InflightInfo {
+  /// A request key in flight: the query it stands for and the requests
+  /// parked on it, the first of which sent it. The security group is part
+  /// of the key, so every waiter shares it.
+  struct Flight {
     sql::ParsedQuery query;
     int security_group = 0;
+    std::vector<PendingRequest> waiters;
   };
 
   void Process(ClientId client, int security_group, std::string sql_text,
@@ -259,9 +261,8 @@ class Middleware {
   MiddlewareConfig config_;
   Engine engine_;
   Resource mw_pool_;
-  // §5.1 duplicate-request coalescing: Engine::FlightKey -> waiters.
-  std::unordered_map<std::string, std::vector<PendingRequest>> inflight_;
-  std::unordered_map<std::string, InflightInfo> inflight_tmpl_;
+  // §5.1 duplicate-request coalescing, keyed by Engine::FlightKey.
+  std::unordered_map<std::string, Flight> inflight_;
   // Sequential (Apollo-style) predictions deferred until the in-flight
   // query they bind from completes: flight key -> (security group, graph).
   std::unordered_map<std::string, std::vector<std::pair<int, DependencyGraph>>>

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "obs/build_info.h"
 #include "obs/threads.h"
-#include "sql/footprint.h"
 
 namespace chrono::runtime {
 
@@ -790,11 +789,8 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
       return out;
     });
   }
+  engine_.WriteLanded(client, parsed, outcome);
   if (!outcome.ok()) return outcome.status();
-  engine_.OnClientWrite(client, outcome->tables_written,
-                        std::make_shared<const sql::WriteFootprint>(
-                            sql::ExtractWriteFootprint(*parsed.tmpl->ast,
-                                                       parsed.params)));
   return std::make_shared<const sql::ResultSet>(std::move(outcome->result));
 }
 
@@ -926,9 +922,9 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // Pre-read Vd snapshot of the template's read set, taken before the
     // flight is published (and therefore before the backend read): a
     // write committing after this point advances Vd past the snapshot,
-    // so the writer's own follower fails CanUse below and refetches
+    // so the writer's own follower fails Adopt below and refetches
     // rather than treating possibly pre-write rows as fresh (§5.2).
-    flight_version = engine_.SnapshotReads(tmpl);
+    flight_version = engine_.BeginRead(tmpl);
 
     std::shared_ptr<InflightFetch> flight;
     uint64_t parked_before = 0;
@@ -947,17 +943,16 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     if (flight == nullptr) break;  // leader (or flying alone): fetch below
 
     // Follower: the wait surfaces as db-execute time (that is what it
-    // replaces). No CachePut, no retries, no breaker feed — the leader
+    // replaces). No install, no retries, no breaker feed — the leader
     // owns all backend semantics; its Status fans out verbatim.
     Result<FlightPayload> shared = Status::OK();
     {
       StageTimer timer(this, ctx, obs::Stage::kDbExecute);
       shared = flight->result.get();
     }
-    // The flight's snapshot proves freshness only up to the point the
-    // leader issued its read: absorb it — never SyncClientToDb — and
-    // only if this client's session has not moved past it since.
-    bool version_ok = shared.ok() && engine_.TryAbsorb(client, shared->version);
+    // The flight's tag proves freshness only up to the point the leader
+    // issued its read (Engine::Adopt).
+    bool version_ok = shared.ok() && engine_.Adopt(client, shared->version);
     Record({.tmpl = static_cast<uint64_t>(tmpl),
             .a = parked_before,
             .b = shared.ok() && !version_ok ? 1u : 0u,  // session-rejected
@@ -1031,37 +1026,28 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   }
   if (after_read_hook_) after_read_hook_();
 
-  // Freeze the rows into the shared immutable payload exactly once, then
-  // retire the flight and wake every parked follower.
-  SharedResult payload;
-  if (outcome.ok()) {
-    payload = std::make_shared<const sql::ResultSet>(
-        std::move(outcome->result));
-    resolver.Resolve(FlightPayload{payload, flight_version});
-  } else {
-    resolver.Resolve(outcome.status());
+  // Installed tagged with the pre-read snapshot, then handed to every
+  // parked follower with that tag.
+  Result<SharedResult> payload =
+      engine_.ReadLanded(client, security_group, tmpl, parsed.bound_text,
+                         flight_version, std::move(outcome));
+  if (payload.ok()) {
+    resolver.Resolve(FlightPayload{*payload, std::move(flight_version)});
+    return respond(*payload);
   }
-
-  if (!outcome.ok()) {
-    // Transport-level failure after every retry: degrade to the
-    // version-stale entry if the operator opted in, rather than surface
-    // an error. Explicitly stale results skip respond() — the mapper must
-    // never train on superseded rows.
-    if (IsBackendFailure(outcome.status())) {
-      if (auto stale = TryServeStale(stale_candidate,
-                                     static_cast<uint64_t>(tmpl), client,
-                                     ctx)) {
-        return stale;
-      }
+  resolver.Resolve(payload.status());
+  // Transport-level failure after every retry: degrade to the
+  // version-stale entry if the operator opted in, rather than surface an
+  // error. Explicitly stale results skip respond() — the mapper must never
+  // train on superseded rows.
+  if (IsBackendFailure(payload.status())) {
+    if (auto stale = TryServeStale(stale_candidate,
+                                   static_cast<uint64_t>(tmpl), client,
+                                   ctx)) {
+      return stale;
     }
-    return outcome.status();
   }
-  // Tagged with the pre-read snapshot, like the followers' payload: a
-  // write that committed while the read was in flight is not claimed.
-  engine_.CachePut(client, security_group, tmpl, parsed.bound_text, payload,
-                   std::move(flight_version));
-  engine_.SyncClientToDb(client);  // fresh read: Vc = Vd (§5.2)
-  return respond(payload);
+  return payload.status();
 }
 
 bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
@@ -1075,11 +1061,7 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
     ShedPrefetch(obs::kShedBreakerUnhealthy, plan.id, client);
     return false;
   }
-  Record({.plan = plan.id,
-          .client = static_cast<uint32_t>(client),
-          .type = obs::JournalEventType::kCombinedIssued});
-  const std::vector<uint64_t> pre_read = engine_.SnapshotDb();
-  auto db_begin = std::chrono::steady_clock::now();
+  const core::Engine::PlanCall plan_call = engine_.BeginPlan(client, plan);
   BackendCall call;
   call.is_prefetch = true;
   call.client = client;
@@ -1092,16 +1074,13 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
       return db_->Execute(*plan.query->ast);
     });
   }
-  engine_.CombinedFetched(
-      client, plan.id, outcome.ok() ? &outcome->result : nullptr,
-      NsBetween(db_begin, std::chrono::steady_clock::now()) / 1000);
-  if (!outcome.ok()) return false;
-  if (after_read_hook_) after_read_hook_();
-
-  StageTimer split_timer(this, ctx, obs::Stage::kSplitDecode);
+  std::optional<StageTimer> split_timer;
+  if (outcome.ok()) {
+    if (after_read_hook_) after_read_hook_();
+    split_timer.emplace(this, ctx, obs::Stage::kSplitDecode);
+  }
   return engine_
-      .InstallCombined(client, security_group, *plan.query, plan.id,
-                       outcome->result, pre_read, trigger)
+      .PlanLanded(client, security_group, plan, plan_call, outcome, trigger)
       .ok();
 }
 

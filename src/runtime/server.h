@@ -389,14 +389,10 @@ class ChronoServer {
   core::EngineCounters& counters_;  // engine_.counters()
 
   /// What a resolved single-flight fetch hands each parked follower: the
-  /// immutable payload plus a Vd snapshot of the query's read relations
-  /// taken *before* the leader's backend read. Pre-read, the snapshot can
-  /// only under-claim freshness — any write committed after it advances Vd
-  /// past it, so a follower whose session vector moved (its own write
-  /// included) fails `CanUse` and refetches instead of accepting rows that
-  /// may predate the write (§5.2 read-your-writes). Followers that accept
-  /// absorb the snapshot; they never claim a full Vc = Vd sync — only the
-  /// leader actually performed the read.
+  /// immutable payload plus the leader's pre-read tag (Engine::BeginRead).
+  /// A follower whose session moved past the tag — its own write included
+  /// — is refused by Engine::Adopt and refetches instead of accepting rows
+  /// that may predate the write (§5.2 read-your-writes).
   struct FlightPayload {
     SharedResult result;
     cache::VersionVector version;

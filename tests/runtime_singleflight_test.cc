@@ -30,9 +30,16 @@ namespace chrono::runtime {
 /// cannot be scheduled between the leader's snapshot and the follower's
 /// park, or between a read and its install, through the public API alone).
 struct ServerTestPeer {
+  /// Lands a write of `table` by `client` without executing it: Vd and
+  /// the writer's session move as if it had changed a row.
   static void BumpClientWrite(ChronoServer& server, ClientId client,
-                              const std::vector<std::string>& tables) {
-    server.engine_.OnClientWrite(client, tables);
+                              const std::string& table) {
+    Result<sql::ParsedQuery> write = server.engine_.Analyze("DELETE FROM " +
+                                                            table);
+    ASSERT_TRUE(write.ok()) << write.status().ToString();
+    db::ExecOutcome outcome;
+    outcome.tables_written = {table};
+    server.engine_.WriteLanded(client, *write, outcome);
   }
   /// Runs `hook` on every plain-read leader between its backend read and
   /// its cache install.
@@ -232,7 +239,7 @@ TEST_F(SingleFlightTest, FollowerWithNewerSessionRefetchesInsteadOfInheriting) {
   while (server.metrics().remote_plain == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ServerTestPeer::BumpClientWrite(server, /*client=*/2, {"t"});
+  ServerTestPeer::BumpClientWrite(server, /*client=*/2, "t");
 
   // Client 2 now parks on client 1's flight (200 ms still on the wire),
   // but the flight's snapshot predates its write: read-your-writes (§5.2)
