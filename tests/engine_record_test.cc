@@ -8,6 +8,10 @@
 // - flags: the outcome in the low bits, kJournalFlagNoLatency without
 //   wall-clock spans, kJournalFlagLate for a request started past its
 //   client deadline; a/b/c: the packed stage µs.
+//
+// The engine also runs each backend call's §5.2 bookkeeping (BeginRead /
+// ReadLanded / Adopt, BeginPlan / PlanLanded, WriteLanded); the
+// EngineBackendCall cases pin the session rules a driver relies on.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "db/executor.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
 
@@ -175,6 +180,84 @@ TEST(EngineFlightKey, CarriesTheSecurityGroup) {
   const std::string text = "SELECT v FROM t WHERE id = 1";
   EXPECT_EQ(engine.FlightKey(1, 3, text), engine.CacheKey(1, text) + "#g3");
   EXPECT_NE(engine.FlightKey(1, 3, text), engine.FlightKey(1, 4, text));
+}
+
+// A read of row 1 of `t`, and a write landing `UPDATE t ... WHERE id = 1`
+// on the engine as `client`'s.
+struct BackendCalls {
+  BackendCalls() : node(/*virtual_time=*/true) {
+    read = *node.engine.Analyze("SELECT v FROM t WHERE id = 1");
+    rows.result = sql::ResultSet({"v"});
+    rows.result.AddRow({sql::Value::String("v1")});
+  }
+  void Write(ClientId client) {
+    Result<sql::ParsedQuery> write =
+        node.engine.Analyze("UPDATE t SET v = 'w' WHERE id = 1");
+    ASSERT_TRUE(write.ok());
+    db::ExecOutcome written;
+    written.tables_written = {"t"};
+    node.engine.WriteLanded(client, *write, written);
+  }
+
+  RecordedEngine node;
+  sql::ParsedQuery read;
+  db::ExecOutcome rows;
+};
+
+TEST(EngineBackendCall, WriteLandingMidReadIsNotClaimedByTheInstall) {
+  BackendCalls calls;
+  Engine& engine = calls.node.engine;
+  const cache::VersionVector tag = engine.BeginRead(calls.read.tmpl->id);
+  calls.Write(/*client=*/2);  // commits while the read is on the wire
+  auto payload = engine.ReadLanded(1, 0, calls.read.tmpl->id,
+                                   calls.read.bound_text, tag, calls.rows);
+  ASSERT_TRUE(payload.ok());
+  EXPECT_EQ(**payload, calls.rows.result);
+
+  // Tagged from before the write: the writer is refused its pre-write
+  // rows, while a client that never saw the write may read them.
+  EXPECT_FALSE(engine.CacheGet(2, 0, calls.read).has_value());
+  EXPECT_TRUE(engine.CacheGet(3, 0, calls.read).has_value());
+  EXPECT_EQ(engine.Metrics().cache_rejects, 1u);
+}
+
+TEST(EngineBackendCall, AdoptRejectsAWaiterWhoseSessionMovedPastTheTag) {
+  BackendCalls calls;
+  Engine& engine = calls.node.engine;
+  const cache::VersionVector tag = engine.BeginRead(calls.read.tmpl->id);
+  calls.Write(/*client=*/2);
+  EXPECT_FALSE(engine.Adopt(2, tag));
+  EXPECT_TRUE(engine.Adopt(3, tag));
+  // A failed read installs nothing, so a refused waiter finds no entry.
+  auto failed = engine.ReadLanded(1, 0, calls.read.tmpl->id,
+                                  calls.read.bound_text, tag,
+                                  Status::Unavailable("backend down"));
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(engine.cache().entry_count(), 0u);
+}
+
+TEST(EngineBackendCall, FailedPlanJournalsItsFetchAndInstallsNothing) {
+  RecordedEngine node(/*virtual_time=*/true);
+  const Engine::Plan plan{std::make_shared<const CombinedQuery>(), 7};
+  const Engine::PlanCall call = node.engine.BeginPlan(4, plan);
+  node.now_us += 250;
+  auto split = node.engine.PlanLanded(4, 0, plan, call,
+                                      Status::Unavailable("backend down"));
+  EXPECT_FALSE(split.ok());
+
+  node.journal.Drain();
+  std::vector<obs::JournalEvent> events = node.sink.Take();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].type, obs::JournalEventType::kCombinedIssued);
+  EXPECT_EQ(events[1].type, obs::JournalEventType::kCombinedFetched);
+  EXPECT_EQ(events[1].plan, 7u);
+  EXPECT_EQ(events[1].client, 4u);
+  EXPECT_EQ(events[1].flags & obs::kJournalFlagOk, 0u);
+  EXPECT_EQ(events[1].c, 250u);  // µs since BeginPlan
+  EXPECT_EQ(node.engine.cache().entry_count(), 0u);
+  const NodeMetrics m = node.engine.Metrics();
+  EXPECT_EQ(m.remote_combined, 1u);
+  EXPECT_EQ(m.predictions_cached, 0u);
 }
 
 }  // namespace

@@ -4,14 +4,30 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/middleware.h"
 #include "db/database.h"
+#include "obs/journal.h"
 
 namespace chrono::core {
 namespace {
 
 using sql::ResultSet;
 using sql::Value;
+
+/// The outcomes of the kRequest events drained into it, in order.
+class OutcomeSink : public obs::JournalSink {
+ public:
+  void OnEvents(const obs::JournalEvent* events, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      if (events[i].type == obs::JournalEventType::kRequest) {
+        outcomes.push_back(obs::RequestOutcome(events[i]));
+      }
+    }
+  }
+  std::vector<obs::TraceOutcome> outcomes;
+};
 
 class MiddlewareTest : public ::testing::Test {
  protected:
@@ -171,6 +187,10 @@ TEST_F(MiddlewareTest, OtherClientsMayStillReadOlderSnapshot) {
 
 TEST_F(MiddlewareTest, ConcurrentIdenticalQueriesCoalesce) {
   auto mw = MakeMiddleware(SystemMode::kLru);
+  OutcomeSink sink;
+  obs::EventJournal journal;
+  journal.AddSink(&sink);
+  mw->AttachJournal(&journal);
   int completions = 0;
   for (int c = 0; c < 3; ++c) {
     mw->SubmitQuery(c, 0,
@@ -185,6 +205,71 @@ TEST_F(MiddlewareTest, ConcurrentIdenticalQueriesCoalesce) {
   EXPECT_EQ(completions, 3);
   EXPECT_EQ(mw->metrics().inflight_joins, 2u);
   EXPECT_EQ(remote_.requests(), 1u);  // §5.1: submitted once
+  // The leader read remotely; the others were answered from its flight,
+  // recorded as the runtime records its coalesced followers.
+  journal.Drain();
+  EXPECT_EQ(sink.outcomes,
+            (std::vector<obs::TraceOutcome>{
+                obs::TraceOutcome::kRemotePlain,
+                obs::TraceOutcome::kCoalescedHit,
+                obs::TraceOutcome::kCoalescedHit}));
+}
+
+// A client that writes and then joins another client's read sent before
+// the write must not be handed that read's pre-write rows (§5.2
+// read-your-writes): it fetches afresh. Rows cost 1 ms each, so the join
+// over 40 watch items is still on the wire when the point UPDATE lands.
+TEST_F(MiddlewareTest, CoalescedWaiterRefetchesAfterItsOwnWrite) {
+  net::LatencyModel slow = latency_;
+  slow.db_per_row = 1000;
+  RemoteDbServer remote(&events_, &db_, slow, 8);
+  MiddlewareConfig config;
+  config.mode = SystemMode::kLru;
+  config.Finalize();
+  Middleware mw(&events_, &remote, slow, config);
+  const std::string kSum =
+      "SELECT SUM(s_num_out) FROM security, watch_item WHERE s_symb = 'S0_0'";
+
+  Result<ResultSet> leader = Status::Internal("unanswered");
+  Result<ResultSet> writer = Status::Internal("unanswered");
+  mw.SubmitQuery(0, 0, kSum, [&](SimTime, const Result<ResultSet>& r) {
+    leader = r;
+  });
+  mw.SubmitQuery(
+      1, 0, "UPDATE security SET s_num_out = 999 WHERE s_symb = 'S0_0'",
+      [&](SimTime, const Result<ResultSet>& r) {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        mw.SubmitQuery(1, 0, kSum, [&](SimTime, const Result<ResultSet>& r2) {
+          writer = r2;
+        });
+      });
+  events_.RunAll();
+
+  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  EXPECT_EQ(leader->row(0)[0], Value::Int(4000));  // read before the write
+  auto direct = db_.ExecuteText(kSum);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(direct->result.row(0)[0], Value::Int(39960));
+  EXPECT_EQ(*writer, direct->result);
+  EXPECT_EQ(mw.metrics().inflight_joins, 1u);  // it did join the flight
+  EXPECT_EQ(mw.metrics().remote_plain, 2u);    // and then fetched alone
+}
+
+// A write that changes no row moves no relation's version: the writer's
+// cached read stays current. SUM has no row-level footprint, so any
+// version move would reject the entry.
+TEST_F(MiddlewareTest, ZeroRowWriteKeepsTheWritersCachedRead) {
+  auto mw = MakeMiddleware(SystemMode::kLru);
+  const std::string kSum =
+      "SELECT SUM(s_num_out) FROM security WHERE s_symb = 'S0_0'";
+  (void)Query(mw.get(), 0, kSum);
+  (void)Query(mw.get(), 0,
+              "UPDATE security SET s_num_out = 1 WHERE s_symb = 'nobody'");
+  ResultSet rs = Query(mw.get(), 0, kSum);
+  EXPECT_EQ(rs.row(0)[0], Value::Int(100));
+  EXPECT_EQ(mw->metrics().cache_hits, 1u);
+  EXPECT_EQ(mw->metrics().cache_rejects, 0u);
 }
 
 TEST_F(MiddlewareTest, ChronoLearnsLoopAndPrefetches) {
