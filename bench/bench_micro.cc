@@ -277,7 +277,7 @@ void BM_EngineObserveSteadyState(benchmark::State& state) {
   auto iteration = [&] {
     for (int i = 0; i < 4; ++i) {
       const Step& step = steps[next++ % steps.size()];
-      engine.Observe(1, step.parsed);
+      engine.Observe(1, /*security_group=*/0, step.parsed);
       engine.ObserveResult(1, step.parsed.tmpl->id, step.result);
       now_us += 1000;
     }

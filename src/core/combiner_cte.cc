@@ -88,6 +88,19 @@ std::map<TemplateId, std::vector<Value>> FiringParams(
   return out;
 }
 
+std::vector<Value> FiringParamsOf(
+    const std::map<TemplateId, std::vector<Value>>& firing, TemplateId tmpl,
+    int count) {
+  std::vector<Value> params(static_cast<size_t>(count), Value::Null());
+  auto it = firing.find(tmpl);
+  if (it != firing.end()) {
+    for (size_t p = 0; p < params.size() && p < it->second.size(); ++p) {
+      params[p] = it->second[p];
+    }
+  }
+  return params;
+}
+
 Result<std::vector<TemplateId>> SlotOrder(const DependencyGraph& graph) {
   std::vector<TemplateId> topo = graph.TopologicalOrder();
   if (topo.empty()) return Status::InvalidArgument("cyclic dependency graph");

@@ -47,6 +47,13 @@ std::map<TemplateId, std::vector<sql::Value>> FiringParams(
     const DependencyGraph& graph,
     const std::map<TemplateId, std::vector<sql::Value>>& latest);
 
+/// `tmpl`'s `count` parameters from a firing view (FiringParams), NULL
+/// where the view has none; a caller binding result rows overwrites their
+/// positions.
+std::vector<sql::Value> FiringParamsOf(
+    const std::map<TemplateId, std::vector<sql::Value>>& firing,
+    TemplateId tmpl, int count);
+
 /// The order the combiners emit a graph's queries in: topological, with
 /// the parameter-bound ones (DependencyGraph::ParamBound) last, so the
 /// rows they contribute to every earlier row never split another query's

@@ -277,9 +277,10 @@ class ChronoServer {
                               const sql::ParsedQuery& parsed, ReqCtx* ctx);
 
   /// Learning + graph readiness for one read arrival: combines and queues
-  /// a background prefetch for every graph made ready, except the first
-  /// graph that covers the query being served, which is returned so the
-  /// caller combines it only on a cache miss (it is never issued on a hit).
+  /// a background prefetch for every graph the engine returns beside the
+  /// one covering the query being served (Engine::Observe, §5.1 check
+  /// applied). That one is returned so the caller combines it only on a
+  /// cache miss (it is never issued on a hit).
   std::optional<core::DependencyGraph> LearnAndPrefetch(
       ClientId client, int security_group, const sql::ParsedQuery& parsed);
 

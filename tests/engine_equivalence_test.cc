@@ -273,7 +273,7 @@ TEST(EngineObserveSkipsExtraction, DependencyTablesMatchAnAlwaysExtractModel) {
 
     auto observe = [&](const std::string& text) -> sql::ParsedQuery {
       sql::ParsedQuery parsed = *engine->Analyze(text);
-      engine->Observe(client, parsed);
+      engine->Observe(client, /*security_group=*/0, parsed);
       reference.Observe(parsed, static_cast<SimTime>(now));
       engine->WithModel(client, [&](const Engine::ClientModel& model) {
         EXPECT_EQ(GraphKeys(model.manager), GraphKeys(reference.manager))

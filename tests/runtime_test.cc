@@ -29,6 +29,9 @@ struct ServerTestPeer {
                                std::function<void()> hook) {
     server.after_read_hook_ = std::move(hook);
   }
+  static size_t TotalGraphs(const ChronoServer& server) {
+    return server.engine_.TotalGraphs();
+  }
 };
 
 namespace {
@@ -417,6 +420,77 @@ TEST_F(ChronoServerTest, CoveringPlanAnswersItsTriggerDespiteAConcurrentWrite) {
   ASSERT_TRUE(mine.ok());
   ASSERT_EQ((*mine)->row_count(), 1u);
   EXPECT_EQ((*mine)->At(0, "v").AsString(), "w39");
+}
+
+// §5.1 on the wall-clock node: a graph fired in the background (not the one
+// covering its trigger) whose root and pieces are all cached for the
+// client is not fired again by the next trigger.
+TEST_F(ChronoServerTest, CachedBackgroundGraphIsNotFiredAgain) {
+  auto setup = [&](const std::string& sql) {
+    ASSERT_TRUE(db_.ExecuteText(sql).ok()) << sql;
+  };
+  // Row i of p keys rows i + 100 and i + 150 of t, which no other read
+  // touches.
+  setup("CREATE TABLE p (id INT, x INT, y INT)");
+  for (int i = 0; i < 50; ++i) {
+    setup("INSERT INTO p (id, x, y) VALUES (" + std::to_string(i) + ", " +
+          std::to_string(i + 100) + ", " + std::to_string(i + 150) + ")");
+  }
+  for (int i = 50; i < 200; ++i) {
+    setup("INSERT INTO t (id, v) VALUES (" + std::to_string(i) + ", 'v" +
+          std::to_string(i) + "')");
+  }
+  ServerConfig config;
+  config.workers = 1;
+  config.extract_every = 2;
+  ChronoServer server(&db_, config);
+  auto root = [](int id) {
+    return "SELECT x, y FROM p WHERE id = " + std::to_string(id);
+  };
+  auto lookup = [](int id) {
+    return "SELECT v FROM t WHERE id = " + std::to_string(id);
+  };
+  // Returns once every task queued so far has run: with one worker, a
+  // read submitted after the queue drained runs after the worker's
+  // current task.
+  auto settle = [&] {
+    while (server.pool().queue_depth() > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(server.Submit(99, lookup(0)).get().ok());
+  };
+  // Client 1 keys the lookup by the root's x, then by its y: two graphs
+  // with the same root, x's first. Every root read makes both ready; the
+  // x graph covers it, the y graph fires in the background.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(server.Submit(1, root(i)).get().ok());
+    ASSERT_TRUE(server.Submit(1, lookup(i + 100)).get().ok());
+  }
+  for (int i = 10; i < 22; ++i) {
+    ASSERT_TRUE(server.Submit(1, root(i)).get().ok());
+    ASSERT_TRUE(server.Submit(1, lookup(i + 150)).get().ok());
+  }
+  settle();
+  ASSERT_EQ(ServerTestPeer::TotalGraphs(server), 2u);
+
+  // Another client caches root 40, so client 1's read of it hits and the
+  // covering x graph stays unfired; the y graph caches the root and the
+  // y-keyed lookup in the background.
+  ASSERT_TRUE(server.Submit(2, root(40)).get().ok());
+  ServerMetrics before = server.metrics();
+  ASSERT_TRUE(server.Submit(1, root(40)).get().ok());
+  settle();
+  ServerMetrics after = server.metrics();
+  ASSERT_EQ(after.remote_combined - before.remote_combined, 1u);
+  ASSERT_EQ(after.redundant_skips - before.redundant_skips, 0u);
+
+  // The next trigger finds the y graph's predictions cached.
+  before = after;
+  ASSERT_TRUE(server.Submit(1, root(40)).get().ok());
+  settle();
+  after = server.metrics();
+  EXPECT_EQ(after.remote_combined - before.remote_combined, 0u);
+  EXPECT_EQ(after.redundant_skips - before.redundant_skips, 1u);
 }
 
 // Security-Detail: the first read's result does not return the symbol the
