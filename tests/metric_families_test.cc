@@ -161,6 +161,7 @@ TEST(MetricFamilies, MiddlewareKeepsEveryFamilyAndLabelKey) {
 
   // Exported before the node counters moved into core::Engine's table.
   ExpectExportsAll(Families(registry), {
+      "chrono_backend_coalesced_total{}",
       "chrono_backend_retries_total{}",
       "chrono_cache_entries{cache}",
       "chrono_cache_evictions_total{cache}",
@@ -169,7 +170,6 @@ TEST(MetricFamilies, MiddlewareKeepsEveryFamilyAndLabelKey) {
       "chrono_cache_rejects_total{reason}",
       "chrono_cache_version_gap_serves_total{}",
       "chrono_cascaded_fires_total{}",
-      "chrono_inflight_joins_total{}",
       "chrono_prediction_fallbacks_total{}",
       "chrono_predictions_cached_total{}",
       "chrono_redundant_skips_total{}",

@@ -23,10 +23,13 @@ class OutcomeSink : public obs::JournalSink {
     for (size_t i = 0; i < count; ++i) {
       if (events[i].type == obs::JournalEventType::kRequest) {
         outcomes.push_back(obs::RequestOutcome(events[i]));
+      } else if (events[i].type == obs::JournalEventType::kBackendCoalesced) {
+        coalesced.push_back(events[i]);
       }
     }
   }
   std::vector<obs::TraceOutcome> outcomes;
+  std::vector<obs::JournalEvent> coalesced;
 };
 
 class MiddlewareTest : public ::testing::Test {
@@ -203,7 +206,7 @@ TEST_F(MiddlewareTest, ConcurrentIdenticalQueriesCoalesce) {
   }
   events_.RunAll();
   EXPECT_EQ(completions, 3);
-  EXPECT_EQ(mw->metrics().inflight_joins, 2u);
+  EXPECT_EQ(mw->metrics().backend_coalesced, 2u);
   EXPECT_EQ(remote_.requests(), 1u);  // §5.1: submitted once
   // The leader read remotely; the others were answered from its flight,
   // recorded as the runtime records its coalesced followers.
@@ -213,6 +216,15 @@ TEST_F(MiddlewareTest, ConcurrentIdenticalQueriesCoalesce) {
                 obs::TraceOutcome::kRemotePlain,
                 obs::TraceOutcome::kCoalescedHit,
                 obs::TraceOutcome::kCoalescedHit}));
+  // One kBackendCoalesced per waiter, as the runtime journals a follower:
+  // `a` waiters parked before it, b = 0 (its session took the rows).
+  ASSERT_EQ(sink.coalesced.size(), 2u);
+  for (uint64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(sink.coalesced[i].client, i + 1);
+    EXPECT_EQ(sink.coalesced[i].a, i);
+    EXPECT_EQ(sink.coalesced[i].b, 0u);
+    EXPECT_EQ(sink.coalesced[i].flags, obs::kJournalFlagOk);
+  }
 }
 
 // A client that writes and then joins another client's read sent before
@@ -227,6 +239,10 @@ TEST_F(MiddlewareTest, CoalescedWaiterRefetchesAfterItsOwnWrite) {
   config.mode = SystemMode::kLru;
   config.Finalize();
   Middleware mw(&events_, &remote, slow, config);
+  OutcomeSink sink;
+  obs::EventJournal journal;
+  journal.AddSink(&sink);
+  mw.AttachJournal(&journal);
   const std::string kSum =
       "SELECT SUM(s_num_out) FROM security, watch_item WHERE s_symb = 'S0_0'";
 
@@ -252,8 +268,14 @@ TEST_F(MiddlewareTest, CoalescedWaiterRefetchesAfterItsOwnWrite) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(direct->result.row(0)[0], Value::Int(39960));
   EXPECT_EQ(*writer, direct->result);
-  EXPECT_EQ(mw.metrics().inflight_joins, 1u);  // it did join the flight
-  EXPECT_EQ(mw.metrics().remote_plain, 2u);    // and then fetched alone
+  // It joined the flight, was refused its rows (b = 1) and fetched alone:
+  // the wait saved nothing, so it is not counted as coalesced.
+  journal.Drain();
+  ASSERT_EQ(sink.coalesced.size(), 1u);
+  EXPECT_EQ(sink.coalesced[0].client, 1u);
+  EXPECT_EQ(sink.coalesced[0].b, 1u);
+  EXPECT_EQ(mw.metrics().backend_coalesced, 0u);
+  EXPECT_EQ(mw.metrics().remote_plain, 2u);
 }
 
 // A write that changes no row moves no relation's version: the writer's
@@ -494,7 +516,7 @@ TEST_F(MiddlewareTest, InflightCoalescingNeverCrossesSecurityGroups) {
   events_.RunAll();
   EXPECT_EQ(answered, 2);
   EXPECT_EQ(mw->metrics().remote_plain, 2u);
-  EXPECT_EQ(mw->metrics().inflight_joins, 0u);
+  EXPECT_EQ(mw->metrics().backend_coalesced, 0u);
 }
 
 // The sim middleware exports the same metric shapes as the wall-clock
