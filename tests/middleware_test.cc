@@ -325,6 +325,79 @@ TEST_F(MiddlewareTest, PlanAnsweredReadIsAPredictionHitNotACacheHit) {
   EXPECT_EQ(after.errors, 0u);
 }
 
+// The simulator twin of the runtime test of the same name: a covering plan
+// answers its trigger from its own slot. The trigger is an ORDER BY ...
+// LIMIT read, and another client's write of its table executes after the
+// plan and lands before it (rows cost 1 ms each, so the plan over two
+// scans of the table is the slower call). The plan's entries are then
+// behind the trigger's session, and no row-level rule covers ORDER BY ...
+// LIMIT, so a re-lookup would reject the entry and pay a plain fetch.
+TEST_F(MiddlewareTest, CoveringPlanAnswersItsTriggerDespiteAConcurrentWrite) {
+  ASSERT_TRUE(db_.ExecuteText("CREATE TABLE t (id INT, v TEXT)").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db_.ExecuteText("INSERT INTO t (id, v) VALUES (" +
+                                std::to_string(i) + ", 'v" +
+                                std::to_string(i) + "')")
+                    .ok());
+  }
+  net::LatencyModel slow = latency_;
+  slow.db_per_row = 1000;
+  RemoteDbServer remote(&events_, &db_, slow, 8);
+  MiddlewareConfig config;
+  config.mode = SystemMode::kChrono;
+  config.Finalize();
+  config.extract_every = 2;
+  Middleware mw(&events_, &remote, slow, config);
+  auto driver = [](int bound) {
+    return "SELECT id FROM t WHERE id < " + std::to_string(bound) +
+           " ORDER BY id DESC LIMIT 1";
+  };
+  auto lookup = [](int id) {
+    return "SELECT v FROM t WHERE id = " + std::to_string(id);
+  };
+  // Train driver -> lookup keyed by the driver's row; every driver text is
+  // new, so it misses and fires the plan covering it once learned.
+  for (int bound = 10; bound < 22; ++bound) {
+    (void)Query(&mw, 1, driver(bound));
+    (void)Query(&mw, 1, lookup(bound - 1));
+  }
+  ASSERT_GT(mw.metrics().prediction_hits, 0u);
+
+  const MiddlewareMetrics before = mw.metrics();
+  Result<ResultSet> answer = Status::Internal("unanswered");
+  mw.SubmitQuery(1, 0, driver(40), [&](SimTime, const Result<ResultSet>& r) {
+    answer = r;
+  });
+  events_.ScheduleAfter(kMicrosPerMilli, [&](SimTime) {
+    mw.SubmitQuery(2, 0, "UPDATE t SET v = 'w39' WHERE id = 39",
+                   [](SimTime, const Result<ResultSet>& r) {
+                     EXPECT_TRUE(r.ok()) << r.status().ToString();
+                   });
+  });
+  events_.RunAll();
+  const MiddlewareMetrics after = mw.metrics();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_EQ(after.writes - before.writes, 1u);
+
+  // The trigger's one backend call is the plan: no plain fetch, no
+  // fallback. (Text-availability cascades of the plan's split may fire
+  // more plans in the background.)
+  EXPECT_EQ(after.remote_combined - before.remote_combined,
+            1 + after.cascaded_fires - before.cascaded_fires);
+  EXPECT_EQ(after.remote_plain - before.remote_plain, 0u);
+  EXPECT_EQ(after.prediction_fallbacks - before.prediction_fallbacks, 0u);
+  EXPECT_EQ(after.prediction_hits - before.prediction_hits, 1u);
+  auto direct = db_.ExecuteText(driver(40));
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(*answer, direct->result);
+
+  // The plan also installed the lookup of row 39 from before the write;
+  // the writer's own next read must not be served that entry.
+  ResultSet mine = Query(&mw, 2, lookup(39));
+  ASSERT_EQ(mine.row_count(), 1u);
+  EXPECT_EQ(mine.row(0)[0], Value::String("w39"));
+}
+
 TEST_F(MiddlewareTest, PrefetchedResultsMatchDirectExecution) {
   auto mw = MakeMiddleware(SystemMode::kChrono);
   RunLoopTransaction(mw.get(), 0, 0);
