@@ -409,7 +409,6 @@ TEST_F(OverloadServerTest, BrownoutTransitionsAreJournaled) {
   config.registry = &registry_;
   config.queue_target_us = 1;        // any queue wait is over target
   config.brownout_sample_ms = 5;     // fast sampler for the test
-  config.brownout_up_samples = 1;
   config.db_latency_us = 5'000;
   ChronoServer server(&db_, config);
 

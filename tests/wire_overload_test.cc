@@ -194,11 +194,10 @@ TEST_F(WireOverloadTest, BrownoutRejectsQuerysWithRetryAfterHint) {
   runtime::ServerConfig config;
   config.workers = 1;
   config.db_latency_us = 10'000;
-  // Any observed queue wait is over target; one bad sample per step walks
+  // Any observed queue wait is over target; two bad samples per step walk
   // the ladder to kRejectQuery within a few sampler windows.
   config.queue_target_us = 1;
   config.brownout_sample_ms = 2;
-  config.brownout_up_samples = 1;
   StartNode(config);
 
   WireClient client;
