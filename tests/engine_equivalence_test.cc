@@ -219,6 +219,7 @@ struct AlwaysExtractModel {
     transitions.Observe(tmpl, now);
     mapper.ObserveQuery(tmpl, parsed.params);
     if (++observations % config.extract_every == 0) {
+      manager.DropStale(mapper);
       for (auto& graph : extractor.Extract(transitions, mapper, registry)) {
         manager.AddGraph(std::move(graph));
       }

@@ -429,15 +429,20 @@ TEST_F(ChronoServerTest, CachedBackgroundGraphIsNotFiredAgain) {
   auto setup = [&](const std::string& sql) {
     ASSERT_TRUE(db_.ExecuteText(sql).ok()) << sql;
   };
-  // Row i of p keys rows i + 100 and i + 150 of t, which no other read
-  // touches.
+  // Row i of p keys row i + 100 of t and row i + 150 of u, which no other
+  // read touches.
   setup("CREATE TABLE p (id INT, x INT, y INT)");
-  for (int i = 0; i < 50; ++i) {
+  setup("CREATE TABLE u (id INT, v TEXT)");
+  for (int i = 0; i < 100; ++i) {
     setup("INSERT INTO p (id, x, y) VALUES (" + std::to_string(i) + ", " +
           std::to_string(i + 100) + ", " + std::to_string(i + 150) + ")");
   }
   for (int i = 50; i < 200; ++i) {
     setup("INSERT INTO t (id, v) VALUES (" + std::to_string(i) + ", 'v" +
+          std::to_string(i) + "')");
+  }
+  for (int i = 150; i < 250; ++i) {
+    setup("INSERT INTO u (id, v) VALUES (" + std::to_string(i) + ", 'u" +
           std::to_string(i) + "')");
   }
   ServerConfig config;
@@ -450,6 +455,9 @@ TEST_F(ChronoServerTest, CachedBackgroundGraphIsNotFiredAgain) {
   auto lookup = [](int id) {
     return "SELECT v FROM t WHERE id = " + std::to_string(id);
   };
+  auto lookup_u = [](int id) {
+    return "SELECT v FROM u WHERE id = " + std::to_string(id);
+  };
   // Returns once every task queued so far has run: with one worker, a
   // read submitted after the queue drained runs after the worker's
   // current task.
@@ -459,16 +467,18 @@ TEST_F(ChronoServerTest, CachedBackgroundGraphIsNotFiredAgain) {
     }
     ASSERT_TRUE(server.Submit(99, lookup(0)).get().ok());
   };
-  // Client 1 keys the lookup by the root's x, then by its y: two graphs
-  // with the same root, x's first. Every root read makes both ready; the
-  // x graph covers it, the y graph fires in the background.
+  // Client 1 looks up t by the root's x, then, for many more rounds, u by
+  // its y: two graphs with the same root, x's first. t then follows too
+  // few root reads to join the y graph, and the x mapping is never
+  // refuted, so both stay. Every root read makes both ready; the x graph
+  // covers it, the y graph fires in the background.
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(server.Submit(1, root(i)).get().ok());
     ASSERT_TRUE(server.Submit(1, lookup(i + 100)).get().ok());
   }
-  for (int i = 10; i < 22; ++i) {
+  for (int i = 50; i < 95; ++i) {
     ASSERT_TRUE(server.Submit(1, root(i)).get().ok());
-    ASSERT_TRUE(server.Submit(1, lookup(i + 150)).get().ok());
+    ASSERT_TRUE(server.Submit(1, lookup_u(i + 150)).get().ok());
   }
   settle();
   ASSERT_EQ(ServerTestPeer::TotalGraphs(server), 2u);
