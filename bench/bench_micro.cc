@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for ChronoCache's hot paths:
 // parsing + template extraction, shape-keyed analysis, query combination
 // (parameter-bound siblings included), result splitting, executor point
-// lookups, and model updates.
+// lookups, model updates and the §5.1 check on a ready graph.
 
 #include <benchmark/benchmark.h>
 
@@ -289,6 +289,84 @@ void BM_EngineObserveSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_EngineObserveSteadyState);
+
+// BM_EngineRedundancyCheck/levels/check: one client's reads of a learned
+// chain `levels` deep, Wikipedia's page -> revision (-> text), cycling
+// through 64 chains whose every piece is cached. Each root read makes the
+// chain's graph ready; with the check on (/1) the §5.1 check walks it,
+// finds every piece cached and skips it, with it off (/0) the graph is
+// returned unchecked. One iteration is one chain (`levels` observations),
+// so /1 minus /0 is the check on one ready graph, which every read that
+// makes a graph ready pays inside the learn/combine stage.
+void BM_EngineRedundancyCheck(benchmark::State& state) {
+  const int64_t levels = state.range(0);
+  uint64_t now_us = 0;
+  core::Engine::Options options;
+  options.enable_redundancy_check = state.range(1) != 0;
+  core::Engine engine(core::EngineConfig{}, options,
+                      [&now_us] { return now_us; });
+  struct Step {
+    sql::ParsedQuery parsed;
+    sql::ResultSet result;
+  };
+  auto step = [&](const std::string& text, const char* column,
+                  int64_t value) {
+    Step s{*engine.Analyze(text), sql::ResultSet({column})};
+    s.result.AddRow({sql::Value::Int(value)});
+    return s;
+  };
+  std::vector<std::vector<Step>> chains;
+  for (int64_t k = 0; k < 64; ++k) {
+    std::vector<Step> chain;
+    chain.push_back(step("SELECT rev FROM page WHERE id = " +
+                             std::to_string(k),
+                         "rev", 1000 + k));
+    chain.push_back(step("SELECT text_id FROM revision WHERE id = " +
+                             std::to_string(1000 + k),
+                         "text_id", 2000 + k));
+    if (levels == 3) {
+      chain.push_back(step("SELECT body FROM text WHERE id = " +
+                               std::to_string(2000 + k),
+                           "body", k));
+    }
+    chains.push_back(std::move(chain));
+  }
+  size_t next = 0;
+  auto iteration = [&] {
+    for (const Step& s : chains[next++ % chains.size()]) {
+      core::Engine::ReadyGraphs ready =
+          engine.Observe(1, /*security_group=*/0, s.parsed);
+      benchmark::DoNotOptimize(ready);
+      engine.ObserveResult(1, s.parsed.tmpl->id, s.result);
+      now_us += 1000;
+    }
+    now_us += 300 * 1000;  // past the correlation window
+  };
+  for (size_t i = 0; i < 4 * chains.size(); ++i) iteration();  // learn
+  for (const auto& chain : chains) {
+    for (const Step& s : chain) {
+      db::ExecOutcome rows;
+      rows.result = s.result;
+      const core::TemplateId tmpl = s.parsed.tmpl->id;
+      engine.ReadLanded(1, 0, tmpl, s.parsed.bound_text,
+                        engine.BeginRead(tmpl), std::move(rows));
+    }
+  }
+  const uint64_t skips_before = engine.Metrics().redundant_skips;
+  for (auto _ : state) iteration();
+  if (engine.TotalGraphs() == 0) state.SkipWithError("learned no graph");
+  if (options.enable_redundancy_check &&
+      engine.Metrics().redundant_skips - skips_before <
+          static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("a cached chain was not skipped");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineRedundancyCheck)
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({3, 0})
+    ->Args({3, 1});
 
 void BM_TransitionGraphObserve(benchmark::State& state) {
   core::TransitionGraph graph(200 * kMicrosPerMilli);

@@ -373,64 +373,109 @@ bool Engine::PredictionsCached(ClientModel* model, ClientId client,
   const std::vector<TemplateId> roots = graph.DependencyQueries();
   if (roots.size() != 1) return false;
   const TemplateId root = roots[0];
-  const sql::QueryTemplate* root_tmpl = FindTemplate(root);
-  if (root_tmpl == nullptr) return false;
-  std::vector<sql::Value> root_params;
+  // The walk starts at the root, as the plan does.
+  const std::vector<TemplateId> order = graph.TopologicalOrder();
+  if (order.empty() || order.front() != root) return false;
   std::map<TemplateId, std::vector<sql::Value>> firing;
   {
     std::lock_guard<obs::TimedMutex> lock(model->mutex);
-    auto it = model->latest_params.find(root);
-    if (it == model->latest_params.end()) return false;
-    root_params = it->second;
     firing = FiringParams(graph, model->latest_params);
   }
-  // Peeks take a cache shard and the versions lock: never under the
-  // model's.
-  std::optional<cache::CachedResult> root_hit =
-      CachePeek(client, security_group, *root_tmpl, root_params);
-  if (!root_hit.has_value()) return false;
-  const sql::ResultSet& rows = *root_hit->result;
-  auto cached = [&](const sql::QueryTemplate& tmpl,
-                    const std::vector<sql::Value>& params) {
-    // An unknown parameter (NULL) cannot be verified.
-    return std::none_of(params.begin(), params.end(),
-                        [](const sql::Value& v) { return v.is_null(); }) &&
-           CachePeek(client, security_group, tmpl, params).has_value();
+  // Each distinct piece is peeked once, however many contexts bind it: at
+  // most as many peeks as the plan has pieces. Peeks take a cache shard and
+  // the versions lock: never under the model's.
+  std::unordered_map<std::string, std::shared_ptr<const sql::ResultSet>> seen;
+  auto peek = [&](const sql::QueryTemplate& tmpl,
+                  const std::vector<sql::Value>& params)
+      -> const sql::ResultSet* {
+    std::string text = sql::RenderBoundText(tmpl, params);
+    auto it = seen.find(text);
+    if (it == seen.end()) {
+      std::optional<cache::CachedResult> hit =
+          CachePeek(client, security_group, tmpl, params, text);
+      if (!hit.has_value()) return nullptr;
+      it = seen.emplace(std::move(text), hit->result).first;
+    }
+    return it->second.get();
+  };
+  // The nodes whose rows bind another node's parameters, by context slot.
+  std::map<TemplateId, size_t> slot_of;
+  for (const DepEdge& e : graph.edges) {
+    if (e.HasResultBinding()) slot_of.emplace(e.src, slot_of.size());
+  }
+  // One context per combination of rows the plan's nested loops reach: the
+  // row each visited node in slot_of returned there, or null when it
+  // returned none (the plan's left join then installs nothing bound from
+  // it).
+  using Context = std::vector<const sql::Row*>;
+  std::vector<Context> contexts(1, Context(slot_of.size(), nullptr));
+  std::map<TemplateId, const sql::ResultSet*> columns_of;  // a result per source
+  struct Binding {
+    size_t slot;    // the source's context slot
+    size_t column;  // in the source's rows
+    size_t param;   // of the bound node
   };
 
-  for (TemplateId node : graph.nodes) {
-    if (node == root) continue;
-    if (graph.RoleOf(node) == NodeRole::kDependency) return false;
+  for (TemplateId node : order) {
     const sql::QueryTemplate* tmpl = FindTemplate(node);
     if (tmpl == nullptr) return false;
-    // Only direct children of the root can be checked without executing;
-    // deeper hierarchies are conservatively treated as not cached.
-    for (const DepEdge& e : graph.edges) {
-      if (e.dst == node && e.src != root) return false;
-    }
     // Constants and parameter sources for positions no result row binds.
     const std::vector<sql::Value> base =
         FiringParamsOf(firing, node, tmpl->param_count);
-    if (graph.ParamBound(node)) {
-      // One query, whichever rows the root returns (none when it returns
-      // none: the plan would install nothing for it).
-      if (!rows.empty() && !cached(*tmpl, base)) return false;
-      continue;
-    }
-    for (size_t r = 0; r < rows.row_count(); ++r) {
-      std::vector<sql::Value> params = base;
-      for (const DepEdge& e : graph.edges) {
-        if (e.dst != node) continue;
-        for (const ParamBinding& b : e.bindings) {
-          if (b.from_param()) continue;
-          const int col = rows.ColumnIndex(b.src_column);
-          if (col < 0) return false;
-          params[static_cast<size_t>(b.dst_param)] =
-              rows.row(r)[static_cast<size_t>(col)];
-        }
+    std::vector<Binding> bindings;
+    for (const DepEdge& e : graph.edges) {
+      if (e.dst != node) continue;
+      for (const ParamBinding& b : e.bindings) {
+        if (b.from_param()) continue;
+        auto source = columns_of.find(e.src);
+        // A source no context has a row of binds nothing anywhere.
+        const int column = source == columns_of.end()
+                               ? 0
+                               : source->second->ColumnIndex(b.src_column);
+        if (column < 0) return false;
+        bindings.push_back({slot_of.at(e.src), static_cast<size_t>(column),
+                            static_cast<size_t>(b.dst_param)});
       }
-      if (!cached(*tmpl, params)) return false;
     }
+    // An unknown parameter (NULL) that no row binds cannot be verified.
+    for (size_t p = 0; p < base.size(); ++p) {
+      if (base[p].is_null() &&
+          std::none_of(bindings.begin(), bindings.end(),
+                       [p](const Binding& b) { return b.param == p; })) {
+        return false;
+      }
+    }
+    const auto reader = slot_of.find(node);
+    std::vector<Context> extended;
+    for (Context& context : contexts) {
+      std::vector<sql::Value> params = base;
+      bool reached = true;
+      for (const Binding& b : bindings) {
+        const sql::Row* row = context[b.slot];
+        // A source that returned no row here, or a NULL the client could
+        // never have bound: the plan installs no piece for this context.
+        reached = row != nullptr && !(*row)[b.column].is_null();
+        if (!reached) break;
+        params[b.param] = (*row)[b.column];
+      }
+      const sql::ResultSet* rows = reached ? peek(*tmpl, params) : nullptr;
+      if (reached && rows == nullptr) return false;
+      // No root rows: the combined result is empty, and the plan installs
+      // the root's piece only.
+      if (node == root && rows->empty()) return true;
+      if (reader == slot_of.end()) continue;
+      if (rows == nullptr || rows->empty()) {
+        extended.push_back(std::move(context));
+        continue;
+      }
+      columns_of.emplace(node, rows);
+      for (const sql::Row& row : rows->rows()) {
+        Context next = context;
+        next[reader->second] = &row;
+        extended.push_back(std::move(next));
+      }
+    }
+    if (reader != slot_of.end()) contexts = std::move(extended);
   }
   return true;
 }
@@ -451,11 +496,10 @@ std::optional<Engine::Plan> Engine::Combine(ClientId client,
     std::lock_guard<obs::TimedMutex> model_lock(model->mutex);
     params = FiringParams(graph, model->latest_params);
   }
-  Result<CombinedQuery> combined = Status::OK();
-  {
+  Result<CombinedQuery> combined = [&] {
     std::shared_lock<obs::TimedSharedMutex> registry_lock(registry_mutex_);
-    combined = CombineGraph(CombineInput{&graph, &registry_, &params});
-  }
+    return CombineGraph(CombineInput{&graph, &registry_, &params});
+  }();
   if (!combined.ok()) return std::nullopt;
   Plan plan;
   plan.query = std::make_shared<const CombinedQuery>(std::move(*combined));
@@ -622,11 +666,10 @@ Result<std::vector<SplitEntry>> Engine::PlanLanded(
   Journal(event);
   if (!outcome.ok()) return outcome.status();
   const CombinedQuery& query = *plan.query;
-  Result<std::vector<SplitEntry>> split = Status::OK();
-  {
+  Result<std::vector<SplitEntry>> split = [&] {
     std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    split = SplitResult(query, outcome->result, registry_);
-  }
+    return SplitResult(query, outcome->result, registry_);
+  }();
   if (!split.ok()) return split;
 
   // Hit attribution: the transition-graph edge that prefetched a slot is
@@ -819,9 +862,9 @@ std::optional<cache::CachedResult> Engine::CacheGet(
 
 std::optional<cache::CachedResult> Engine::CachePeek(
     ClientId client, int security_group, const sql::QueryTemplate& tmpl,
-    const std::vector<sql::Value>& params) {
+    const std::vector<sql::Value>& params, const std::string& bound_text) {
   std::optional<cache::CachedResult> entry =
-      cache_.Peek(CacheKey(client, sql::RenderBoundText(tmpl, params)));
+      cache_.Peek(CacheKey(client, bound_text));
   if (!entry.has_value() || entry->security_group != security_group ||
       Admit(client, &*entry, tmpl, params, /*absorb=*/false) ==
           Admission::kRejected) {

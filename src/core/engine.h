@@ -434,10 +434,14 @@ class Engine {
   /// predictions are already cached, counting each in redundant_skips.
   void SkipCached(ClientModel* model, ClientId client, int security_group,
                   std::vector<DependencyGraph>* graphs);
-  /// True when the graph's one root, at its latest parameters, and every
-  /// direct child of it, bound from those rows, would be served to
-  /// `client` from the cache. What it cannot check without executing (a
-  /// deeper node, an unknown parameter) counts as not cached.
+  /// True when every piece the graph's plan would install is served to
+  /// `client` from the cache. Walks the graph from its one root, at its
+  /// latest parameters, in topological order as the plan's nested lateral
+  /// loops do: each node is bound from its sources' cached rows in every
+  /// context those rows reach, a parameter-bound node is peeked once, and
+  /// a source that returned no rows ends its context for the nodes bound
+  /// from it. An unknown parameter (NULL no row binds) counts as not
+  /// cached.
   bool PredictionsCached(ClientModel* model, ClientId client,
                          int security_group, const DependencyGraph& graph);
   /// Reads relations of a registered template (empty when unknown).
@@ -460,12 +464,12 @@ class Engine {
       std::shared_ptr<const sql::ResultSet> result,
       cache::VersionVector version, uint64_t prefetch_plan,
       uint64_t prefetch_src, bool used);
-  /// The entry `tmpl` bound with `params` would be served to `client`, by
-  /// the same checks as CacheGet but without side effects (no recency, no
-  /// counters, no session or tag change).
+  /// The entry `tmpl` bound with `params` (rendered as `bound_text`) would
+  /// be served to `client`, by the same checks as CacheGet but without side
+  /// effects (no recency, no counters, no session or tag change).
   std::optional<cache::CachedResult> CachePeek(
       ClientId client, int security_group, const sql::QueryTemplate& tmpl,
-      const std::vector<sql::Value>& params);
+      const std::vector<sql::Value>& params, const std::string& bound_text);
 
   enum class Admission { kCurrent, kAcrossGap, kRejected };
   /// The §5.2 session check for `entry`, answering `tmpl` bound with

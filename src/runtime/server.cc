@@ -544,39 +544,39 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
                                       fd.latency_multiplier);
     }
 
-    Result<db::ExecOutcome> outcome = Status::OK();
     bool timed_out = false;
     bool client_deadline = false;  // timed out on the client's budget only
-    if (fd.fail) {
-      // The request dies in the WAN. A blackout behaves like a hang that
-      // the attempt budget cuts off (without a deadline it degenerates to
-      // a refused connection); a plain fault surfaces as a refusal after
-      // the — possibly truncated — round trip.
-      if (fd.blackout && attempt_cap != UINT64_MAX) {
+    Result<db::ExecOutcome> outcome = [&]() -> Result<db::ExecOutcome> {
+      if (fd.fail) {
+        // The request dies in the WAN. A blackout behaves like a hang that
+        // the attempt budget cuts off (without a deadline it degenerates
+        // to a refused connection); a plain fault surfaces as a refusal
+        // after the — possibly truncated — round trip.
+        if (fd.blackout && attempt_cap != UINT64_MAX) {
+          SleepMicros(attempt_cap);
+          timed_out = true;
+          return Status::DeadlineExceeded(
+              "backend blackout: attempt timed out");
+        }
+        SleepMicros(std::min(latency, attempt_cap));
+        return Status::Unavailable("injected backend failure");
+      }
+      if (attempt_cap != UINT64_MAX && latency > attempt_cap) {
+        // Healthy but (spike-)slow: give up at the budget, not after it.
+        uint64_t own_cap = own_deadline.remaining_us();
+        if (config_.attempt_timeout_us > 0 &&
+            config_.attempt_timeout_us < own_cap) {
+          own_cap = config_.attempt_timeout_us;
+        }
+        client_deadline = latency <= own_cap;
         SleepMicros(attempt_cap);
         timed_out = true;
-        outcome =
-            Status::DeadlineExceeded("backend blackout: attempt timed out");
-      } else {
-        SleepMicros(std::min(latency, attempt_cap));
-        outcome = Status::Unavailable("injected backend failure");
+        return Status::DeadlineExceeded(
+            "backend latency exceeded attempt budget");
       }
-    } else if (attempt_cap != UINT64_MAX && latency > attempt_cap) {
-      // Healthy but (spike-)slow: give up at the budget, not after it.
-      uint64_t own_cap = own_deadline.remaining_us();
-      if (config_.attempt_timeout_us > 0 &&
-          config_.attempt_timeout_us < own_cap) {
-        own_cap = config_.attempt_timeout_us;
-      }
-      client_deadline = latency <= own_cap;
-      SleepMicros(attempt_cap);
-      timed_out = true;
-      outcome =
-          Status::DeadlineExceeded("backend latency exceeded attempt budget");
-    } else {
       SleepMicros(latency);
-      outcome = exec();
-    }
+      return exec();
+    }();
 
     bool transport_failed =
         !outcome.ok() && IsBackendFailure(outcome.status());
@@ -736,11 +736,10 @@ ChronoServer::Served ChronoServer::ExecuteInternal(ClientId client,
              static_cast<uint64_t>(level));
   }
 
-  Result<sql::ParsedQuery> parsed = Status::OK();
-  {
+  Result<sql::ParsedQuery> parsed = [&] {
     StageTimer timer(this, &ctx, obs::Stage::kAnalyze);
-    parsed = engine_.Analyze(sql);
-  }
+    return engine_.Analyze(sql);
+  }();
   if (!parsed.ok()) {
     ctx.outcome = obs::TraceOutcome::kError;
     return {parsed.status(),
@@ -749,15 +748,15 @@ ChronoServer::Served ChronoServer::ExecuteInternal(ClientId client,
   ctx.tmpl = parsed->tmpl->id;
   const bool read_only = parsed->tmpl->read_only;
 
-  Result<SharedResult> result = Status::OK();
-  if (!read_only) {
-    counters_.writes.fetch_add(1, std::memory_order_relaxed);
-    ctx.outcome = obs::TraceOutcome::kWrite;
-    result = DoWrite(client, *parsed, &ctx);
-  } else {
+  Result<SharedResult> result = [&] {
+    if (!read_only) {
+      counters_.writes.fetch_add(1, std::memory_order_relaxed);
+      ctx.outcome = obs::TraceOutcome::kWrite;
+      return DoWrite(client, *parsed, &ctx);
+    }
     counters_.reads.fetch_add(1, std::memory_order_relaxed);
-    result = DoRead(client, security_group, *parsed, &ctx);
-  }
+    return DoRead(client, security_group, *parsed, &ctx);
+  }();
   if (!result.ok()) ctx.outcome = obs::TraceOutcome::kError;
   return {std::move(result),
           FinishRequest(&ctx, client, read_only, parsed->bound_text)};
@@ -771,10 +770,9 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
   call.tmpl = static_cast<uint64_t>(parsed.tmpl->id);
   call.client = client;
   call.ctx = ctx;
-  Result<db::ExecOutcome> outcome = Status::OK();
-  {
+  Result<db::ExecOutcome> outcome = [&] {
     StageTimer timer(this, ctx, obs::Stage::kDbExecute);
-    outcome = CallBackend(call, [&] {
+    return CallBackend(call, [&] {
       std::unique_lock<obs::TimedSharedMutex> lock(db_mutex_);
       // Exclusive access: ExecuteText may touch the statement cache.
       Result<db::ExecOutcome> out = db_->ExecuteText(parsed.bound_text);
@@ -783,7 +781,7 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
       db_->WarmIndexes();
       return out;
     });
-  }
+  }();
   engine_.WriteLanded(client, parsed, outcome);
   if (!outcome.ok()) return outcome.status();
   return std::make_shared<const sql::ResultSet>(std::move(outcome->result));
@@ -795,26 +793,31 @@ std::optional<core::DependencyGraph> ChronoServer::LearnAndPrefetch(
       engine_.Observe(client, security_group, parsed);
   if (!config_.enable_combining) return std::nullopt;
   for (const core::DependencyGraph& graph : ready.others) {
-    std::optional<core::Engine::Plan> plan = engine_.Combine(client, graph);
-    if (!plan.has_value()) continue;
-    // First rung of the brownout ladder (§17): under pressure speculation
-    // is dropped before it is even queued. Plans are still learned — only
-    // the background execution is shed.
-    if (brownout_.level() >= BrownoutController::Level::kShedPrefetch) {
-      RecordOverloadShed(obs::kOverloadShedPrefetch, client,
-                         /*retry_after_ms=*/0);
-      continue;
-    }
-    bool queued = pool_.TrySubmit(
-        ThreadPool::Lane::kPrefetch,
-        [this, client, security_group, plan = *plan]() {
-          ExecuteCombined(client, security_group, plan, /*ctx=*/nullptr);
-        });
-    if (!queued) {
-      ShedPrefetch(obs::kShedQueueFull, plan->id, client);
-    }
+    PrefetchInBackground(client, security_group, graph);
   }
   return std::move(ready.covering);
+}
+
+void ChronoServer::PrefetchInBackground(ClientId client, int security_group,
+                                        const core::DependencyGraph& graph) {
+  std::optional<core::Engine::Plan> plan = engine_.Combine(client, graph);
+  if (!plan.has_value()) return;
+  // First rung of the brownout ladder (§17): under pressure speculation
+  // is dropped before it is even queued. Plans are still learned — only
+  // the background execution is shed.
+  if (brownout_.level() >= BrownoutController::Level::kShedPrefetch) {
+    RecordOverloadShed(obs::kOverloadShedPrefetch, client,
+                       /*retry_after_ms=*/0);
+    return;
+  }
+  bool queued = pool_.TrySubmit(
+      ThreadPool::Lane::kPrefetch,
+      [this, client, security_group, plan = *plan]() {
+        ExecuteCombined(client, security_group, plan, /*ctx=*/nullptr);
+      });
+  if (!queued) {
+    ShedPrefetch(obs::kShedQueueFull, plan->id, client);
+  }
 }
 
 Result<SharedResult> ChronoServer::DoRead(ClientId client,
@@ -824,7 +827,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   const core::TemplateId tmpl = parsed.tmpl->id;
 
   // Background prefetches launch here; the graph covering this query (if
-  // any) is combined and run inline below, on a miss only.
+  // any) is combined below: run inline on a miss, queued on a hit.
   std::optional<core::DependencyGraph> covering;
   {
     StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
@@ -855,6 +858,12 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed, &stale_candidate);
     }
     if (hit.has_value()) {
+      // The §5.1 check kept the covering graph, so some piece it predicts
+      // is not cached: fetch it in the background, as for the others.
+      if (covering.has_value()) {
+        StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
+        PrefetchInBackground(client, security_group, *covering);
+      }
       return respond_hit(*hit, obs::TraceOutcome::kCacheHit);
     }
   }
@@ -963,14 +972,13 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   call.tmpl = static_cast<uint64_t>(tmpl);
   call.client = client;
   call.ctx = ctx;
-  Result<db::ExecOutcome> outcome = Status::OK();
-  {
+  Result<db::ExecOutcome> outcome = [&] {
     StageTimer timer(this, ctx, obs::Stage::kDbExecute);
-    outcome = CallBackend(call, [&] {
+    return CallBackend(call, [&] {
       std::shared_lock<obs::TimedSharedMutex> lock(db_mutex_);
       return db_->Execute(*stmt);
     });
-  }
+  }();
   if (after_read_hook_) after_read_hook_();
 
   // Installed tagged with the pre-read snapshot; a leader's landing also
@@ -999,14 +1007,13 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
   call.is_prefetch = true;
   call.client = client;
   call.ctx = ctx;  // inline covering combine: annotate the demand trace
-  Result<db::ExecOutcome> outcome = Status::OK();
-  {
+  Result<db::ExecOutcome> outcome = [&] {
     StageTimer timer(this, ctx, obs::Stage::kDbExecute);
-    outcome = CallBackend(call, [&] {
+    return CallBackend(call, [&] {
       std::shared_lock<obs::TimedSharedMutex> lock(db_mutex_);
       return db_->Execute(*plan.query->ast);
     });
-  }
+  }();
   std::optional<StageTimer> split_timer;
   if (outcome.ok()) {
     if (after_read_hook_) after_read_hook_();

@@ -274,13 +274,18 @@ class ChronoServer {
   Result<SharedResult> DoRead(ClientId client, int security_group,
                               const sql::ParsedQuery& parsed, ReqCtx* ctx);
 
-  /// Learning + graph readiness for one read arrival: combines and queues
-  /// a background prefetch for every graph the engine returns beside the
-  /// one covering the query being served (Engine::Observe, §5.1 check
-  /// applied). That one is returned so the caller combines it only on a
-  /// cache miss (it is never issued on a hit).
+  /// Learning + graph readiness for one read arrival: queues a background
+  /// prefetch (PrefetchInBackground) for every graph the engine returns
+  /// beside the one covering the query being served (Engine::Observe, §5.1
+  /// check applied). That one is returned: the caller runs its plan inline
+  /// on a cache miss and queues it in the background on a hit.
   std::optional<core::DependencyGraph> LearnAndPrefetch(
       ClientId client, int security_group, const sql::ParsedQuery& parsed);
+  /// Combines `graph` and queues its plan on the prefetch lane, unless the
+  /// brownout ladder sheds speculation or the lane is full (both counted
+  /// as sheds).
+  void PrefetchInBackground(ClientId client, int security_group,
+                            const core::DependencyGraph& graph);
 
   /// Executes a combined plan (reader-locked database), splits the result
   /// and installs every piece in the cache tagged with `plan_id` for hit

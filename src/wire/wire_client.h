@@ -41,7 +41,7 @@ class WireClient {
     uint64_t request_id = 0;
     uint16_t flags = 0;
     /// kResult decodes into rows; kError carries the server's Status.
-    Result<sql::ResultSet> result = Status::OK();
+    Result<sql::ResultSet> result = Status::Internal("wire: no response");
     bool goodbye = false;  // server said Goodbye: connection is draining
     /// kError extras (§17): the server's Retry-After hint when the
     /// brownout ladder refused admission, and whether a

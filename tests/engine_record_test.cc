@@ -14,7 +14,8 @@
 // EngineBackendCall cases pin the session rules a driver relies on, and the
 // EngineFlight cases the single-flight table both drivers coalesce on. And it
 // decides which ready graphs a read fires (Observe): the EngineReadyGraphs
-// cases pin the §5.1 skip and the covering graph both drivers act on.
+// cases pin the §5.1 skip, over the whole graph, and the covering graph
+// both drivers act on.
 
 #include <gtest/gtest.h>
 
@@ -547,6 +548,130 @@ TEST(EngineReadyGraphs, AGraphBoundFromARefutedMappingIsDropped) {
   ASSERT_TRUE(ready.covering.has_value());
   EXPECT_TRUE(TwoGraphs::KeyedBy(*ready.covering, "y"));
   EXPECT_TRUE(ready.others.empty());
+}
+
+// One client that learned Wikipedia's page -> revision -> text chain: the
+// page read returns the revision id its revision read is keyed by, which
+// returns the text id its text read is keyed by. The graph is three levels
+// deep, so the §5.1 check must bind the text read from the revision's
+// cached rows, as the plan's nested loops do.
+struct ThreeLevels {
+  static constexpr ClientId kClient = 1;
+
+  ThreeLevels() : node(/*virtual_time=*/true, EngineConfig{.extract_every = 1}) {
+    for (int id = 1; id <= 8; ++id) {
+      Read(Page(id), Rows("rev", {Rev(id)}));
+      node.now_us += 1000;
+      Read(Revision(Rev(id)), Rows("text_id", {Text(id)}));
+      node.now_us += 1000;
+      Read(TextOf(Text(id)), Rows("body", {Text(id)}));
+      node.now_us += 300'000;
+    }
+  }
+
+  static int Rev(int id) { return 1000 + id; }
+  static int Text(int id) { return 2000 + id; }
+  static std::string Page(int id) {
+    return "SELECT rev FROM page WHERE id = " + std::to_string(id);
+  }
+  static std::string Revision(int rev) {
+    return "SELECT text_id FROM revision WHERE id = " + std::to_string(rev);
+  }
+  static std::string TextOf(int text) {
+    return "SELECT body FROM text WHERE id = " + std::to_string(text);
+  }
+  // One `column` row per value.
+  static sql::ResultSet Rows(const std::string& column,
+                             const std::vector<int>& values) {
+    sql::ResultSet rows({column});
+    for (int v : values) rows.AddRow({sql::Value::Int(v)});
+    return rows;
+  }
+
+  void Read(const std::string& text, const sql::ResultSet& rows) {
+    sql::ParsedQuery parsed = *node.engine.Analyze(text);
+    node.engine.Observe(kClient, 0, parsed);
+    node.engine.ObserveResult(kClient, parsed.tmpl->id, rows);
+  }
+  // Installs `text`'s rows as a demand read of the client's would.
+  void Cache(const std::string& text, sql::ResultSet rows) {
+    sql::ParsedQuery parsed = *node.engine.Analyze(text);
+    db::ExecOutcome outcome;
+    outcome.result = std::move(rows);
+    ASSERT_TRUE(node.engine
+                    .ReadLanded(kClient, 0, parsed.tmpl->id, parsed.bound_text,
+                                node.engine.BeginRead(parsed.tmpl->id),
+                                std::move(outcome))
+                    .ok());
+  }
+  Engine::ReadyGraphs Observe(int id) {
+    return node.engine.Observe(kClient, 0, *node.engine.Analyze(Page(id)));
+  }
+  uint64_t skips() const { return node.engine.Metrics().redundant_skips; }
+
+  RecordedEngine node;
+};
+
+TEST(EngineReadyGraphs, TheChainIsLearnedThreeLevelsDeep) {
+  ThreeLevels client;
+  Engine::ReadyGraphs ready = client.Observe(40);
+  ASSERT_TRUE(ready.covering.has_value());
+  EXPECT_EQ(ready.covering->nodes.size(), 3u);
+  EXPECT_EQ(ready.covering->edges.size(), 2u);
+  EXPECT_TRUE(ready.others.empty());
+}
+
+TEST(EngineReadyGraphs, AChainWhosePiecesAreAllCachedIsSkipped) {
+  ThreeLevels client;
+  client.Cache(ThreeLevels::Page(40), ThreeLevels::Rows("rev", {1040}));
+  client.Cache(ThreeLevels::Revision(1040),
+               ThreeLevels::Rows("text_id", {2040}));
+  client.Cache(ThreeLevels::TextOf(2040), ThreeLevels::Rows("body", {2040}));
+  Engine::ReadyGraphs ready = client.Observe(40);
+  EXPECT_FALSE(ready.covering.has_value());
+  EXPECT_TRUE(ready.others.empty());
+  EXPECT_EQ(client.skips(), 1u);
+}
+
+TEST(EngineReadyGraphs, AMissingGrandchildKeepsTheChain) {
+  ThreeLevels client;
+  client.Cache(ThreeLevels::Page(40), ThreeLevels::Rows("rev", {1040}));
+  client.Cache(ThreeLevels::Revision(1040),
+               ThreeLevels::Rows("text_id", {2040}));
+  // Another text is cached, not the one the revision's row binds.
+  client.Cache(ThreeLevels::TextOf(2041), ThreeLevels::Rows("body", {2041}));
+  Engine::ReadyGraphs ready = client.Observe(40);
+  EXPECT_TRUE(ready.covering.has_value());
+  EXPECT_EQ(client.skips(), 0u);
+}
+
+TEST(EngineReadyGraphs, AnEmptyMiddleLevelEndsTheChain) {
+  // The revision read returns no rows: the plan installs nothing below it,
+  // so the uncached text it would key is not asked for.
+  ThreeLevels client;
+  client.Cache(ThreeLevels::Page(40), ThreeLevels::Rows("rev", {1040}));
+  client.Cache(ThreeLevels::Revision(1040), ThreeLevels::Rows("text_id", {}));
+  Engine::ReadyGraphs ready = client.Observe(40);
+  EXPECT_FALSE(ready.covering.has_value());
+  EXPECT_EQ(client.skips(), 1u);
+}
+
+TEST(EngineReadyGraphs, EveryRowOfAMultiRowMiddleLevelIsChecked) {
+  ThreeLevels client;
+  client.Cache(ThreeLevels::Page(40), ThreeLevels::Rows("rev", {1040}));
+  client.Cache(ThreeLevels::Revision(1040),
+               ThreeLevels::Rows("text_id", {2040, 2041, 2042}));
+  client.Cache(ThreeLevels::TextOf(2040), ThreeLevels::Rows("body", {2040}));
+  client.Cache(ThreeLevels::TextOf(2042), ThreeLevels::Rows("body", {2042}));
+  // The second row's text is missing.
+  Engine::ReadyGraphs ready = client.Observe(40);
+  EXPECT_TRUE(ready.covering.has_value());
+  EXPECT_EQ(client.skips(), 0u);
+
+  client.Cache(ThreeLevels::TextOf(2041), ThreeLevels::Rows("body", {2041}));
+  ready = client.Observe(40);
+  EXPECT_FALSE(ready.covering.has_value());
+  EXPECT_EQ(client.skips(), 1u);
 }
 
 TEST(EngineReadyGraphs, NothingCoversTheReadWithCombiningOff) {

@@ -422,9 +422,9 @@ TEST_F(ChronoServerTest, CoveringPlanAnswersItsTriggerDespiteAConcurrentWrite) {
   EXPECT_EQ((*mine)->At(0, "v").AsString(), "w39");
 }
 
-// §5.1 on the wall-clock node: a graph fired in the background (not the one
-// covering its trigger) whose root and pieces are all cached for the
-// client is not fired again by the next trigger.
+// §5.1 on the wall-clock node: graphs fired in the background (on a trigger
+// hit, the one covering it too) whose root and pieces are all cached for
+// the client are not fired again by the next trigger.
 TEST_F(ChronoServerTest, CachedBackgroundGraphIsNotFiredAgain) {
   auto setup = [&](const std::string& sql) {
     ASSERT_TRUE(db_.ExecuteText(sql).ok()) << sql;
@@ -483,24 +483,84 @@ TEST_F(ChronoServerTest, CachedBackgroundGraphIsNotFiredAgain) {
   settle();
   ASSERT_EQ(ServerTestPeer::TotalGraphs(server), 2u);
 
-  // Another client caches root 40, so client 1's read of it hits and the
-  // covering x graph stays unfired; the y graph caches the root and the
-  // y-keyed lookup in the background.
+  // Another client caches root 40, so client 1's read of it hits. Neither
+  // lookup is cached, so both graphs fire in the background: the covering
+  // x graph too, since the trigger's hit leaves its piece uncached.
   ASSERT_TRUE(server.Submit(2, root(40)).get().ok());
   ServerMetrics before = server.metrics();
   ASSERT_TRUE(server.Submit(1, root(40)).get().ok());
   settle();
   ServerMetrics after = server.metrics();
-  ASSERT_EQ(after.remote_combined - before.remote_combined, 1u);
+  ASSERT_EQ(after.remote_combined - before.remote_combined, 2u);
   ASSERT_EQ(after.redundant_skips - before.redundant_skips, 0u);
 
-  // The next trigger finds the y graph's predictions cached.
+  // The next trigger finds both graphs' predictions cached.
   before = after;
   ASSERT_TRUE(server.Submit(1, root(40)).get().ok());
   settle();
   after = server.metrics();
   EXPECT_EQ(after.remote_combined - before.remote_combined, 0u);
-  EXPECT_EQ(after.redundant_skips - before.redundant_skips, 1u);
+  EXPECT_EQ(after.redundant_skips - before.redundant_skips, 2u);
+}
+
+// A trigger that hits the cache does not fire its covering plan inline, but
+// the §5.1 check keeps the plan while a piece it predicts is uncached: the
+// plan runs in the background, and the client's next read of that piece is
+// a prefetched hit.
+TEST_F(ChronoServerTest, ATriggerHitFiresTheCoveringPlanInTheBackground) {
+  auto setup = [&](const std::string& sql) {
+    ASSERT_TRUE(db_.ExecuteText(sql).ok()) << sql;
+  };
+  // Row i of p keys row i + 10 of t.
+  setup("CREATE TABLE p (id INT, x INT)");
+  for (int i = 0; i < 40; ++i) {
+    setup("INSERT INTO p (id, x) VALUES (" + std::to_string(i) + ", " +
+          std::to_string(i + 10) + ")");
+  }
+  ServerConfig config;
+  config.workers = 1;
+  config.extract_every = 2;
+  ChronoServer server(&db_, config);
+  auto root = [](int id) {
+    return "SELECT x FROM p WHERE id = " + std::to_string(id);
+  };
+  auto lookup = [](int id) {
+    return "SELECT v FROM t WHERE id = " + std::to_string(id);
+  };
+  // Returns once every task queued so far has run (one worker).
+  auto settle = [&] {
+    while (server.pool().queue_depth() > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(server.Submit(99, lookup(0)).get().ok());
+  };
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(server.Submit(1, root(i)).get().ok());
+    ASSERT_TRUE(server.Submit(1, lookup(i + 10)).get().ok());
+  }
+  settle();
+  ASSERT_EQ(ServerTestPeer::TotalGraphs(server), 1u);
+
+  // Another client caches root 30: client 1's read of it hits.
+  ASSERT_TRUE(server.Submit(2, root(30)).get().ok());
+  ServerMetrics before = server.metrics();
+  ASSERT_TRUE(server.Submit(1, root(30)).get().ok());
+  EXPECT_EQ(server.metrics().cache_hits - before.cache_hits, 1u);
+  settle();
+  ServerMetrics after = server.metrics();
+  EXPECT_EQ(after.remote_combined - before.remote_combined, 1u);
+  EXPECT_EQ(after.prediction_hits - before.prediction_hits, 0u);
+
+  before = after;
+  auto piece = server.Submit(1, lookup(40)).get();
+  after = server.metrics();
+  ASSERT_TRUE(piece.ok()) << piece.status().ToString();
+  auto direct = db_.ExecuteText(lookup(40));
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(**piece, direct->result);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1u);
+  EXPECT_EQ(after.prefetched_hits - before.prefetched_hits, 1u);
+  EXPECT_EQ(after.remote_plain - before.remote_plain, 0u);
 }
 
 // Security-Detail: the first read's result does not return the symbol the
