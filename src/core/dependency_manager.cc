@@ -115,15 +115,6 @@ std::vector<const DependencyGraph*> DependencyManager::MarkTextAvail(
   return ready;
 }
 
-bool DependencyManager::IsRelevant(TemplateId tmpl) const {
-  auto it = by_node_.find(tmpl);
-  if (it == by_node_.end()) return false;
-  for (size_t idx : it->second) {
-    if (active_[idx]) return true;
-  }
-  return false;
-}
-
 size_t DependencyManager::graph_count() const {
   size_t n = 0;
   for (bool a : active_) {

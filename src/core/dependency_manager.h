@@ -46,10 +46,6 @@ class DependencyManager {
   /// pattern instance.
   std::vector<const DependencyGraph*> MarkTextAvail(TemplateId tmpl);
 
-  /// True if `tmpl` participates in any stored graph (its text/params are
-  /// worth retaining for combination).
-  bool IsRelevant(TemplateId tmpl) const;
-
   size_t graph_count() const;
   uint64_t graphs_discarded_duplicate() const { return dup_discards_; }
   uint64_t graphs_discarded_subsumed() const { return subsume_discards_; }

@@ -59,9 +59,9 @@ struct CombinedQuery {
 
 /// \brief One decoded result set: the cache key (the exact text of the
 /// original query that would have produced it, §4.1.1), the parameter
-/// values of that query instance (Algorithm 1's split_mark_text_avail
-/// needs them to cascade readiness), and the rows — already frozen into
-/// the shared immutable form the caches store, so installing a split
+/// values of that query instance (the key is that template rendered with
+/// them, which the combiner tests check), and the rows — already frozen
+/// into the shared immutable form the caches store, so installing a split
 /// entry never re-materializes the rows.
 struct SplitEntry {
   TemplateId tmpl = 0;

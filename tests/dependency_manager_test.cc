@@ -139,14 +139,6 @@ TEST(DependencyManager, LoopConstantBeforeDependencyIgnored) {
   EXPECT_EQ(manager.MarkTextAvail(3).size(), 1u);
 }
 
-TEST(DependencyManager, IsRelevant) {
-  DependencyManager manager;
-  ASSERT_TRUE(manager.AddGraph(Chain(1, 2)));
-  EXPECT_TRUE(manager.IsRelevant(1));
-  EXPECT_TRUE(manager.IsRelevant(2));
-  EXPECT_FALSE(manager.IsRelevant(3));
-}
-
 TEST(DependencyManager, MultipleGraphsReadySimultaneously) {
   DependencyManager manager;
   DependencyGraph b = Chain(1, 2);

@@ -169,7 +169,6 @@ TEST(MetricFamilies, MiddlewareKeepsEveryFamilyAndLabelKey) {
       "chrono_cache_misses_total{cache}",
       "chrono_cache_rejects_total{reason}",
       "chrono_cache_version_gap_serves_total{}",
-      "chrono_cascaded_fires_total{}",
       "chrono_prediction_fallbacks_total{}",
       "chrono_predictions_cached_total{}",
       "chrono_redundant_skips_total{}",

@@ -62,12 +62,12 @@ std::string Line(const std::string& label, const ExperimentResult& r) {
       " remote_combined=%" PRIu64 " predictions_cached=%" PRIu64
       " prediction_fallbacks=%" PRIu64 " redundant_skips=%" PRIu64
       " backend_coalesced=%" PRIu64 " sequential_prefetches=%" PRIu64
-      " cascaded_fires=%" PRIu64 " backend_retries=%" PRIu64
+      " backend_retries=%" PRIu64
       " avg_ms=%.17g p50_ms=%.17g p95_ms=%.17g db_requests=%" PRIu64,
       label.c_str(), m.reads, m.writes, m.cache_hits, m.cache_rejects,
       m.remote_plain, m.remote_combined, m.predictions_cached,
       m.prediction_fallbacks, m.redundant_skips, m.backend_coalesced,
-      m.sequential_prefetches, m.cascaded_fires, m.backend_retries,
+      m.sequential_prefetches, m.backend_retries,
       r.avg_response_ms, r.p50_ms, r.p95_ms, r.db_requests);
   return buf;
 }

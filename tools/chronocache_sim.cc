@@ -282,8 +282,6 @@ int main(int argc, char** argv) {
   std::printf("seq prefetches   : %llu\n",
               static_cast<unsigned long long>(
                   last.metrics.sequential_prefetches));
-  std::printf("cascaded fires   : %llu\n",
-              static_cast<unsigned long long>(last.metrics.cascaded_fires));
   std::printf("redundant skips  : %llu\n",
               static_cast<unsigned long long>(last.metrics.redundant_skips));
   std::printf("session rejects  : %llu\n",
