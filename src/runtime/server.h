@@ -289,11 +289,11 @@ class ChronoServer {
 
   /// Executes a combined plan (reader-locked database), splits the result
   /// and installs every piece in the cache tagged with `plan_id` for hit
-  /// attribution. Returns false on any failure (combined execution is
-  /// best-effort — the caller falls back to plain). `ctx` and `trigger`
-  /// are null when running as a background prefetch; an inline covering
-  /// plan passes its read as `trigger` to be answered from its own slot.
-  bool ExecuteCombined(ClientId client, int security_group,
+  /// attribution (Engine::PlanLanded). Combined execution is best-effort:
+  /// a shed or failed plan installs nothing. `ctx` and `trigger` are null
+  /// when running as a background prefetch; an inline covering plan passes
+  /// its read as `trigger`, which it answers unless it failed.
+  void ExecuteCombined(ClientId client, int security_group,
                        const core::Engine::Plan& plan, ReqCtx* ctx,
                        core::Engine::Trigger* trigger = nullptr);
 
@@ -336,13 +336,10 @@ class ChronoServer {
       const std::optional<cache::CachedResult>& candidate, uint64_t tmpl,
       ClientId client, ReqCtx* ctx);
 
-  /// Engine cache lookup under the stale-serve policy: with stale serving
-  /// on, a version-rejected entry is copied to `stale_candidate` (when
-  /// given), and stays resident while the breaker is unhealthy — it may be
-  /// the only answer this node can still give.
-  std::optional<cache::CachedResult> CacheGet(
-      ClientId client, int security_group, const sql::ParsedQuery& query,
-      std::optional<cache::CachedResult>* stale_candidate = nullptr);
+  /// Whether a cache lookup keeps a version-rejected prefetched entry
+  /// resident instead of invalidating it: with stale serving on and the
+  /// breaker not closed it may be the only answer this node can still give.
+  bool KeepRejected() const;
 
   /// Registers the engine's counter families and this node's pool, breaker,
   /// database and trace metrics, and creates the stage histograms.
