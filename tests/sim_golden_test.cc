@@ -1,8 +1,8 @@
 // Pins the simulator's output: every workload under every system mode, a
-// two-node deployment and a journaled run, compared exactly (no tolerance)
-// against tests/data/sim_golden.txt. Any change to the simulated pipeline —
-// analysis, learning, combining, caching, scheduling, journaling — shows up
-// here as a diff. When a change is meant to alter simulator output, the
+// two-node deployment, the five TPC-E ablations and a journaled run,
+// compared exactly (no tolerance) against tests/data/sim_golden.txt. Any
+// change to the simulated pipeline — analysis, learning, combining,
+// caching, scheduling, journaling — shows up here as a diff. When a change is meant to alter simulator output, the
 // failing test writes the new output next to the test temp dir; review it
 // and copy it over the golden file.
 
@@ -117,6 +117,23 @@ std::string Actual() {
   ExperimentConfig two_nodes = ShortWindow(core::SystemMode::kChrono);
   two_nodes.nodes = 2;
   out << Line("tpce/chrono/nodes=2", RunExperiment(tpce, two_nodes)) << "\n";
+
+  // The five ablation switches, each turned off on the chrono profile
+  // through ExperimentConfig::middleware, as bench_ablation turns them off.
+  const std::pair<const char*, bool core::MiddlewareConfig::*> ablations[] = {
+      {"-loops", &core::MiddlewareConfig::enable_loops},
+      {"-loopconst", &core::MiddlewareConfig::enable_loop_constants},
+      {"-combining", &core::MiddlewareConfig::enable_combining},
+      {"-subsumption", &core::MiddlewareConfig::enable_subsumption},
+      {"-redundancy", &core::MiddlewareConfig::enable_redundancy_check},
+  };
+  for (const auto& [name, ablation] : ablations) {
+    ExperimentConfig ablated = ShortWindow(core::SystemMode::kChrono);
+    ablated.middleware.*ablation = false;
+    out << Line(std::string("tpce/chrono/") + name,
+                RunExperiment(tpce, ablated))
+        << "\n";
+  }
 
   ExperimentConfig journaled = ShortWindow(core::SystemMode::kChrono);
   journaled.journal_out = ::testing::TempDir() + "sim_golden_journal.chrj";
