@@ -49,7 +49,6 @@ int main() {
   core::RemoteDbServer remote(&events, &database, latency, 8);
   core::MiddlewareConfig config;
   config.mode = core::SystemMode::kChrono;
-  config.Finalize();
   core::Middleware node(&events, &remote, latency, config);
 
   const std::string kRead = "SELECT balance FROM accounts WHERE id = 1";

@@ -109,7 +109,6 @@ TEST_P(ConsistencyProperty, MiddlewareMatchesDirectExecution) {
   core::RemoteDbServer remote(&events, &behind, latency, 8);
   core::MiddlewareConfig config;
   config.mode = std::get<1>(GetParam());
-  config.Finalize();
   core::Middleware node(&events, &remote, latency, config);
 
   CheckAgainstMirror(workload.get(), &mirror, [&](const std::string& sql) {

@@ -145,7 +145,6 @@ TEST(MetricFamilies, MiddlewareKeepsEveryFamilyAndLabelKey) {
   core::RemoteDbServer remote(&events, &db, latency, 8);
   core::MiddlewareConfig config;
   config.extract_every = 2;
-  config.Finalize();
   obs::MetricsRegistry registry;  // outlives the middleware
   core::Middleware middleware(&events, &remote, latency, config);
   middleware.RegisterMetrics(&registry);
