@@ -80,9 +80,12 @@ struct RepeatedResult {
   ExperimentResult last;  // one full run for detail inspection
 };
 
+/// Runs `runs` seeded experiments; `each` (optional) sees every run's
+/// result as it finishes.
 RepeatedResult RunRepeated(
     const std::function<std::unique_ptr<workloads::Workload>()>& make_workload,
-    ExperimentConfig config, int runs);
+    ExperimentConfig config, int runs,
+    const std::function<void(const ExperimentResult&)>& each = nullptr);
 
 }  // namespace chrono::harness
 
