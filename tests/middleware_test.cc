@@ -499,6 +499,64 @@ TEST_F(MiddlewareTest, CoalescedApolloReadFiresItsGraphsUnderItsOwnClient) {
   EXPECT_EQ(mw.metrics().cache_hits - before.cache_hits, 1u);
 }
 
+// Apollo's prediction reads never join the demand flight table, so two
+// fires of one prediction before its read lands would send it twice. The
+// client learned that `lookup` takes `root`'s value; two reads of one root,
+// submitted together, share one flight, and each fires the graph when the
+// flight answers it: the second finds the lookup on the wire.
+TEST_F(MiddlewareTest, ApolloSendsAPredictedReadOnceWhileItIsOnTheWire) {
+  for (const char* ddl :
+       {"CREATE TABLE k (id INT, a INT)", "CREATE TABLE v (a INT, w INT)"}) {
+    ASSERT_TRUE(db_.ExecuteText(ddl).ok()) << ddl;
+  }
+  for (int i = 0; i < 10; ++i) {
+    const std::string a = std::to_string(100 + i);
+    ASSERT_TRUE(db_.ExecuteText("INSERT INTO k VALUES (" + std::to_string(i) +
+                                ", " + a + ")")
+                    .ok());
+    ASSERT_TRUE(db_.ExecuteText("INSERT INTO v VALUES (" + a + ", " +
+                                std::to_string(i) + ")")
+                    .ok());
+  }
+  auto root = [](int i) {
+    return "SELECT a FROM k WHERE id = " + std::to_string(i);
+  };
+  auto lookup = [](int i) {
+    return "SELECT w FROM v WHERE a = " + std::to_string(100 + i);
+  };
+  MiddlewareConfig config;
+  config.mode = SystemMode::kApollo;
+  config.extract_every = 1;
+  Middleware mw(&events_, &remote_, latency_, config);
+  for (int i = 0; i < 6; ++i) {
+    (void)Query(&mw, 0, root(i));
+    (void)Query(&mw, 0, lookup(i));
+  }
+  ASSERT_GT(mw.TotalGraphs(), 0u);
+
+  const MiddlewareMetrics before = mw.metrics();
+  const uint64_t sent_before = remote_.requests();
+  int answered = 0;
+  for (int copy = 0; copy < 2; ++copy) {
+    mw.SubmitQuery(0, 0, root(8), [&](SimTime, const Result<ResultSet>& r) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      ++answered;
+    });
+  }
+  events_.RunAll();
+  ASSERT_EQ(answered, 2);
+  EXPECT_EQ(mw.metrics().backend_coalesced - before.backend_coalesced, 1u);
+  // The root's read and one lookup.
+  EXPECT_EQ(mw.metrics().sequential_prefetches - before.sequential_prefetches,
+            1u);
+  EXPECT_EQ(remote_.requests() - sent_before, 2u);
+
+  ResultSet w = Query(&mw, 0, lookup(8));
+  ASSERT_EQ(w.row_count(), 1u);
+  EXPECT_EQ(w.row(0)[0], Value::Int(8));
+  EXPECT_EQ(mw.metrics().cache_hits - before.cache_hits, 1u);
+}
+
 TEST_F(MiddlewareTest, LruModeNeverPredicts) {
   auto mw = MakeMiddleware(SystemMode::kLru);
   RunLoopTransaction(mw.get(), 0, 0);
