@@ -56,16 +56,17 @@ inline void PrintHeader(const char* title) {
   std::printf("\n=== %s ===\n", title);
 }
 
+/// One row over all runs: means, except errors (summed).
 inline void PrintRow(const char* system, int clients,
                      const harness::RepeatedResult& result) {
   std::printf(
       "%-12s clients=%-4d avg_resp=%7.2f ms (±%5.2f)  hit_rate=%5.1f%%  "
-      "db_requests=%8.0f  combined=%llu  errors=%llu\n",
+      "db_requests=%8.0f  combined=%.0f  errors=%llu\n",
       system, clients, result.response_ms.Mean(),
       result.response_ms.ConfidenceInterval95(),
       result.hit_rate.Mean() * 100.0, result.db_requests.Mean(),
-      static_cast<unsigned long long>(result.last.metrics.remote_combined),
-      static_cast<unsigned long long>(result.last.errors));
+      result.combined.Mean(),
+      static_cast<unsigned long long>(result.errors));
 }
 
 }  // namespace chrono::bench

@@ -267,12 +267,10 @@ int main(int argc, char** argv) {
   // Each counter prints as its mean over the runs; errors as their sum.
   using R = const harness::ExperimentResult&;
   std::vector<harness::ExperimentResult> each;
-  uint64_t errors = 0;
   std::string first_error;
   harness::RepeatedResult result =
       harness::RunRepeated(make_workload, config, runs, [&](R r) {
         each.push_back(r);
-        errors += r.errors;
         if (first_error.empty()) first_error = r.first_error;
       });
   const harness::ExperimentResult& last = result.last;
@@ -297,8 +295,7 @@ int main(int argc, char** argv) {
               mean([](R r) { return r.queries_measured; }),
               mean([](R r) { return r.transactions; }));
   std::printf("db requests      : %.0f\n", result.db_requests.Mean());
-  std::printf("combined queries : %.0f\n",
-              mean([](R r) { return r.metrics.remote_combined; }));
+  std::printf("combined queries : %.0f\n", result.combined.Mean());
   std::printf("prefetched sets  : %.0f\n",
               mean([](R r) { return r.metrics.predictions_cached; }));
   std::printf("seq prefetches   : %.0f\n",
@@ -308,8 +305,8 @@ int main(int argc, char** argv) {
   std::printf("session rejects  : %.0f\n",
               mean([](R r) { return r.metrics.cache_rejects; }));
   std::printf("errors           : %llu%s%s\n",
-              static_cast<unsigned long long>(errors),
-              errors > 0 ? " first: " : "", first_error.c_str());
+              static_cast<unsigned long long>(result.errors),
+              result.errors > 0 ? " first: " : "", first_error.c_str());
   const bool faults_on = net::FaultInjector(config.fault).enabled();
   if (faults_on) {
     std::printf("faults injected  : %.0f\n",
@@ -342,5 +339,5 @@ int main(int argc, char** argv) {
   // Under an injected fault schedule, residual errors are the experiment's
   // point, not a tool failure.
   if (faults_on) return 0;
-  return errors == 0 ? 0 : 1;
+  return result.errors == 0 ? 0 : 1;
 }
