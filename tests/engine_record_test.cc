@@ -469,6 +469,8 @@ struct TwoGraphs {
   RecordedEngine node;
 };
 
+// The y graph adds `u`, which the covering x graph does not fetch: it is no
+// twin of it, and fires.
 TEST(EngineReadyGraphs, TheFirstReadyGraphCoversTheReadAndTheRestFire) {
   TwoGraphs client;
   ASSERT_EQ(client.node.engine.TotalGraphs(), 2u);
@@ -778,6 +780,82 @@ TEST(EngineReadyGraphs, EveryRowOfAMultiRowMiddleLevelIsChecked) {
   ready = client.Observe(40);
   EXPECT_FALSE(ready.covering.has_value());
   EXPECT_EQ(client.skips(), 1u);
+}
+
+// One client that learned two graphs over the same three reads, as on
+// Wikipedia's page -> revision -> text chain, where the text id is both
+// the page's latest revision and the revision's own id. The root `p`
+// returns x, `q` is keyed by x and returns y, and `t` is keyed by a value
+// both carry. First `t` is keyed by y alone (x differs): the graph binds
+// `t` from q.y. Then y equals x, and reads of `q` that no `t` follows
+// drop P(t | q) below tau, so the next extraction binds `t` from p.x.
+// Each graph has an edge the other lacks, so neither subsumes the other:
+// the dependency table keeps both, q.y's first, and every root read makes
+// both ready.
+struct TwinGraphs {
+  static constexpr ClientId kClient = 1;
+
+  TwinGraphs() : node(/*virtual_time=*/true, EngineConfig{.extract_every = 1}) {
+    for (int id = 1; id <= 8; ++id) Round(id, Y(id));
+    for (int id = 11; id <= 18; ++id) {
+      Round(id, X(id));
+      Read(Mid(Z(id)), Rows("y", Z(id)));  // no `t` follows
+      node.now_us += 300'000;
+    }
+  }
+
+  static int X(int id) { return 1000 + id; }
+  static int Y(int id) { return 2000 + id; }
+  static int Z(int id) { return 3000 + id; }
+  static std::string Root(int id) {
+    return "SELECT x FROM p WHERE id = " + std::to_string(id);
+  }
+  static std::string Mid(int x) {
+    return "SELECT y FROM q WHERE id = " + std::to_string(x);
+  }
+  static std::string Leaf(int key) {
+    return "SELECT v FROM t WHERE id = " + std::to_string(key);
+  }
+  static sql::ResultSet Rows(const std::string& column, int value) {
+    sql::ResultSet rows({column});
+    rows.AddRow({sql::Value::Int(value)});
+    return rows;
+  }
+
+  // The root, the `q` read keyed by its x that returns `key`, then the
+  // `t` read keyed by `key`.
+  void Round(int id, int key) {
+    Read(Root(id), Rows("x", X(id)));
+    node.now_us += 1000;
+    Read(Mid(X(id)), Rows("y", key));
+    node.now_us += 1000;
+    Read(Leaf(key), Rows("v", key));
+    node.now_us += 300'000;
+  }
+  void Read(const std::string& text, const sql::ResultSet& rows) {
+    sql::ParsedQuery parsed = *node.engine.Analyze(text);
+    node.engine.Observe(kClient, 0, parsed);
+    node.engine.ObserveResult(kClient, parsed.tmpl->id, rows);
+  }
+  Engine::ReadyGraphs Observe(int id) {
+    return node.engine.Observe(kClient, 0, *node.engine.Analyze(Root(id)));
+  }
+
+  RecordedEngine node;
+};
+
+// The x graph would send the same three pieces as the y graph that covers
+// the read: it is dropped before the §5.1 walk, and counted.
+TEST(EngineReadyGraphs, ATwinOfTheCoveringGraphIsNotFired) {
+  TwinGraphs client;
+  ASSERT_EQ(client.node.engine.TotalGraphs(), 2u);
+  const uint64_t skips = client.node.engine.Metrics().redundant_skips;
+  Engine::ReadyGraphs ready = client.Observe(40);
+  ASSERT_TRUE(ready.covering.has_value());
+  EXPECT_EQ(ready.covering->nodes.size(), 3u);
+  EXPECT_TRUE(TwoGraphs::KeyedBy(*ready.covering, "y"));
+  EXPECT_TRUE(ready.others.empty());
+  EXPECT_EQ(client.node.engine.Metrics().redundant_skips - skips, 1u);
 }
 
 TEST(EngineReadyGraphs, NothingCoversTheReadWithCombiningOff) {

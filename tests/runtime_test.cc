@@ -563,6 +563,109 @@ TEST_F(ChronoServerTest, ATriggerHitFiresTheCoveringPlanInTheBackground) {
   EXPECT_EQ(after.remote_plain - before.remote_plain, 0u);
 }
 
+// Wikipedia's page view (GetPageAnonymous): the page read returns the id of
+// the page's latest revision, which keys the revision read and, being also
+// the text's id, the text read. The text read can therefore bind from the
+// revision's row or from the page's. Views learn the graph that binds it
+// from the revision. Revision reads that no text read follows (a history
+// lookup) then drop P(text | revision) below tau, and the next extraction
+// binds the text from the page. The two graphs fetch the same four reads,
+// and each has an edge the other lacks, so the dependency table keeps both
+// and every page read makes both ready. A page miss must still send one
+// combined query, not one per graph.
+TEST_F(ChronoServerTest, APageMissSendsOneCombinedQueryForTheWholeView) {
+  auto setup = [&](const std::string& sql) {
+    ASSERT_TRUE(db_.ExecuteText(sql).ok()) << sql;
+  };
+  setup("CREATE TABLE page (page_id INT, page_namespace INT, "
+        "page_title TEXT, page_latest INT)");
+  setup("CREATE TABLE page_restrictions (pr_page INT, pr_type TEXT)");
+  setup("CREATE TABLE revision (rev_id INT, rev_page INT, rev_text_id INT, "
+        "rev_user INT)");
+  setup("CREATE TABLE text (old_id INT, old_text TEXT)");
+  for (int p = 0; p < 60; ++p) {
+    const std::string page = std::to_string(p);
+    const std::string latest = std::to_string(p * 10 + 1);
+    setup("INSERT INTO page (page_id, page_namespace, page_title, "
+          "page_latest) VALUES (" + page + ", 0, 'Page_" + page + "', " +
+          latest + ")");
+    setup("INSERT INTO revision (rev_id, rev_page, rev_text_id, rev_user) "
+          "VALUES (" + latest + ", " + page + ", " + latest + ", 7)");
+    setup("INSERT INTO text (old_id, old_text) VALUES (" + latest +
+          ", 'body " + page + "')");
+    if (p % 10 == 0) {
+      setup("INSERT INTO page_restrictions (pr_page, pr_type) VALUES (" +
+            page + ", 'edit=sysop')");
+    }
+  }
+  ServerConfig config;
+  config.workers = 1;
+  config.extract_every = 2;
+  config.delta_t = 50 * kMicrosPerMilli;
+  ChronoServer server(&db_, config);
+  auto revision = [](int p) {
+    return "SELECT rev_id, rev_text_id, rev_user FROM revision WHERE "
+           "rev_page = " + std::to_string(p) +
+           " AND rev_id = " + std::to_string(p * 10 + 1);
+  };
+  auto view = [&](int p) {
+    const std::string page = std::to_string(p);
+    return std::vector<std::string>{
+        "SELECT page_id, page_latest FROM page WHERE page_namespace = 0 AND "
+        "page_title = 'Page_" + page + "'",
+        "SELECT pr_type FROM page_restrictions WHERE pr_page = " + page,
+        revision(p),
+        "SELECT old_text FROM text WHERE old_id = " +
+            std::to_string(p * 10 + 1)};
+  };
+  // Reads `sqls` back to back, then waits past Δt, so that no read
+  // correlates with the next call's.
+  auto run = [&](const std::vector<std::string>& sqls) {
+    for (const std::string& sql : sqls) {
+      ASSERT_TRUE(server.Submit(1, sql).get().ok()) << sql;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  };
+  // Returns once every task queued so far has run (one worker).
+  auto settle = [&] {
+    while (server.pool().queue_depth() > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(server.Submit(99, "SELECT v FROM t WHERE id = 0").get().ok());
+  };
+  for (int p = 0; p < 10; ++p) run(view(p));
+  settle();
+  ASSERT_EQ(ServerTestPeer::TotalGraphs(server), 1u);
+  for (int p = 10; p < 16; ++p) {
+    run(view(p));
+    run({revision(p + 20)});
+  }
+  settle();
+  ASSERT_EQ(ServerTestPeer::TotalGraphs(server), 2u);
+
+  const std::vector<std::string> reads = view(45);
+  ServerMetrics before = server.metrics();
+  ASSERT_TRUE(server.Submit(1, reads[0]).get().ok());
+  settle();
+  ServerMetrics after = server.metrics();
+  EXPECT_EQ(after.remote_combined - before.remote_combined, 1u);
+  EXPECT_EQ(after.prediction_hits - before.prediction_hits, 1u);
+  EXPECT_EQ(after.redundant_skips - before.redundant_skips, 1u);
+
+  before = after;
+  for (size_t i = 1; i < reads.size(); ++i) {
+    auto answer = server.Submit(1, reads[i]).get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    auto direct = db_.ExecuteText(reads[i]);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(**answer, direct->result) << reads[i];
+  }
+  after = server.metrics();
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 3u);
+  EXPECT_EQ(after.remote_plain - before.remote_plain, 0u);
+  EXPECT_EQ(after.remote_combined - before.remote_combined, 0u);
+}
+
 // Security-Detail: the first read's result does not return the symbol the
 // two follow-ups are asked for, and the market read carries a constant.
 // Once learned, the follow-ups ride the first read's plan: one backend
