@@ -69,8 +69,7 @@ Result<std::shared_ptr<const sql::Statement>> Database::ParseCached(
 Result<ExecOutcome> Database::ExecuteText(std::string_view sql) {
   CHRONO_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
                           ParseCached(sql));
-  statements_executed_.fetch_add(1, std::memory_order_relaxed);
-  return executor_.Execute(*stmt);
+  return Execute(*stmt);
 }
 
 void Database::WarmIndexes() {

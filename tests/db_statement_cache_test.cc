@@ -8,6 +8,7 @@
 #include <string>
 
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "sql/value.h"
 
 namespace chrono::db {
@@ -104,6 +105,28 @@ TEST_F(StatementCacheTest, ParseErrorsAreNotCached) {
   auto bad2 = db_.ExecuteText("SELEC nonsense FROM");
   EXPECT_FALSE(bad2.ok());
   EXPECT_EQ(db_.statement_cache_counters().hits, 0u);
+}
+
+// A text statement is timed like a parsed one: every write the runtime
+// sends goes through ExecuteText, so its kind's histogram must count it.
+TEST_F(StatementCacheTest, TextStatementsRecordTheirKindsLatency) {
+  obs::MetricsRegistry registry;
+  db_.AttachMetrics(&registry);
+  Exec(db_, "INSERT INTO t (id, v) VALUES (1, 10)");
+  Exec(db_, "UPDATE t SET v = 11 WHERE id = 1");
+  Exec(db_, "UPDATE t SET v = 12 WHERE id = 1");
+  Exec(db_, "SELECT v FROM t WHERE id = 1");
+  Exec(db_, "DELETE FROM t WHERE id = 1");
+  auto count = [&registry](const char* kind) {
+    return registry
+        .GetHistogram("chrono_db_statement_latency_ns", "", {{"kind", kind}})
+        ->Snapshot()
+        .count;
+  };
+  EXPECT_EQ(count("insert"), 1u);
+  EXPECT_EQ(count("update"), 2u);
+  EXPECT_EQ(count("select"), 1u);
+  EXPECT_EQ(count("delete"), 1u);
 }
 
 }  // namespace
