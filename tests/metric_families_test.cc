@@ -109,9 +109,7 @@ TEST(MetricFamilies, ChronoServerKeepsEveryFamilyAndLabelKey) {
       "chrono_pool_queue_wait_ns{lane}",
       "chrono_pool_run_ns{}",
       "chrono_pool_tasks_executed_total{}",
-      "chrono_pool_tasks_expired_total{}",
       "chrono_pool_tasks_failed_total{}",
-      "chrono_pool_tasks_shed_total{}",
       "chrono_prediction_fallbacks_total{}",
       "chrono_prediction_hits_total{edge}",
       "chrono_prediction_inline_hits_total{}",
@@ -121,7 +119,6 @@ TEST(MetricFamilies, ChronoServerKeepsEveryFamilyAndLabelKey) {
       "chrono_prefetch_used_total{edge}",
       "chrono_prefetch_used_total{plan}",
       "chrono_prefetched_hits_total{}",
-      "chrono_prefetches_dropped_total{}",
       "chrono_remote_combined_total{}",
       "chrono_remote_plain_total{}",
       "chrono_request_latency_ns{op}",
