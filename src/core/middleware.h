@@ -176,12 +176,11 @@ class Middleware {
     ResponseCallback done;
   };
 
-  /// Fires one ready dependency graph (combined strategy). A `trigger` is
-  /// answered either way, as ChronoServer::DoRead answers its own: by the
-  /// landed plan (Engine::PlanLanded), else by a plain read.
-  void FireGraph(ClientId client, int security_group,
-                 const DependencyGraph& graph,
-                 std::optional<PendingRead> trigger = std::nullopt);
+  /// Sends one plan Engine::Observe combined. A `trigger` is answered
+  /// either way, as ChronoServer::DoRead answers its own: by the landed
+  /// plan (Engine::PlanLanded), else by a plain read.
+  void FirePlan(ClientId client, int security_group, Engine::Plan plan,
+                std::optional<PendingRead> trigger = std::nullopt);
 
   /// Sends Engine::SequentialReads of `graph` in the background.
   void FireSequential(ClientId client, int security_group,
@@ -205,8 +204,7 @@ class Middleware {
 
   /// Ships the shared immutable payload to the client (the one copy into
   /// the client's Result happens at the LAN edge delivery, never here).
-  void Respond(ClientId client, TemplateId tmpl,
-               std::shared_ptr<const sql::ResultSet> result,
+  void Respond(std::shared_ptr<const sql::ResultSet> result,
                const ResponseCallback& done);
 
   EventQueue* events_;
