@@ -55,6 +55,9 @@ struct CachedResult {
   // template was a root (text-dependency) node of the plan.
   uint64_t prefetch_plan = 0;
   uint64_t prefetch_src = 0;
+  // The root template of the plan that installed the entry (0 for
+  // demand fills): the key the prefetch audit files its events under.
+  uint64_t prefetch_root = 0;
   // Full lifecycle attribution (prefetch-efficacy audit): the entry's
   // statement template, the owner's clock at install time, and how many
   // hits the entry served (Get() increments; Peek() does not). Together

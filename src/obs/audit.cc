@@ -77,10 +77,8 @@ void PrefetchAudit::OnEvents(const JournalEvent* events, size_t count) {
   for (size_t i = 0; i < count; ++i) Fold(events[i]);
 }
 
-std::string PrefetchAudit::PlanKey(uint64_t plan_instance) const {
-  auto it = plan_root_.find(plan_instance);
-  if (it == plan_root_.end() || it->second == 0) return "unknown";
-  return std::to_string(it->second);
+std::string PrefetchAudit::PlanKey(uint64_t root) {
+  return root == 0 ? "unknown" : std::to_string(root);
 }
 
 std::string PrefetchAudit::EdgeKey(uint64_t src, uint64_t tmpl) {
@@ -116,16 +114,15 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
   ++events_folded_;
   switch (event.type) {
     case JournalEventType::kPlanMined: {
-      plan_root_[event.plan] = event.tmpl;
-      ++plans_[PlanKey(event.plan)].mined;
+      ++plans_[PlanKey(event.tmpl)].mined;
       break;
     }
     case JournalEventType::kCombinedIssued: {
-      ++plans_[PlanKey(event.plan)].issued;
+      ++plans_[PlanKey(event.tmpl)].issued;
       break;
     }
     case JournalEventType::kCombinedFetched: {
-      Board& board = plans_[PlanKey(event.plan)];
+      Board& board = plans_[PlanKey(event.tmpl)];
       if (event.flags & kJournalFlagOk) {
         ++board.fetch_ok;
       } else {
@@ -137,7 +134,7 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       break;
     }
     case JournalEventType::kEntryInstalled: {
-      std::string plan_key = PlanKey(event.plan);
+      std::string plan_key = PlanKey(event.c);
       std::string edge_key = EdgeKey(event.src, event.tmpl);
       for (Board* board : {&plans_[plan_key], &edges_[edge_key]}) {
         ++board->installed;
@@ -149,7 +146,7 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       break;
     }
     case JournalEventType::kEntryUsed: {
-      std::string plan_key = PlanKey(event.plan);
+      std::string plan_key = PlanKey(event.c);
       std::string edge_key = EdgeKey(event.src, event.tmpl);
       for (Board* board : {&plans_[plan_key], &edges_[edge_key]}) {
         ++board->used;
@@ -162,7 +159,7 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       break;
     }
     case JournalEventType::kEntryEvicted: {
-      std::string plan_key = PlanKey(event.plan);
+      std::string plan_key = PlanKey(event.c);
       std::string edge_key = EdgeKey(event.src, event.tmpl);
       bool used = (event.flags & kJournalFlagUsed) != 0;
       for (Board* board : {&plans_[plan_key], &edges_[edge_key]}) {
@@ -182,7 +179,7 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       break;
     }
     case JournalEventType::kEntryInvalidated: {
-      std::string plan_key = PlanKey(event.plan);
+      std::string plan_key = PlanKey(event.c);
       std::string edge_key = EdgeKey(event.src, event.tmpl);
       bool used = (event.flags & kJournalFlagUsed) != 0;
       for (Board* board : {&plans_[plan_key], &edges_[edge_key]}) {

@@ -22,8 +22,9 @@ namespace chrono::obs {
 ///
 /// Plans are keyed by their *root (trigger) template*, not the unique
 /// per-instance plan id, so the scoreboard stays bounded by the workload's
-/// template count; the instance→root mapping is learned from kPlanMined
-/// events (instances whose mining event was dropped fold under "unknown").
+/// template count. Every event of a plan carries that root (obs::JournalEvent
+/// says where), so the fold keeps no per-plan state; an event without one
+/// folds under "unknown".
 /// Edges are keyed "src->dst" ("root" when the entry's template was a
 /// text-dependency root of the plan), the one edge key of every per-edge
 /// family, chrono_prediction_hits_total{edge} included.
@@ -219,7 +220,8 @@ class PrefetchAudit : public JournalSink {
   };
 
   void Fold(const JournalEvent& event);
-  std::string PlanKey(uint64_t plan_instance) const;
+  /// A plan board's key: the plan's root template, "unknown" for 0.
+  static std::string PlanKey(uint64_t root);
   static std::string EdgeKey(uint64_t src, uint64_t tmpl);
   /// Cached get-or-create of one labelled counter instance.
   Counter* CounterFor(const char* family, const char* help,
@@ -245,7 +247,6 @@ class PrefetchAudit : public JournalSink {
   Digest wire_latency_us_;
   uint64_t stage_sum_us_[kStageSlots] = {};
   uint64_t requests_with_latency_ = 0;
-  std::map<uint64_t, uint64_t> plan_root_;  // plan instance id -> root tmpl
   std::map<std::string, Board> plans_;
   std::map<std::string, Board> edges_;
   std::map<uint64_t, TemplateAgg> templates_;

@@ -74,18 +74,21 @@ uint64_t SumCounters(const MetricsRegistry& registry, const std::string& name,
 TEST(PrefetchAudit, FoldsPlanLifecycleIntoScoreboards) {
   PrefetchAudit audit;
   Feed(&audit, {
-      // Plan instance 100 rooted at template 5, two slots.
+      // Plan instance 100 rooted at template 5, two slots. Each event
+      // carries the root: in tmpl, or in c for the entry events.
       Ev(JournalEventType::kPlanMined, 100, 0, 5, /*a=*/2),
-      Ev(JournalEventType::kCombinedIssued, 100),
-      Ev(JournalEventType::kCombinedFetched, 100, 0, 0, /*rows=*/10,
+      Ev(JournalEventType::kCombinedIssued, 100, 0, 5),
+      Ev(JournalEventType::kCombinedFetched, 100, 0, 5, /*rows=*/10,
          /*bytes=*/5000, /*round_us=*/2000, kJournalFlagOk),
-      Ev(JournalEventType::kEntryInstalled, 100, 0, 5, /*bytes=*/300),
-      Ev(JournalEventType::kEntryInstalled, 100, 5, 7, /*bytes=*/400),
+      Ev(JournalEventType::kEntryInstalled, 100, 0, 5, /*bytes=*/300, 0,
+         /*root=*/5),
+      Ev(JournalEventType::kEntryInstalled, 100, 5, 7, /*bytes=*/400, 0,
+         /*root=*/5),
       Ev(JournalEventType::kEntryUsed, 100, 5, 7, /*bytes=*/400,
-         /*ttfu_us=*/1500),
+         /*ttfu_us=*/1500, /*root=*/5),
       // The root slice dies unused: that is the wasted half of the plan.
       Ev(JournalEventType::kEntryEvicted, 100, 0, 5, /*bytes=*/300,
-         /*resident_us=*/900, 0, /*flags=*/kJournalEvictCapacity),
+         /*resident_us=*/900, /*root=*/5, /*flags=*/kJournalEvictCapacity),
   });
 
   PrefetchAudit::Snapshot snap = audit.snapshot();
@@ -128,11 +131,36 @@ TEST(PrefetchAudit, FoldsPlanLifecycleIntoScoreboards) {
   EXPECT_DOUBLE_EQ(snap.OverallPrecision(), 0.5);
 }
 
+// An entry event files under the root it carries, whether or not the
+// plan's kPlanMined was folded: the fold keeps no per-plan table.
+TEST(PrefetchAudit, EntryEventsFileUnderTheirCarriedRoot) {
+  PrefetchAudit audit;
+  Feed(&audit, {
+      // Plan 42, rooted at template 8: its kPlanMined was never folded.
+      Ev(JournalEventType::kEntryInstalled, 42, 0, 8, /*bytes=*/100, 0,
+         /*root=*/8),
+      Ev(JournalEventType::kEntryUsed, 42, 0, 8, /*bytes=*/100,
+         /*ttfu_us=*/10, /*root=*/8),
+      // A hit on that entry carries the root in place of the plan id.
+      Ev(JournalEventType::kRequest, /*root=*/8, 0, 8, 0, 0, 0,
+         static_cast<uint8_t>(TraceOutcome::kCacheHit) |
+             kJournalFlagNoLatency),
+  });
+
+  PrefetchAudit::Snapshot snap = audit.snapshot();
+  const PrefetchAudit::Score* plan = FindScore(snap.plans, "8");
+  ASSERT_NE(plan, nullptr) << "the entry landed on its root's board";
+  EXPECT_EQ(plan->installed, 1u);
+  EXPECT_EQ(plan->used, 1u);
+  EXPECT_EQ(plan->hits, 1u);
+  EXPECT_EQ(FindScore(snap.plans, "unknown"), nullptr);
+}
+
 TEST(PrefetchAudit, UnknownPlanAndInvalidationWasteAccounting) {
   PrefetchAudit audit;
   Feed(&audit, {
-      // Plan 999 was never mined (its kPlanMined event was dropped):
-      // everything folds under "unknown" instead of being lost.
+      // Plan 999's events carry no root (c = 0): everything folds under
+      // "unknown" instead of being lost.
       Ev(JournalEventType::kEntryInstalled, 999, 0, 4, /*bytes=*/500),
       Ev(JournalEventType::kEntryInvalidated, 999, 0, 4, /*bytes=*/500,
          /*resident_us=*/100, 0, /*flags=*/0),  // unused: wasted
@@ -195,10 +223,10 @@ TEST(PrefetchAudit, DrivesCounterFamiliesThatReconcileWithSnapshot) {
   PrefetchAudit audit(&registry);
   Feed(&audit, {
       Ev(JournalEventType::kPlanMined, 1, 0, 5, 2),
-      Ev(JournalEventType::kEntryInstalled, 1, 0, 5, 300),
-      Ev(JournalEventType::kEntryInstalled, 1, 5, 7, 400),
-      Ev(JournalEventType::kEntryUsed, 1, 5, 7, 400, 10),
-      Ev(JournalEventType::kEntryEvicted, 1, 0, 5, 300, 100, 0, 0),
+      Ev(JournalEventType::kEntryInstalled, 1, 0, 5, 300, 0, 5),
+      Ev(JournalEventType::kEntryInstalled, 1, 5, 7, 400, 0, 5),
+      Ev(JournalEventType::kEntryUsed, 1, 5, 7, 400, 10, 5),
+      Ev(JournalEventType::kEntryEvicted, 1, 0, 5, 300, 100, 5, 0),
       Ev(JournalEventType::kEntryInstalled, 2, 0, 4, 100),  // unknown plan
       Ev(JournalEventType::kEntryInvalidated, 2, 0, 4, 100, 50, 0, 0),
   });
