@@ -186,6 +186,40 @@ TEST_F(ChaosTest, BlackoutTripsBreakerAndStaleServesWarmKeys) {
   EXPECT_EQ(m.stale_serves, 2u);
 }
 
+// A stale serve hands the client superseded rows: they must train no
+// model, so the client's mapper keeps the last rows it was fed.
+TEST_F(ChaosTest, StaleServeLeavesTheMapperUntouched) {
+  ServerConfig config = ChaosConfig();
+  config.enable_learning = true;
+  config.fault.blackout_start_us = 400'000;
+  config.fault.blackout_us = 600'000'000;
+  config.stale_serve_us = 10'000'000;
+  ChronoServer server(&db_, config);
+
+  // Warm id 7, supersede it, then read id 8 of the same template.
+  ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 7").get().ok());
+  ASSERT_TRUE(
+      server.Submit(1, "UPDATE t SET v = 'fresh' WHERE id = 7").get().ok());
+  ASSERT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 8").get().ok());
+  core::Engine& engine = server.engine();
+  const core::TemplateId tmpl =
+      engine.Analyze("SELECT v FROM t WHERE id = 7")->tmpl->id;
+  auto last_fed = [&] {
+    return engine.WithModel(1, [tmpl](const core::Engine::ClientModel& m) {
+      const sql::ResultSet* rows = m.mapper.LastResult(tmpl);
+      return rows == nullptr ? std::string() : rows->rows()[0][0].AsString();
+    });
+  };
+  ASSERT_EQ(last_fed(), "v8");
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(450));
+  auto stale = server.Submit(1, "SELECT v FROM t WHERE id = 7").get();
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_EQ((*stale)->rows()[0][0].AsString(), "v7");  // pre-write value
+  EXPECT_EQ(server.metrics().stale_serves, 1u);
+  EXPECT_EQ(last_fed(), "v8");
+}
+
 TEST_F(ChaosTest, ChaosRunCompletesAndJournalReconciles) {
   ServerConfig config = ChaosConfig();
   config.workers = 4;
