@@ -222,7 +222,8 @@ BENCHMARK(BM_ShardedCacheGetShared)->Arg(1)->Arg(64)->Arg(1024);
 // client's session, every write in the gap a point UPDATE of another row.
 // /0 is the current-tag baseline. A served lookup re-stamps the entry, so
 // every iteration first re-lands the read with its old tag: all arms pay
-// the same ReadLanded, and the difference to /0 is the gap check.
+// the same ReadLanded, and the difference to /0 is the gap check. Both
+// calls feed the rows to the client's mapper, as serving does.
 void BM_CacheGetVersionGap(benchmark::State& state) {
   core::Engine engine(core::EngineConfig{}, core::Engine::Options{},
                       [] { return uint64_t{0}; });
@@ -250,8 +251,9 @@ void BM_CacheGetVersionGap(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheGetVersionGap)->Arg(0)->Arg(8)->Arg(64)->Arg(1024);
 
-// Engine::Observe and ObserveResult on a warmed loop of 4 dependent
-// templates (each one's parameter is the previous one's result), analyzed
+// Engine::Observe (which combines the plans each read fires) and
+// ObserveResult on a warmed loop of 4 dependent templates (each one's
+// parameter is the previous one's result), analyzed
 // outside the timed loop: one iteration is 4 observations, so extraction
 // is due once per iteration. Once the model is learned its inputs stop
 // moving and extraction is skipped.
@@ -295,9 +297,10 @@ BENCHMARK(BM_EngineObserveSteadyState);
 // through 64 chains whose every piece is cached. Each root read makes the
 // chain's graph ready; with the check on (/1) the §5.1 check walks it,
 // finds every piece cached and skips it, with it off (/0) the graph is
-// returned unchecked. One iteration is one chain (`levels` observations),
-// so /1 minus /0 is the check on one ready graph, which every read that
-// makes a graph ready pays inside the learn/combine stage.
+// returned unchecked, combined into a plan. One iteration is one chain
+// (`levels` observations), so /1 minus /0 is the check on one ready graph
+// less the Combine it saves; every read that makes a graph ready pays the
+// check inside the learn/combine stage.
 void BM_EngineRedundancyCheck(benchmark::State& state) {
   const int64_t levels = state.range(0);
   uint64_t now_us = 0;
