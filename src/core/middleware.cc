@@ -1,7 +1,5 @@
 #include "core/middleware.h"
 
-#include "common/rng.h"
-
 namespace chrono::core {
 
 // ---- RemoteDbServer ----------------------------------------------------
@@ -19,29 +17,12 @@ void RemoteDbServer::Submit(std::string sql_text, DbCallback done) {
 
 void RemoteDbServer::Submit(DbRequest request, DbCallback done) {
   ++requests_;
-  double service_multiplier = 1.0;
-  if (fault_ != nullptr && fault_->enabled()) {
-    net::FaultDecision fd = fault_->Decide(events_->now());
-    if (fd.fail) {
-      // The call dies on the WAN: the caller still pays the full round
-      // trip before Unavailable comes back. Blackout failures take the
-      // same path — virtual time has no client deadline to cut short.
-      events_->ScheduleAfter(latency_.wan_rtt,
-                             [done = std::move(done)](SimTime now) {
-                               done(now, Status::Unavailable(
-                                             "injected backend failure"));
-                             });
-      return;
-    }
-    service_multiplier = fd.latency_multiplier;
-  }
   // Outbound WAN half, then queue for a database worker.
   events_->ScheduleAfter(
       latency_.wan_rtt / 2,
-      [this, req = std::move(request), done = std::move(done),
-       service_multiplier](SimTime) mutable {
-        waiting_.push_back(
-            Job{std::move(req), std::move(done), service_multiplier});
+      [this, req = std::move(request), done = std::move(done)](
+          SimTime) mutable {
+        waiting_.push_back(Job{std::move(req), std::move(done)});
         TryDispatch();
       });
 }
@@ -61,10 +42,6 @@ void RemoteDbServer::TryDispatch() {
     uint64_t rows = outcome.ok() ? outcome->stats.rows_scanned : 0;
     if (outcome.ok()) rows_scanned_ += rows;
     SimTime service = latency_.DbServiceTime(rows);
-    if (job.service_multiplier > 1.0) {
-      service = static_cast<SimTime>(static_cast<double>(service) *
-                                     job.service_multiplier);
-    }
     busy_time_ += service;
     auto shared =
         std::make_shared<Result<db::ExecOutcome>>(std::move(outcome));
@@ -92,9 +69,7 @@ Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
       // The config is both the EngineConfig and the Engine::Options.
       engine_(config, config,
               [events] { return static_cast<uint64_t>(events->now()); }),
-      mw_pool_(events, config.workers),
-      retry_(config.retry),
-      retry_seed_(config.retry_seed) {}
+      mw_pool_(events, config.workers) {}
 
 void Middleware::AttachJournal(obs::EventJournal* journal) {
   engine_.AttachJournal(journal, /*stamp_events=*/true);
@@ -242,43 +217,11 @@ void Middleware::RemotePlain(ClientId client, int security_group,
       });
   if (!tag.has_value()) return;  // parked
   ++engine_.counters().remote_plain;
-  IssuePlainFetch(client, security_group, tmpl, query.bound_text,
-                  std::move(*tag), /*attempts=*/1);
-}
-
-void Middleware::IssuePlainFetch(ClientId client, int security_group,
-                                 TemplateId tmpl, std::string bound_text,
-                                 cache::VersionVector tag, int attempts) {
   remote_->Submit(
-      bound_text,
-      [this, client, security_group, tmpl, bound_text, tag = std::move(tag),
-       attempts](SimTime, Result<db::ExecOutcome> outcome) mutable {
-        // Idempotent demand read: reschedule after a full-jitter backoff
-        // while the flight stays open (late joiners park on it too).
-        // Writes and prefetch never take this path.
-        if (!outcome.ok() &&
-            net::RetryPolicy::IsRetryable(outcome.status()) &&
-            retry_.ShouldRetry(attempts)) {
-          double u =
-              HashToUnit(SplitMix64(retry_seed_ ^ retry_ordinal_++));
-          SimTime backoff =
-              static_cast<SimTime>(retry_.BackoffUs(attempts, u));
-          // c = 0: no per-request deadline in virtual time.
-          engine_.Record({.tmpl = static_cast<uint64_t>(tmpl),
-                          .a = static_cast<uint64_t>(attempts),
-                          .b = static_cast<uint64_t>(backoff),
-                          .client = static_cast<uint32_t>(client),
-                          .type = obs::JournalEventType::kBackendRetry});
-          events_->ScheduleAfter(
-              backoff, [this, client, security_group, tmpl, bound_text,
-                        tag = std::move(tag), attempts](SimTime) mutable {
-                IssuePlainFetch(client, security_group, tmpl,
-                                std::move(bound_text), std::move(tag),
-                                attempts + 1);
-              });
-          return;
-        }
-        // Closes the flight: RemotePlain answers every read on it.
+      query.bound_text,
+      [this, client, security_group, tmpl, bound_text = query.bound_text,
+       tag = std::move(*tag)](SimTime, Result<db::ExecOutcome> outcome) {
+        // Closes the flight: the verdict above answers every read on it.
         engine_.ReadLanded(client, security_group, tmpl, bound_text, tag,
                            std::move(outcome), Engine::ReadKind::kLeader);
       });

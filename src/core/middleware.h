@@ -10,9 +10,7 @@
 
 #include "core/engine.h"
 #include "db/database.h"
-#include "net/fault_injector.h"
 #include "net/latency_model.h"
-#include "net/retry_policy.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,14 +26,6 @@ namespace chrono::core {
 /// Memcached model.
 struct MiddlewareConfig : EngineConfig, Engine::Options {
   int workers = 8;  // middleware worker pool
-
-  // Fault tolerance. Idempotent demand reads retry transport failures with
-  // full-jitter exponential backoff in virtual time; writes and prefetch
-  // never auto-retry. Backoff jitter is derived deterministically from
-  // retry_seed so repeated runs replay byte-identical.
-  // retry.max_attempts = 1 turns retries off.
-  net::RetryOptions retry;
-  uint64_t retry_seed = 42;
 };
 
 /// \brief The simulated remote database server: the shared SQL engine
@@ -68,13 +58,6 @@ class RemoteDbServer {
   /// the two execution paths.
   void set_text_roundtrip(bool v) { text_roundtrip_ = v; }
 
-  /// Attaches a fault injector consulted once per submission (non-owning;
-  /// must outlive the server, or be detached with nullptr). An injected
-  /// failure costs the caller a full WAN round trip and delivers
-  /// Status::Unavailable; a latency spike stretches the statement's
-  /// service time at dispatch.
-  void SetFaultInjector(net::FaultInjector* injector) { fault_ = injector; }
-
   uint64_t requests() const { return requests_; }
   uint64_t rows_scanned() const { return rows_scanned_; }
   /// Requests executed via a handed-off AST (no server-side parse).
@@ -85,7 +68,6 @@ class RemoteDbServer {
   struct Job {
     DbRequest request;
     DbCallback done;
-    double service_multiplier = 1.0;  // >1 under an injected latency spike
   };
   void TryDispatch();
 
@@ -95,7 +77,6 @@ class RemoteDbServer {
   int workers_;
   int busy_ = 0;
   bool text_roundtrip_ = false;
-  net::FaultInjector* fault_ = nullptr;  // non-owning; null = healthy
   std::deque<Job> waiting_;
   uint64_t requests_ = 0;
   uint64_t rows_scanned_ = 0;
@@ -114,7 +95,8 @@ using MiddlewareMetrics = NodeMetrics;
 /// it drives: the §6 system profile, which ready graphs fire and how
 /// (combined, or Apollo-style sequential reads), the single-flight table
 /// a miss joins (§5.1). This class holds only the scheduling: the event
-/// queue, the worker pool, the WAN hops and demand-read retries.
+/// queue, the worker pool and the WAN hops. A demand read is sent once;
+/// backend fault tolerance is the wall-clock node's (runtime::ChronoServer).
 class Middleware {
  public:
   using ResponseCallback =
@@ -187,20 +169,13 @@ class Middleware {
                       const DependencyGraph& graph);
 
   /// A plain demand read of `query`: leads its flight (Engine::
-  /// OpenOrJoinFlight) or parks on the one in flight, and is answered when
-  /// that flight closes. The sequential graphs its miss `deferred` fire
-  /// under this client once its own rows are answered.
+  /// OpenOrJoinFlight), sending the read once, or parks on the one in
+  /// flight, and is answered when that flight closes. The sequential
+  /// graphs its miss `deferred` fire under this client once its own rows
+  /// are answered.
   void RemotePlain(ClientId client, int security_group,
                    sql::ParsedQuery query, ResponseCallback done,
                    std::vector<DependencyGraph> deferred = {});
-
-  /// One attempt (1-based) of a flight leader's fetch, tagged `tag`.
-  /// Transport failures of this idempotent read reschedule the fetch after
-  /// a full-jitter backoff while the flight stays open; the final outcome
-  /// (success, retries exhausted, or retries disabled) closes it.
-  void IssuePlainFetch(ClientId client, int security_group, TemplateId tmpl,
-                       std::string bound_text, cache::VersionVector tag,
-                       int attempts);
 
   /// Ships the shared immutable payload to the client (the one copy into
   /// the client's Result happens at the LAN edge delivery, never here).
@@ -212,9 +187,6 @@ class Middleware {
   net::LatencyModel latency_;
   Engine engine_;
   Resource mw_pool_;
-  net::RetryPolicy retry_;        // schedule for idempotent demand reads
-  uint64_t retry_seed_;           // MiddlewareConfig::retry_seed
-  uint64_t retry_ordinal_ = 0;    // deterministic backoff-jitter counter
 };
 
 }  // namespace chrono::core

@@ -105,8 +105,6 @@ ExperimentResult RunExperiment(
 
   core::RemoteDbServer remote(&events, &database, config.latency,
                               config.db_workers);
-  net::FaultInjector fault(config.fault);
-  if (fault.enabled()) remote.SetFaultInjector(&fault);
 
   std::vector<std::unique_ptr<core::Middleware>> nodes;
   for (int n = 0; n < config.nodes; ++n) {
@@ -179,7 +177,6 @@ ExperimentResult RunExperiment(
   result.first_error = first_error;
   result.db_requests = remote.requests();
   for (const auto& node : nodes) node->AddMetricsTo(&result.metrics);
-  result.faults_injected = fault.faults_injected();
   result.cache_hit_rate = result.metrics.CacheHitRate();
   for (const auto& [name, stats] : by_transaction) {
     result.by_transaction.emplace_back(name, stats.Mean(),

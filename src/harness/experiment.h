@@ -9,7 +9,6 @@
 
 #include "common/stats.h"
 #include "core/middleware.h"
-#include "net/fault_injector.h"
 #include "net/latency_model.h"
 #include "workloads/workload.h"
 
@@ -32,10 +31,6 @@ struct ExperimentConfig {
   SimTime timeline_bucket = 10 * kMicrosPerSecond;  // Fig. 9b resolution
   uint64_t seed = 1;
   int security_groups = 1;  // clients assigned round-robin (§5.2.1)
-  /// Deterministic backend fault schedule (error rate, latency spikes,
-  /// blackout windows) applied to every database submission. Disabled by
-  /// default; see net::FaultOptions.
-  net::FaultOptions fault;
   /// When non-empty, every node's prefetch/request lifecycle is mirrored
   /// into an event journal (virtual timestamps) and persisted here after
   /// the run — the file feeds tools/chrono_audit. With RunRepeated the
@@ -63,8 +58,6 @@ struct ExperimentResult {
   /// Journal records persisted to ExperimentConfig::journal_out (0 when
   /// journalling was off).
   uint64_t journal_events = 0;
-  /// Backend calls failed by the fault injector (0 with faults disabled).
-  uint64_t faults_injected = 0;
 };
 
 /// Runs one seeded experiment end to end.

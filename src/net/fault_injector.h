@@ -33,14 +33,14 @@ struct FaultDecision {
   double latency_multiplier = 1.0;
 };
 
-/// \brief Deterministic, seedable fault injector shared by the wall-clock
-/// server and the virtual-time simulator. Each call draws its fate from
+/// \brief Deterministic, seedable fault injector for the wall-clock
+/// server's backend calls. Each call draws its fate from
 /// SplitMix64(seed ^ ordinal) where the ordinal is a process-wide atomic
 /// counter — thread-safe with no locks, and the decision *sequence* is
 /// reproducible for a fixed seed (the thread interleaving only permutes
-/// which request gets which ordinal). `now_us` is whatever timeline the
-/// caller lives on (wall µs since server start, or virtual sim time);
-/// blackout windows are evaluated against it directly.
+/// which request gets which ordinal). `now_us` is the caller's timeline
+/// (wall µs since server start; tests pass their own); blackout windows are
+/// evaluated against it directly.
 class FaultInjector {
  public:
   FaultInjector() = default;

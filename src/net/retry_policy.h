@@ -9,8 +9,8 @@
 namespace chrono::net {
 
 /// \brief Deadline budget for one remote operation, measured against an
-/// injected microsecond clock so tests (and the virtual-time simulator) can
-/// drive it deterministically. A zero budget means "no deadline".
+/// injected microsecond clock so tests can drive it deterministically. A
+/// zero budget means "no deadline".
 class Deadline {
  public:
   using Clock = std::function<uint64_t()>;

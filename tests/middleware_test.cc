@@ -592,32 +592,20 @@ TEST_F(MiddlewareTest, ParseErrorSurfacesToClient) {
   EXPECT_TRUE(got_error);
 }
 
-// retry.max_attempts = 1 is "no retry": a demand read whose backend call
-// fails surfaces the error at once and counts it.
-TEST_F(MiddlewareTest, OneAttemptSurfacesBackendFailuresUnretried) {
-  net::FaultOptions faults;
-  faults.error_pct = 100;  // every backend call fails
-  net::FaultInjector injector(faults);
-  remote_.SetFaultInjector(&injector);
-  for (int attempts : {1, 3}) {
-    SCOPED_TRACE(attempts);
-    MiddlewareConfig config;
-    config.mode = SystemMode::kLru;
-    config.retry.max_attempts = attempts;
-    Middleware mw(&events_, &remote_, latency_, config);
-    bool failed = false;
-    const std::string q =
-        "SELECT s_num_out FROM security WHERE s_symb = 'S0_1'";
-    mw.SubmitQuery(0, 0, q, [&](SimTime, const Result<ResultSet>& result) {
-      failed = !result.ok();
-    });
-    events_.RunAll();
-    EXPECT_TRUE(failed);
-    EXPECT_EQ(mw.metrics().backend_retries,
-              static_cast<uint64_t>(attempts - 1));
-    EXPECT_EQ(mw.metrics().errors, 1u);
-  }
-  remote_.SetFaultInjector(nullptr);
+// A demand read is sent once: one whose backend call fails (here inside
+// the database) surfaces the error at once and counts it once.
+TEST_F(MiddlewareTest, FailedDemandReadSurfacesOnce) {
+  auto mw = MakeMiddleware(SystemMode::kLru);
+  bool failed = false;
+  mw->SubmitQuery(0, 0, "SELECT x FROM no_such_table WHERE id = 1",
+                  [&](SimTime, const Result<ResultSet>& result) {
+                    failed = !result.ok();
+                  });
+  events_.RunAll();
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(mw->metrics().remote_plain, 1u);
+  EXPECT_EQ(mw->metrics().errors, 1u);
+  EXPECT_EQ(mw->metrics().backend_retries, 0u);
 }
 
 TEST_F(MiddlewareTest, WriteReturnsWithoutCaching) {

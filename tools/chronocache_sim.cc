@@ -51,20 +51,7 @@ void Usage() {
       "  --timeline        print the per-bucket learning curve\n"
       "  --no-loops / --no-loop-constants / --no-combining /\n"
       "  --no-subsumption / --no-redundancy-check\n"
-      "                    ablation switches, ANDed with the mode's profile\n"
-      "\nfault injection (deterministic; all off by default):\n"
-      "  --fault-error-pct X      fail X%% of backend calls with Unavailable\n"
-      "  --fault-spike M          latency-spike multiplier (default 1 = off)\n"
-      "  --fault-spike-pct X      %% of calls spiked when --fault-spike > 1\n"
-      "                           (default 10)\n"
-      "  --fault-blackout-ms N    every backend call fails for N virtual ms\n"
-      "  --fault-blackout-at-ms N blackout start offset (default 3000)\n"
-      "  --fault-blackout-period-ms N  repeat the blackout every N ms\n"
-      "  --fault-seed N           fault schedule seed (default 42)\n"
-      "  --retries N              max demand-read attempts (default 3)\n"
-      "  --no-retries             disable demand-read retries (--retries 1)\n"
-      "With faults enabled the exit code stays 0 even when some requests\n"
-      "error — surviving the schedule is the experiment.\n");
+      "                    ablation switches, ANDed with the mode's profile\n");
 }
 
 core::SystemMode ParseMode(const std::string& name) {
@@ -160,26 +147,6 @@ int main(int argc, char** argv) {
       config.seed = UintFlag(arg, next());
     } else if (arg == "--groups") {
       config.security_groups = static_cast<int>(IntFlag(arg, next()));
-    } else if (arg == "--fault-error-pct") {
-      config.fault.error_pct = DoubleFlag(arg, next());
-    } else if (arg == "--fault-spike") {
-      config.fault.spike_multiplier = DoubleFlag(arg, next());
-    } else if (arg == "--fault-spike-pct") {
-      config.fault.spike_pct = DoubleFlag(arg, next());
-    } else if (arg == "--fault-blackout-ms") {
-      config.fault.blackout_us = UintFlag(arg, next()) * kMicrosPerMilli;
-    } else if (arg == "--fault-blackout-at-ms") {
-      config.fault.blackout_start_us = UintFlag(arg, next()) * kMicrosPerMilli;
-    } else if (arg == "--fault-blackout-period-ms") {
-      config.fault.blackout_period_us =
-          UintFlag(arg, next()) * kMicrosPerMilli;
-    } else if (arg == "--fault-seed") {
-      config.fault.seed = UintFlag(arg, next());
-    } else if (arg == "--retries") {
-      config.middleware.retry.max_attempts =
-          static_cast<int>(IntFlag(arg, next()));
-    } else if (arg == "--no-retries") {
-      config.middleware.retry.max_attempts = 1;
     } else if (arg == "--journal-out") {
       config.journal_out = next();
     } else if (arg == "--timeline") {
@@ -210,20 +177,10 @@ int main(int argc, char** argv) {
   if (config.duration <= 0) reject("--duration", "must be > 0");
   if (config.warmup < 0) reject("--warmup", "must be >= 0");
   if (runs < 1) reject("--runs", "must be >= 1");
-  if (config.fault.error_pct < 0 || config.fault.error_pct > 100 ||
-      config.fault.spike_pct < 0 || config.fault.spike_pct > 100) {
-    reject("--fault-error-pct/--fault-spike-pct", "must be in [0, 100]");
+  if (config.latency.wan_rtt < 0) reject("--wan-ms", "must be >= 0");
+  if (!(config.middleware.tau >= 0 && config.middleware.tau <= 1)) {
+    reject("--tau", "must be in [0, 1]");
   }
-  if (config.fault.spike_multiplier < 1.0) {
-    reject("--fault-spike", "multiplier must be >= 1");
-  }
-  if (config.middleware.retry.max_attempts < 1) {
-    reject("--retries", "must be >= 1");
-  }
-
-  // One seed drives both the fault schedule and the retry-backoff jitter
-  // so a run replays byte-identical.
-  config.middleware.retry_seed = config.fault.seed;
 
   std::function<std::unique_ptr<workloads::Workload>()> make_workload;
   if (!trace_path.empty()) {
@@ -307,13 +264,6 @@ int main(int argc, char** argv) {
   std::printf("errors           : %llu%s%s\n",
               static_cast<unsigned long long>(result.errors),
               result.errors > 0 ? " first: " : "", first_error.c_str());
-  const bool faults_on = net::FaultInjector(config.fault).enabled();
-  if (faults_on) {
-    std::printf("faults injected  : %.0f\n",
-                mean([](R r) { return r.faults_injected; }));
-    std::printf("backend retries  : %.0f\n",
-                mean([](R r) { return r.metrics.backend_retries; }));
-  }
   if (!config.journal_out.empty()) {
     std::printf("journal          : %llu events -> %s\n",
                 static_cast<unsigned long long>(last.journal_events),
@@ -336,8 +286,5 @@ int main(int argc, char** argv) {
                   "############################################################");
     }
   }
-  // Under an injected fault schedule, residual errors are the experiment's
-  // point, not a tool failure.
-  if (faults_on) return 0;
   return result.errors == 0 ? 0 : 1;
 }
